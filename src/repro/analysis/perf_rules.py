@@ -44,14 +44,13 @@ _HOTPATH_RE = re.compile(r"#\s*repro:\s*hotpath\b", re.IGNORECASE)
 #: prefixes (``"Environment.step"`` matches that method, a bare class
 #: name matches the class and everything in it).
 HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
-    # The kernel dispatch loop: pop, clock advance, callback fan-out.
+    # The kernel dispatch loop: heap push, heap pop, clock advance,
+    # callback fan-out — every scheduled event passes through
+    # schedule and step exactly once.
     "repro/simcore/environment.py": frozenset(
         {"Environment.schedule", "Environment.step", "Environment.peek",
-         "Environment._next_batched", "Environment.run"}
+         "Environment.compact", "Environment.run"}
     ),
-    # Pending-event queues: every scheduled event passes through
-    # push/pop (and, batched, pop_run/peek_key) exactly once.
-    "repro/simcore/equeue.py": None,
     # Event primitives: one object per scheduled occurrence.
     "repro/simcore/events.py": None,
     # Process resumption: one _resume per yield of every process.

@@ -152,7 +152,17 @@ class GramClient:
         self.breakers = breakers
 
     def _fresh_port(self) -> Port:
+        """An ephemeral reply port; the caller closes it when its call
+        concludes, so a reply that arrives later is an "unbound" drop."""
         return Port(self.network, ephemeral_endpoint(self.host, "gram"))
+
+    def _call(self, manager: Endpoint, kind: str, payload: Any, timeout: Optional[float]):
+        """One RPC to a job manager over a reply port of its own."""
+        port = self._fresh_port()
+        try:
+            return (yield from call(port, manager, kind, payload=payload, timeout=timeout))
+        finally:
+            port.close()
 
     def _breaker(self, endpoint: Endpoint) -> Optional[CircuitBreaker]:
         if self.breakers is None:
@@ -195,31 +205,34 @@ class GramClient:
 
         def attempt():
             port = self._fresh_port()
-            session = yield from initiate(
-                port, dst, self.credential, self.auth, timeout=timeout,
-                ctx=span.context,
-            )
             try:
-                return (yield from call(
-                    port,
-                    dst,
-                    SUBMIT,
-                    payload={
-                        "rsl": rsl_text,
-                        "callback": callback,
-                        "params": dict(params or {}),
-                        "session": session.session_id,
-                        "submission_id": submission_id,
-                    },
-                    timeout=timeout,
+                session = yield from initiate(
+                    port, dst, self.credential, self.auth, timeout=timeout,
                     ctx=span.context,
-                ))
-            except RPCError as exc:
-                raise GramError(
-                    f"submit to {contact} refused: {exc.payload}",
-                    contact=contact,
-                    payload=exc.payload,
-                ) from None
+                )
+                try:
+                    return (yield from call(
+                        port,
+                        dst,
+                        SUBMIT,
+                        payload={
+                            "rsl": rsl_text,
+                            "callback": callback,
+                            "params": dict(params or {}),
+                            "session": session.session_id,
+                            "submission_id": submission_id,
+                        },
+                        timeout=timeout,
+                        ctx=span.context,
+                    ))
+                except RPCError as exc:
+                    raise GramError(
+                        f"submit to {contact} refused: {exc.payload}",
+                        contact=contact,
+                        payload=exc.payload,
+                    ) from None
+            finally:
+                port.close()
 
         try:
             if policy is None and self.breakers is None:
@@ -261,8 +274,7 @@ class GramClient:
         """
 
         def attempt():
-            port = self._fresh_port()
-            return (yield from call(port, handle.manager, STATUS, timeout=timeout))
+            return self._call(handle.manager, STATUS, None, timeout)
 
         if retry is None:
             payload = yield from attempt()
@@ -279,9 +291,8 @@ class GramClient:
 
     def cancel(self, handle: JobHandle, timeout: Optional[float] = None):
         """Cancel the job (idempotent); returns the resulting state."""
-        port = self._fresh_port()
         try:
-            payload = yield from call(port, handle.manager, CANCEL, timeout=timeout)
+            payload = yield from self._call(handle.manager, CANCEL, None, timeout)
         except RPCTimeout:
             # The site may be dead; locally mark what we know.
             handle.update(JobState.FAILED, "cancel timed out", self.env.now)
@@ -300,10 +311,8 @@ class GramClient:
         Mirrors GRAM's callback-register operation: monitoring can be
         attached after submission (e.g. by a second tool).
         """
-        port = self._fresh_port()
-        payload = yield from call(
-            port, handle.manager, REGISTER,
-            payload={"endpoint": endpoint}, timeout=timeout,
+        payload = yield from self._call(
+            handle.manager, REGISTER, {"endpoint": endpoint}, timeout
         )
         handle.update(payload["state"], payload.get("reason"), self.env.now)
         return handle.state
@@ -315,10 +324,8 @@ class GramClient:
         timeout: Optional[float] = None,
     ):
         """Remove a previously registered callback listener."""
-        port = self._fresh_port()
-        payload = yield from call(
-            port, handle.manager, UNREGISTER,
-            payload={"endpoint": endpoint}, timeout=timeout,
+        payload = yield from self._call(
+            handle.manager, UNREGISTER, {"endpoint": endpoint}, timeout
         )
         handle.update(payload["state"], payload.get("reason"), self.env.now)
         return handle.state

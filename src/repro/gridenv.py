@@ -32,7 +32,6 @@ from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.fork import ForkScheduler
 from repro.schedulers.reservation import ReservationScheduler
 from repro.simcore.environment import Environment
-from repro.simcore.equeue import EventQueue
 from repro.simcore.probe import FanoutProbe, Probe
 from repro.simcore.rng import RngRegistry
 from repro.simcore.tracing import NullTracer, SpanSink, Tracer
@@ -165,7 +164,6 @@ class GridBuilder:
         user: str = "alice",
         client_host: str = CLIENT_HOST,
         trace: bool = True,
-        queue: "str | EventQueue | None" = None,
         slotted_delivery: bool = False,
         slot_width: Optional[float] = None,
     ) -> None:
@@ -178,11 +176,6 @@ class GridBuilder:
         #: ``trace=False`` builds the grid on a NullTracer: no spans, no
         #: metrics, identical simulation behaviour (tested).
         self.trace = trace
-        #: Kernel event-queue selection, forwarded to
-        #: :class:`~repro.simcore.environment.Environment` — ``None`` /
-        #: ``"heap"`` / ``"calendar"`` or an
-        #: :class:`~repro.simcore.equeue.EventQueue` instance.
-        self.queue = queue
         #: Forwarded to :class:`~repro.net.network.Network`: coalesce
         #: same-deadline deliveries into one kernel event per
         #: (destination, deadline) slot.  Opt-in — see the Network
@@ -330,7 +323,7 @@ class GridBuilder:
     def build(self) -> Grid:
         if not self._machines:
             raise ReproError("a grid needs at least one machine")
-        env = Environment(queue=self.queue)
+        env = Environment()
         probes = self._probes
         recorder: "Optional[Recorder]" = None
         counters: "Optional[OpCounters]" = None

@@ -33,7 +33,7 @@ class Message:
     reply_to: Endpoint | None = None
     corr_id: int | None = None
     size_bytes: int = 256
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
+    msg_id: int = field(default_factory=_msg_ids.__next__)
     sent_at: float | None = None
     delivered_at: float | None = None
     trace_ctx: "TraceContext | None" = None

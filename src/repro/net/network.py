@@ -22,6 +22,7 @@ from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.simcore.events import Timeout
 from repro.simcore.resources import Store
 from repro.simcore.rng import jittered
 
@@ -255,35 +256,38 @@ class Network:
         Reliability on top of this (timeouts, retries) is the RPC
         layer's job.
         """
-        self._require_host(message.src.host)
-        self._require_host(message.dst.host)
-        if message.src.host in self._down:
-            raise HostDown(f"source host {message.src.host!r} is down")
+        src_host = message.src.host
+        dst_host = message.dst.host
+        hosts = self._hosts
+        if src_host not in hosts:
+            raise NetworkError(f"unknown host {src_host!r}")
+        if dst_host not in hosts:
+            raise NetworkError(f"unknown host {dst_host!r}")
+        if src_host in self._down:
+            raise HostDown(f"source host {src_host!r} is down")
 
+        env = self.env
         self.sent_count += 1
-        message.sent_at = self.env.now
-        self.metrics.counter("net.messages_sent_total").inc(kind=message.kind)
-        self.metrics.rate("net.send_rate").tick()
-        probe = self.env.probe
+        message.sent_at = now = env.now
+        # Unobserved runs (NULL_METRICS, no probe) make no calls into
+        # repro.obs: this runs once per message.
+        metrics = self.metrics
+        if metrics is not NULL_METRICS:
+            metrics.counter("net.messages_sent_total").inc(kind=message.kind)
+            metrics.rate("net.send_rate").tick()
+        probe = env.probe
         if probe is not None:
             probe.on_send(message)
 
-        if any(rule(message) for rule in self._drop_rules):
-            self.dropped_count += 1
-            self.metrics.counter("net.messages_dropped_total").inc(reason="rule")
-            if probe is not None:
-                probe.on_drop(message, "rule")
+        if self._drop_rules and any(rule(message) for rule in self._drop_rules):
+            self._drop(message, "rule")
             return
 
-        delay = self.latency_model.latency(
-            message.src.host, message.dst.host, message.size_bytes
-        )
+        delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
         if not self.slotted:
-            deliver = self.env.timeout(delay, value=message)
-            deliver.callbacks.append(self._deliver)
+            Timeout(env, delay, message).callbacks.append(self._deliver)
             return
 
-        now = self.env.now
         deadline = now + delay
         width = self.slot_width
         if width is not None:
@@ -297,44 +301,49 @@ class Network:
             return
         self._slots[key] = [message]
         self.delivery_slots += 1
-        fire = self.env.timeout(deadline - now, value=key)
-        fire.callbacks.append(self._deliver_slot)
+        Timeout(env, deadline - now, key).callbacks.append(self._deliver_slot)
 
     def _deliver(self, event) -> None:
         """Per-message delivery: the event's value is the message."""
-        self._deliver_message(event.value)
+        self._deliver_message(event._value)
 
     def _deliver_slot(self, event) -> None:
         """Slotted delivery: drain one (dst, deadline) slot in send order."""
-        messages = self._slots.pop(event.value)
+        messages = self._slots.pop(event._value)
         deliver_message = self._deliver_message
         for message in messages:
             deliver_message(message)
 
     def _deliver_message(self, message: Message) -> None:
-        probe = self.env.probe
         # Reachability is evaluated at delivery time so that a partition
         # or crash occurring mid-flight loses the message.
-        if not self._reachable(message.src.host, message.dst.host):
-            self.dropped_count += 1
-            self.metrics.counter("net.messages_dropped_total").inc(reason="unreachable")
-            if probe is not None:
-                probe.on_drop(message, "unreachable")
+        if (self._down or self._partitions) and not self._reachable(
+            message.src.host, message.dst.host
+        ):
+            self._drop(message, "unreachable")
             return
         box = self._mailboxes.get(message.dst)
         if box is None:
-            self.dropped_count += 1
-            self.metrics.counter("net.messages_dropped_total").inc(reason="unbound")
-            if probe is not None:
-                probe.on_drop(message, "unbound")
+            self._drop(message, "unbound")
             return
-        message.delivered_at = self.env.now
+        env = self.env
+        message.delivered_at = now = env.now
         self.delivered_count += 1
-        self.metrics.counter("net.messages_delivered_total").inc(kind=message.kind)
-        if message.sent_at is not None:
-            self.metrics.histogram("net.delivery_latency_seconds").observe(
-                message.delivered_at - message.sent_at
-            )
+        metrics = self.metrics
+        if metrics is not NULL_METRICS:
+            metrics.counter("net.messages_delivered_total").inc(kind=message.kind)
+            if message.sent_at is not None:
+                metrics.histogram("net.delivery_latency_seconds").observe(
+                    now - message.sent_at
+                )
+        probe = env.probe
         if probe is not None:
             probe.on_deliver(message)
         box.put(message)
+
+    def _drop(self, message: Message, reason: str) -> None:
+        self.dropped_count += 1
+        self.metrics.counter("net.messages_dropped_total").inc(reason=reason)
+        probe = self.env.probe
+        if probe is not None:
+            probe.on_drop(message, reason)

@@ -16,6 +16,8 @@ from repro.errors import NetworkError, RPCTimeout
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.transport import Port
+from repro.obs.metrics import NULL_METRICS
+from repro.simcore.events import PENDING, Condition, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.tracing import TraceContext
@@ -48,22 +50,28 @@ def call(
     ``ctx`` rides on the request so the remote handler can parent its
     spans under the caller's.
     """
-    env = port.env
-    metrics = port.network.metrics
+    network = port.network
+    env = network.env
+    # Unobserved runs (NULL_METRICS) make no calls into repro.obs.
+    metrics = network.metrics
+    metered = metrics is not NULL_METRICS
     corr = port.next_corr_id()
-    started = env.now
-    metrics.counter("rpc.calls_total").inc(kind=kind)
+    if metered:
+        started = env.now
+        metrics.counter("rpc.calls_total").inc(kind=kind)
     port.send(dst, kind, payload, reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
     reply_event = port.recv(filter=lambda m: m.corr_id == corr)
     if timeout is None:
         message: Message = yield reply_event
     else:
-        deadline = env.timeout(timeout)
-        yield reply_event | deadline
-        if not reply_event.triggered:
+        deadline = Timeout(env, timeout)
+        yield Condition(env, Condition.any_events, (reply_event, deadline))
+        message = reply_event._value
+        if message is PENDING:
             reply_event.cancel()
-            metrics.counter("rpc.timeouts_total").inc(kind=kind)
+            if metered:
+                metrics.counter("rpc.timeouts_total").inc(kind=kind)
             raise RPCTimeout(
                 f"rpc {kind!r} to {dst} timed out after {timeout:g}s",
                 endpoint=dst,
@@ -71,9 +79,9 @@ def call(
                 timeout=timeout,
             )
         deadline.cancelled = True  # retire the timer
-        message = reply_event.value
 
-    metrics.histogram("rpc.latency_seconds").observe(env.now - started, kind=kind)
+    if metered:
+        metrics.histogram("rpc.latency_seconds").observe(env.now - started, kind=kind)
     if message.kind == kind + ".error":
         raise RPCError(message.payload)
     return message.payload

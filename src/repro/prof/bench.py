@@ -13,10 +13,8 @@ The suite also emits the repo's perf-trajectory snapshot
 (makespan, span counts, op counts, top self-time paths) that future
 revisions can be compared against.
 
-Simulated numbers only — the one exception is the optional
-``--wallclock`` micro-bench mode, which times the simulator's own hot
-paths (event heap, network delivery) on the host clock.  Those numbers
-are machine-dependent by design and never checked against baselines.
+Simulated numbers only: host time is measured by ``benchmarks/wall``
+(see its README), from outside the program.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ SNAPSHOT_COUNTERS = (
     "obs.spans_recorded",
     "obs.spans_retained_high_water",
     "net.delivery_slots",
-    "queue.calendar.high_water",
+    "queue.heap.high_water",
     "ref.sim.heap_high_water",
     "mem.retained_high_water",
     "ref.mem.retained_high_water",
@@ -187,7 +185,6 @@ def _kernel_stress_run(
     sink=None,
     trace_spans: bool = False,
     probes: Sequence = (),
-    queue=None,
 ):
     """Run the raw-kernel stress workload; returns ``(tracer, counters)``.
 
@@ -211,10 +208,7 @@ def _kernel_stress_run(
     round (~1.3 × 10⁴ spans) — the workload behind ``telemetry_stress``
     and the streaming-sink gate.  ``sink`` is handed to the tracer
     (see :class:`~repro.simcore.tracing.SpanSink`); extra ``probes``
-    are fanned out with the op counters.  ``queue`` selects the kernel
-    event-queue implementation (see
-    :class:`~repro.simcore.equeue.EventQueue`) so tests can replay the
-    workload under every queue and compare traces.
+    are fanned out with the op counters.
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
@@ -224,7 +218,7 @@ def _kernel_stress_run(
     from repro.simcore.probe import FanoutProbe
     from repro.simcore.tracing import Tracer
 
-    env = Environment(compact_cancelled=compact_cancelled, queue=queue)
+    env = Environment(compact_cancelled=compact_cancelled)
     counters = OpCounters()
     for probe in probes:
         # Env-aware probes (e.g. a FlightRecorder) need the clock.
@@ -351,8 +345,8 @@ def _run_telemetry_stress(seed: int) -> Profile:
 #: link — with latency five wave periods deep, the reference kernel
 #: holds ``5 × clients`` per-message delivery events in flight while
 #: slotted delivery holds five slots — plus timer churn with
-#: far-future watchdogs (compaction under both queues) and
-#: far-beyond-horizon sentinels (calendar wheel rollover).
+#: far-future watchdogs (compaction) and far-beyond-horizon sentinels
+#: that fire into a near-empty queue.
 _SCALE_CLIENTS = 400
 _SCALE_WAVES = 200
 _SCALE_PERIOD = 1.0
@@ -369,9 +363,8 @@ class _TraceSignature(Probe):
     Hashes every processed-event timestamp and every network
     send/deliver/drop in order, so two runs have equal digests exactly
     when their kernels dispatched the same events at the same times and
-    the network moved the same messages in the same order — the
-    byte-identity the pluggable-queue contract promises, checked in
-    O(1) memory at 10⁵-event scale.
+    the network moved the same messages in the same order —
+    byte-identity checked in O(1) memory at 10⁵-event scale.
     """
 
     def __init__(self) -> None:
@@ -399,7 +392,7 @@ class _TraceSignature(Probe):
         return self._digest.hexdigest()
 
 
-def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequence = ()):
+def _kernel_scale_run(seed: int, slotted: bool = False):
     """Run one kernel_scale configuration; returns (env, network, counters, phase_end).
 
     Three concurrent phases, all deterministic (no RNG; ``seed`` only
@@ -418,22 +411,17 @@ def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequ
       cancelled entries that compaction must reclaim.
     * **sentinels** — a handful of events scheduled ~10⁴ bucket-years
       past the workload horizon; most are retired, the last two fire
-      into a near-empty queue, forcing the calendar queue through its
-      sparse-rollover direct search.
+      into a near-empty queue.
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
     from repro.net.network import LatencyModel, Network
     from repro.prof.counters import OpCounters
     from repro.simcore.environment import Environment
-    from repro.simcore.probe import FanoutProbe
 
-    env = Environment(queue=queue)
+    env = Environment()
     counters = OpCounters()
-    if probes:
-        env.probe = FanoutProbe([counters, *probes])
-    else:
-        env.probe = counters
+    env.probe = counters
     network = Network(
         env, LatencyModel(base=_SCALE_LATENCY), slotted=slotted
     )
@@ -490,46 +478,29 @@ def _kernel_scale_run(seed: int, queue=None, slotted: bool = False, probes: Sequ
 
 
 def _run_kernel_scale(seed: int) -> Profile:
-    """ROADMAP item 1 at ~2·10⁵ events: the pluggable-queue proof gate.
+    """The kernel at ~2·10⁵ events: the slotted-delivery proof gate.
 
-    Runs the workload three times —
+    Runs the workload twice —
 
-    1. **reference**: compacting heap, per-message delivery (the
-       pre-seam kernel, reported under ``ref.sim.*``);
-    2. **heap + slotted delivery**;
-    3. **calendar + slotted delivery** (the headline configuration,
-       reported under plain ``sim.*``);
+    1. **reference**: per-message delivery (reported under
+       ``ref.sim.*``);
+    2. **slotted delivery** (the headline configuration, reported
+       under plain ``sim.*``);
 
-    asserts the trace digests of (2) and (3) are identical (the
-    pop-order-equivalence contract, end to end, under batched dispatch
-    and slot coalescing), and asserts the headline configuration beats
-    the reference on scheduled events and queue high-water before
-    pinning both sides in the baseline (``queue.heap.*`` /
-    ``queue.calendar.*`` / ``net.delivery_slots``).
+    and asserts the headline configuration beats the reference on
+    scheduled events and queue high-water before pinning both sides in
+    the baseline (``queue.heap.*`` / ``net.delivery_slots``).
     """
     from repro.simcore.tracing import Tracer
 
-    ref_env, ref_net, ref_counters, _ = _kernel_scale_run(seed)
-    heap_sig = _TraceSignature()
-    heap_env, heap_net, _heap_counters, _ = _kernel_scale_run(
-        seed, queue="heap", slotted=True, probes=(heap_sig,)
-    )
-    cal_sig = _TraceSignature()
-    cal_env, cal_net, cal_counters, phase_end = _kernel_scale_run(
-        seed, queue="calendar", slotted=True, probes=(cal_sig,)
-    )
-    if heap_sig.hexdigest() != cal_sig.hexdigest():
-        raise ReproError(
-            "kernel_scale: event traces diverged between HeapQueue and "
-            "CalendarQueue under identical workloads — the pluggable-queue "
-            "pop-order contract is broken"
-        )
+    _ref_env, ref_net, ref_counters, _ = _kernel_scale_run(seed)
+    env, net, slotted_counters, phase_end = _kernel_scale_run(seed, slotted=True)
 
     ref = ref_counters.snapshot()
-    counters = cal_counters.snapshot()
+    counters = slotted_counters.snapshot()
     if counters["sim.heap_high_water"] >= ref["sim.heap_high_water"]:
         raise ReproError(
-            "kernel_scale: calendar + slotted delivery did not reduce the "
+            "kernel_scale: slotted delivery did not reduce the "
             f"queue high-water mark ({counters['sim.heap_high_water']:g} vs "
             f"reference {ref['sim.heap_high_water']:g})"
         )
@@ -541,15 +512,13 @@ def _run_kernel_scale(seed: int) -> Profile:
         )
     for key, value in sorted(ref.items()):
         counters[f"ref.{key}"] = value
-    for key, value in sorted(heap_env.queue.stats().items()):
+    for key, value in sorted(env.queue.stats().items()):
         counters[f"queue.heap.{key}"] = value
-    for key, value in sorted(cal_env.queue.stats().items()):
-        counters[f"queue.calendar.{key}"] = value
-    counters["net.delivery_slots"] = float(cal_net.delivery_slots)
+    counters["net.delivery_slots"] = float(net.delivery_slots)
     counters["ref.net.delivery_slots"] = float(ref_net.delivery_slots)
 
-    tracer = Tracer(cal_env)
-    root = tracer.record("kernel_scale", 0.0, cal_env.now)
+    tracer = Tracer(env)
+    root = tracer.record("kernel_scale", 0.0, env.now)
     tracer.record("burst_storm", 0.0, phase_end["storm"], parent=root)
     tracer.record("timer_churn", 0.0, phase_end["churn"], parent=root)
     tracer.record("sentinel_rollover", 0.0, phase_end["sentinel"], parent=root)
@@ -847,8 +816,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "kernel_scale",
-            "burst storm + timer churn at ~2e5 events under every queue "
-            "implementation: trace-identity and high-water proof gate",
+            "burst storm + timer churn at ~2e5 events, per-message vs "
+            "slotted delivery: the queue high-water proof gate",
             _run_kernel_scale,
         ),
         Scenario(
@@ -967,62 +936,3 @@ def write_snapshot(
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snapshot(results, seed), sort_keys=True, indent=2) + "\n")
     return path
-
-
-# -- wall-clock micro-benchmarks ---------------------------------------------
-
-# The simulator's own hot paths, timed on the host clock.  Explicitly
-# machine-dependent: numbers are informational, never gated or written
-# into baselines, and the wall-clock reads are confined to this section.
-
-
-def _bench_event_heap(ops: int) -> float:
-    """Seconds to schedule and drain ``ops`` timeouts through the kernel."""
-    import time
-
-    from repro.simcore.environment import Environment
-
-    env = Environment()
-    start = time.perf_counter()  # repro: noqa det-wallclock
-    for i in range(ops):
-        env.timeout((i % 97) * 1e-4)
-    env.run()
-    return time.perf_counter() - start  # repro: noqa det-wallclock
-
-
-def _bench_network_delivery(ops: int) -> float:
-    """Seconds to deliver ``ops`` loopback messages through the network."""
-    import time
-
-    from repro.net.address import Endpoint
-    from repro.net.message import Message
-    from repro.net.network import Network
-    from repro.simcore.environment import Environment
-
-    env = Environment()
-    network = Network(env)
-    network.add_host("a")
-    src = Endpoint("a", "bench-src")
-    dst = Endpoint("a", "bench-dst")
-    network.bind(dst)
-    start = time.perf_counter()  # repro: noqa det-wallclock
-    for i in range(ops):
-        network.send(Message(src=src, dst=dst, kind="bench", payload=i))
-    env.run()
-    return time.perf_counter() - start  # repro: noqa det-wallclock
-
-
-def run_microbench(ops: int = 20_000) -> dict[str, dict[str, float]]:
-    """Time the simulator hot paths; returns {bench: {seconds, ops_per_sec}}."""
-    out: dict[str, dict[str, float]] = {}
-    for name, fn in (
-        ("event_heap", _bench_event_heap),
-        ("network_delivery", _bench_network_delivery),
-    ):
-        elapsed = fn(ops)
-        out[name] = {
-            "ops": float(ops),
-            "seconds": elapsed,
-            "ops_per_sec": ops / elapsed if elapsed > 0 else float("inf"),
-        }
-    return out

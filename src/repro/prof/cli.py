@@ -9,7 +9,6 @@ Build, compare, and gate cost profiles::
     python -m repro.prof diff baseline.json candidate.json --threshold-pct 10
     python -m repro.prof bench                 # gate against baselines
     python -m repro.prof bench --update        # refresh baselines
-    python -m repro.prof bench --wallclock     # host-clock micro-bench
 
 Exit status mirrors ``python -m repro.obs``: 0 on success, 1 when a
 diff or the bench gate finds a regression (or a baseline is missing),
@@ -124,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--threshold-pct", type=float, default=DEFAULT_PCT,
         help=f"regression threshold in percent (default: {DEFAULT_PCT:g})",
-    )
-    bench.add_argument(
-        "--wallclock", action="store_true",
-        help="also run the host-clock micro-benchmarks (informational; "
-        "machine-dependent, never gated)",
     )
     return parser
 
@@ -277,16 +271,6 @@ def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         args.baseline_dir if args.baseline_dir is not None
         else bench_mod.BASELINE_DIR
     )
-
-    if args.wallclock:
-        micro = bench_mod.run_microbench()
-        print("wall-clock micro-benchmarks (machine-dependent, not gated):")
-        for name in sorted(micro):
-            entry = micro[name]
-            print(
-                f"  {name}: {entry['ops']:.0f} ops in {entry['seconds']:.4f}s "
-                f"({entry['ops_per_sec']:,.0f} ops/s)"
-            )
 
     try:
         if args.update:

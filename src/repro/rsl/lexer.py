@@ -9,17 +9,13 @@ parser.  ``#`` starts a comment running to end of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import Iterator, NamedTuple
 
 from repro.errors import RSLSyntaxError
 
-#: Characters that terminate a bare word.
-_PUNCT = set("()&|+=\"#$")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # one of: LPAREN RPAREN AMP PIPE PLUS EQUALS DOLLAR ATOM STRING EOF
     text: str
     pos: int  # character offset, for error messages
@@ -40,62 +36,52 @@ _SIMPLE = {
     "$": "DOLLAR",
 }
 
+#: One alternative per lexeme, tried in order at every position; between
+#: them they match any character, so ``finditer`` never skips input.
+#: ``\s`` is ``str.isspace``.  A STRING's closing quote is one that is
+#: not the first half of a ``""`` escape; an opening quote that never
+#: finds one falls through to UNTERMINATED.
+_LEXEME = re.compile(
+    r"""
+      (?P<SKIP>\s+|\#[^\n]*)
+    | (?P<ATOM>[^\s()&|+="#$]+)
+    | (?P<SIMPLE>[()&|+=$])
+    | (?P<STRING>"[^"]*(?:""[^"]*)*"(?!"))
+    | (?P<UNTERMINATED>")
+    """,
+    re.VERBOSE,
+)
+
 
 def tokenize(text: str) -> Iterator[Token]:
     """Yield tokens, ending with a single EOF token."""
-    i = 0
     line = 1
     line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        start = match.start()
+        col = start - line_start + 1
+        if kind == "ATOM":
+            yield Token("ATOM", match.group(), start, line, col)
             continue
-        if ch.isspace():
-            i += 1
+        if kind == "SIMPLE":
+            lexeme = match.group()
+            yield Token(_SIMPLE[lexeme], lexeme, start, line, col)
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        col = i - line_start + 1
-        if ch in _SIMPLE:
-            yield Token(_SIMPLE[ch], ch, i, line, col)
-            i += 1
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            chunks: list[str] = []
-            while True:
-                if i >= n:
-                    raise RSLSyntaxError(
-                        f"unterminated string starting at line {line}, col {col}"
-                    )
-                if text[i] == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        chunks.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                if text[i] == "\n":
-                    line += 1
-                    line_start = i + 1
-                chunks.append(text[i])
-                i += 1
-            yield Token("STRING", "".join(chunks), start, line, col)
-            continue
-        # Bare word.
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in _PUNCT:
-            i += 1
-        if i == start:
+        # Whitespace, comments and strings can span lines; an
+        # unterminated string swallows the rest of the text.
+        end = len(text) if kind == "UNTERMINATED" else match.end()
+        newlines = text.count("\n", start, end)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", start, end) + 1
+        # A string's token (and an unterminated one's error) carries
+        # the column of its opening quote and the line of its end.
+        if kind == "STRING":
+            body = text[start + 1:end - 1].replace('""', '"')
+            yield Token("STRING", body, start, line, col)
+        elif kind == "UNTERMINATED":
             raise RSLSyntaxError(
-                f"unexpected character {ch!r} at line {line}, col {col}"
+                f"unterminated string starting at line {line}, col {col}"
             )
-        yield Token("ATOM", text[start:i], start, line, col)
-    yield Token("EOF", "", n, line, n - line_start + 1)
+    yield Token("EOF", "", len(text), line, len(text) - line_start + 1)

@@ -12,20 +12,12 @@ A minimal, deterministic, generator-driven simulator in the SimPy style:
 3.0
 
 ``__all__`` below is the kernel's stable public surface: the
-environment and event types, the pluggable :class:`EventQueue`
-protocol with both shipped implementations (pick one with
-``Environment(queue=...)``), the observer seam (:class:`Probe` /
-:class:`FanoutProbe`), tracing, resources, and seeded RNG streams.
+environment (which owns the one pending-event heap) and event types,
+the observer seam (:class:`Probe` / :class:`FanoutProbe`), tracing,
+resources, and seeded RNG streams.
 """
 
 from repro.simcore.environment import Environment, FOREVER
-from repro.simcore.equeue import (
-    QUEUE_IMPLS,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    make_queue,
-)
 from repro.simcore.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.simcore.probe import FanoutProbe, Probe
 from repro.simcore.process import Interrupt, Process
@@ -45,16 +37,13 @@ from repro.simcore.tracing import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Condition",
     "ConditionValue",
     "Container",
     "Environment",
     "Event",
-    "EventQueue",
     "FOREVER",
     "FanoutProbe",
-    "HeapQueue",
     "Interrupt",
     "Mark",
     "NULL_TRACER",
@@ -62,7 +51,6 @@ __all__ = [
     "OBS_CONTEXT_PARAM",
     "Probe",
     "Process",
-    "QUEUE_IMPLS",
     "Resource",
     "RngRegistry",
     "Span",
@@ -72,5 +60,4 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "jittered",
-    "make_queue",
 ]

@@ -1,8 +1,8 @@
 """The discrete-event execution environment.
 
-:class:`Environment` owns simulated time; pending events live in a
-pluggable :class:`~repro.simcore.equeue.EventQueue` (the compacting
-binary heap by default, a calendar queue for million-event runs — see
+:class:`Environment` owns simulated time and the one pending-event
+queue: a compacting binary heap of ``(time, priority, sequence, event)``
+entries that ``schedule()`` pushes and ``step()`` pops directly (see
 DESIGN.md §7).  ``run()`` pops events in (time, priority, sequence)
 order and invokes their callbacks; processes resume as callbacks of the
 events they wait on.  Time only advances between events — callbacks
@@ -12,10 +12,10 @@ interleaving the co-allocation protocol tests rely on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.errors import SimulationError
-from repro.simcore.equeue import Entry, EventQueue, make_queue
 from repro.simcore.events import (
     AllOf,
     AnyOf,
@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Sentinel "infinite" horizon for run().
 FOREVER = float("inf")
 
+#: Queue length below which compaction is never attempted.
+_COMPACT_MIN = 128
+
 
 class EmptySchedule(SimulationError):
     """Internal signal: the event queue is exhausted."""
@@ -42,6 +45,49 @@ class _StopSimulation(BaseException):
     def __init__(self, value: Any) -> None:
         super().__init__(value)
         self.value = value
+
+
+class QueueView:
+    """Read-only window on an environment's pending-event heap.
+
+    ``len(view)`` is the **raw size** — resident entries including
+    cancelled ones not yet discarded, which is what occupies memory and
+    what the high-water gates count; ``stats()["live_size"]`` counts
+    only the entries that will still fire.
+    """
+
+    __slots__ = ("_env",)
+
+    def __init__(self, env: "Environment") -> None:
+        self._env = env
+
+    def __len__(self) -> int:
+        return len(self._env._heap)
+
+    def stats(self) -> dict[str, float]:
+        """Deterministic gauges: ``pushes``, ``pops``, ``discards``
+        (cancelled entries dropped), ``compactions``, ``high_water``
+        (peak raw size), ``size`` and ``live_size`` (current).
+
+        Every pushed entry is resident, was popped live, or was
+        discarded, so ``pops`` is derived from the sequence counter the
+        kernel keeps anyway instead of being counted per event.
+        """
+        env = self._env
+        size = len(env._heap)
+        return {
+            "pushes": float(env._eid),
+            "pops": float(env._eid - env._discards - size),
+            "discards": float(env._discards),
+            "compactions": float(env._compactions),
+            "high_water": float(env._high_water),
+            "size": float(size),
+            "live_size": float(env.live_size),
+        }
+
+    def __repr__(self) -> str:
+        env = self._env
+        return f"<QueueView size={len(env._heap)} high_water={env._high_water}>"
 
 
 class Environment:
@@ -60,29 +106,27 @@ class Environment:
         high-water mark shrinks by orders of magnitude under timer
         churn (schedule a watchdog, cancel it, repeat).  The knob
         exists so benchmarks can measure the pre-compaction kernel.
-    queue:
-        Pending-event storage: ``None`` or ``"heap"`` for the reference
-        compacting binary heap, ``"calendar"`` for the calendar queue,
-        or any :class:`~repro.simcore.equeue.EventQueue` instance.  All
-        implementations pop in the same total order, so this is a
-        performance choice, never a semantic one.  Queues that declare
-        ``batched`` are dispatched one same-(time, priority) run per
-        queue interaction instead of one event per pop.
     """
 
     def __init__(
         self,
         initial_time: float = 0.0,
         compact_cancelled: bool = True,
-        queue: Union[str, EventQueue, None] = None,
     ) -> None:
         self._now = float(initial_time)
-        self._equeue = make_queue(queue, auto_compact=compact_cancelled)
-        self._batched = self._equeue.batched
-        #: Same-(time, priority) run currently being dispatched (batched
-        #: queues only) and the index of its next unserved entry.
-        self._batch: list[Entry] = []
-        self._batch_idx = 0
+        #: Pending ``(time, priority, sequence, event)`` entries.  The
+        #: first three fields are a unique, totally ordering key, so
+        #: comparisons never reach the (incomparable) event object.
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._auto_compact = bool(compact_cancelled)
+        #: Raw size above which the next push compacts; doubles with
+        #: the live population so a mostly-live queue is never
+        #: rescanned per push.
+        self._compact_floor = _COMPACT_MIN
+        self._discards = 0
+        self._compactions = 0
+        self._high_water = 0
+        #: Sequence number of the last scheduled event (= pushes).
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Runtime-verification probe (see :mod:`repro.simcore.probe`);
@@ -102,26 +146,19 @@ class Environment:
         return self._active_process
 
     @property
-    def queue(self) -> EventQueue:
-        """The pending-event queue implementation in use."""
-        return self._equeue
+    def queue(self) -> QueueView:
+        """Size and gauges of the pending-event heap."""
+        return QueueView(self)
 
     def peek(self) -> float:
         """Time of the next scheduled live event (``inf`` if none)."""
-        batch = self._batch
-        idx = self._batch_idx
-        nbatch = len(batch)
-        while idx < nbatch and batch[idx][3].cancelled:
-            idx += 1
-        self._batch_idx = idx
-        key = self._equeue.peek_key()
-        if idx < nbatch:
-            when = batch[idx][0]
-            if key is not None and key[0] < when:
-                return key[0]
-            return when
-        if key is not None:
-            return key[0]
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if not head[3].cancelled:
+                return head[0]
+            heappop(heap)
+            self._discards += 1
         return FOREVER
 
     @property
@@ -131,7 +168,7 @@ class Environment:
         that occupies memory — the heap high-water CI gate counts it —
         not the number of events that will still fire; see
         :attr:`live_size` for the latter."""
-        return len(self._equeue) + len(self._batch) - self._batch_idx
+        return len(self._heap)
 
     @property
     def live_size(self) -> int:
@@ -141,16 +178,28 @@ class Environment:
         excluded.  Computed by scanning the resident entries, so read
         it at sampling granularity, not per event.
         """
-        batch = self._batch
-        count = self._equeue.live_size
-        for index in range(self._batch_idx, len(batch)):
-            if not batch[index][3].cancelled:
+        count = 0
+        for entry in self._heap:
+            if not entry[3].cancelled:
                 count += 1
         return count
 
     def compact(self) -> None:
-        """Physically drop cancelled entries from the queue now."""
-        self._equeue.compact()
+        """Drop cancelled entries and re-heapify (amortized O(1)/event).
+
+        Every entry carries a unique (time, priority, sequence) key, so
+        the heap order is total and heapifying the surviving entries
+        yields the identical pop sequence the lazy-deletion heap would
+        have produced — byte-identical traces, smaller high-water mark.
+        """
+        heap = self._heap
+        live = [entry for entry in heap if not entry[3].cancelled]
+        if len(live) < len(heap):
+            self._discards += len(heap) - len(live)
+            self._compactions += 1
+            heapify(live)
+            self._heap = live
+        self._compact_floor = max(_COMPACT_MIN, 2 * len(live))
 
     # -- scheduling ---------------------------------------------------------
 
@@ -158,50 +207,18 @@ class Environment:
         """Queue ``event`` to be processed after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self._eid += 1
+        self._eid = eid = self._eid + 1
         when = self._now + delay
-        equeue = self._equeue
-        equeue.push(when, priority, self._eid, event)
+        heap = self._heap
+        heappush(heap, (when, priority, eid, event))
+        size = len(heap)
+        if size > self._compact_floor and self._auto_compact:
+            self.compact()
+            size = len(self._heap)
+        if size > self._high_water:
+            self._high_water = size
         if self.probe is not None:
-            self.probe.on_schedule(
-                when, len(equeue) + len(self._batch) - self._batch_idx
-            )
-
-    def _next_batched(self) -> Entry:
-        """Next live entry under batched dispatch.
-
-        Serves the current run in sequence order, refilling it one
-        :meth:`~repro.simcore.equeue.EventQueue.pop_run` at a time.  An
-        entry scheduled *during* the run that sorts before the run's
-        remainder (an URGENT resume at the same instant) preempts it —
-        checked against the queue's minimum per served entry — so the
-        dispatch order is exactly the heap's.
-        """
-        equeue = self._equeue
-        peek_key = equeue.peek_key
-        batch = self._batch
-        idx = self._batch_idx
-        while True:
-            nbatch = len(batch)
-            while idx < nbatch:
-                candidate = batch[idx]
-                if candidate[3].cancelled:
-                    idx += 1
-                    continue
-                key = peek_key()
-                if key is not None and key < (candidate[0], candidate[1], candidate[2]):
-                    preempt = equeue.pop()
-                    if preempt is not None:
-                        self._batch_idx = idx
-                        return preempt
-                self._batch_idx = idx + 1
-                return candidate
-            batch = equeue.pop_run()
-            idx = 0
-            self._batch = batch
-            if not batch:
-                self._batch_idx = 0
-                raise EmptySchedule("event queue is empty")
+            self.probe.on_schedule(when, size)
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it.
@@ -209,17 +226,15 @@ class Environment:
         Cancelled events are discarded without advancing the clock, so
         retired timers never prolong a simulation.
         """
-        if self._batched:
-            entry = self._next_batched()
-        else:
-            # Unbatched queues keep the exact one-pop cadence of the
-            # pre-seam kernel: pop discards cancelled entries itself,
-            # so this path pays one call per dispatched event.
-            entry = self._equeue.pop()
-            if entry is None:
-                raise EmptySchedule("event queue is empty")
-        when = entry[0]
-        event = entry[3]
+        heap = self._heap
+        try:
+            while True:
+                when, _, _, event = heappop(heap)
+                if not event.cancelled:
+                    break
+                self._discards += 1
+        except IndexError:
+            raise EmptySchedule("event queue is empty") from None
         self._now = when
         if self.probe is not None:
             self.probe.on_step(when)
@@ -230,9 +245,9 @@ class Environment:
         for callback in callbacks:
             callback(event)
 
-        if not event._ok and not event.defused:
+        if not event._ok and not event._defused:
             # An unhandled failure: surface it to the caller of run().
-            exc = event.value
+            exc = event._value
             if self.probe is not None:
                 self.probe.event(
                     "kernel",

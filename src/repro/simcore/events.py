@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 URGENT = 0
 NORMAL = 1
 
+#: Sentinel for "no value yet" (also reachable as ``Event.PENDING``).
+PENDING = object()
+
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -41,14 +44,14 @@ class Event:
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "cancelled")
 
     #: Sentinel for "no value yet".
-    PENDING = object()
+    PENDING = PENDING
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         #: Callbacks to invoke (with the event) when processed.  ``None``
         #: once the event has been processed.
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._value: Any = Event.PENDING
+        self._value: Any = PENDING
         self._ok: bool = True
         self._defused: bool = False
         #: A cancelled scheduled event is silently dropped by the kernel
@@ -61,7 +64,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has a value (it may not be processed yet)."""
-        return self._value is not Event.PENDING
+        return self._value is not PENDING
 
     @property
     def processed(self) -> bool:
@@ -71,14 +74,14 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only meaningful once triggered."""
-        if not self.triggered:
+        if self._value is PENDING:
             raise SimulationError("event value not yet available")
         return self._ok
 
     @property
     def value(self) -> Any:
         """The event's value (or the exception it failed with)."""
-        if self._value is Event.PENDING:
+        if self._value is PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
@@ -95,11 +98,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=NORMAL, delay=0.0)
+        self.env.schedule(self, NORMAL, 0.0)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -111,20 +114,20 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, priority=NORMAL, delay=0.0)
+        self.env.schedule(self, NORMAL, 0.0)
         return self
 
     def trigger(self, event: "Event") -> None:
         """Trigger this event with the state of another event (chaining)."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = event._ok
         self._value = event._value
-        self.env.schedule(self, priority=NORMAL, delay=0.0)
+        self.env.schedule(self, NORMAL, 0.0)
 
     # -- composition -----------------------------------------------------
 
@@ -151,11 +154,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self._ok = True
+        # One per message and per RPC deadline: the slots are set here
+        # rather than through Event.__init__.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, priority=NORMAL, delay=self.delay)
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
+        self.delay = delay = float(delay)
+        env.schedule(self, NORMAL, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -219,47 +227,70 @@ class Condition(Event):
         evaluate: Callable[[list[Event], int], bool],
         events: Iterable[Event],
     ) -> None:
-        super().__init__(env)
+        # One per RPC wait: the slots are set here rather than through
+        # Event.__init__.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
         self._evaluate = evaluate
-        self._events = list(events)
+        self._events = events = list(events)
         self._count = 0
 
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
 
         # Evaluate with zero triggered first (e.g. all_of([]) is true).
-        if self._evaluate(self._events, 0):
+        if evaluate(events, 0):
             self.succeed(ConditionValue())
             return
 
         check = self._check
-        for event in self._events:
-            if event.processed:
+        for event in events:
+            callbacks = event.callbacks
+            if callbacks is None:
                 check(event)
+                if self._value is not PENDING:
+                    # Decided by an event that had already fired: the
+                    # rest could only call a check that ignores them.
+                    break
             else:
-                event.callbacks.append(check)
+                callbacks.append(check)
 
     def _populate_value(self, value: ConditionValue) -> None:
         collected = value.events
         for event in self._events:
             if isinstance(event, Condition):
                 event._populate_value(value)
-            elif event.processed and event not in collected:
+            elif event.callbacks is None and event not in collected:
                 collected.append(event)
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        self._count += 1
+        self._count = count = self._count + 1
         if not event._ok:
             # Any failure fails the whole condition.
-            event.defused = True
-            self.fail(event.value)
-        elif self._evaluate(self._events, self._count):
+            event._defused = True
+            self.fail(event._value)
+        elif self._evaluate(self._events, count):
             value = ConditionValue()
             self._populate_value(value)
             self.succeed(value)
+        else:
+            return
+        # Decided: stop listening.  A constituent that has not fired (an
+        # RPC deadline about to be retired, say) would otherwise keep
+        # this condition, its value and everything that holds alive in a
+        # reference cycle only the collector can free.
+        check = self._check
+        for other in self._events:
+            callbacks = other.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
 
     @staticmethod
     def all_events(events: list[Event], count: int) -> bool:

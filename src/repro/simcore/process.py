@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import SimulationError, StopProcess
-from repro.simcore.events import Event, URGENT
+from repro.simcore.events import PENDING, Event, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -48,11 +48,15 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:
-        super().__init__(env)
-        self._ok = True
+        # One per process: the slots are set here rather than through
+        # Event.__init__.
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        self.callbacks.append(process._resume)
-        env.schedule(self, priority=URGENT, delay=0.0)
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
+        env.schedule(self, URGENT, 0.0)
 
 
 class _InterruptEvent(Event):
@@ -102,7 +106,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True until the generator has returned or raised."""
-        return self._value is Event.PENDING
+        return self._value is PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Raise :class:`Interrupt` inside the process.
@@ -155,46 +159,43 @@ class Process(Event):
                 else:
                     # Mark the failure as handled; the generator may choose
                     # to re-raise, which then fails this process.
-                    event.defused = True
+                    event._defused = True
                     next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                schedule(self, priority=URGENT, delay=0.0)
+                schedule(self, URGENT, 0.0)
                 break
             except StopProcess as stop:
                 generator.close()
                 self._ok = True
                 self._value = stop.args[0] if stop.args else None
-                schedule(self, priority=URGENT, delay=0.0)
+                schedule(self, URGENT, 0.0)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                schedule(self, priority=URGENT, delay=0.0)
+                schedule(self, URGENT, 0.0)
                 break
 
-            error: Optional[str] = None
             if not isinstance(next_event, Event):
                 error = f"yielded a non-event: {next_event!r}"
             elif next_event.env is not env:
                 error = "yielded an event from another environment"
-            if error is not None:
-                self._ok = False
-                self._value = SimulationError(
-                    f"process {self.name!r} {error}"
-                )
-                schedule(self, priority=URGENT, delay=0.0)
-                break
-
-            if next_event.callbacks is not None:
-                # Event not yet processed: suspend on it.
-                self._target = next_event
-                next_event.callbacks.append(resume)
-                break
-
-            # Event already processed: loop and feed its value immediately.
-            event = next_event
+            else:
+                callbacks = next_event.callbacks
+                if callbacks is not None:
+                    # Event not yet processed: suspend on it.
+                    self._target = next_event
+                    callbacks.append(resume)
+                    break
+                # Event already processed: loop and feed its value immediately.
+                event = next_event
+                continue
+            self._ok = False
+            self._value = SimulationError(f"process {self.name!r} {error}")
+            schedule(self, URGENT, 0.0)
+            break
 
         env._active_process = None
 

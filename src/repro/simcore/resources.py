@@ -22,7 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.simcore.events import Event
+from repro.simcore.events import PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -44,7 +44,7 @@ class BaseRequest(Event):
         already triggered (in which case the caller owns the result and
         must release/put it back explicitly if unwanted).
         """
-        if self.triggered:
+        if self._value is not PENDING:
             return False
         self.resource._withdraw(self)
         # Fire the event as failed-but-defused so anything composed on it
@@ -176,8 +176,16 @@ class StoreGet(BaseRequest):
     __slots__ = ("filter",)
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
+        # One per receive: the slots are set here rather than through
+        # the chained BaseRequest/Event initialisers.
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
+        self.resource = store
         self.filter = filter
-        super().__init__(store)
 
 
 class Store(_BaseResource):
@@ -185,7 +193,15 @@ class Store(_BaseResource):
 
     ``get(filter=...)`` retrieves the first item matching the predicate,
     which lets one mailbox demultiplex several message kinds (the RPC
-    layer matches replies by request id this way).
+    layer matches replies by request id this way).  A filter must be a
+    pure function of the item.
+
+    Between calls no queued waiter accepts any queued item: ``put``
+    and ``get`` each restore that before returning, and withdrawing a
+    waiter cannot break it.  So a new item can only be wanted by the
+    waiters already queued, and a new request can only want the items
+    already queued — neither has to rescan the other side against
+    itself (DESIGN.md §7).  :meth:`_wake` is therefore unused here.
     """
 
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
@@ -194,46 +210,45 @@ class Store(_BaseResource):
         self.items: Deque[Any] = deque()
 
     def put(self, item: Any) -> None:
-        """Add an item (never blocks; overflow is an error)."""
-        if len(self.items) >= self.capacity:
+        """Add an item (never blocks; overflow is an error).
+
+        The first waiter in FIFO order that accepts the item gets it;
+        it is queued only if none does.
+        """
+        items = self.items
+        if len(items) >= self.capacity:
             raise SimulationError("store overflow")
-        self.items.append(item)
-        self._wake()
+        waiters = self._waiters
+        for idx, request in enumerate(waiters):
+            accepts = request.filter
+            if accepts is None or accepts(item):
+                del waiters[idx]
+                request.succeed(item)
+                return
+        items.append(item)
 
     def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
         """Event that fires with the next (matching) item."""
-        req = StoreGet(self, filter)
-        self._waiters.append(req)
-        self._wake()
-        return req
+        request = StoreGet(self, filter)
+        if not (self.items and self._try_grant(request)):
+            self._waiters.append(request)
+        return request
 
-    def _try_grant(self, request: BaseRequest) -> bool:
-        assert isinstance(request, StoreGet)
-        if request.filter is None:
-            if self.items:
-                request.succeed(self.items.popleft())
+    def _try_grant(self, request: StoreGet) -> bool:  # type: ignore[override]
+        """Hand ``request`` the first queued item it accepts, if any."""
+        items = self.items
+        accepts = request.filter
+        if accepts is None:
+            if items:
+                request.succeed(items.popleft())
                 return True
             return False
-        for idx, item in enumerate(self.items):
-            if request.filter(item):
-                del self.items[idx]
+        for idx, item in enumerate(items):
+            if accepts(item):
+                del items[idx]
                 request.succeed(item)
                 return True
         return False
-
-    def _wake(self) -> None:
-        # Unlike slot resources, a filtered waiter at the head must not
-        # block later waiters whose filters match: scan all waiters.
-        waiters = self._waiters
-        idx = 0
-        while idx < len(waiters):
-            request = waiters[idx]
-            if self._try_grant(request):
-                del waiters[idx]
-                # Restart: granting may have consumed items others wanted.
-                idx = 0
-            else:
-                idx += 1
 
     def __len__(self) -> int:
         return len(self.items)

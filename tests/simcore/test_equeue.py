@@ -1,361 +1,120 @@
-"""Unit and property tests for the pluggable event-queue seam.
+"""Tests for the pending-event heap the environment owns.
 
-The contract under test (DESIGN.md §7): every :class:`EventQueue`
-implementation serves live entries in ascending ``(time, priority,
-sequence)`` order, so any two implementations driven with the same
-pushes and cancellations produce the *identical* pop sequence.  The
-hypothesis tests below drive :class:`HeapQueue` (the reference) and
-:class:`CalendarQueue` in lockstep through random workloads and demand
-exact agreement; the edge tests pin the calendar-specific machinery
-(empty-bucket scans, far-future direct search, wheel rollover, width
-resizing, boundary-time quantization).
+The contract (DESIGN.md §7): entries carry a unique ``(time, priority,
+sequence)`` key, ``schedule()`` pushes and ``step()`` pops them in
+ascending key order, cancelled entries are discarded without firing,
+and ``env.queue`` reports the heap's gauges.  Compaction bounds and
+pop-order-under-compaction live in ``test_environment.py``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SimulationError
-from repro.simcore import (
-    QUEUE_IMPLS,
-    CalendarQueue,
-    Environment,
-    EventQueue,
-    HeapQueue,
-    make_queue,
-)
-
-
-class FakeEvent:
-    """The only thing a queue reads off an event is ``cancelled``."""
-
-    __slots__ = ("cancelled", "tag")
-
-    def __init__(self, tag=None):
-        self.cancelled = False
-        self.tag = tag
-
-    def __repr__(self):
-        return f"FakeEvent({self.tag!r})"
-
-
-def drain(queue):
-    """Pop a queue dry, returning the (time, priority, seq) key list."""
-    keys = []
-    while True:
-        entry = queue.pop()
-        if entry is None:
-            return keys
-        keys.append(entry[:3])
-
-
-class TestMakeQueue:
-    def test_default_is_the_heap(self):
-        queue = make_queue(None)
-        assert isinstance(queue, HeapQueue)
-
-    @pytest.mark.parametrize("spec", sorted(QUEUE_IMPLS))
-    def test_by_name(self, spec):
-        queue = make_queue(spec)
-        assert queue.name == spec
-        assert isinstance(queue, QUEUE_IMPLS[spec])
-
-    def test_instance_passthrough(self):
-        queue = CalendarQueue()
-        assert make_queue(queue) is queue
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(SimulationError, match="unknown event queue"):
-            make_queue("skiplist")
-
-    def test_auto_compact_forwarded(self):
-        queue = make_queue("heap", auto_compact=False)
-        event = FakeEvent()
-        for seq in range(600):
-            queue.push(1.0, 1, seq, event)
-        event.cancelled = True
-        queue.push(2.0, 1, 600, FakeEvent())
-        # No auto-compaction: the cancelled entries stay resident.
-        assert len(queue) == 601
-
-
-class TestProtocolDefaults:
-    def test_default_pop_run_forwards_to_pop(self):
-        class Single(EventQueue):
-            def __init__(self):
-                self.entries = []
-
-            def pop(self):
-                return self.entries.pop(0) if self.entries else None
-
-        queue = Single()
-        assert queue.pop_run() == []
-        entry = (1.0, 1, 1, FakeEvent())
-        queue.entries.append(entry)
-        assert queue.pop_run() == [entry]
-
-
-@pytest.mark.parametrize("impl", sorted(QUEUE_IMPLS))
-class TestEveryImplementation:
-    """Behaviour every queue must share, checked implementation by
-    implementation (the lockstep property tests check *agreement*)."""
-
-    def test_pops_in_key_order(self, impl):
-        queue = make_queue(impl)
-        keys = [(5.0, 1, 3), (1.0, 1, 1), (5.0, 0, 2), (2.5, 1, 4)]
-        for when, priority, seq in keys:
-            queue.push(when, priority, seq, FakeEvent())
-        assert drain(queue) == sorted(keys)
-
-    def test_cancelled_entries_never_served(self, impl):
-        queue = make_queue(impl)
-        doomed = FakeEvent()
-        queue.push(1.0, 1, 1, doomed)
-        queue.push(2.0, 1, 2, FakeEvent())
-        doomed.cancelled = True
-        assert queue.peek_key() == (2.0, 1, 2)
-        assert [k[2] for k in drain(queue)] == [2]
-
-    def test_raw_and_live_size(self, impl):
-        queue = make_queue(impl, auto_compact=False)
-        events = [FakeEvent(i) for i in range(10)]
-        for seq, event in enumerate(events):
-            queue.push(float(seq), 1, seq, event)
-        for event in events[:4]:
-            event.cancelled = True
-        assert len(queue) == 10
-        assert queue.live_size == 6
-        queue.compact()
-        assert len(queue) == 6
-        assert queue.live_size == 6
-
-    def test_empty_queue(self, impl):
-        queue = make_queue(impl)
-        assert queue.pop() is None
-        assert queue.pop_run() == []
-        assert queue.peek_key() is None
-        assert len(queue) == 0
-        assert queue.live_size == 0
-
-    def test_stats_are_numeric_and_tagged(self, impl):
-        queue = make_queue(impl)
-        queue.push(1.0, 1, 1, FakeEvent())
-        queue.pop()
-        stats = queue.stats()
-        assert stats["pushes"] == 1.0
-        assert stats["pops"] == 1.0
-        assert stats["high_water"] >= 1.0
-        assert all(isinstance(v, float) for v in stats.values())
-
-    def test_auto_compaction_bounds_cancelled_residency(self, impl):
-        queue = make_queue(impl)
-        watchdogs = []
-        for seq in range(5000):
-            event = FakeEvent(seq)
-            queue.push(1e6 + seq, 1, seq, event)
-            watchdogs.append(event)
-            event.cancelled = True
-        # Lazy discard plus the doubling floor keep the resident
-        # population bounded, churn volume notwithstanding.
-        assert len(queue) < 1024
-        assert queue.stats()["compactions"] > 0
-
-
-class TestCalendarQueueEdges:
-    def test_sparse_times_skip_empty_buckets(self):
-        queue = CalendarQueue(bucket_count=16, width=1.0, auto_compact=False)
-        times = [0.5, 7.25, 63.0, 64.5, 200.0]
-        for seq, when in enumerate(times):
-            queue.push(when, 1, seq, FakeEvent())
-        assert [k[0] for k in drain(queue)] == sorted(times)
-
-    def test_far_future_falls_back_to_direct_search(self):
-        queue = CalendarQueue(bucket_count=16, width=1.0, auto_compact=False)
-        queue.push(2.0, 1, 1, FakeEvent())  # anchors the scan near zero
-        queue.push(1e9, 1, 2, FakeEvent())  # beyond any year window
-        assert queue.pop()[:3] == (2.0, 1, 1)
-        # The survivor sits a full revolution past the anchor: the scan
-        # gives up after one lap and locates it by direct search.
-        assert queue.peek_key() == (1e9, 1, 2)
-        assert queue.stats()["direct_searches"] >= 1.0
-        assert [k[2] for k in drain(queue)] == [2]
-
-    def test_wheel_rollover(self):
-        queue = CalendarQueue(bucket_count=4, width=1.0, auto_compact=False)
-        # Interleave pops and pushes so the anchor revolves around the
-        # wheel many times over.
-        popped = []
-        seq = 0
-        for lap in range(50):
-            queue.push(lap * 3.7, 1, seq, FakeEvent())
-            seq += 1
-            if lap % 2:
-                popped.append(queue.pop()[0])
-        popped.extend(k[0] for k in drain(queue))
-        assert popped == sorted(popped)
-
-    def test_boundary_times_are_not_lost(self):
-        # Regression: for times sitting exactly on a bucket boundary,
-        # float division can place the entry one bucket *behind* its
-        # year window (int(t/w) rounds down past the boundary), hiding
-        # it from the scan for a whole revolution.  The clamp in push
-        # must agree with the window arithmetic of the scan.
-        width = 0.002
-        queue = CalendarQueue(bucket_count=512, width=width, auto_compact=False)
-        times = [round(k * width, 6) for k in range(1000, 1060)]
-        for seq, when in enumerate(times):
-            queue.push(when, 1, seq, FakeEvent())
-        assert [k[0] for k in drain(queue)] == sorted(times)
-
-    def test_cancelled_only_queue_drains_to_none(self):
-        queue = CalendarQueue(auto_compact=False)
-        events = [FakeEvent(i) for i in range(20)]
-        for seq, event in enumerate(events):
-            queue.push(float(seq % 5), 1, seq, event)
-            event.cancelled = True
-        assert queue.pop() is None
-        assert len(queue) == 0  # lazy discard consumed everything
-
-    def test_resize_grows_and_shrinks_deterministically(self):
-        queue = CalendarQueue(bucket_count=16, width=1.0)
-        for seq in range(500):
-            queue.push(seq * 0.25, 1, seq, FakeEvent())
-        grown = queue.stats()
-        assert grown["buckets"] > 16
-        assert grown["resizes"] >= 1
-        while queue.pop() is not None:
-            pass
-        for seq in range(500, 520):
-            queue.push(200.0 + seq, 1, seq, FakeEvent())
-        queue.compact()
-        assert queue.stats()["buckets"] < grown["buckets"]
-        assert [k[2] for k in drain(queue)] == list(range(500, 520))
-
-    def test_pop_run_drains_exactly_the_minimal_run(self):
-        queue = CalendarQueue(auto_compact=False)
-        queue.push(1.0, 0, 3, FakeEvent())  # URGENT at t=1
-        queue.push(1.0, 1, 1, FakeEvent())
-        queue.push(1.0, 1, 2, FakeEvent())
-        queue.push(1.0, 1, 4, FakeEvent())
-        queue.push(2.0, 1, 5, FakeEvent())
-        run = queue.pop_run()
-        assert [entry[:3] for entry in run] == [(1.0, 0, 3)]
-        run = queue.pop_run()
-        assert [entry[:3] for entry in run] == [
-            (1.0, 1, 1), (1.0, 1, 2), (1.0, 1, 4),
-        ]
-        assert queue.peek_key() == (2.0, 1, 5)
-
-    def test_pop_run_skips_cancelled_inside_the_run(self):
-        queue = CalendarQueue(auto_compact=False)
-        doomed = FakeEvent()
-        queue.push(1.0, 1, 1, FakeEvent())
-        queue.push(1.0, 1, 2, doomed)
-        queue.push(1.0, 1, 3, FakeEvent())
-        doomed.cancelled = True
-        assert [entry[2] for entry in queue.pop_run()] == [1, 3]
-
-    def test_constructor_validation(self):
-        with pytest.raises(SimulationError):
-            CalendarQueue(bucket_count=0)
-        with pytest.raises(SimulationError):
-            CalendarQueue(width=0.0)
-
-
-# -- lockstep property tests ----------------------------------------------
+from repro.gridenv import GridBuilder
+from repro.prof.bench import DEFAULT_SEED, _kernel_stress_run
+from repro.simcore import Environment, Probe
+from repro.simcore.environment import EmptySchedule
 
 _TIMES = st.one_of(
     st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
-    # Boundary-prone times: exact multiples of common widths.
+    # Tie-prone times: exact multiples of common periods.
     st.integers(min_value=0, max_value=4000).map(lambda k: k * 0.25),
     st.integers(min_value=0, max_value=1000).map(lambda k: k * 0.002),
 )
-
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("push"), _TIMES, st.integers(0, 1)),
-        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
-        st.tuples(st.just("pop")),
-        st.tuples(st.just("pop_run")),
-        st.tuples(st.just("peek")),
-    ),
-    max_size=200,
-)
-
-
-@given(_OPS)
-@settings(max_examples=300, deadline=None)
-def test_heap_and_calendar_agree_on_everything(ops):
-    """Reference and calendar queues, driven in lockstep, never diverge.
-
-    Events are shared between both queues so a cancellation hits both;
-    ``pop_run`` on the calendar is matched against repeated reference
-    pops, which also proves the run is maximal.
-    """
-    heap = HeapQueue()
-    calendar = CalendarQueue(bucket_count=4, width=0.5)
-    pushed = []
-    seq = 0
-    for op in ops:
-        if op[0] == "push":
-            _, when, priority = op
-            event = FakeEvent(seq)
-            heap.push(when, priority, seq, event)
-            calendar.push(when, priority, seq, event)
-            pushed.append(event)
-            seq += 1
-        elif op[0] == "cancel":
-            if pushed:
-                pushed[op[1] % len(pushed)].cancelled = True
-        elif op[0] == "pop":
-            a = heap.pop()
-            b = calendar.pop()
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a[:3] == b[:3]
-                assert a[3] is b[3]
-        elif op[0] == "pop_run":
-            run = calendar.pop_run()
-            for entry in run:
-                reference = heap.pop()
-                assert reference is not None
-                assert reference[:3] == entry[:3]
-                assert reference[3] is entry[3]
-            if run:
-                # Maximality: the reference's next live key starts a
-                # different (time, priority) run.
-                key = heap.peek_key()
-                assert key is None or key[:2] != run[0][:2]
-            else:
-                assert heap.pop() is None
-        elif op[0] == "peek":
-            assert heap.peek_key() == calendar.peek_key()
-        assert len(heap) >= heap.live_size
-        assert heap.live_size == calendar.live_size
-    # Drain whatever survives.
-    assert drain(heap) == drain(calendar)
 
 
 @given(st.lists(st.tuples(_TIMES, st.integers(0, 1)), max_size=150))
 @settings(max_examples=200, deadline=None)
 def test_bulk_drain_matches_sorted_keys(entries):
-    """Popping dry is a sort, for every implementation."""
+    """Running dry is a sort by (time, priority, sequence)."""
+    env = Environment()
+    fired = []
+    for seq, (when, priority) in enumerate(entries):
+        event = env.event()
+        event.callbacks.append(lambda _event, seq=seq: fired.append(seq))
+        env.schedule(event, priority=priority, delay=when)
+    env.run()
     expected = sorted(
         (when, priority, seq) for seq, (when, priority) in enumerate(entries)
     )
-    for impl in sorted(QUEUE_IMPLS):
-        queue = make_queue(impl)
-        for seq, (when, priority) in enumerate(entries):
-            queue.push(when, priority, seq, FakeEvent())
-        assert drain(queue) == expected
+    assert fired == [seq for _, _, seq in expected]
 
 
-# -- kernel-level equivalence ----------------------------------------------
+def test_environment_live_size_excludes_cancelled():
+    env = Environment()
+    keep = env.timeout(10.0)
+    drop = env.timeout(20.0)
+    drop.cancelled = True
+    assert env.queue_size >= 2
+    assert env.live_size == 1
+    assert keep is not None
+
+
+def test_explicit_compact_drops_cancelled_entries():
+    env = Environment(compact_cancelled=False)
+    timers = [env.timeout(float(i)) for i in range(10)]
+    for timer in timers[:4]:
+        timer.cancelled = True
+    assert len(env.queue) == env.queue_size == 10
+    assert env.live_size == 6
+    env.compact()
+    assert len(env.queue) == 6
+    assert env.queue.stats()["discards"] == 4.0
+    assert env.queue.stats()["compactions"] == 1.0
+
+
+class _Tally(Probe):
+    """Counts pushes and pops independently of the kernel's own gauges."""
+
+    def __init__(self):
+        self.scheduled = 0
+        self.stepped = []
+        self.high_water = 0
+
+    def on_schedule(self, when, queue_size):
+        self.scheduled += 1
+        self.high_water = max(self.high_water, queue_size)
+
+    def on_step(self, now):
+        self.stepped.append(now)
+
+
+class TestQueueStats:
+    def test_gauges_after_timer_churn(self):
+        tally = _Tally()
+        tracer, _ = _kernel_stress_run(DEFAULT_SEED, probes=(tally,))
+        env = tracer.env
+        stats = env.queue.stats()
+        assert all(isinstance(value, float) for value in stats.values())
+        assert stats["pushes"] == tally.scheduled
+        assert stats["pops"] == len(tally.stepped)
+        assert stats["pushes"] == stats["pops"] + stats["discards"] + stats["size"]
+        assert stats["size"] == len(env.queue) == 0
+        assert stats["live_size"] == 0
+        # The values the separate HeapQueue produced on this workload
+        # (commit e7741ed): direct scheduling compacts at the same pushes.
+        assert stats["high_water"] == tally.high_water == 600.0
+        assert stats["compactions"] == 29.0
+        assert stats["discards"] == 9000.0
+
+    def test_identity_holds_mid_run(self):
+        env = Environment()
+        timers = [env.timeout(float(i % 7)) for i in range(50)]
+        for timer in timers[::3]:
+            timer.cancelled = True
+        for _ in range(10):
+            env.step()
+        env.peek()
+        stats = env.queue.stats()
+        assert stats["pops"] == 10.0
+        assert stats["size"] == len(env.queue)
+        assert stats["pushes"] == stats["pops"] + stats["discards"] + stats["size"]
 
 
 def _chatty_workload(env, log):
-    """A workload exercising batching hazards: same-instant timeouts,
-    URGENT process resumptions scheduled mid-run, and cancellations."""
+    """Same-instant timeouts, URGENT process resumptions scheduled
+    mid-instant, and cancellations."""
 
     def worker(env, name, period):
         for round_ in range(20):
@@ -376,26 +135,35 @@ def _chatty_workload(env, log):
     env.process(igniter(env))
 
 
-@pytest.mark.parametrize("impl", sorted(QUEUE_IMPLS))
-def test_kernel_trace_is_identical_under_every_queue(impl):
-    reference_log = []
-    env = Environment()
-    _chatty_workload(env, reference_log)
-    env.run()
+@pytest.mark.parametrize("probed", [False, True], ids=["bare", "probed"])
+def test_run_and_a_step_loop_dispatch_the_same_events(probed):
+    """``run()`` is nothing but ``step()`` until the schedule is empty."""
+    logs, tallies = [], []
+    for drive in ("run", "step"):
+        env = Environment()
+        tally = _Tally()
+        if probed:
+            env.probe = tally
+        log = []
+        _chatty_workload(env, log)
+        if drive == "run":
+            env.run()
+        else:
+            with pytest.raises(EmptySchedule):
+                while True:
+                    env.step()
+        logs.append((log, env.now, env.queue.stats()))
+        tallies.append((tally.scheduled, tally.stepped))
+    assert logs[0] == logs[1]
+    assert tallies[0] == tallies[1]
+    assert bool(tallies[0][1]) == probed
 
-    log = []
-    env = Environment(queue=impl)
-    assert env.queue.name == impl
-    _chatty_workload(env, log)
-    env.run()
-    assert log == reference_log
 
+class TestQueueSeamIsGone:
+    def test_environment_takes_no_queue(self):
+        with pytest.raises(TypeError):
+            Environment(queue="heap")
 
-def test_environment_live_size_excludes_cancelled(env=None):
-    env = Environment(queue="calendar")
-    keep = env.timeout(10.0)
-    drop = env.timeout(20.0)
-    drop.cancelled = True
-    assert env.queue_size >= 2
-    assert env.live_size == 1
-    assert keep is not None
+    def test_grid_builder_takes_no_queue(self):
+        with pytest.raises(TypeError):
+            GridBuilder(queue="heap")

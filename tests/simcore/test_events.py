@@ -178,3 +178,39 @@ class TestConditions:
         cond = AnyOf(env, [a])
         env.run(cond)
         assert cond.value.todict() == {a: "a"}
+
+    def test_decided_condition_stops_listening(self, env):
+        # A pending constituent that kept the decided condition's check
+        # would hold the condition, its value and every event in it in
+        # a reference cycle (event -> callbacks -> check -> condition ->
+        # events) that only the cycle collector can free — one per RPC
+        # whose deadline is retired.
+        fast = env.timeout(1)
+        slow = env.timeout(10)
+        other_listener = []
+        slow.callbacks.append(other_listener.append)
+        cond = fast | slow
+        assert len(slow.callbacks) == 2
+        env.run(until=2)
+        assert cond.processed and list(cond.value) == [fast]
+        assert slow.callbacks == [other_listener.append]
+        env.run()
+        assert other_listener == [slow]
+
+    def test_condition_decided_at_construction_never_listens(self, env):
+        done = env.timeout(1)
+        env.run()
+        pending = env.timeout(5)
+        cond = env.any_of([done, pending])
+        assert cond.triggered
+        assert pending.callbacks == []
+
+    def test_failed_condition_stops_listening(self, env):
+        bad = env.event()
+        slow = env.timeout(10)
+        cond = bad & slow
+        cond.defused = True
+        bad.fail(KeyError("x"))
+        env.run(until=1)
+        assert not cond.ok
+        assert slow.callbacks == []

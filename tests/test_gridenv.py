@@ -158,23 +158,15 @@ class TestObserverSeam:
 
 
 class TestKernelKnobs:
-    """Queue implementation and delivery mode are builder decisions."""
+    """Delivery mode is a builder decision."""
 
     def test_default_queue_is_the_heap(self):
         grid = GridBuilder().add_machine("m", nodes=4).build()
-        assert grid.env.queue.name == "heap"
+        assert set(grid.env.queue.stats()) == {
+            "pushes", "pops", "discards", "compactions",
+            "high_water", "size", "live_size",
+        }
         assert grid.network.slotted is False
-
-    def test_calendar_queue_selected_by_name(self):
-        grid = GridBuilder(queue="calendar").add_machine("m", nodes=4).build()
-        assert grid.env.queue.name == "calendar"
-
-    def test_queue_instance_passes_through(self):
-        from repro.simcore import CalendarQueue
-
-        queue = CalendarQueue(bucket_count=32)
-        grid = GridBuilder(queue=queue).add_machine("m", nodes=4).build()
-        assert grid.env.queue is queue
 
     def test_slotted_delivery_knobs_reach_the_network(self):
         grid = (
@@ -184,29 +176,3 @@ class TestKernelKnobs:
         )
         assert grid.network.slotted is True
         assert grid.network.slot_width == 0.125
-
-    def test_calendar_grid_reproduces_the_heap_run(self):
-        def submit_and_wait(grid):
-            client = grid.gram_client()
-            from repro.rsl import parse
-
-            spec = parse(
-                '&(resourceManagerContact="m1:gatekeeper")(count=2)'
-                f'(executable="{DEFAULT_EXECUTABLE}")'
-            )
-
-            def agent(env):
-                handle = yield from client.submit("m1:gatekeeper", spec)
-                return (env.now, handle.job_id)
-
-            result = grid.run(grid.process(agent(grid.env)))
-            grid.run()
-            return (result, grid.now)
-
-        runs = {}
-        for queue in ("heap", "calendar"):
-            grid = GridBuilder(seed=11, queue=queue).add_machine(
-                "m1", nodes=4
-            ).build()
-            runs[queue] = submit_and_wait(grid)
-        assert runs["heap"] == runs["calendar"]
