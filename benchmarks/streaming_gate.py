@@ -6,9 +6,9 @@ once through the full streaming pipeline (1-in-16 deterministic trace
 sampling, bounded-buffer incremental JSONL export, path/tenant
 aggregation) — and asserts the properties the telemetry layer promises:
 
-1. **No perturbation** — the kernel's event stream (every schedule and
-   step, hashed through the probe seam) is byte-identical with and
-   without the pipeline attached.
+1. **No perturbation** — the event stream (every kernel schedule and
+   step and every message, hashed through the probe seam) is
+   byte-identical with and without the pipeline attached.
 2. **Bounded memory** — the sinked tracer's ``spans_retained`` high
    water stays under the exporter's buffer bound, against ~1.3e4
    records when retaining everything.
@@ -25,7 +25,6 @@ Exit status 0 when all four hold; 1 otherwise.  Artifacts land in
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -41,8 +40,11 @@ from repro.obs.streaming import (  # noqa: E402
     TraceSampler,
     aggregate_trace,
 )
-from repro.prof.bench import DEFAULT_SEED, _kernel_stress_run  # noqa: E402
-from repro.simcore.probe import Probe  # noqa: E402
+from repro.prof.bench import (  # noqa: E402
+    DEFAULT_SEED,
+    EventStreamDigest,
+    _kernel_stress_run,
+)
 
 #: Exporter buffer bound; the retained high-water gate derives from it.
 BUFFER_SIZE = 512
@@ -53,24 +55,6 @@ KEEP_ONE_IN = 16
 #: Pinned bound on the sinked tracer's retained high-water mark: one
 #: span buffer plus one mark buffer, each spilled at BUFFER_SIZE.
 RETAINED_BOUND = 2 * BUFFER_SIZE
-
-
-class EventStreamDigest(Probe):
-    """Hashes the kernel's schedule/step stream through the probe seam."""
-
-    def __init__(self) -> None:
-        self._hash = hashlib.sha256()
-        self.steps = 0
-
-    def on_schedule(self, when: float, queue_size: int) -> None:
-        self._hash.update(f"s|{when!r}|{queue_size}\n".encode())
-
-    def on_step(self, now: float) -> None:
-        self.steps += 1
-        self._hash.update(f"p|{now!r}\n".encode())
-
-    def hexdigest(self) -> str:
-        return self._hash.hexdigest()
 
 
 def main() -> int:
@@ -106,7 +90,7 @@ def main() -> int:
         )
 
     # 2. Telemetry memory must be bounded by the exporter buffer.
-    high_water = counters_b.spans_retained_high_water
+    high_water = tracer_b.spans_retained_high_water
     total = len(tracer_a.spans) + len(tracer_a.marks)
     if not 0 < high_water <= RETAINED_BOUND:
         failures.append(
@@ -141,8 +125,9 @@ def main() -> int:
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
+        steps = counters_b.snapshot()["sim.events_processed"]
         print(
-            f"streaming gate ok: {digest_b.steps} kernel steps unchanged, "
+            f"streaming gate ok: {steps:g} kernel steps unchanged, "
             f"retained high-water {high_water}/{total} "
             f"(bound {RETAINED_BOUND}), {len(kept.spans)} of "
             f"{len(tracer_a.spans)} spans exported at 1/{KEEP_ONE_IN} "

@@ -61,8 +61,7 @@ HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
     # Wait-queue grant loops behind every mailbox and scheduler slot.
     "repro/simcore/resources.py": None,
     # Message delivery: one envelope + one mailbox put per message;
-    # network.py includes the slotted delivery ring, address.py the
-    # endpoint keys hashed on every mailbox/slot probe.
+    # address.py holds the endpoint keys hashed on every mailbox probe.
     "repro/net/address.py": None,
     "repro/net/message.py": None,
     "repro/net/network.py": None,

@@ -17,9 +17,8 @@ interpreter invocations.
   time and a replayed run expires exactly the same keys.
 * :class:`BoundedSet` — the same policy over membership only.
 * :class:`RetainedCensus` — a heap census over registered collections,
-  reporting new retained-object peaks through the
-  :class:`~repro.simcore.probe.Probe` seam (``on_retained``) so the
-  ``memory_stress`` bench and the CI gate can pin the high-water mark.
+  keeping the retained-object peak so the ``memory_stress`` bench and
+  the CI gate can pin the high-water mark.
 
 Both collections keep high-water and hit/miss/eviction statistics so a
 bound that is routinely exceeded (evicting hot entries) is visible in
@@ -257,13 +256,11 @@ class RetainedCensus:
     Anything with ``__len__`` registers — bounded collections and the
     plain dicts they replace alike, so a benchmark can run the same
     workload under both and compare peaks.  :meth:`observe` totals the
-    live entries and reports *new* peaks through the environment's
-    probe (:meth:`~repro.simcore.probe.Probe.on_retained`), mirroring
-    the telemetry layer's ``on_spans_retained`` self-metering.
+    live entries and keeps the peak in :attr:`high_water`
+    (:class:`~repro.prof.counters.OpCounters` reads it from there).
     """
 
-    def __init__(self, env: Optional[Any] = None) -> None:
-        self.env = env
+    def __init__(self) -> None:
         self._collections: list[Sized] = []
         self.high_water = 0
 
@@ -281,13 +278,10 @@ class RetainedCensus:
         return sum(len(collection) for collection in self._collections)
 
     def observe(self) -> int:
-        """Take a census; report and record a new peak, if one."""
+        """Take a census; record a new peak, if one."""
         total = self.retained()
         if total > self.high_water:
             self.high_water = total
-            probe = getattr(self.env, "probe", None)
-            if probe is not None:
-                probe.on_retained(total)
         return total
 
     def __repr__(self) -> str:

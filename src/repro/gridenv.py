@@ -32,7 +32,7 @@ from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.fork import ForkScheduler
 from repro.schedulers.reservation import ReservationScheduler
 from repro.simcore.environment import Environment
-from repro.simcore.probe import FanoutProbe, Probe
+from repro.simcore.probe import Probe, attach
 from repro.simcore.rng import RngRegistry
 from repro.simcore.tracing import NullTracer, SpanSink, Tracer
 
@@ -87,8 +87,8 @@ class Grid:
         #: The runtime-verification recorder observing this grid, if the
         #: builder attached one (see :meth:`GridBuilder.with_monitors`).
         self.recorder = recorder
-        #: The op-count probe observing this grid, if the builder
-        #: attached one (see :meth:`GridBuilder.with_profiling`).
+        #: The op counts of this grid, if the builder was asked for
+        #: them (see :meth:`GridBuilder.with_profiling`).
         self.counters = counters
         #: The black-box flight recorder observing this grid, if the
         #: builder attached one (see :mod:`repro.obs.flightrec`).
@@ -164,8 +164,6 @@ class GridBuilder:
         user: str = "alice",
         client_host: str = CLIENT_HOST,
         trace: bool = True,
-        slotted_delivery: bool = False,
-        slot_width: Optional[float] = None,
     ) -> None:
         self.seed = seed
         self.latency = latency
@@ -176,16 +174,11 @@ class GridBuilder:
         #: ``trace=False`` builds the grid on a NullTracer: no spans, no
         #: metrics, identical simulation behaviour (tested).
         self.trace = trace
-        #: Forwarded to :class:`~repro.net.network.Network`: coalesce
-        #: same-deadline deliveries into one kernel event per
-        #: (destination, deadline) slot.  Opt-in — see the Network
-        #: docstring for the (same-instant ordering) caveat.
-        self.slotted_delivery = slotted_delivery
-        self.slot_width = slot_width
         self._machines: list[dict] = []
         self._programs: dict[str, Program] = {}
         self._faults: list[FaultSpec] = []
         self._probes: list[Probe] = []
+        self._counters: "Optional[OpCounters]" = None
         self._span_sink: Optional[SpanSink] = None
 
     def add_machine(
@@ -236,44 +229,19 @@ class GridBuilder:
         self._faults.extend(specs)
         return self
 
-    def with_probe(self, *observers: "Probe | SpanSink") -> "GridBuilder":
-        """Attach observers to the built grid — the one composable seam.
+    def with_probe(self, *probes: Probe) -> "GridBuilder":
+        """Attach probes to the built grid.
 
-        Accepts any mix of :class:`~repro.simcore.probe.Probe`
-        subclasses (recorders, op counters, custom probes) and at most
-        one :class:`~repro.simcore.tracing.SpanSink`.  Probes observe
-        the kernel and network in attachment order through an
-        automatic :class:`~repro.simcore.probe.FanoutProbe` — callers
-        never compose fanout by hand.  Observers are observation-only
-        (no scheduled events, no random draws), so the simulation stays
-        byte-identical to an unobserved run.
-
-        ``with_monitors`` / ``with_profiling`` / ``with_span_sink`` are
-        thin delegates of this method; to attach more than one sink,
-        compose them with
-        :class:`~repro.obs.streaming.TelemetryPipeline` first.
+        They hear every hook of :class:`~repro.simcore.probe.Probe` in
+        attachment order.  Probes are observation-only (no scheduled
+        events, no random draws), so the simulation stays byte-identical
+        to an unobserved run.
         """
-        for observer in observers:
-            # A dual-role observer (Probe *and* SpanSink, e.g. a
-            # FlightRecorder) registers in both seams.
-            matched = False
-            if isinstance(observer, SpanSink):
-                if self._span_sink is not None and self._span_sink is not observer:
-                    raise ReproError(
-                        "a grid streams through one span sink; compose sinks "
-                        "with repro.obs.streaming.TelemetryPipeline"
-                    )
-                self._span_sink = observer
-                matched = True
-            if isinstance(observer, Probe):
-                if observer not in self._probes:
-                    self._probes.append(observer)
-                matched = True
-            if not matched:
-                raise ReproError(
-                    f"with_probe() takes Probe or SpanSink observers, "
-                    f"got {observer!r}"
-                )
+        for probe in probes:
+            if not isinstance(probe, Probe):
+                raise ReproError(f"with_probe() takes Probe observers, got {probe!r}")
+            if probe not in self._probes:
+                self._probes.append(probe)
         return self
 
     def with_monitors(
@@ -295,59 +263,54 @@ class GridBuilder:
     def with_profiling(
         self, counters: "Optional[OpCounters]" = None
     ) -> "GridBuilder":
-        """Attach machine-independent op counters to the built grid.
+        """Read the built grid's op counts through ``grid.counters``.
 
-        Delegates to :meth:`with_probe`.  The counters (fresh
-        :class:`~repro.prof.counters.OpCounters` unless given) observe
-        events processed, queue high-water, and message traffic without
-        perturbing the run.
+        The counters (fresh :class:`~repro.prof.counters.OpCounters`
+        unless given) are pointed at the grid's kernel, network and
+        tracer; they hear nothing during the run.
         """
         if counters is None:
             from repro.prof.counters import OpCounters
 
             counters = OpCounters()
-        return self.with_probe(counters)
+        self._counters = counters
+        return self
 
     def with_span_sink(self, sink: SpanSink) -> "GridBuilder":
         """Stream the grid's telemetry through ``sink``.
 
-        Delegates to :meth:`with_probe`.  The built tracer routes every
-        completed span and mark through the sink (sampling,
-        bounded-memory aggregation, and incremental JSONL export live
-        in :mod:`repro.obs.streaming`) and meters itself.  Call
+        The built tracer routes every completed span and mark through
+        the sink (sampling, bounded-memory aggregation, and incremental
+        JSONL export live in :mod:`repro.obs.streaming`) and meters
+        itself.  A tracer has one sink; compose several with
+        :class:`~repro.obs.streaming.TelemetryPipeline` first.  Call
         ``grid.tracer.close()`` after the run to flush the sink.
         Ignored when ``trace=False``.
         """
-        return self.with_probe(sink)
+        if self._span_sink is not None and self._span_sink is not sink:
+            raise ReproError(
+                "a grid streams through one span sink; compose sinks "
+                "with repro.obs.streaming.TelemetryPipeline"
+            )
+        self._span_sink = sink
+        return self
 
     def build(self) -> Grid:
         if not self._machines:
             raise ReproError("a grid needs at least one machine")
         env = Environment()
-        probes = self._probes
+        attach(env, *self._probes)
         recorder: "Optional[Recorder]" = None
-        counters: "Optional[OpCounters]" = None
         flightrec: "Optional[FlightRecorder]" = None
-        if probes:
+        if self._probes:
             from repro.obs.flightrec import FlightRecorder
-            from repro.prof.counters import OpCounters
             from repro.verify.recorder import Recorder
 
-            for probe in probes:
-                # Recorders need the environment for vector-clock time.
-                bind = getattr(probe, "bind", None)
-                if bind is not None:
-                    bind(env)
-                if recorder is None and isinstance(probe, Recorder):
-                    recorder = probe
-                if counters is None and isinstance(probe, OpCounters):
-                    counters = probe
-                if flightrec is None and isinstance(probe, FlightRecorder):
-                    flightrec = probe
-        if len(probes) == 1:
-            env.probe = probes[0]
-        elif probes:
-            env.probe = FanoutProbe(probes)
+            probes = self._probes
+            recorder = next((p for p in probes if isinstance(p, Recorder)), None)
+            flightrec = next(
+                (p for p in probes if isinstance(p, FlightRecorder)), None
+            )
         rngs = RngRegistry(self.seed)
         latency_model = LatencyModel(
             base=self.latency,
@@ -357,14 +320,10 @@ class GridBuilder:
         tracer = (
             Tracer(env, sink=self._span_sink) if self.trace else NullTracer(env)
         )
-        network = Network(
-            env,
-            latency_model,
-            metrics=tracer.metrics,
-            slotted=self.slotted_delivery,
-            slot_width=self.slot_width,
-        )
+        network = Network(env, latency_model, metrics=tracer.metrics)
         network.add_host(self.client_host)
+        if self._counters is not None:
+            self._counters.bind(env, network, tracer)
         ca = CertificateAuthority()
         credential = ca.issue(self.user)
 
@@ -403,7 +362,7 @@ class GridBuilder:
             tracer=tracer,
             client_host=self.client_host,
             recorder=recorder,
-            counters=counters,
+            counters=self._counters,
             flightrec=flightrec,
         )
         if self._faults:

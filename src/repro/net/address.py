@@ -6,13 +6,12 @@ are addressed to — the simulated analogue of a Globus contact string
 like ``hostname:port``.
 
 Endpoints sit on the kernel's hottest dictionary keys: every
-``Network.send`` hashes the destination into the mailbox table (and,
-under slotted delivery, into the slot ring).  The class is therefore
-slotted and value-frozen with its hash computed once at construction;
-:meth:`Endpoint.intern` and the :meth:`Endpoint.parse` cache return
-canonical instances for long-lived, repeatedly parsed addresses (a
-service's well-known contact) so equal endpoints are usually also
-identical.
+``Network.send`` hashes the destination into the mailbox table.  The
+class is therefore slotted and value-frozen with its hash computed once
+at construction; :meth:`Endpoint.intern` and the :meth:`Endpoint.parse`
+cache return canonical instances for long-lived, repeatedly parsed
+addresses (a service's well-known contact) so equal endpoints are
+usually also identical.
 
 Retention policy (mem-* audited): the intern table holds *well-known
 service addresses only* — :meth:`Endpoint.intern` rejects ephemeral

@@ -13,7 +13,6 @@ uniform latency here.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 import numpy as np
@@ -95,28 +94,8 @@ class LatencyModel:
 class Network:
     """Hosts, mailboxes, and message delivery.
 
-    Delivery comes in two shapes:
-
-    * **per-message** (default) — every ``send()`` schedules its own
-      kernel event, exactly one event per in-flight message.
-    * **slotted** (``slotted=True``) — in-flight messages are grouped
-      into a delivery ring keyed by (destination endpoint, deadline):
-      the first message bound for a slot schedules one kernel event,
-      later sends with the same deadline ride along for free.  At
-      bursty fan-in (many same-instant sends to one service under a
-      deterministic latency model) this collapses N kernel events into
-      one, which is where million-event runs spend their heap budget.
-      Per-message semantics — drop rules at send time, reachability at
-      delivery time, FIFO per (src, dst) — are unchanged, but events
-      that *interleave* with deliveries at the same instant may observe
-      a different ordering than per-message mode, so slotting is opt-in
-      and benchmarks pin which mode they measure.
-
-    ``slot_width`` (seconds, slotted mode only) additionally quantizes
-    deadlines up to the next multiple of the width, trading delivery-
-    time granularity for more coalescing under jittered latency.  The
-    default (None) coalesces exact-equal deadlines only and never
-    changes delivery times.
+    Every ``send()`` schedules its own kernel event: exactly one event
+    per in-flight message.
     """
 
     def __init__(
@@ -124,21 +103,13 @@ class Network:
         env: "Environment",
         latency_model: Optional[LatencyModel] = None,
         metrics: Optional[MetricsRegistry] = None,
-        slotted: bool = False,
-        slot_width: Optional[float] = None,
     ) -> None:
-        if slot_width is not None and slot_width <= 0:
-            raise SimulationError(f"slot_width must be positive, got {slot_width!r}")
         self.env = env
         self.latency_model = latency_model or LatencyModel()
         self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.slotted = bool(slotted)
-        self.slot_width = slot_width
         self._hosts: set[str] = set()
         self._down: set[str] = set()
         self._mailboxes: dict[Endpoint, Store] = {}
-        #: Open delivery slots: (dst, deadline) -> messages in send order.
-        self._slots: dict[tuple[Endpoint, float], list[Message]] = {}
         #: Partition groups: messages cross groups only if allowed.
         self._partitions: dict[str, int] = {}
         #: Drop rules: callables deciding whether to drop a message.
@@ -147,10 +118,6 @@ class Network:
         self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
-        #: Slotted mode: kernel events scheduled for delivery.  The gap
-        #: between this and ``sent_count`` minus send-time drops is the
-        #: coalescing win.
-        self.delivery_slots = 0
 
     # -- topology ------------------------------------------------------------
 
@@ -268,7 +235,7 @@ class Network:
 
         env = self.env
         self.sent_count += 1
-        message.sent_at = now = env.now
+        message.sent_at = env.now
         # Unobserved runs (NULL_METRICS, no probe) make no calls into
         # repro.obs: this runs once per message.
         metrics = self.metrics
@@ -284,35 +251,11 @@ class Network:
             return
 
         delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
-        if not self.slotted:
-            Timeout(env, delay, message).callbacks.append(self._deliver)
-            return
-
-        deadline = now + delay
-        width = self.slot_width
-        if width is not None:
-            # Quantize *up* so a message is never delivered before its
-            # modeled latency has elapsed.
-            deadline = math.ceil(deadline / width) * width
-        key = (message.dst, deadline)
-        slot = self._slots.get(key)
-        if slot is not None:
-            slot.append(message)
-            return
-        self._slots[key] = [message]
-        self.delivery_slots += 1
-        Timeout(env, deadline - now, key).callbacks.append(self._deliver_slot)
+        Timeout(env, delay, message).callbacks.append(self._deliver)
 
     def _deliver(self, event) -> None:
-        """Per-message delivery: the event's value is the message."""
+        """The delivery event's value is the message."""
         self._deliver_message(event._value)
-
-    def _deliver_slot(self, event) -> None:
-        """Slotted delivery: drain one (dst, deadline) slot in send order."""
-        messages = self._slots.pop(event._value)
-        deliver_message = self._deliver_message
-        for message in messages:
-            deliver_message(message)
 
     def _deliver_message(self, message: Message) -> None:
         # Reachability is evaluated at delivery time so that a partition

@@ -13,8 +13,8 @@ Three pillars (see docs/OBSERVABILITY.md):
 - **Streaming** — :mod:`repro.obs.streaming` sinks behind the tracer's
   :class:`~repro.simcore.tracing.SpanSink` seam: deterministic trace
   sampling, bounded-memory aggregation, incremental JSONL export.
-- **Post-mortem** — :mod:`repro.obs.flightrec` rides the probe and
-  span-sink seams as an always-on black box: bounded ring buffers,
+- **Post-mortem** — :mod:`repro.obs.flightrec` is a probe flown as an
+  always-on black box: bounded ring buffers,
   declarative failure triggers, canonical JSON dumps; rendered by
   :mod:`repro.obs.blackbox` (``python -m repro.obs blackbox``).
 """

@@ -5,13 +5,10 @@ pipeline deliberately *discards* spans and the bounded tables *evict*
 state — so by the time a fault campaign or a ``repro.verify`` monitor
 fires, the context that explains the failure is gone.  This module is
 the always-on black box that closes that gap: a
-:class:`FlightRecorder` rides the :class:`~repro.simcore.probe.Probe`
-and :class:`~repro.simcore.tracing.SpanSink` seams, recording every
-kernel step/schedule, message send/deliver/drop, protocol
-event/access, and span open/close as compact slots-dataclass records
-into per-category :class:`FlightRing` buffers of fixed capacity —
-O(capacity) memory by construction, policed by the ``mem-*`` lint and
-metered through a :class:`~repro.core.bounded.RetainedCensus`.
+:class:`FlightRecorder` is a :class:`~repro.simcore.probe.Probe` that
+records every hook it hears as compact slots-dataclass records into
+per-category :class:`FlightRing` buffers of fixed capacity —
+O(capacity) memory by construction, policed by the ``mem-*`` lint.
 
 Declarative :class:`Trigger` rules watch the observed stream: fault
 activation (:mod:`repro.faults`), breaker-open / retry-exhaustion
@@ -42,15 +39,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.simcore.probe import Probe
-from repro.simcore.tracing import Mark, Span, SpanSink
+from repro.simcore.tracing import Mark, Span
 
 if TYPE_CHECKING:  # pragma: no cover
     # Imported lazily at construction time: repro.core's package init
     # reaches repro.net, which imports repro.obs — a module-level
     # import here would close that cycle (same break as streaming.py).
-    from repro.core.bounded import BoundedDict, RetainedCensus
+    from repro.core.bounded import BoundedDict
     from repro.net.message import Message
-    from repro.simcore.environment import Environment
 
 #: Dump format tag, bumped on incompatible record changes.
 FLIGHT_FORMAT = "repro.obs.flightrec/1"
@@ -417,14 +413,11 @@ DEFAULT_TRIGGERS: tuple[Trigger, ...] = (
 # ---------------------------------------------------------------------------
 
 
-class FlightRecorder(Probe, SpanSink):
+class FlightRecorder(Probe):
     """The always-on black box: bounded capture, triggered dumps.
 
-    Attach through :meth:`repro.gridenv.GridBuilder.with_probe` (the
-    builder registers it on *both* seams — probe and span sink) or
-    bind it by hand (``recorder.bind(env)``, ``env.probe = recorder``,
-    ``Tracer(env, sink=recorder)``).  Composable with any other probe
-    via the builder's automatic fan-out.
+    Attach through :meth:`repro.gridenv.GridBuilder.with_probe` or
+    :func:`repro.simcore.probe.attach`.
     """
 
     def __init__(
@@ -435,7 +428,6 @@ class FlightRecorder(Probe, SpanSink):
     ) -> None:
         if max_dumps < 1:
             raise ValueError(f"max_dumps must be >= 1, got {max_dumps!r}")
-        self.env: "Optional[Environment]" = None
         self.capacity = int(capacity)
         self.triggers: tuple[Trigger, ...] = tuple(triggers)
         self.max_dumps = int(max_dumps)
@@ -457,29 +449,27 @@ class FlightRecorder(Probe, SpanSink):
         #: While frozen, every hook drops its observation.
         self.frozen = False
         self._seq = 0
-        from repro.core.bounded import BoundedDict, RetainedCensus
+        from repro.core.bounded import BoundedDict
 
         #: raw Message.msg_id -> recorder-local id, first-seen order.
         self._msg_local: BoundedDict[int, int] = BoundedDict(4 * self.capacity)
         self._msg_next = 0
-        self._census = RetainedCensus()
-        for ring in self.rings.values():
-            self._census.register(ring)
-        # The census and its five sized members live and die with this
-        # recorder; there is nothing to unregister mid-run.
-        self._census.register(self._msg_local)  # repro: noqa mem-unpaired-register
+        #: Peak retained count as of the last :meth:`reset`.
+        self._retained_floor = 0
 
-    # -- wiring ------------------------------------------------------------
-
-    def bind(self, env: "Environment") -> None:
-        """Attach to an environment (one recorder observes one run)."""
-        self.env = env
-        self._census.env = env
+    def retained(self) -> int:
+        """Live records across rings and the message-id table."""
+        return sum(map(len, self.rings.values())) + len(self._msg_local)
 
     @property
     def retained_high_water(self) -> int:
-        """Peak live records across rings and the message-id table."""
-        return self._census.high_water
+        """Peak of :meth:`retained`.
+
+        Rings and the id table only ever fill up between two
+        :meth:`reset` calls, so the peak is the current count or the
+        one the last reset saw — nothing is counted per record.
+        """
+        return max(self._retained_floor, self.retained())
 
     @property
     def records_observed(self) -> int:
@@ -507,14 +497,12 @@ class FlightRecorder(Probe, SpanSink):
         self._kernel.push(
             KernelRecord(self._seq, self._now(), "schedule", when, queue_size)
         )
-        self._census.observe()
 
     def on_step(self, now: float) -> None:
         if self.frozen:
             return
         self._seq += 1
         self._kernel.push(KernelRecord(self._seq, now, "step", now, 0))
-        self._census.observe()
 
     def _message_op(
         self, op: str, message: "Message", reason: Optional[str]
@@ -536,7 +524,6 @@ class FlightRecorder(Probe, SpanSink):
                 reason,
             )
         )
-        self._census.observe()
         triggers = self.triggers
         for trigger in triggers:
             matched = trigger.match_message(op, message)
@@ -566,7 +553,6 @@ class FlightRecorder(Probe, SpanSink):
         self._proto.push(
             ProtoRecord(self._seq, self._now(), "event", node, name, _clean(attrs))
         )
-        self._census.observe()
         triggers = self.triggers
         for trigger in triggers:
             matched = trigger.match_event(node, name, attrs)
@@ -585,16 +571,9 @@ class FlightRecorder(Probe, SpanSink):
         self._proto.push(
             ProtoRecord(self._seq, self._now(), "access", node, resource, cleaned)
         )
-        self._census.observe()
 
-    # -- span-sink hooks ----------------------------------------------------
-
-    def on_span_start(
-        self,
-        trace_id: str,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
+    def on_span_open(
+        self, trace_id: str, span_id: int, parent_id: Optional[int], name: str
     ) -> None:
         if self.frozen:
             return
@@ -604,47 +583,38 @@ class FlightRecorder(Probe, SpanSink):
                 self._seq, self._now(), "open", name, trace_id, span_id, parent_id
             )
         )
-        self._census.observe()
 
-    def on_span(self, span: Span) -> bool:
-        if not self.frozen:
-            self._seq += 1
-            self._span.push(
-                SpanRecord(
-                    self._seq,
-                    span.end,
-                    "close",
-                    span.name,
-                    span.trace_id,
-                    span.span_id,
-                    span.parent_id,
-                )
+    def on_span_close(self, span: Span) -> None:
+        if self.frozen:
+            return
+        self._seq += 1
+        self._span.push(
+            SpanRecord(
+                self._seq,
+                span.end,
+                "close",
+                span.name,
+                span.trace_id,
+                span.span_id,
+                span.parent_id,
             )
-            self._census.observe()
-        # Retain on the tracer: the recorder only borrows the stream,
-        # it does not own the run's span-retention policy.
-        return True
+        )
 
-    def on_mark(self, mark: Mark) -> bool:
-        if not self.frozen:
-            self._seq += 1
-            self._span.push(
-                SpanRecord(
-                    self._seq,
-                    mark.time,
-                    "mark",
-                    mark.name,
-                    mark.trace_id,
-                    None,
-                    mark.parent_id,
-                )
+    def on_mark(self, mark: Mark) -> None:
+        if self.frozen:
+            return
+        self._seq += 1
+        self._span.push(
+            SpanRecord(
+                self._seq,
+                mark.time,
+                "mark",
+                mark.name,
+                mark.trace_id,
+                None,
+                mark.parent_id,
             )
-            self._census.observe()
-        return True
-
-    def retained(self) -> int:
-        """Live records held by the recorder (SpanSink metering)."""
-        return self._census.retained()
+        )
 
     # -- freeze / dump ------------------------------------------------------
 
@@ -676,6 +646,7 @@ class FlightRecorder(Probe, SpanSink):
 
     def reset(self) -> None:
         """Clear rings and dumps (lifetime counters survive)."""
+        self._retained_floor = self.retained_high_water
         for ring in self.rings.values():
             ring.clear()
         self.dumps = []
@@ -699,7 +670,7 @@ class FlightRecorder(Probe, SpanSink):
                 "seq": self._seq,
             },
             "counts": counts,
-            "retained_high_water": self._census.high_water,
+            "retained_high_water": self.retained_high_water,
             "dumps_suppressed": self.dumps_suppressed,
             "records": records,
         }

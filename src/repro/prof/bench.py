@@ -30,7 +30,7 @@ from repro.gram.states import JobState
 from repro.gridenv import DEFAULT_EXECUTABLE, Grid, GridBuilder
 from repro.prof.diff import ProfileDiff, diff_profiles
 from repro.prof.profile import Profile, profile_grid, profile_spans
-from repro.simcore.probe import Probe
+from repro.simcore.probe import Probe, attach
 
 #: Default root seed for the suite (matches the chaos harness).
 DEFAULT_SEED = 42
@@ -50,9 +50,7 @@ SNAPSHOT_COUNTERS = (
     "resilience.retries",
     "obs.spans_recorded",
     "obs.spans_retained_high_water",
-    "net.delivery_slots",
     "queue.heap.high_water",
-    "ref.sim.heap_high_water",
     "mem.retained_high_water",
     "ref.mem.retained_high_water",
     "obs.flightrec_retained",
@@ -207,28 +205,18 @@ def _kernel_stress_run(
     trip, one job-labelled root per churn worker with a child per
     round (~1.3 × 10⁴ spans) — the workload behind ``telemetry_stress``
     and the streaming-sink gate.  ``sink`` is handed to the tracer
-    (see :class:`~repro.simcore.tracing.SpanSink`); extra ``probes``
-    are fanned out with the op counters.
+    (see :class:`~repro.simcore.tracing.SpanSink`); ``probes`` are
+    attached to the environment.
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
     from repro.net.network import Network
     from repro.prof.counters import OpCounters
     from repro.simcore.environment import Environment
-    from repro.simcore.probe import FanoutProbe
     from repro.simcore.tracing import Tracer
 
     env = Environment(compact_cancelled=compact_cancelled)
-    counters = OpCounters()
-    for probe in probes:
-        # Env-aware probes (e.g. a FlightRecorder) need the clock.
-        bind = getattr(probe, "bind", None)
-        if bind is not None:
-            bind(env)
-    if probes:
-        env.probe = FanoutProbe([counters, *probes])
-    else:
-        env.probe = counters
+    attach(env, *probes)
     tracer = Tracer(env, sink=sink)
     phase_end = {"churn": 0.0, "storm": 0.0}
 
@@ -255,6 +243,8 @@ def _kernel_stress_run(
 
     network = Network(env)
     network.add_host("stress")
+    counters = OpCounters()
+    counters.bind(env, network, tracer)
     echo_endpoint = Endpoint("stress", "echo")
     echo_box = network.bind(echo_endpoint)
 
@@ -340,13 +330,12 @@ def _run_telemetry_stress(seed: int) -> Profile:
     )
 
 
-#: kernel_scale workload shape (~2 × 10⁵ events in each configuration):
-#: synchronized client bursts at one ingest service over a slow WAN
-#: link — with latency five wave periods deep, the reference kernel
-#: holds ``5 × clients`` per-message delivery events in flight while
-#: slotted delivery holds five slots — plus timer churn with
-#: far-future watchdogs (compaction) and far-beyond-horizon sentinels
-#: that fire into a near-empty queue.
+#: kernel_scale workload shape (~2.5 × 10⁵ events): synchronized client
+#: bursts at one ingest service over a slow WAN link — with latency
+#: five wave periods deep the kernel holds ``5 × clients`` delivery
+#: events in flight — plus timer churn with far-future watchdogs
+#: (compaction) and far-beyond-horizon sentinels that fire into a
+#: near-empty queue.
 _SCALE_CLIENTS = 400
 _SCALE_WAVES = 200
 _SCALE_PERIOD = 1.0
@@ -357,20 +346,23 @@ _SCALE_WATCHDOG = 50_000.0
 _SCALE_SENTINEL_BASE = 1_000_000.0
 
 
-class _TraceSignature(Probe):
-    """Order-sensitive digest of the simulation-visible event trace.
+class EventStreamDigest(Probe):
+    """Order-sensitive digest of the simulation-visible event stream.
 
-    Hashes every processed-event timestamp and every network
+    Hashes every kernel schedule and step and every network
     send/deliver/drop in order, so two runs have equal digests exactly
-    when their kernels dispatched the same events at the same times and
-    the network moved the same messages in the same order —
-    byte-identity checked in O(1) memory at 10⁵-event scale.
+    when their kernels queued and dispatched the same events at the
+    same times and the network moved the same messages in the same
+    order — byte-identity checked in O(1) memory at 10⁵-event scale.
     """
 
     def __init__(self) -> None:
         import hashlib
 
         self._digest = hashlib.sha256()
+
+    def on_schedule(self, when: float, queue_size: int) -> None:
+        self._digest.update(struct.pack("<dq", when, queue_size))
 
     def on_step(self, now: float) -> None:
         self._digest.update(struct.pack("<d", now))
@@ -392,8 +384,8 @@ class _TraceSignature(Probe):
         return self._digest.hexdigest()
 
 
-def _kernel_scale_run(seed: int, slotted: bool = False):
-    """Run one kernel_scale configuration; returns (env, network, counters, phase_end).
+def _run_kernel_scale(seed: int) -> Profile:
+    """The kernel at ~2.5·10⁵ events: the queue-depth yardstick.
 
     Three concurrent phases, all deterministic (no RNG; ``seed`` only
     stamps metadata):
@@ -401,30 +393,30 @@ def _kernel_scale_run(seed: int, slotted: bool = False):
     * **burst storm** — ``_SCALE_CLIENTS`` clients fire a report at one
       ingest service at exactly the same instant every
       ``_SCALE_PERIOD`` seconds, for ``_SCALE_WAVES`` waves, across a
-      WAN link ``_SCALE_LATENCY / _SCALE_PERIOD`` wave periods deep.
-      The same-deadline fan-in is where slotted delivery collapses N
-      in-flight delivery events into one slot per wave, and the
-      same-instant ingest resumptions are where same-timestamp runs
-      dominate dispatch.
+      WAN link ``_SCALE_LATENCY / _SCALE_PERIOD`` wave periods deep:
+      same-deadline fan-in, and same-instant ingest resumptions
+      dominating dispatch.
     * **timer churn** — workers repeatedly arm a far-future watchdog
       and retire it after a short round, flooding the queue with
       cancelled entries that compaction must reclaim.
     * **sentinels** — a handful of events scheduled ~10⁴ bucket-years
       past the workload horizon; most are retired, the last two fire
       into a near-empty queue.
+
+    The baseline pins the op counters and the heap's own gauges
+    (``queue.heap.*``).
     """
     from repro.net.address import Endpoint
     from repro.net.message import Message
     from repro.net.network import LatencyModel, Network
     from repro.prof.counters import OpCounters
     from repro.simcore.environment import Environment
+    from repro.simcore.tracing import Tracer
 
     env = Environment()
+    network = Network(env, LatencyModel(base=_SCALE_LATENCY))
     counters = OpCounters()
-    env.probe = counters
-    network = Network(
-        env, LatencyModel(base=_SCALE_LATENCY), slotted=slotted
-    )
+    counters.bind(env, network)
     network.add_host("edge")
     network.add_host("core")
     ingest_endpoint = Endpoint("core", "ingest").intern()
@@ -438,8 +430,7 @@ def _kernel_scale_run(seed: int, slotted: bool = False):
 
     def burst_client(env, endpoint, idx):
         for wave in range(_SCALE_WAVES):
-            # Every client fires at exactly wave * period: maximal
-            # same-deadline coalescing into one delivery slot.
+            # Every client fires at exactly wave * period.
             yield env.timeout(wave * _SCALE_PERIOD - env.now)
             network.send(Message(
                 src=endpoint, dst=ingest_endpoint,
@@ -474,48 +465,10 @@ def _kernel_scale_run(seed: int, slotted: bool = False):
     env.process(sentinel(env), name="sentinel")
 
     env.run()
-    return env, network, counters, phase_end
 
-
-def _run_kernel_scale(seed: int) -> Profile:
-    """The kernel at ~2·10⁵ events: the slotted-delivery proof gate.
-
-    Runs the workload twice —
-
-    1. **reference**: per-message delivery (reported under
-       ``ref.sim.*``);
-    2. **slotted delivery** (the headline configuration, reported
-       under plain ``sim.*``);
-
-    and asserts the headline configuration beats the reference on
-    scheduled events and queue high-water before pinning both sides in
-    the baseline (``queue.heap.*`` / ``net.delivery_slots``).
-    """
-    from repro.simcore.tracing import Tracer
-
-    _ref_env, ref_net, ref_counters, _ = _kernel_scale_run(seed)
-    env, net, slotted_counters, phase_end = _kernel_scale_run(seed, slotted=True)
-
-    ref = ref_counters.snapshot()
-    counters = slotted_counters.snapshot()
-    if counters["sim.heap_high_water"] >= ref["sim.heap_high_water"]:
-        raise ReproError(
-            "kernel_scale: slotted delivery did not reduce the "
-            f"queue high-water mark ({counters['sim.heap_high_water']:g} vs "
-            f"reference {ref['sim.heap_high_water']:g})"
-        )
-    if counters["sim.events_scheduled"] >= ref["sim.events_scheduled"]:
-        raise ReproError(
-            "kernel_scale: slotted delivery did not reduce scheduled events "
-            f"({counters['sim.events_scheduled']:g} vs reference "
-            f"{ref['sim.events_scheduled']:g})"
-        )
-    for key, value in sorted(ref.items()):
-        counters[f"ref.{key}"] = value
+    snap = counters.snapshot()
     for key, value in sorted(env.queue.stats().items()):
-        counters[f"queue.heap.{key}"] = value
-    counters["net.delivery_slots"] = float(net.delivery_slots)
-    counters["ref.net.delivery_slots"] = float(ref_net.delivery_slots)
+        snap[f"queue.heap.{key}"] = value
 
     tracer = Tracer(env)
     root = tracer.record("kernel_scale", 0.0, env.now)
@@ -524,7 +477,7 @@ def _run_kernel_scale(seed: int) -> Profile:
     tracer.record("sentinel_rollover", 0.0, phase_end["sentinel"], parent=root)
     return profile_spans(
         tracer.spans,
-        counters=counters,
+        counters=snap,
         meta=_meta("kernel_scale", seed),
     )
 
@@ -565,11 +518,11 @@ def _memory_stress_run(seed: int, bounded: bool, probes: Sequence = ()):
     dedup table is an LRU :class:`~repro.core.bounded.BoundedDict`, the
     session table adds a simulated-clock TTL, and ports are closed.  A
     :class:`~repro.core.bounded.RetainedCensus` over the tables and the
-    mailbox registry reports the retained high-water through the probe
-    seam after every handled request.  The workload draws no random
-    numbers and the dedup bound exceeds the retransmit window, so both
-    configurations produce byte-identical event traces — asserted via
-    :class:`_TraceSignature` in the scenario wrapper.
+    mailbox registry takes a census after every handled request.  The
+    workload draws no random numbers and the dedup bound exceeds the
+    retransmit window, so both configurations produce byte-identical
+    event traces — asserted via :class:`EventStreamDigest` in the
+    scenario wrapper.
     """
     from repro.core.bounded import BoundedDict, RetainedCensus
     from repro.net.address import Endpoint
@@ -578,14 +531,9 @@ def _memory_stress_run(seed: int, bounded: bool, probes: Sequence = ()):
     from repro.net.transport import Port
     from repro.prof.counters import OpCounters
     from repro.simcore.environment import Environment
-    from repro.simcore.probe import FanoutProbe
 
     env = Environment()
-    counters = OpCounters()
-    if probes:
-        env.probe = FanoutProbe([counters, *probes])
-    else:
-        env.probe = counters
+    attach(env, *probes)
     network = Network(env)
     network.add_host("edge")
     network.add_host("core")
@@ -604,10 +552,12 @@ def _memory_stress_run(seed: int, bounded: bool, probes: Sequence = ()):
     else:
         submissions = {}
         sessions = {}
-    census = RetainedCensus(env)
+    census = RetainedCensus()
     census.register(submissions)
     census.register(sessions)
     census.register(network._mailboxes)
+    counters = OpCounters()
+    counters.bind(env, network, census=census)
     phase_end = {"churn": 0.0}
 
     def frontdoor_server(env):
@@ -666,11 +616,11 @@ def _run_memory_stress(seed: int) -> Profile:
     """
     from repro.simcore.tracing import Tracer
 
-    ref_sig = _TraceSignature()
+    ref_sig = EventStreamDigest()
     _ref_env, ref_counters, _ref_dedup, _ = _memory_stress_run(
         seed, bounded=False, probes=(ref_sig,)
     )
-    sig = _TraceSignature()
+    sig = EventStreamDigest()
     env, counters, dedup, phase_end = _memory_stress_run(
         seed, bounded=True, probes=(sig,)
     )
@@ -711,10 +661,9 @@ def _run_blackbox_stress(seed: int) -> Profile:
 
     1. **bare**: no recorder, trace digest only;
     2. **recorded** (the headline): a :class:`~repro.obs.flightrec.
-       FlightRecorder` on both seams (probe fan-out and span sink) with
-       a predicate trigger tripping on every storm client's final pong
-       (40 trips against a dump cap of 8 — the suppression path runs at
-       event rate);
+       FlightRecorder` attached with a predicate trigger tripping on
+       every storm client's final pong (40 trips against a dump cap of
+       8 — the suppression path runs at event rate);
     3. **recorded again**, for the dump-byte identity check;
 
     and asserts (a) the recorded run's event stream is byte-identical
@@ -740,13 +689,13 @@ def _run_blackbox_stress(seed: int) -> Profile:
         recorder = FlightRecorder(
             triggers=(OnPredicate(message=final_pong, name="final_pong"),)
         )
-        sig = _TraceSignature()
+        sig = EventStreamDigest()
         tracer, counters = _kernel_stress_run(
-            seed, sink=recorder, trace_spans=True, probes=(recorder, sig)
+            seed, trace_spans=True, probes=(recorder, sig)
         )
         return recorder, sig, tracer, counters
 
-    bare_sig = _TraceSignature()
+    bare_sig = EventStreamDigest()
     _kernel_stress_run(seed, trace_spans=True, probes=(bare_sig,))
     recorder, sig, tracer, counters = recorded_run()
     recorder2, _sig2, _tracer2, _counters2 = recorded_run()
@@ -816,8 +765,8 @@ SCENARIOS: dict[str, Scenario] = {
         ),
         Scenario(
             "kernel_scale",
-            "burst storm + timer churn at ~2e5 events, per-message vs "
-            "slotted delivery: the queue high-water proof gate",
+            "burst storm + timer churn + far-future sentinels at ~2.5e5 "
+            "events: the queue-depth yardstick",
             _run_kernel_scale,
         ),
         Scenario(

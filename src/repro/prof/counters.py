@@ -3,11 +3,10 @@
 Wall-clock timings of a discrete-event simulator measure the host, not
 the code: the deterministic currency here is *op counts* — kernel
 events processed, peak event-heap depth, messages through the network.
-:class:`OpCounters` collects them through the
-:class:`~repro.simcore.probe.Probe` seam, so attaching it changes
-nothing about the run (no scheduled events, no RNG draws — the same
-observation-only contract as the verification recorder, and the two
-compose through :class:`~repro.simcore.probe.FanoutProbe`).
+The kernel, the network, a sinked tracer and a retained-object census
+each keep their own tallies; :class:`OpCounters` reads them when asked
+and files them under their profile counter names, so "attaching" it
+cannot change the run.
 
 Protocol-level op counts (RPC round-trips, retry attempts) already
 live in the metrics registry;
@@ -17,92 +16,69 @@ same profile section.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from repro.simcore.probe import Probe
+from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.message import Message
+    from repro.core.bounded import RetainedCensus
+    from repro.net.network import Network
+    from repro.simcore.environment import Environment
+    from repro.simcore.tracing import Tracer
 
 
-class OpCounters(Probe):
-    """Counts kernel and network operations; never perturbs the run."""
+class OpCounters:
+    """A run's kernel and network op counts, read off their owners."""
 
-    def __init__(self) -> None:
-        #: Events popped and executed by the kernel.
-        self.events_processed = 0
-        #: Events pushed onto the heap (includes later-cancelled ones).
-        self.events_scheduled = 0
-        #: Peak depth of the pending-event heap.
-        self.heap_high_water = 0
-        #: Messages entering / reaching / lost by the network.
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        #: Peak span/mark records held by a sinked tracer (0 when the
-        #: run used retain-all tracing, which does not self-meter).
-        self.spans_retained_high_water = 0
-        #: Peak entries across census-registered long-lived collections
-        #: (0 when the run takes no RetainedCensus observations).
-        self.retained_high_water = 0
+    env: "Optional[Environment]" = None
+    network: "Optional[Network]" = None
+    tracer: "Optional[Tracer]" = None
+    census: "Optional[RetainedCensus]" = None
 
-    # -- probe hooks -------------------------------------------------------
-
-    def on_schedule(self, when: float, queue_size: int) -> None:
-        self.events_scheduled += 1
-        if queue_size > self.heap_high_water:
-            self.heap_high_water = queue_size
-
-    def on_step(self, now: float) -> None:
-        self.events_processed += 1
-
-    def on_send(self, message: "Message") -> None:
-        self.messages_sent += 1
-
-    def on_deliver(self, message: "Message") -> None:
-        self.messages_delivered += 1
-
-    def on_drop(self, message: "Message", reason: str) -> None:
-        self.messages_dropped += 1
-
-    def on_spans_retained(self, count: int) -> None:
-        if count > self.spans_retained_high_water:
-            self.spans_retained_high_water = count
-
-    def on_retained(self, count: int) -> None:
-        if count > self.retained_high_water:
-            self.retained_high_water = count
-
-    # -- export ------------------------------------------------------------
+    def bind(
+        self,
+        env: "Environment",
+        network: "Optional[Network]" = None,
+        tracer: "Optional[Tracer]" = None,
+        census: "Optional[RetainedCensus]" = None,
+    ) -> None:
+        """Name the run to read: its kernel, and whichever of the
+        network, tracer and census it has."""
+        self.env = env
+        self.network = network
+        self.tracer = tracer
+        self.census = census
 
     def snapshot(self) -> dict[str, float]:
         """The counts under their profile counter names.
 
-        ``obs.spans_retained_high_water`` appears only when a sinked
-        tracer actually reported (retain-all runs never do), and
-        ``mem.retained_high_water`` only when a RetainedCensus did,
-        keeping the snapshots of every pre-existing scenario
+        ``obs.spans_retained_high_water`` appears only when the tracer
+        metered itself (a sinked tracer; retain-all runs never do), and
+        ``mem.retained_high_water`` only when a census took
+        observations, keeping the snapshots of every other scenario
         byte-stable.
         """
-        snap = {
-            "sim.events_processed": float(self.events_processed),
-            "sim.events_scheduled": float(self.events_scheduled),
-            "sim.heap_high_water": float(self.heap_high_water),
-            "sim.messages_sent": float(self.messages_sent),
-            "sim.messages_delivered": float(self.messages_delivered),
-            "sim.messages_dropped": float(self.messages_dropped),
-        }
-        if self.spans_retained_high_water:
-            snap["obs.spans_retained_high_water"] = float(
-                self.spans_retained_high_water
-            )
-        if self.retained_high_water:
-            snap["mem.retained_high_water"] = float(self.retained_high_water)
-        return snap
-
-    def __repr__(self) -> str:
-        return (
-            f"<OpCounters events={self.events_processed} "
-            f"heap_hw={self.heap_high_water} "
-            f"delivered={self.messages_delivered}>"
+        if self.env is None:
+            raise ReproError("OpCounters.snapshot() before bind()")
+        queue = self.env.queue.stats()
+        network, tracer, census = self.network, self.tracer, self.census
+        sent, delivered, dropped = (
+            (network.sent_count, network.delivered_count, network.dropped_count)
+            if network is not None
+            else (0, 0, 0)
         )
+        snap = {
+            "sim.events_processed": queue["pops"],
+            "sim.events_scheduled": queue["pushes"],
+            "sim.heap_high_water": queue["high_water"],
+            "sim.messages_sent": float(sent),
+            "sim.messages_delivered": float(delivered),
+            "sim.messages_dropped": float(dropped),
+        }
+        if tracer is not None and tracer.spans_retained_high_water:
+            snap["obs.spans_retained_high_water"] = float(
+                tracer.spans_retained_high_water
+            )
+        if census is not None and census.high_water:
+            snap["mem.retained_high_water"] = float(census.high_water)
+        return snap

@@ -13,13 +13,13 @@ A minimal, deterministic, generator-driven simulator in the SimPy style:
 
 ``__all__`` below is the kernel's stable public surface: the
 environment (which owns the one pending-event heap) and event types,
-the observer seam (:class:`Probe` / :class:`FanoutProbe`), tracing,
+the observer seam (:class:`Probe`, installed with :func:`attach`), tracing,
 resources, and seeded RNG streams.
 """
 
 from repro.simcore.environment import Environment, FOREVER
 from repro.simcore.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
-from repro.simcore.probe import FanoutProbe, Probe
+from repro.simcore.probe import FanoutProbe, Probe, attach
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.resources import Container, Resource, Store
 from repro.simcore.rng import RngRegistry, jittered
@@ -59,5 +59,6 @@ __all__ = [
     "Timeout",
     "TraceContext",
     "Tracer",
+    "attach",
     "jittered",
 ]

@@ -1,32 +1,32 @@
-"""The runtime-verification and profiling probe seam.
+"""The probe seam: the one interface through which a run is observed.
 
-A :class:`Probe` is the simulator's instrumentation interface: the
-kernel reports scheduled/processed events, the network reports message
-sends/deliveries/drops, and protocol components report named events and
-state accesses.  The default is *no probe* (``Environment.probe is
-None``) and every hook below is a cheap no-op, so instrumented code
-behaves identically whether or not a run is being observed — exactly
-the contract ``NullTracer`` gives observability.
+:class:`Probe`'s hooks are the simulator's whole event vocabulary (who
+announces and who subscribes to each is tabulated once, in
+docs/OBSERVABILITY.md).  The default is *no probe*
+(``Environment.probe is None``) and every hook is a no-op, so
+instrumented code behaves identically whether or not a run is being
+observed.  Probes must never schedule events or draw random numbers.
 
-Concrete probes live higher up: the vector-clock recorder in
-:mod:`repro.verify.recorder` and the machine-independent op counters in
-:mod:`repro.prof.counters`.  This module only defines the seam so that
-low-level packages (``net``, ``core``) never import those layers.
-Several observers can share one environment through
-:class:`FanoutProbe`.
+Concrete probes live higher up; this module only defines the seam so
+that low-level packages (``net``, ``core``) never import those layers.
+:func:`attach` installs any number of them on an environment.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
     from repro.simcore.environment import Environment
+    from repro.simcore.tracing import Mark, Span
 
 
 class Probe:
     """Base probe: every hook is a no-op.  Subclass and override."""
+
+    #: The environment being observed, set by :func:`attach`.
+    env: "Optional[Environment]" = None
 
     def on_schedule(self, when: float, queue_size: int) -> None:
         """An event was pushed onto the kernel heap (now ``queue_size`` deep)."""
@@ -54,88 +54,59 @@ class Probe:
     def register_locus(self, endpoint: str, locus: str) -> None:
         """Map an endpoint onto its owning locus of control."""
 
-    def on_spans_retained(self, count: int) -> None:
-        """The telemetry layer's held-record count reached a new peak.
+    def on_span_open(
+        self, trace_id: str, span_id: int, parent_id: Optional[int], name: str
+    ) -> None:
+        """A span was opened (ids are final; the end time is not known yet)."""
 
-        Reported by a sinked :class:`~repro.simcore.tracing.Tracer`
-        only when ``count`` exceeds every earlier value, so probes can
-        store it directly as a high-water mark.
-        """
+    def on_span_close(self, span: "Span") -> None:
+        """A span completed."""
 
-    def on_retained(self, count: int) -> None:
-        """A heap census's retained-object count reached a new peak.
+    def on_mark(self, mark: "Mark") -> None:
+        """A mark was recorded."""
 
-        Reported by a :class:`~repro.core.bounded.RetainedCensus` only
-        when ``count`` exceeds every earlier census, so probes can
-        store it directly as a high-water mark (the ``mem-*`` analogue
-        of :meth:`on_spans_retained`, one layer down: live *entries*
-        across registered long-lived collections rather than span
-        records).
-        """
+
+#: The event vocabulary, by hook name.  By contract every callable on
+#: :class:`Probe` is a hook (helpers belong at module level): each is
+#: fanned out by :class:`FanoutProbe`, and the names are pinned in
+#: tests/prof/test_counters.py.
+HOOKS = tuple(name for name, member in vars(Probe).items() if callable(member))
+
+
+def _fan_out(targets: list[Callable[..., None]]) -> Callable[..., None]:
+    def hook(*args: Any) -> None:
+        for target in targets:
+            target(*args)
+
+    return hook
 
 
 class FanoutProbe(Probe):
     """Dispatches every hook to several probes, in installation order.
 
-    Lets a run be verified *and* profiled at once: the builder composes
-    the verification recorder and the op counters into one fan-out when
-    both are requested.  Like any probe, fan-out is observation-only.
+    The forwarders are bound to the targets' methods at construction.
     """
 
     def __init__(self, probes: Iterable[Probe]) -> None:
         self.probes: tuple[Probe, ...] = tuple(probes)
-
-    def on_schedule(self, when: float, queue_size: int) -> None:
-        for probe in self.probes:
-            probe.on_schedule(when, queue_size)
-
-    def on_step(self, now: float) -> None:
-        for probe in self.probes:
-            probe.on_step(now)
-
-    def on_send(self, message: "Message") -> None:
-        for probe in self.probes:
-            probe.on_send(message)
-
-    def on_deliver(self, message: "Message") -> None:
-        for probe in self.probes:
-            probe.on_deliver(message)
-
-    def on_drop(self, message: "Message", reason: str) -> None:
-        for probe in self.probes:
-            probe.on_drop(message, reason)
-
-    def event(self, node: str, name: str, attrs: dict[str, Any]) -> None:
-        for probe in self.probes:
-            probe.event(node, name, attrs)
-
-    def access(
-        self, node: str, resource: str, mode: str, attrs: dict[str, Any]
-    ) -> None:
-        for probe in self.probes:
-            probe.access(node, resource, mode, attrs)
-
-    def register_locus(self, endpoint: str, locus: str) -> None:
-        for probe in self.probes:
-            probe.register_locus(endpoint, locus)
-
-    def on_spans_retained(self, count: int) -> None:
-        for probe in self.probes:
-            probe.on_spans_retained(count)
-
-    def on_retained(self, count: int) -> None:
-        for probe in self.probes:
-            probe.on_retained(count)
+        for name in HOOKS:
+            setattr(self, name, _fan_out([getattr(p, name) for p in self.probes]))
 
 
-def probe_of(env: "Environment") -> Optional[Probe]:
-    """The environment's installed probe, if any."""
-    return getattr(env, "probe", None)
+def attach(env: "Environment", *probes: Probe) -> None:
+    """Point ``probes`` at ``env`` and install them as its observers.
+
+    One probe is installed directly; several fan out in the order given.
+    """
+    for probe in probes:
+        probe.env = env
+    if probes:
+        env.probe = probes[0] if len(probes) == 1 else FanoutProbe(probes)
 
 
 def emit(env: "Environment", node: str, name: str, **attrs: Any) -> None:
     """Report a protocol event to the installed probe (no-op without one)."""
-    probe = getattr(env, "probe", None)
+    probe = env.probe
     if probe is not None:
         probe.event(node, name, attrs)
 
@@ -144,13 +115,13 @@ def record_access(
     env: "Environment", node: str, resource: str, mode: str, **attrs: Any
 ) -> None:
     """Report a state access to the installed probe (no-op without one)."""
-    probe = getattr(env, "probe", None)
+    probe = env.probe
     if probe is not None:
         probe.access(node, resource, mode, attrs)
 
 
 def register_locus(env: "Environment", endpoint: Any, locus: str) -> None:
     """Tie ``endpoint`` to ``locus`` in the installed probe, if any."""
-    probe = getattr(env, "probe", None)
+    probe = env.probe
     if probe is not None:
         probe.register_locus(str(endpoint), locus)

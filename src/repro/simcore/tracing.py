@@ -15,15 +15,18 @@ context is passed as a value (and rides on network messages as
 never module-level ones, so a run executed in isolation produces the
 same ids as the same run executed after another.
 
+Every span open, span close and mark is announced on the environment's
+probe (:mod:`repro.simcore.probe`), like kernel and network events.
+
 By default a tracer *retains* every completed span and mark in memory
-— the right thing at paper scale, unbounded at 10⁵–10⁶ events.  The
-:class:`SpanSink` seam streams records out instead: a sink observes
-every completion and decides whether the tracer keeps the object
-(sampling, aggregation, and incremental export live in
-:mod:`repro.obs.streaming`).  With a sink attached the tracer also
-meters itself — ``obs.spans_{recorded,retained,dropped}`` on its
-metrics registry plus an ``on_spans_retained`` probe notification — so
-telemetry memory is a gated quantity, not a silent cost.
+— the right thing at paper scale, unbounded at 10⁵–10⁶ events.  A
+:class:`SpanSink` decides retention instead: it sees every completion
+and says whether the tracer keeps the object (sampling, aggregation,
+and incremental export live in :mod:`repro.obs.streaming`).  With a
+sink attached the tracer also meters itself —
+``obs.spans_{recorded,retained,dropped}`` on its metrics registry and
+:attr:`Tracer.spans_retained_high_water` — so telemetry memory is a
+gated quantity, not a silent cost.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ Parent = Union[TraceContext, Span, "_OpenSpan", None]
 
 
 class SpanSink:
-    """Observer of span/mark completions on a :class:`Tracer`.
+    """Decides what a :class:`Tracer` retains (one sink per tracer).
 
     Every hook is a cheap no-op in the base class; subclasses override
     what they need.  ``on_span``/``on_mark`` return whether the tracer
@@ -118,7 +121,8 @@ class SpanSink:
     (report :meth:`retained` so the tracer's self-metering stays
     honest).  Sinks must never schedule events or draw random numbers:
     like probes, they are observation-only, and a sinked run's
-    simulation is byte-identical to a bare one.
+    simulation is byte-identical to a bare one.  An observer that only
+    watches spans go by is a probe, not a sink.
     """
 
     def on_span_start(
@@ -218,9 +222,8 @@ class Tracer:
     :class:`SpanSink` attached, completions are routed through the sink
     (which may stream them out instead of retaining them) and the
     tracer meters itself: ``obs.spans_recorded_total`` /
-    ``obs.spans_dropped_total`` counters, an ``obs.spans_retained``
-    gauge (whose high-water mark bounds telemetry memory), and an
-    ``on_spans_retained`` notification to the environment's probe.
+    ``obs.spans_dropped_total`` counters and an ``obs.spans_retained``
+    gauge, whose peak is :attr:`spans_retained_high_water`.
     """
 
     def __init__(self, env: "Environment", sink: Optional[SpanSink] = None) -> None:
@@ -273,8 +276,7 @@ class Tracer:
         """
         trace_id, parent_id = self._resolve_parent(parent)
         span_id = next(self._span_ids)
-        if self.sink is not None:
-            self.sink.on_span_start(trace_id, span_id, parent_id, name)
+        self._announce_open(trace_id, span_id, parent_id, name)
         return _OpenSpan(self, name, attrs, trace_id, span_id, parent_id)
 
     def record(
@@ -288,8 +290,7 @@ class Tracer:
         """Record a completed span directly."""
         trace_id, parent_id = self._resolve_parent(parent)
         span_id = next(self._span_ids)
-        if self.sink is not None:
-            self.sink.on_span_start(trace_id, span_id, parent_id, name)
+        self._announce_open(trace_id, span_id, parent_id, name)
         span = Span(
             name, start, end, attrs,
             trace_id=trace_id,
@@ -306,6 +307,9 @@ class Tracer:
         if parent is not None:
             trace_id, parent_id = self._resolve_parent(parent)
         mark = Mark(name, self.env.now, attrs, trace_id=trace_id, parent_id=parent_id)
+        probe = self.env.probe
+        if probe is not None:
+            probe.on_mark(mark)
         sink = self.sink
         if sink is None:
             self.marks.append(mark)
@@ -318,8 +322,20 @@ class Tracer:
 
     # -- emission ----------------------------------------------------------
 
+    def _announce_open(
+        self, trace_id: str, span_id: int, parent_id: Optional[int], name: str
+    ) -> None:
+        probe = self.env.probe
+        if probe is not None:
+            probe.on_span_open(trace_id, span_id, parent_id, name)
+        if self.sink is not None:
+            self.sink.on_span_start(trace_id, span_id, parent_id, name)
+
     def _emit_span(self, span: Span) -> None:
-        """Route a completed span through the sink (or just retain it)."""
+        """Announce a completed span, then retain it unless the sink declines."""
+        probe = self.env.probe
+        if probe is not None:
+            probe.on_span_close(span)
         sink = self.sink
         if sink is None:
             self.spans.append(span)
@@ -356,9 +372,6 @@ class Tracer:
         self._meter_retained.set(float(held))
         if held > self.spans_retained_high_water:
             self.spans_retained_high_water = held
-            probe = getattr(self.env, "probe", None)
-            if probe is not None:
-                probe.on_spans_retained(held)
 
     def close(self) -> None:
         """Flush the attached sink, if any (safe to call repeatedly)."""

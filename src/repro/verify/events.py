@@ -76,6 +76,13 @@ class EventLog:
     def __init__(self, events: list[ProtoEvent]) -> None:
         self.events = events
         self._by_seq: dict[int, ProtoEvent] = {e.seq: e for e in events}
+        # Monitors query by name and by kind once per request; both
+        # indexes keep log order.
+        self._by_name: dict[str, list[ProtoEvent]] = {}
+        self._by_kind: dict[str, list[ProtoEvent]] = {}
+        for e in events:
+            self._by_name.setdefault(e.name, []).append(e)
+            self._by_kind.setdefault(e.kind, []).append(e)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -92,14 +99,13 @@ class EventLog:
         """Events with the given name (and kind / attr filter)."""
         return [
             e
-            for e in self.events
-            if e.name == name
-            and (kind is None or e.kind == kind)
+            for e in self._by_name.get(name, ())
+            if (kind is None or e.kind == kind)
             and all(e.attrs.get(k) == v for k, v in attrs.items())
         ]
 
     def of_kind(self, kind: str) -> list[ProtoEvent]:
-        return [e for e in self.events if e.kind == kind]
+        return list(self._by_kind.get(kind, ()))
 
     def accesses(self) -> list[ProtoEvent]:
         return self.of_kind(ACCESS)

@@ -353,14 +353,13 @@ class EventQueueMonitor(Monitor):
     def _stalled_commits(
         self, log: EventLog, ctx: RunContext
     ) -> Iterator[Finding]:
+        #: Node -> seq of its latest settling state.
+        last_settled: dict[str, int] = {}
+        for e in log.named("duroc.state", kind=EVENT):
+            if e.attrs.get("state") in self._SETTLED:
+                last_settled[e.node] = max(last_settled.get(e.node, 0), e.seq)
         for committing in log.named("duroc.state", kind=EVENT, state="committing"):
-            settled = any(
-                later.node == committing.node
-                and later.seq > committing.seq
-                and later.attrs.get("state") in self._SETTLED
-                for later in log.named("duroc.state", kind=EVENT)
-            )
-            if not settled:
+            if last_settled.get(committing.node, 0) <= committing.seq:
                 yield self.finding(
                     ctx, log, committing, "dl-commit-stalled",
                     f"request on {committing.node} entered COMMITTING "

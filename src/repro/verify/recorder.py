@@ -39,7 +39,6 @@ from repro.verify.vclock import VClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
-    from repro.simcore.environment import Environment
 
 #: Payload fields worth keeping on message events (scalars only).
 _SCALAR_TYPES = (str, int, float, bool)
@@ -63,18 +62,11 @@ class Recorder(Probe):
 
     def __init__(self) -> None:
         self.events: list[ProtoEvent] = []
-        self.env: "Optional[Environment]" = None
         self._clocks: dict[str, VClock] = {}
         self._locus: dict[str, str] = {}
         self._last_on_node: dict[str, int] = {}
         self._send_seq: dict[int, int] = {}
         self._deliveries: dict[int, int] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    def bind(self, env: "Environment") -> None:
-        """Attach to an environment (one recorder observes one run)."""
-        self.env = env
 
     def register_locus(self, endpoint: str, locus: str) -> None:
         self._locus[endpoint] = locus

@@ -260,22 +260,8 @@ def test_set_membership_is_a_pure_probe():
 # -- RetainedCensus -----------------------------------------------------------
 
 
-class _PeakProbe:
-    def __init__(self) -> None:
-        self.reported: list[int] = []
-
-    def on_retained(self, count: int) -> None:
-        self.reported.append(count)
-
-
-class _Env:
-    def __init__(self, probe) -> None:
-        self.probe = probe
-
-
 def test_census_reports_only_new_peaks():
-    probe = _PeakProbe()
-    census = RetainedCensus(_Env(probe))
+    census = RetainedCensus()
     table: dict = {}
     census.register(table)
     extra = census.register(set())
@@ -283,10 +269,10 @@ def test_census_reports_only_new_peaks():
     table["a"] = 1
     assert census.observe() == 1
     table.pop("a")
-    assert census.observe() == 0  # below the peak: not reported
+    assert census.observe() == 0  # below the peak
+    assert census.high_water == 1
     table["a"] = 1
-    assert census.observe() == 1  # ties the peak: not reported
     table["b"] = 2
+    assert census.high_water == 1  # peaks move only when observed
     assert census.observe() == 2
-    assert probe.reported == [1, 2]
     assert census.high_water == 2

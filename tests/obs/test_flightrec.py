@@ -4,8 +4,8 @@ The contract gated here (and re-asserted at stress scale by the
 ``blackbox_stress`` benchmark):
 
 * rings evict deterministically, oldest first, in O(capacity) memory;
-* the recorder observes every category through both seams (probe and
-  span sink) when attached via ``GridBuilder.with_probe``;
+* the recorder observes every category, spans included, as a plain
+  probe attached via ``GridBuilder.with_probe``;
 * triggers freeze-and-dump on the platform's failure signals, and the
   dump bytes are a pure function of the observed stream;
 * recording never perturbs the run (observation-only).
@@ -15,8 +15,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.framework import Finding, Severity
+from repro.core.bounded import RetainedCensus
 from repro.errors import ReproError
 from repro.faults import HostCrash
 from repro.gridenv import GridBuilder
@@ -31,8 +34,9 @@ from repro.obs.flightrec import (
     dump_json,
     write_dump,
 )
-from repro.prof.bench import _TraceSignature
+from repro.prof.bench import EventStreamDigest
 from repro.simcore.environment import Environment
+from repro.simcore.probe import attach
 from repro.verify.monitors import Monitor
 from repro.verify.recorder import Recorder
 from repro.verify.runner import verify_recorder
@@ -127,7 +131,7 @@ class TestRecorderOnGrid:
 
     def test_observation_only(self):
         def run(extra_probes):
-            sig = _TraceSignature()
+            sig = EventStreamDigest()
             grid = (
                 GridBuilder(seed=11)
                 .add_machine("RM1", nodes=8)
@@ -149,6 +153,78 @@ class TestRecorderOnGrid:
             grid.run(until=3.0)
             texts.append(dump_json(recorder.dumps[0]))
         assert texts[0] == texts[1]
+
+
+class TestRetainedHighWater:
+    """The O(1) derived peak against a per-record census of the same tables."""
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("step"), st.floats(0, 10, allow_nan=False)),
+            st.tuples(st.just("schedule"), st.floats(0, 10, allow_nan=False)),
+            st.tuples(st.just("send"), st.integers(0, 40)),
+            st.tuples(st.just("deliver"), st.integers(0, 40)),
+            st.tuples(st.just("event"), st.sampled_from(["quiet", "fault.apply"])),
+            st.tuples(st.just("access"), st.just(None)),
+            st.tuples(st.just("span"), st.just(None)),
+            st.tuples(st.just("mark"), st.just(None)),
+            st.tuples(st.just("trip"), st.just(None)),
+            st.tuples(st.just("freeze"), st.booleans()),
+            st.tuples(st.just("reset"), st.just(None)),
+        ),
+        max_size=120,
+    )
+
+    @staticmethod
+    def _apply(recorder, op, arg):
+        from repro.net.address import Endpoint
+        from repro.net.message import Message
+        from repro.simcore.tracing import Mark, Span
+
+        if op == "step":
+            recorder.on_step(arg)
+        elif op == "schedule":
+            recorder.on_schedule(arg, 1)
+        elif op in ("send", "deliver"):
+            message = Message(
+                src=Endpoint("a", "x"), dst=Endpoint("b", "y"), kind="k",
+                msg_id=arg,
+            )
+            getattr(recorder, f"on_{op}")(message)
+        elif op == "event":
+            recorder.event("n", arg, {"fault": "HostCrash"})
+        elif op == "access":
+            recorder.access("n", "table", "w", {})
+        elif op == "span":
+            recorder.on_span_open("trace-1", 1, None, "s")
+            recorder.on_span_close(Span("s", 0.0, 1.0, trace_id="trace-1", span_id=1))
+        elif op == "mark":
+            recorder.on_mark(Mark("m", 0.0))
+        elif op == "trip":
+            recorder.trip("manual")
+        elif op == "freeze":
+            recorder.freeze() if arg else recorder.resume()
+        else:
+            recorder.reset()
+
+    @given(ops=OPS, capacity=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_derived_peak_equals_census_oracle(self, ops, capacity):
+        recorder = FlightRecorder(capacity=capacity, max_dumps=1000)
+        census = RetainedCensus()
+        census.register_all(recorder.rings.values())
+        census.register(recorder._msg_local)
+        dumped = 0
+        for op, arg in ops:
+            self._apply(recorder, op, arg)
+            census.observe()
+            assert recorder.retained() == census.retained()
+            assert recorder.retained_high_water == census.high_water
+            for dump in recorder.dumps[dumped:]:
+                # A dump carries the peak as of its own trip.
+                assert dump["retained_high_water"] == census.high_water
+            dumped = len(recorder.dumps) if op != "reset" else 0
+        assert recorder.retained_high_water <= 8 * capacity
 
 
 class TestTriggers:
@@ -213,8 +289,7 @@ class TestTriggers:
     def test_unhandled_process_failure(self):
         recorder = FlightRecorder()
         env = Environment()
-        recorder.bind(env)
-        env.probe = recorder
+        attach(env, recorder)
 
         def exploder(env):
             yield env.timeout(0.1)
@@ -340,8 +415,7 @@ class TestTimelineFilters:
     def test_window_restricts_to_trigger_horizon(self):
         recorder = FlightRecorder()
         env = Environment()
-        recorder.bind(env)
-        env.probe = recorder
+        attach(env, recorder)
 
         def emitter(env):
             recorder.event("n", "early", {})

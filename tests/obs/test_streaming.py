@@ -267,7 +267,7 @@ class TestPipelineMetering:
             trace_spans=True,
         )
         assert (
-            counters.spans_retained_high_water
+            counters.snapshot()["obs.spans_retained_high_water"]
             == tracer.spans_retained_high_water
             == len(tracer.spans)
         )

@@ -1,17 +1,66 @@
-"""Unit tests for op counters and the probe fan-out seam."""
+"""Unit tests for op counters and the probe fan-out seam.
 
+``OpCounters`` reads tallies their owners keep; the per-event
+:class:`TallyProbe` below counts the same facts independently, hook by
+hook, and is the oracle the pulled numbers are checked against here and
+in ``test_counters_oracle.py``.
+"""
+
+import inspect
+
+import pytest
+
+from repro.errors import ReproError
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.prof.counters import OpCounters
 from repro.simcore.environment import Environment
-from repro.simcore.probe import FanoutProbe, Probe
+from repro.simcore.probe import HOOKS, FanoutProbe, Probe, attach
 
 
-def run_timeouts(probe, n=5):
+class TallyProbe(Probe):
+    """Counts kernel and network operations one hook call at a time."""
+
+    def __init__(self):
+        self.events_processed = 0
+        self.events_scheduled = 0
+        self.heap_high_water = 0
+        self.messages_sent = 0
+        self.messages_delivered = 0
+        self.messages_dropped = 0
+
+    def on_schedule(self, when, queue_size):
+        self.events_scheduled += 1
+        self.heap_high_water = max(self.heap_high_water, queue_size)
+
+    def on_step(self, now):
+        self.events_processed += 1
+
+    def on_send(self, message):
+        self.messages_sent += 1
+
+    def on_deliver(self, message):
+        self.messages_delivered += 1
+
+    def on_drop(self, message, reason):
+        self.messages_dropped += 1
+
+    def snapshot(self):
+        return {
+            "sim.events_processed": float(self.events_processed),
+            "sim.events_scheduled": float(self.events_scheduled),
+            "sim.heap_high_water": float(self.heap_high_water),
+            "sim.messages_sent": float(self.messages_sent),
+            "sim.messages_delivered": float(self.messages_delivered),
+            "sim.messages_dropped": float(self.messages_dropped),
+        }
+
+
+def run_timeouts(*probes, n=5):
     env = Environment()
-    env.probe = probe
+    attach(env, *probes)
 
     def proc(env):
         for _ in range(n):
@@ -21,17 +70,24 @@ def run_timeouts(probe, n=5):
     return env
 
 
+def counters_of(env, network=None):
+    counters = OpCounters()
+    counters.bind(env, network)
+    return counters
+
+
 class TestOpCounters:
     def test_kernel_events_counted(self):
-        counters = OpCounters()
-        run_timeouts(counters, n=5)
-        assert counters.events_processed > 0
-        assert counters.events_scheduled >= counters.heap_high_water > 0
+        snap = counters_of(run_timeouts(n=5)).snapshot()
+        assert snap["sim.events_processed"] > 0
+        assert snap["sim.events_scheduled"] >= snap["sim.heap_high_water"] > 0
+
+    def test_snapshot_before_bind_is_an_error(self):
+        with pytest.raises(ReproError, match="before bind"):
+            OpCounters().snapshot()
 
     def test_network_messages_counted(self):
-        counters = OpCounters()
         env = Environment()
-        env.probe = counters
         network = Network(env)
         network.add_host("a")
         dst = Endpoint("a", "inbox")
@@ -41,14 +97,13 @@ class TestOpCounters:
                 Message(src=Endpoint("a", "out"), dst=dst, kind="ping", payload=i)
             )
         env.run()
-        assert counters.messages_sent == 3
-        assert counters.messages_delivered == 3
-        assert counters.messages_dropped == 0
+        snap = counters_of(env, network).snapshot()
+        assert snap["sim.messages_sent"] == 3
+        assert snap["sim.messages_delivered"] == 3
+        assert snap["sim.messages_dropped"] == 0
 
     def test_snapshot_keys_and_types(self):
-        counters = OpCounters()
-        run_timeouts(counters, n=2)
-        snap = counters.snapshot()
+        snap = counters_of(run_timeouts(n=2)).snapshot()
         assert set(snap) == {
             "sim.events_processed",
             "sim.events_scheduled",
@@ -87,7 +142,8 @@ class TestOpCounters:
         ]
         assert plain.now == profiled.now
         assert profiled.counters is not None
-        assert profiled.counters.events_processed > 0
+        assert profiled.counters.snapshot()["sim.events_processed"] > 0
+        assert profiled.env.probe is None  # counters hear nothing
         assert plain.counters is None
 
 
@@ -128,9 +184,125 @@ class TestFanoutProbe:
             ("a", "drop"), ("b", "drop"),
         ]
 
+    def test_vocabulary_is_pinned(self):
+        # HOOKS is introspected off Probe; a callable added there that
+        # is not an event hook would be fanned out silently.
+        assert set(HOOKS) == {
+            "on_schedule", "on_step", "on_send", "on_deliver", "on_drop",
+            "event", "access", "register_locus",
+            "on_span_open", "on_span_close", "on_mark",
+        }
+
+    def test_forwards_the_whole_vocabulary(self):
+        # Every hook Probe declares reaches every fanned-out probe with
+        # its arguments intact — including hooks added after this test.
+        heard = []
+
+        class Listener(Probe):
+            pass
+
+        def listen(name):
+            return lambda self, *args: heard.append((name, args))
+
+        sent = []
+        for name in HOOKS:
+            setattr(Listener, name, listen(name))
+            arity = len(inspect.signature(getattr(Probe, name)).parameters) - 1
+            sent.append((name, tuple(range(arity))))
+        fan = FanoutProbe([Listener(), Listener()])
+        for name, args in sent:
+            getattr(fan, name)(*args)
+        assert heard == [call for call in sent for _ in range(2)]
+
     def test_fanout_counts_match_solo_counts(self):
-        solo = OpCounters()
-        run_timeouts(solo, n=4)
-        first, second = OpCounters(), OpCounters()
-        run_timeouts(FanoutProbe([first, second]), n=4)
+        solo = TallyProbe()
+        env = run_timeouts(solo, n=4)
+        first, second = TallyProbe(), TallyProbe()
+        run_timeouts(first, second, n=4)
         assert first.snapshot() == second.snapshot() == solo.snapshot()
+        assert solo.snapshot() == counters_of(env).snapshot()
+
+
+class TestPulledEqualsTallied:
+    """``OpCounters.snapshot()`` against the per-event oracle, to the digit."""
+
+    def test_figure1_with_every_observer_attached(self, tmp_path):
+        from repro.obs.flightrec import FlightRecorder
+        from repro.obs.streaming import (
+            AggregatingSink,
+            JsonlStreamSink,
+            TelemetryPipeline,
+        )
+        from repro.prof.bench import _coallocate, _figure1_request
+
+        tally = TallyProbe()
+        pipeline = TelemetryPipeline(
+            aggregator=AggregatingSink(),
+            exporter=JsonlStreamSink(tmp_path / "stream.jsonl", buffer_size=8),
+        )
+        grid = (
+            GridBuilder(seed=42)
+            .add_machine("RM1", nodes=16)
+            .add_machine("RM2", nodes=64)
+            .add_machine("RM3", nodes=64)
+            .with_monitors()
+            .with_profiling()
+            .with_probe(FlightRecorder(), tally)
+            .with_span_sink(pipeline)
+            .build()
+        )
+        _coallocate(grid, _figure1_request(grid))
+        grid.tracer.close()
+        snap = grid.counters.snapshot()
+        # The sinked tracer metered itself; nothing else adds a key.
+        assert snap.pop("obs.spans_retained_high_water") == (
+            grid.tracer.spans_retained_high_water
+        ) > 0
+        assert snap == tally.snapshot()
+        assert snap["sim.messages_sent"] > 0
+
+    @pytest.mark.parametrize("compact_cancelled", [True, False])
+    def test_kernel_stress_with_and_without_compaction(self, compact_cancelled):
+        from repro.prof.bench import _kernel_stress_run
+
+        tally = TallyProbe()
+        _, counters = _kernel_stress_run(
+            42, compact_cancelled=compact_cancelled, probes=(tally,)
+        )
+        assert counters.snapshot() == tally.snapshot()
+
+    def test_drop_rules_and_a_crashed_host(self):
+        tally = TallyProbe()
+        env = Environment()
+        attach(env, tally)
+        network = Network(env)
+        for host in ("a", "b", "c"):
+            network.add_host(host)
+        inboxes = {h: Endpoint(h, "inbox") for h in ("a", "b", "c")}
+        for endpoint in inboxes.values():
+            network.bind(endpoint)
+        network.add_drop_rule(lambda message: message.payload % 5 == 0)
+
+        def traffic(env):
+            for i in range(40):
+                dst = inboxes["abc"[i % 3]]
+                network.send(
+                    Message(src=Endpoint("a", "out"), dst=dst, kind="ping", payload=i)
+                )
+                # Sent while "c" is still up, lost in flight.
+                if i == 20:
+                    network.crash_host("c")
+                yield env.timeout(0.001)
+            network.send(Message(
+                src=Endpoint("a", "out"), dst=Endpoint("b", "nobody"),
+                kind="ping", payload=1,
+            ))
+
+        env.run(env.process(traffic(env)))
+        env.run()
+        snap = counters_of(env, network).snapshot()
+        assert snap == tally.snapshot()
+        assert snap["sim.messages_dropped"] > 8  # rule + unreachable + unbound
+        assert snap["sim.messages_sent"] == (
+            snap["sim.messages_delivered"] + snap["sim.messages_dropped"]
+        )

@@ -7,11 +7,13 @@ from repro.simcore import (
     Environment,
     Mark,
     NullTracer,
+    Probe,
     RngRegistry,
     Span,
     SpanSink,
     TraceContext,
     Tracer,
+    attach,
     jittered,
 )
 
@@ -192,19 +194,35 @@ class TestSpanSink:
         assert tracer.spans_retained_high_water == 2
         assert metrics.gauge("obs.spans_retained").high_water() == 2
 
-    def test_high_water_reported_to_probe(self, env):
-        peaks = []
+    def test_probe_hears_open_close_and_mark(self, env):
+        # Spans are announced on the probe seam with or without a sink,
+        # before the sink decides retention.
+        heard = []
 
-        class Peak:
-            def on_spans_retained(self, count):
-                peaks.append(count)
+        class Listener(Probe):
+            def on_span_open(self, trace_id, span_id, parent_id, name):
+                heard.append(("open", name, span_id, parent_id))
 
-        env.probe = Peak()
-        tracer = Tracer(env, sink=SpanSink())  # base sink retains all
-        tracer.record("x", 0, 1)
-        tracer.record("y", 1, 2)
-        assert peaks == [1, 2]
-        assert tracer.spans_retained_high_water == 2
+            def on_span_close(self, span):
+                heard.append(("close", span.name, span.span_id, span.parent_id))
+
+            def on_mark(self, mark):
+                heard.append(("mark", mark.name, None, mark.parent_id))
+
+        attach(env, Listener())
+        for sink in (None, _CountingSink()):
+            del heard[:]
+            tracer = Tracer(env, sink=sink)
+            with tracer.span("a") as a:
+                tracer.record("b", 0.0, 0.0, parent=a)
+                tracer.mark("m", parent=a)
+            assert heard == [
+                ("open", "a", 1, None),
+                ("open", "b", 2, 1),
+                ("close", "b", 2, 1),
+                ("mark", "m", None, 1),
+                ("close", "a", 1, None),
+            ]
 
     def test_close_flushes_sink(self, env):
         sink = _CountingSink()

@@ -85,7 +85,7 @@ class TestGridBuilder:
 
 
 class TestObserverSeam:
-    """`with_probe` is the one composition point for grid observers."""
+    """`with_probe` takes probes; the span sink and op counters are not probes."""
 
     def test_single_probe_attaches_directly(self):
         from repro.verify.recorder import Recorder
@@ -98,19 +98,24 @@ class TestObserverSeam:
         assert grid.recorder is recorder
 
     def test_multiple_probes_fan_out(self):
+        from repro.obs.flightrec import FlightRecorder
         from repro.prof.counters import OpCounters
         from repro.simcore import FanoutProbe
         from repro.verify.recorder import Recorder
 
-        recorder, counters = Recorder(), OpCounters()
+        recorder, flightrec, counters = Recorder(), FlightRecorder(), OpCounters()
         grid = (
             GridBuilder()
             .add_machine("m", nodes=4)
-            .with_probe(recorder, counters)
+            .with_probe(recorder, flightrec)
+            .with_profiling(counters)
             .build()
         )
         assert isinstance(grid.env.probe, FanoutProbe)
+        assert grid.env.probe.probes == (recorder, flightrec)
+        assert recorder.env is flightrec.env is grid.env
         assert grid.recorder is recorder
+        assert grid.flightrec is flightrec
         assert grid.counters is counters
 
     def test_legacy_methods_delegate(self):
@@ -130,35 +135,40 @@ class TestObserverSeam:
         from repro.simcore import SpanSink
 
         sink = SpanSink()
-        builder = GridBuilder().add_machine("m", nodes=4).with_probe(sink)
+        builder = GridBuilder().add_machine("m", nodes=4).with_span_sink(sink)
         grid = builder.build()
         assert grid.tracer.sink is sink
+        assert grid.env.probe is None
         # Re-adding the same sink is idempotent; a second, different
         # sink is a composition error.
-        builder.with_probe(sink)
+        builder.with_span_sink(sink)
         with pytest.raises(ReproError, match="one span sink"):
-            builder.with_probe(SpanSink())
+            builder.with_span_sink(SpanSink())
 
     def test_duplicate_probe_is_idempotent(self):
-        from repro.prof.counters import OpCounters
+        from repro.verify.recorder import Recorder
 
-        counters = OpCounters()
+        recorder = Recorder()
         grid = (
             GridBuilder()
             .add_machine("m", nodes=4)
-            .with_probe(counters)
-            .with_probe(counters)
+            .with_probe(recorder)
+            .with_probe(recorder)
             .build()
         )
-        assert grid.env.probe is counters
+        assert grid.env.probe is recorder
 
     def test_non_observer_rejected(self):
-        with pytest.raises(ReproError, match="Probe or SpanSink"):
-            GridBuilder().add_machine("m", nodes=4).with_probe(object())
+        from repro.prof.counters import OpCounters
+        from repro.simcore import SpanSink
+
+        for not_a_probe in (object(), SpanSink(), OpCounters()):
+            with pytest.raises(ReproError, match="takes Probe observers"):
+                GridBuilder().add_machine("m", nodes=4).with_probe(not_a_probe)
 
 
 class TestKernelKnobs:
-    """Delivery mode is a builder decision."""
+    """The kernel has one queue and the network one delivery mode."""
 
     def test_default_queue_is_the_heap(self):
         grid = GridBuilder().add_machine("m", nodes=4).build()
@@ -166,13 +176,5 @@ class TestKernelKnobs:
             "pushes", "pops", "discards", "compactions",
             "high_water", "size", "live_size",
         }
-        assert grid.network.slotted is False
-
-    def test_slotted_delivery_knobs_reach_the_network(self):
-        grid = (
-            GridBuilder(slotted_delivery=True, slot_width=0.125)
-            .add_machine("m", nodes=4)
-            .build()
-        )
-        assert grid.network.slotted is True
-        assert grid.network.slot_width == 0.125
+        with pytest.raises(TypeError):
+            GridBuilder(slotted_delivery=True)

@@ -262,6 +262,20 @@ def test_commit_stalled_needs_drained_queue():
     ])
     assert list(EventQueueMonitor().check(settled, CTX)) == []
 
+    # Only a later settling state on the *same* request counts.
+    other = "j2@client"
+    elsewhere = EventLog([
+        ev(1, node, EVENT, "duroc.state", {node: 1}, {"state": "aborted"}),
+        ev(2, node, EVENT, "duroc.state", {node: 2}, {"state": "committing"},
+           prev=1),
+        ev(3, other, EVENT, "duroc.state", {other: 1}, {"state": "committing"}),
+        ev(4, other, EVENT, "duroc.state", {other: 2}, {"state": "released"},
+           prev=3),
+    ])
+    findings = list(EventQueueMonitor().check(elsewhere, CTX))
+    assert [f.rule for f in findings] == ["dl-commit-stalled"]
+    assert f"request on {node} " in findings[0].message
+
 
 def test_barrier_abandoned_is_warning():
     log = EventLog([

@@ -94,3 +94,24 @@ def test_witness_paths_are_connected():
     for earlier, later in zip(path, path[1:]):
         assert later.prev == earlier.seq or later.link == earlier.seq
         assert log.happens_before(earlier, later)
+
+
+def test_indexed_queries_match_a_scan_of_the_log():
+    _, _, recorder = run_simple()
+    log = EventLog(recorder.events)
+    names = {e.name for e in log}
+    kinds = {e.kind for e in log}
+    assert len(names) > 5 and len(kinds) >= 4
+    for name in names | {"no.such.event"}:
+        assert log.named(name) == [e for e in log if e.name == name]
+        for kind in kinds:
+            assert log.named(name, kind=kind) == [
+                e for e in log if e.name == name and e.kind == kind
+            ]
+    for kind in kinds | {"no-such-kind"}:
+        assert log.of_kind(kind) == [e for e in log if e.kind == kind]
+    released = log.named("duroc.state", state="released")
+    assert released == [
+        e for e in log
+        if e.name == "duroc.state" and e.attrs.get("state") == "released"
+    ] != []
