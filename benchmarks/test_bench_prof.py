@@ -1,19 +1,15 @@
-"""Benchmark: the profiling layer's own suite and perf-trajectory snapshot.
+"""Benchmark: the profiling layer's own suite.
 
-Runs the ``repro.prof`` scenario suite (the CI perf gate's workloads),
-asserts the Fig. 3 cost attribution and the determinism guarantee that
-the gate relies on, and writes the repo's perf-trajectory snapshot
-``BENCH_5.json`` — a compact digest of each scenario's makespan, span
-counts, op counts, and top self-time paths for future PRs to diff
-against.
+Runs the ``repro.prof`` scenario suite (the CI perf gate's workloads)
+and asserts the Fig. 3 cost attribution and the determinism guarantee
+that the gate relies on.
 """
 
-import json
 import pathlib
 
 import pytest
 
-from repro.prof.bench import DEFAULT_SEED, SCENARIOS, run_bench, write_snapshot
+from repro.prof.bench import DEFAULT_SEED, SCENARIOS, run_bench
 from repro.prof.cli import render_profile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -54,12 +50,3 @@ def test_bench_prof(benchmark, publish):
     again = run_bench(seed=DEFAULT_SEED, baseline_dir=BASELINE_DIR)
     for first, second in zip(results, again):
         assert first.profile.dumps() == second.profile.dumps()
-
-    # The perf-trajectory snapshot, committed at the repo root.
-    path = write_snapshot(results, DEFAULT_SEED, REPO_ROOT / "BENCH_5.json")
-    digest = json.loads(path.read_text())
-    assert digest["format"] == "repro.prof.bench/1"
-    assert set(digest["scenarios"]) == set(SCENARIOS)
-    for entry in digest["scenarios"].values():
-        assert entry["span_count"] > 0
-        assert entry["total_time"] > 0

@@ -53,8 +53,10 @@ _LONGLIVED_RE = re.compile(r"#\s*repro:\s*longlived\b", re.IGNORECASE)
 #: scopes the whole module; otherwise the value lists dotted qualname
 #: prefixes (same semantics as the ``perf-*`` registry).
 LONG_LIVED: dict[str, Optional[frozenset[str]]] = {
-    # The kernel: one Environment per run, alive for every event.
+    # The kernel: one Environment per run, alive for every event, and
+    # the run's metrics registry riding on it.
     "repro/simcore/environment.py": None,
+    "repro/simcore/metrics.py": frozenset({"MetricsRegistry"}),
     # The network fabric and its address/intern tables.
     "repro/net/address.py": None,
     "repro/net/network.py": None,
@@ -70,11 +72,10 @@ LONG_LIVED: dict[str, Optional[frozenset[str]]] = {
     "repro/core/coallocator.py": None,
     "repro/core/barrier.py": None,
     "repro/core/callbacks.py": None,
-    # Observability registries: always-on sinks accumulate per-trace
+    # Observability sinks: always on, they accumulate per-trace
     # state at event rate (the span records themselves are governed by
     # the SpanSink seam, documented in docs/OBSERVABILITY.md).
     "repro/obs/streaming.py": None,
-    "repro/obs/metrics.py": frozenset({"MetricsRegistry"}),
     # The always-on black box: observes every event for the whole run,
     # so its rings and dump list must be provably bounded.
     "repro/obs/flightrec.py": frozenset({"FlightRing", "FlightRecorder"}),

@@ -28,7 +28,6 @@ from repro.gsi.auth import AuthConfig
 from repro.gsi.credentials import Credential
 from repro.net.network import Network
 from repro.resilience import BreakerBoard, RetryPolicy
-from repro.simcore.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -46,7 +45,6 @@ class Grab:
         auth: Optional[AuthConfig] = None,
         default_subjob_timeout: float = 300.0,
         submit_timeout: float = 60.0,
-        tracer: Optional[Tracer] = None,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -58,7 +56,6 @@ class Grab:
             auth=auth,
             default_subjob_timeout=default_subjob_timeout,
             submit_timeout=submit_timeout,
-            tracer=tracer,
             retry=retry,
             rng=rng,
             breakers=breakers,

@@ -22,7 +22,6 @@ from repro.core.config import DurocConfig
 from repro.errors import HostDown
 from repro.net.address import Endpoint
 from repro.net.transport import Port
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.simcore.probe import record_access
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,11 +93,10 @@ class BarrierManager:
         self,
         env: "Environment",
         port: Port,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.port = port
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = env.tracer.metrics
         self.tables: dict[int, BarrierTable] = {}
         #: (slot_id, rank) -> release time, for barrier-wait statistics
         #: (§4.2).  Bounded by the request's own process count: one

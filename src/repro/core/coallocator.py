@@ -64,7 +64,7 @@ from repro.simcore.events import Event
 from repro.simcore.probe import emit, register_locus
 from repro.simcore.process import ProcessGenerator
 from repro.simcore.resources import Store
-from repro.simcore.tracing import NULL_TRACER, TraceContext, Tracer
+from repro.simcore.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -151,7 +151,7 @@ class DurocJob:
         self.trace_span = self.tracer.span("duroc.request", job=self.job_id)
         self.trace_ctx = self.trace_span.context
         self._trace_finished = False
-        self.barrier = BarrierManager(self.env, self.port, metrics=self.metrics)
+        self.barrier = BarrierManager(self.env, self.port)
         self.callbacks = CallbackDispatcher()
         self.interactive_handler: Optional[InteractiveHandler] = None
         self.state = RequestState.ALLOCATING
@@ -906,7 +906,6 @@ class Duroc:
         heartbeat_interval: float = 1.0,
         heartbeat_misses: int = 1,
         sequential_submission: bool = True,
-        tracer: Optional[Tracer] = None,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -914,16 +913,16 @@ class Duroc:
         self.network = network
         self.env: "Environment" = network.env
         self.host = host
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.env.tracer
         #: Retry policy for GRAM submissions (None = single attempt).
         #: Backoff jitter draws from ``rng`` — pass a seeded registry
         #: stream (``Grid.duroc()`` does) for reproducible retries.
         self.retry = retry
         if retry is not None and breakers is None:
-            breakers = BreakerBoard(network.env, metrics=self.tracer.metrics)
+            breakers = BreakerBoard(network.env)
         self.breakers = breakers
         self.gram = GramClient(
-            network, host, credential, auth, tracer=self.tracer,
+            network, host, credential, auth,
             retry=retry, rng=rng, breakers=breakers,
         )
         self.default_subjob_timeout = default_subjob_timeout

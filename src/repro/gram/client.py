@@ -27,7 +27,7 @@ from repro.net.transport import Port, ephemeral_endpoint
 from repro.resilience import BreakerBoard, CircuitBreaker, RetryPolicy, retrying
 from repro.rsl.ast import Specification
 from repro.rsl.printer import unparse
-from repro.simcore.tracing import NULL_TRACER, TraceContext, Tracer
+from repro.simcore.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -132,7 +132,6 @@ class GramClient:
         host: str,
         credential: Credential,
         auth: Optional[AuthConfig] = None,
-        tracer: Optional[Tracer] = None,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
         breakers: Optional[BreakerBoard] = None,
@@ -142,7 +141,7 @@ class GramClient:
         self.host = host
         self.credential = credential
         self.auth = auth or AuthConfig()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = self.env.tracer
         #: Default retry policy for ``submit`` (None = single attempt,
         #: the pre-resilience behaviour).  Jitter draws come from
         #: ``rng`` — pass a seeded registry stream for reproducibility.
@@ -246,7 +245,6 @@ class GramClient:
                     retry_on=SUBMIT_RETRY_ON,
                     operation="gram.submit",
                     endpoint=dst,
-                    metrics=self.tracer.metrics,
                     breaker=self._breaker(dst),
                 )
         except BaseException:
@@ -284,7 +282,6 @@ class GramClient:
                 rng=self.rng,
                 operation="gram.status",
                 endpoint=handle.manager,
-                metrics=self.tracer.metrics,
             )
         handle.update(payload["state"], payload.get("reason"), self.env.now)
         return handle.state

@@ -38,7 +38,6 @@ from repro.rsl.attributes import (
 from repro.rsl.parser import parse
 from repro.rsl.attributes import validate_subjob_spec
 from repro.schedulers.base import LocalScheduler
-from repro.simcore.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     # BoundedDict is imported lazily in __init__: repro.core's package
@@ -72,7 +71,6 @@ class Gatekeeper:
         gridmap: GridMap,
         programs: dict[str, Program],
         costs: Optional[CostModel] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         from repro.core.bounded import BoundedDict
 
@@ -83,7 +81,7 @@ class Gatekeeper:
         self.gridmap = gridmap
         self.programs = programs
         self.costs = costs or CostModel()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = env.tracer
         self.metrics = self.tracer.metrics
         self.port = Port(machine.network, Endpoint(machine.name, GATEKEEPER_PORT))
         self.endpoint = self.port.endpoint
@@ -218,7 +216,6 @@ class Gatekeeper:
             program=self.programs[executable],
             costs=self.costs,
             callback=request.payload.get("callback"),
-            tracer=self.tracer,
             ctx=ctx,
         )
         self.job_managers[job.job_id] = manager

@@ -20,7 +20,7 @@ from repro.net.address import Endpoint
 from repro.net.transport import Port
 from repro.schedulers.base import LocalScheduler, NodeRequest
 from repro.simcore.process import Interrupt
-from repro.simcore.tracing import NULL_TRACER, OBS_CONTEXT_PARAM, TraceContext, Tracer
+from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -45,7 +45,6 @@ class JobManager:
         program: Program,
         costs: CostModel,
         callback: Optional[Endpoint] = None,
-        tracer: Optional[Tracer] = None,
         ctx: Optional[TraceContext] = None,
     ) -> None:
         self.env = env
@@ -56,7 +55,7 @@ class JobManager:
         self.costs = costs
         #: Callback listeners; more can be (un)registered at runtime.
         self.callbacks: list[Endpoint] = [callback] if callback is not None else []
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = env.tracer
         self.metrics = self.tracer.metrics
         #: Trace context of the submit request this manager serves.
         self.ctx = ctx

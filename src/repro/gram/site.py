@@ -12,7 +12,6 @@ from repro.machine.host import Machine, Program
 from repro.net.network import Network
 from repro.schedulers.base import LocalScheduler
 from repro.schedulers.fork import ForkScheduler
-from repro.simcore.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -34,17 +33,12 @@ class Site:
         costs: Optional[CostModel] = None,
         speed: float = 1.0,
         memory: Optional[float] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.env = env
         self.name = name
-        self.machine = Machine(
-            env, network, name, nodes=nodes, speed=speed, tracer=tracer
-        )
+        self.machine = Machine(env, network, name, nodes=nodes, speed=speed)
         self.scheduler: LocalScheduler = scheduler_factory(env, nodes, memory)
-        if tracer is not None:
-            self.scheduler.metrics = tracer.metrics
-            self.scheduler.site = name
+        self.scheduler.site = name
         self.gridmap = gridmap if gridmap is not None else GridMap()
         self.costs = costs or CostModel()
         self.gatekeeper = Gatekeeper(
@@ -55,7 +49,6 @@ class Site:
             gridmap=self.gridmap,
             programs=programs,
             costs=self.costs,
-            tracer=tracer,
         )
 
     @property

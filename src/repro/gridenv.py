@@ -34,7 +34,7 @@ from repro.schedulers.reservation import ReservationScheduler
 from repro.simcore.environment import Environment
 from repro.simcore.probe import Probe, attach
 from repro.simcore.rng import RngRegistry
-from repro.simcore.tracing import NullTracer, SpanSink, Tracer
+from repro.simcore.tracing import SpanSink, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
@@ -68,7 +68,6 @@ class Grid:
         programs: dict[str, Program],
         costs: CostModel,
         rngs: RngRegistry,
-        tracer: Tracer,
         client_host: str = CLIENT_HOST,
         recorder: "Optional[Recorder]" = None,
         counters: "Optional[OpCounters]" = None,
@@ -82,7 +81,8 @@ class Grid:
         self.programs = programs
         self.costs = costs
         self.rngs = rngs
-        self.tracer = tracer
+        #: The run's tracer; its metrics registry is ``tracer.metrics``.
+        self.tracer = env.tracer
         self.client_host = client_host
         #: The runtime-verification recorder observing this grid, if the
         #: builder attached one (see :meth:`GridBuilder.with_monitors`).
@@ -118,21 +118,18 @@ class Grid:
         ``resilience.retry`` stream unless an ``rng`` is given.
         """
         kwargs.setdefault("auth", self.costs.auth)
-        kwargs.setdefault("tracer", self.tracer)
         kwargs.setdefault("rng", self.rngs.stream("resilience.retry"))
         return Duroc(self.network, self.client_host, self.credential, **kwargs)
 
     def grab(self, **kwargs) -> Grab:
         """An atomic-transaction co-allocator on the client host."""
         kwargs.setdefault("auth", self.costs.auth)
-        kwargs.setdefault("tracer", self.tracer)
         kwargs.setdefault("rng", self.rngs.stream("resilience.retry"))
         return Grab(self.network, self.client_host, self.credential, **kwargs)
 
     def gram_client(self) -> GramClient:
         return GramClient(
-            self.network, self.client_host, self.credential,
-            auth=self.costs.auth, tracer=self.tracer,
+            self.network, self.client_host, self.credential, auth=self.costs.auth
         )
 
     # -- execution ---------------------------------------------------------------
@@ -171,14 +168,14 @@ class GridBuilder:
         self.costs = costs or CostModel()
         self.user = user
         self.client_host = client_host
-        #: ``trace=False`` builds the grid on a NullTracer: no spans, no
-        #: metrics, identical simulation behaviour (tested).
+        #: ``trace=False`` leaves the environment's NullTracer in place: no
+        #: spans, no metrics, identical simulation behaviour (tested).
         self.trace = trace
         self._machines: list[dict] = []
         self._programs: dict[str, Program] = {}
         self._faults: list[FaultSpec] = []
         self._probes: list[Probe] = []
-        self._counters: "Optional[OpCounters]" = None
+        self._profiling = False
         self._span_sink: Optional[SpanSink] = None
 
     def add_machine(
@@ -260,20 +257,14 @@ class GridBuilder:
             recorder = Recorder()
         return self.with_probe(recorder)
 
-    def with_profiling(
-        self, counters: "Optional[OpCounters]" = None
-    ) -> "GridBuilder":
+    def with_profiling(self) -> "GridBuilder":
         """Read the built grid's op counts through ``grid.counters``.
 
-        The counters (fresh :class:`~repro.prof.counters.OpCounters`
-        unless given) are pointed at the grid's kernel, network and
-        tracer; they hear nothing during the run.
+        The :class:`~repro.prof.counters.OpCounters` are pointed at the
+        grid's kernel, network and tracer; they hear nothing during the
+        run.
         """
-        if counters is None:
-            from repro.prof.counters import OpCounters
-
-            counters = OpCounters()
-        self._counters = counters
+        self._profiling = True
         return self
 
     def with_span_sink(self, sink: SpanSink) -> "GridBuilder":
@@ -317,13 +308,16 @@ class GridBuilder:
             jitter_cv=self.latency_jitter_cv,
             rng=rngs.stream("net.latency") if self.latency_jitter_cv else None,
         )
-        tracer = (
-            Tracer(env, sink=self._span_sink) if self.trace else NullTracer(env)
-        )
-        network = Network(env, latency_model, metrics=tracer.metrics)
+        # Before any component is built: each reads env.tracer once.
+        if self.trace:
+            env.tracer = Tracer(env, sink=self._span_sink)
+        network = Network(env, latency_model)
         network.add_host(self.client_host)
-        if self._counters is not None:
-            self._counters.bind(env, network, tracer)
+        counters: "Optional[OpCounters]" = None
+        if self._profiling:
+            from repro.prof.counters import OpCounters
+
+            counters = OpCounters(env, network)
         ca = CertificateAuthority()
         credential = ca.issue(self.user)
 
@@ -345,7 +339,6 @@ class GridBuilder:
                 costs=spec["costs"] or self.costs,
                 speed=spec["speed"],
                 memory=spec["memory"],
-                tracer=tracer,
             )
             site.authorize(self.user)
             sites[spec["name"]] = site
@@ -359,10 +352,9 @@ class GridBuilder:
             programs=programs,
             costs=self.costs,
             rngs=rngs,
-            tracer=tracer,
             client_host=self.client_host,
             recorder=recorder,
-            counters=self._counters,
+            counters=counters,
             flightrec=flightrec,
         )
         if self._faults:

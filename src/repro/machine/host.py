@@ -23,7 +23,7 @@ from repro.net.address import Endpoint
 from repro.net.network import Network
 from repro.net.transport import Port
 from repro.simcore.process import Process
-from repro.simcore.tracing import NULL_TRACER, Tracer
+from repro.simcore.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -66,8 +66,8 @@ class ProcessContext:
 
     @property
     def tracer(self) -> Tracer:
-        """The machine's tracer (a no-op tracer when unset)."""
-        return self.machine.tracer if self.machine.tracer is not None else NULL_TRACER
+        """The run's tracer."""
+        return self.env.tracer
 
 
 @dataclass
@@ -91,7 +91,6 @@ class Machine:
         name: str,
         nodes: int,
         speed: float = 1.0,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if nodes <= 0:
             raise SimulationError(f"machine needs at least one node, got {nodes}")
@@ -100,7 +99,6 @@ class Machine:
         self.name = name
         self.nodes = int(nodes)
         self.speed = float(speed)
-        self.tracer = tracer
         #: Multiplies startup work; >1 models an overloaded system.
         self.load_factor = 1.0
         self.crashed = False

@@ -19,7 +19,6 @@ from typing import Any, Callable, Optional
 from repro.core.config import DurocConfig
 from repro.errors import MPIError
 from repro.net.transport import Port
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 #: Message kinds.
 PT2PT = "mpi.msg"
@@ -33,13 +32,12 @@ class MiniComm:
         self,
         port: Port,
         config: DurocConfig,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.port = port
         self.config = config
         self.rank = config.global_rank()
         self.size = config.total_processes
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = port.network.env.tracer.metrics
         self._coll_seq = 0
 
     # -- naming -----------------------------------------------------------

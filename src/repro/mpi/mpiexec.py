@@ -67,7 +67,7 @@ def mpiexec(
     executable = f"mpi_app{next(_mpi_apps)}"
 
     def body(ctx, port, config):
-        comm = MiniComm(port, config, metrics=ctx.tracer.metrics)
+        comm = MiniComm(port, config)
         result = yield from main(ctx, comm)
         return result
 

@@ -20,8 +20,8 @@ import numpy as np
 from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.simcore.events import Timeout
+from repro.simcore.metrics import NULL_METRICS
 from repro.simcore.resources import Store
 from repro.simcore.rng import jittered
 
@@ -102,11 +102,11 @@ class Network:
         self,
         env: "Environment",
         latency_model: Optional[LatencyModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.latency_model = latency_model or LatencyModel()
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: The run's registry, read once: ``send()`` runs per message.
+        self.metrics = env.tracer.metrics
         self._hosts: set[str] = set()
         self._down: set[str] = set()
         self._mailboxes: dict[Endpoint, Store] = {}
@@ -236,8 +236,8 @@ class Network:
         env = self.env
         self.sent_count += 1
         message.sent_at = env.now
-        # Unobserved runs (NULL_METRICS, no probe) make no calls into
-        # repro.obs: this runs once per message.
+        # Unobserved runs (NULL_METRICS, no probe) make no metering
+        # calls: this runs once per message.
         metrics = self.metrics
         if metrics is not NULL_METRICS:
             metrics.counter("net.messages_sent_total").inc(kind=message.kind)

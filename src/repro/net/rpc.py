@@ -16,8 +16,8 @@ from repro.errors import NetworkError, RPCTimeout
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.transport import Port
-from repro.obs.metrics import NULL_METRICS
 from repro.simcore.events import PENDING, Condition, Timeout
+from repro.simcore.metrics import NULL_METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.tracing import TraceContext
@@ -52,7 +52,7 @@ def call(
     """
     network = port.network
     env = network.env
-    # Unobserved runs (NULL_METRICS) make no calls into repro.obs.
+    # Unobserved runs (NULL_METRICS) make no metering calls.
     metrics = network.metrics
     metered = metrics is not NULL_METRICS
     corr = port.next_corr_id()

@@ -5,8 +5,9 @@ Three pillars (see docs/OBSERVABILITY.md):
 - **Causal tracing** — ``repro.simcore.tracing`` spans carry
   ``trace_id``/``span_id``/``parent_id`` and contexts ride on network
   messages, so one DUROC request is one trace tree.
-- **Metrics** — :mod:`repro.obs.metrics` instruments keyed to the
-  simulated clock, wired into transport, GRAM, DUROC, and schedulers.
+- **Metrics** — :mod:`repro.simcore.metrics` instruments (re-exported
+  here) keyed to the simulated clock, wired into transport, GRAM,
+  DUROC, and schedulers.
 - **Queries** — exporters (:mod:`repro.obs.export`), tree/critical-path
   analysis (:mod:`repro.obs.query`), renderers (:mod:`repro.obs.render`)
   and the ``python -m repro.obs`` CLI.
@@ -36,16 +37,6 @@ from repro.obs.flightrec import (
     dump_json,
     write_dump,
 )
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    WindowedRate,
-)
 from repro.obs.streaming import (
     AGGREGATE_FORMAT,
     AggregatingSink,
@@ -54,6 +45,16 @@ from repro.obs.streaming import (
     TraceSampler,
     aggregate_trace,
     load_aggregate,
+)
+from repro.simcore.metrics import (
+    DEFAULT_BUCKETS,
+    NULL_METRICS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    NullMetricsRegistry,
+    WindowedRate,
 )
 
 __all__ = [

@@ -34,7 +34,6 @@ from repro.obs.blackbox import (
     render_timeline,
 )
 from repro.obs.export import TraceDump, load_jsonl, span_record
-from repro.obs.metrics import histogram_summary
 from repro.obs.query import (
     critical_path,
     parentage,
@@ -53,6 +52,7 @@ from repro.obs.render import (
     render_tree,
 )
 from repro.obs.streaming import AGGREGATE_FORMAT, aggregate_trace
+from repro.simcore.metrics import histogram_summary
 
 #: Minimum fraction of spans whose parent chain must reach a root for a
 #: trace to pass ``--validate`` (the repo's acceptance bar).

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.obs.metrics import histogram_summary
 from repro.obs.query import NameStats, SpanNode, critical_path
+from repro.simcore.metrics import histogram_summary
 from repro.simcore.tracing import Mark, Span
 
 #: Character used for span bars in the Gantt chart.

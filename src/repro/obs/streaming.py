@@ -17,7 +17,7 @@ spilling spans *as they complete*, through the
 * :class:`AggregatingSink` — folds every completed span into
   path-keyed statistics (count, duration histograms) and per-label —
   e.g. per-tenant — latency/goodput series, reusing
-  :class:`~repro.obs.metrics.Histogram` instruments and retaining no
+  :class:`~repro.simcore.metrics.Histogram` instruments and retaining no
   span objects.  :func:`aggregate_trace` builds the identical
   aggregate post-hoc from a full dump, which is how the ``report``
   CLI's streamed and retained answers are cross-checked.
@@ -57,8 +57,8 @@ from repro.obs.export import (
     mark_record,
     span_record,
 )
-from repro.obs.metrics import DEFAULT_BUCKETS, Histogram
 from repro.obs.query import SpanNode, build_forest
+from repro.simcore.metrics import DEFAULT_BUCKETS, Histogram
 from repro.simcore.tracing import Mark, Span, SpanSink
 
 #: Aggregate snapshot format identifier (the ``report`` CLI's input).
@@ -131,7 +131,7 @@ class AggregatingSink(SpanSink):
     """Folds completed spans into path- and label-keyed statistics.
 
     No span objects are retained: each completion lands in a
-    fixed-bucket :class:`~repro.obs.metrics.Histogram` series keyed by
+    fixed-bucket :class:`~repro.simcore.metrics.Histogram` series keyed by
     the span's *path* (the ``;``-joined root-to-span name chain, the
     same convention as :mod:`repro.prof`) and, for every configured
     label key present in its attrs, a per-label-value series plus an

@@ -8,18 +8,13 @@ bench --update``; a plain ``bench`` run re-profiles every scenario,
 diffs against its baseline, and fails on regression — that, run twice
 and ``cmp``-ed, is the CI ``perf`` job.
 
-The suite also emits the repo's perf-trajectory snapshot
-(``BENCH_5.json``): a compact, deterministic digest of every scenario
-(makespan, span counts, op counts, top self-time paths) that future
-revisions can be compared against.
-
 Simulated numbers only: host time is measured by ``benchmarks/wall``
-(see its README), from outside the program.
+(see its README), from outside the program, and the perf trajectory
+lives in the ``BENCH_*.json`` files that harness records.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,24 +32,6 @@ DEFAULT_SEED = 42
 
 #: Where the checked-in baselines live, relative to the repo root.
 BASELINE_DIR = Path("benchmarks") / "baselines"
-
-#: The perf-trajectory snapshot emitted by this PR's suite.
-SNAPSHOT_FORMAT = "repro.prof.bench/1"
-
-#: Counters surfaced in the snapshot digest (absent ones are skipped).
-SNAPSHOT_COUNTERS = (
-    "sim.events_processed",
-    "sim.heap_high_water",
-    "net.messages_delivered",
-    "rpc.round_trips",
-    "resilience.retries",
-    "obs.spans_recorded",
-    "obs.spans_retained_high_water",
-    "queue.heap.high_water",
-    "mem.retained_high_water",
-    "ref.mem.retained_high_water",
-    "obs.flightrec_retained",
-)
 
 
 @dataclass(frozen=True)
@@ -217,7 +194,12 @@ def _kernel_stress_run(
 
     env = Environment(compact_cancelled=compact_cancelled)
     attach(env, *probes)
-    tracer = Tracer(env, sink=sink)
+    # Built before the tracer is installed, so the storm's messages stay
+    # out of the metrics registry, as the baselines record them.
+    network = Network(env)
+    network.add_host("stress")
+    tracer = env.tracer = Tracer(env, sink=sink)
+    counters = OpCounters(env, network)
     phase_end = {"churn": 0.0, "storm": 0.0}
 
     def churn_worker(env, worker):
@@ -241,10 +223,6 @@ def _kernel_stress_run(
         if span is not None:
             span.close()
 
-    network = Network(env)
-    network.add_host("stress")
-    counters = OpCounters()
-    counters.bind(env, network, tracer)
     echo_endpoint = Endpoint("stress", "echo")
     echo_box = network.bind(echo_endpoint)
 
@@ -415,8 +393,7 @@ def _run_kernel_scale(seed: int) -> Profile:
 
     env = Environment()
     network = Network(env, LatencyModel(base=_SCALE_LATENCY))
-    counters = OpCounters()
-    counters.bind(env, network)
+    counters = OpCounters(env, network)
     network.add_host("edge")
     network.add_host("core")
     ingest_endpoint = Endpoint("core", "ingest").intern()
@@ -556,8 +533,7 @@ def _memory_stress_run(seed: int, bounded: bool, probes: Sequence = ()):
     census.register(submissions)
     census.register(sessions)
     census.register(network._mailboxes)
-    counters = OpCounters()
-    counters.bind(env, network, census=census)
+    counters = OpCounters(env, network, census=census)
     phase_end = {"churn": 0.0}
 
     def frontdoor_server(env):
@@ -845,43 +821,3 @@ def update_baselines(
         scenario.run(seed).write(Path(baseline_dir) / f"{scenario.name}.json")
         for scenario in select_scenarios(names)
     ]
-
-
-# -- the perf-trajectory snapshot --------------------------------------------
-
-
-def snapshot(results: Sequence[BenchResult], seed: int) -> dict[str, Any]:
-    """The ``BENCH_5.json`` digest: deterministic, diffable, compact."""
-    scenarios: dict[str, Any] = {}
-    for result in results:
-        profile = result.profile
-        scenarios[result.scenario.name] = {
-            "total_time": profile.total_time,
-            "span_count": profile.span_count,
-            "paths": len(profile.paths),
-            "counters": {
-                name: profile.counters[name]
-                for name in SNAPSHOT_COUNTERS
-                if name in profile.counters
-            },
-            "top_exclusive": [
-                {"path": stats.path, "exclusive": stats.exclusive}
-                for stats in profile.top_exclusive(5)
-            ],
-        }
-    return {
-        "format": SNAPSHOT_FORMAT,
-        "bench": "repro.prof",
-        "pr": 5,
-        "seed": seed,
-        "scenarios": scenarios,
-    }
-
-
-def write_snapshot(
-    results: Sequence[BenchResult], seed: int, path: Path
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(snapshot(results, seed), sort_keys=True, indent=2) + "\n")
-    return path

@@ -117,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under DIR",
     )
     bench.add_argument(
-        "--snapshot", default=None, metavar="PATH",
-        help="write the perf-trajectory snapshot (BENCH_5.json) to PATH",
-    )
-    bench.add_argument(
         "--threshold-pct", type=float, default=DEFAULT_PCT,
         help=f"regression threshold in percent (default: {DEFAULT_PCT:g})",
     )
@@ -313,11 +309,6 @@ def _cmd_bench(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                     print(f"  {_regression_line(entry)}")
     if args.format == "json":
         print(json.dumps(report, sort_keys=True))
-
-    if args.snapshot is not None:
-        path = bench_mod.write_snapshot(results, seed, Path(args.snapshot))
-        if args.format == "text":
-            print(f"snapshot written to {path}")
     return status
 
 

@@ -18,35 +18,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ReproError
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.bounded import RetainedCensus
     from repro.net.network import Network
     from repro.simcore.environment import Environment
-    from repro.simcore.tracing import Tracer
 
 
 class OpCounters:
-    """A run's kernel and network op counts, read off their owners."""
+    """A run's kernel and network op counts, read off their owners:
+    the kernel and its tracer (``env.tracer``), and whichever of the
+    network and a retained-object census the run has."""
 
-    env: "Optional[Environment]" = None
-    network: "Optional[Network]" = None
-    tracer: "Optional[Tracer]" = None
-    census: "Optional[RetainedCensus]" = None
-
-    def bind(
+    def __init__(
         self,
         env: "Environment",
         network: "Optional[Network]" = None,
-        tracer: "Optional[Tracer]" = None,
         census: "Optional[RetainedCensus]" = None,
     ) -> None:
-        """Name the run to read: its kernel, and whichever of the
-        network, tracer and census it has."""
         self.env = env
         self.network = network
-        self.tracer = tracer
         self.census = census
 
     def snapshot(self) -> dict[str, float]:
@@ -58,10 +48,8 @@ class OpCounters:
         observations, keeping the snapshots of every other scenario
         byte-stable.
         """
-        if self.env is None:
-            raise ReproError("OpCounters.snapshot() before bind()")
         queue = self.env.queue.stats()
-        network, tracer, census = self.network, self.tracer, self.census
+        network, census = self.network, self.census
         sent, delivered, dropped = (
             (network.sent_count, network.delivered_count, network.dropped_count)
             if network is not None
@@ -75,10 +63,9 @@ class OpCounters:
             "sim.messages_delivered": float(delivered),
             "sim.messages_dropped": float(dropped),
         }
-        if tracer is not None and tracer.spans_retained_high_water:
-            snap["obs.spans_retained_high_water"] = float(
-                tracer.spans_retained_high_water
-            )
+        spans_high_water = self.env.tracer.spans_retained_high_water
+        if spans_high_water:
+            snap["obs.spans_retained_high_water"] = float(spans_high_water)
         if census is not None and census.high_water:
             snap["mem.retained_high_water"] = float(census.high_water)
         return snap

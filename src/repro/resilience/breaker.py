@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import CircuitOpen
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.resilience.states import BreakerPhase, check_breaker_transition
 from repro.simcore.probe import emit
 
@@ -36,7 +35,6 @@ class CircuitBreaker:
         endpoint: Any = None,
         failure_threshold: int = 5,
         recovery_time: float = 30.0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if failure_threshold < 1:
             raise ValueError(
@@ -48,7 +46,7 @@ class CircuitBreaker:
         self.endpoint = endpoint
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = env.tracer.metrics
         self.state = BreakerPhase.CLOSED
         self.failures = 0
         self.opened_at: Optional[float] = None
@@ -130,12 +128,10 @@ class BreakerBoard:
         env: "Environment",
         failure_threshold: int = 5,
         recovery_time: float = 30.0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         self._breakers: dict[str, CircuitBreaker] = {}
 
     def breaker(self, endpoint: Any) -> CircuitBreaker:
@@ -148,7 +144,6 @@ class BreakerBoard:
                 endpoint=endpoint,
                 failure_threshold=self.failure_threshold,
                 recovery_time=self.recovery_time,
-                metrics=self.metrics,
             )
             self._breakers[key] = found
         return found

@@ -36,7 +36,6 @@ from repro.errors import (
     RetryExhausted,
     RPCTimeout,
 )
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.resilience.states import AttemptPhase, check_attempt_transition
 from repro.simcore.probe import emit
 
@@ -211,14 +210,13 @@ class RetryEpisode:
         rng: Optional[np.random.Generator] = None,
         operation: str = "operation",
         endpoint: Any = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.env = env
         self.policy = policy
         self.rng = rng
         self.operation = operation
         self.endpoint = endpoint
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = env.tracer.metrics
         self.state = AttemptPhase.RUNNING
         self.attempt = 1
         self.started_at = env.now
@@ -297,7 +295,6 @@ def retrying(
     retry_on: Tuple[Type[BaseException], ...] = DEFAULT_RETRY_ON,
     operation: str = "operation",
     endpoint: Any = None,
-    metrics: Optional[MetricsRegistry] = None,
     breaker: "Optional[CircuitBreaker]" = None,
 ) -> Generator:
     """Generator: run ``factory()`` attempts under ``policy``.
@@ -309,9 +306,7 @@ def retrying(
     :class:`~repro.errors.CircuitOpen` refusals are themselves backed
     off, so an episode can outwait a breaker's recovery window.
     """
-    episode = RetryEpisode(
-        env, policy, rng, operation=operation, endpoint=endpoint, metrics=metrics
-    )
+    episode = RetryEpisode(env, policy, rng, operation=operation, endpoint=endpoint)
     while True:
         try:
             if breaker is not None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SchedulerError
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.schedulers.states import QueuePhase, check_queue_transition
 from repro.simcore.events import Event
 
@@ -139,9 +138,8 @@ class LocalScheduler:
         self.leases: list[Lease] = []
         #: History of (submitted_at, granted_at, count) for prediction.
         self.history: list[tuple[float, float, int]] = []
-        #: Metrics sink and site label, set by the owning Site at wiring
-        #: time; standalone schedulers default to the shared no-op.
-        self.metrics: MetricsRegistry = NULL_METRICS
+        self.metrics = env.tracer.metrics
+        #: Site label on this scheduler's metrics, set by the owning Site.
         self.site: str = ""
 
     # -- API ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.simcore.events import (
     Timeout,
 )
 from repro.simcore.process import Process, ProcessGenerator
+from repro.simcore.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.probe import Probe
@@ -132,6 +133,12 @@ class Environment:
         #: Runtime-verification probe (see :mod:`repro.simcore.probe`);
         #: None means every instrumentation hook is a no-op.
         self.probe: "Optional[Probe]" = None
+        #: The one handle instrumented code needs: spans and marks go to
+        #: ``env.tracer``, metrics to ``env.tracer.metrics``.  Components
+        #: read it when they are constructed, so install a real
+        #: :class:`~repro.simcore.tracing.Tracer` first (``GridBuilder``
+        #: does); the default drops everything.
+        self.tracer: Tracer = NULL_TRACER
 
     # -- time & introspection ---------------------------------------------
 

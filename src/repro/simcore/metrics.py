@@ -6,11 +6,12 @@ keyed by (name, sorted label items).  All timestamps come from the
 simulated clock, never from the wall clock, so two identical runs
 produce byte-identical snapshots.
 
-The registry is deliberately free of imports from the rest of the
-package: ``repro.simcore.tracing`` reaches it lazily, and every layer
-from the network up can depend on it without cycles.  Hot paths that
-are not being measured use :data:`NULL_METRICS`, whose instruments are
-shared no-op singletons.
+This is the emit side: it imports only the standard library and sits
+beside :mod:`~repro.simcore.tracing` and :mod:`~repro.simcore.probe`,
+so every layer can meter itself without importing the tooling in
+``repro.obs``.  Instrumented code reaches the run's registry as
+``env.tracer.metrics``.  Runs that are not being measured get
+:data:`NULL_METRICS`, whose instruments are shared no-op singletons.
 """
 
 from __future__ import annotations

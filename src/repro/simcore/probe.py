@@ -81,16 +81,29 @@ def _fan_out(targets: list[Callable[..., None]]) -> Callable[..., None]:
     return hook
 
 
-class FanoutProbe(Probe):
-    """Dispatches every hook to several probes, in installation order.
+def _hears(probe: Probe, name: str) -> bool:
+    """Whether ``probe`` does anything on hook ``name`` (overrides it)."""
+    return getattr(getattr(probe, name), "__func__", None) is not getattr(Probe, name)
 
-    The forwarders are bound to the targets' methods at construction.
+
+class FanoutProbe(Probe):
+    """Dispatches each hook to the probes that override it, in
+    installation order.
+
+    The forwarders are bound to the targets' methods at construction: a
+    hook one probe overrides is that probe's method itself, and a hook
+    none overrides stays :class:`Probe`'s no-op — the kernel announces
+    ``on_schedule``/``on_step`` per event, whoever listens.
     """
 
     def __init__(self, probes: Iterable[Probe]) -> None:
         self.probes: tuple[Probe, ...] = tuple(probes)
         for name in HOOKS:
-            setattr(self, name, _fan_out([getattr(p, name) for p in self.probes]))
+            targets = [getattr(p, name) for p in self.probes if _hears(p, name)]
+            if targets:
+                setattr(
+                    self, name, targets[0] if len(targets) == 1 else _fan_out(targets)
+                )
 
 
 def attach(env: "Environment", *probes: Probe) -> None:

@@ -35,8 +35,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
+from repro.simcore.metrics import NULL_METRICS, MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.metrics import MetricsRegistry
     from repro.simcore.environment import Environment
 
 #: Process-parameter key under which a spawned job's trace context is
@@ -213,9 +214,8 @@ class _OpenSpan:
 class Tracer:
     """Collects spans and marks against an environment's clock.
 
-    Also owns the run's :class:`~repro.obs.metrics.MetricsRegistry`
-    (created lazily on first access so ``simcore`` has no import-time
-    dependency on ``repro.obs``).
+    Also owns the run's :class:`~repro.simcore.metrics.MetricsRegistry`
+    (:attr:`metrics`), which shares its clock.
 
     With no ``sink`` every completed record is appended to
     :attr:`spans` / :attr:`marks` exactly as always.  With a
@@ -236,7 +236,7 @@ class Tracer:
         self.sink = sink
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._metrics: Optional["MetricsRegistry"] = None
+        self.metrics = MetricsRegistry(env)
         self._meter_recorded: Any = None
         self._meter_dropped: Any = None
         self._meter_retained: Any = None
@@ -244,15 +244,6 @@ class Tracer:
         self._spans_indexed = 0
         self._marks_by_name: Optional[dict[str, list[Mark]]] = None
         self._marks_indexed = 0
-
-    @property
-    def metrics(self) -> "MetricsRegistry":
-        """The run's metrics registry, sharing this tracer's clock."""
-        if self._metrics is None:
-            from repro.obs.metrics import MetricsRegistry
-
-            self._metrics = MetricsRegistry(self.env)
-        return self._metrics
 
     def _resolve_parent(self, parent: Parent) -> tuple[str, Optional[int]]:
         """Trace id + parent span id for a new span: fresh trace if no parent."""
@@ -491,15 +482,15 @@ class NullTracer(Tracer):
     Instrumented code must behave identically under a ``NullTracer``.
     """
 
-    def __init__(self, env: Optional["Environment"] = None) -> None:
-        self.env = env if env is not None else _FrozenClock()  # type: ignore[assignment]
+    def __init__(self) -> None:
+        self.env = _FrozenClock()  # type: ignore[assignment]
         self.spans = _DropList()
         self.marks = _DropList()
         self.spans_retained_high_water = 0
         self.sink = None
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
-        self._metrics = None
+        self.metrics = NULL_METRICS
         self._meter_recorded = None
         self._meter_dropped = None
         self._meter_retained = None
@@ -507,12 +498,6 @@ class NullTracer(Tracer):
         self._spans_indexed = 0
         self._marks_by_name = None
         self._marks_indexed = 0
-
-    @property
-    def metrics(self) -> "MetricsRegistry":
-        from repro.obs.metrics import NULL_METRICS
-
-        return NULL_METRICS
 
     def span(self, name: str, parent: Parent = None, **attrs: Any) -> _OpenSpan:
         return _NULL_SPAN  # type: ignore[return-value]
@@ -540,5 +525,5 @@ class _FrozenClock:
     now = 0.0
 
 
-#: Shared tracer for components constructed without one.
+#: The default ``Environment.tracer``: shared, drops everything.
 NULL_TRACER = NullTracer()

@@ -108,7 +108,7 @@ METRICS_PAIR = """
 def test_registered_qualname_scopes_rules(run_checker):
     # metrics.py registers only MetricsRegistry, not the whole module.
     findings = run_checker(
-        MemoryChecker(), METRICS_PAIR, filename="repro/obs/metrics.py"
+        MemoryChecker(), METRICS_PAIR, filename="repro/simcore/metrics.py"
     )
     assert [f.rule for f in findings] == ["mem-grow-only-attr"]
     assert all("_instruments" in f.message for f in findings)

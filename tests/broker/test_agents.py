@@ -95,6 +95,31 @@ class TestAtomicAgent:
         assert outcome.attempts == 2
         assert "aborted" in outcome.log[0]
 
+    def test_resubmissions_are_metered(self, grid):
+        # The retry episode reads the grid's registry off env.tracer like
+        # every other instrumented component (it used to be built
+        # without one, so GRAB resubmissions were invisible).
+        resubmissions = 3
+        grid.site("RM2").crash()
+        agent = AtomicAgent(
+            grid.grab(submit_timeout=2.0), max_attempts=resubmissions + 1
+        )
+        outcome = drive(
+            grid,
+            agent.allocate(
+                CoAllocationRequest([spec(grid, "RM1"), spec(grid, "RM2")])
+            ),
+        )
+        assert not outcome.success
+        assert outcome.attempts == resubmissions + 1
+        metrics = grid.tracer.metrics
+        assert metrics.counter("resilience.retries_total").value(
+            operation="grab.allocate"
+        ) == resubmissions
+        assert metrics.counter("resilience.exhausted_total").value(
+            operation="grab.allocate"
+        ) == 1
+
     def test_restart_pays_full_price(self, grid, directory):
         """Each failed attempt costs a whole submission round."""
         grid.site("RM1").crash()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs.metrics import (
+from repro.simcore import Environment
+from repro.simcore.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
     SUMMARY_QUANTILES,
@@ -14,7 +15,6 @@ from repro.obs.metrics import (
     WindowedRate,
     histogram_summary,
 )
-from repro.simcore import Environment
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Tests for the seeded benchmark suite (repro.prof.bench)."""
 
-import json
+import functools
 
 import pytest
 
@@ -10,33 +10,39 @@ from repro.prof.bench import (
     SCENARIOS,
     run_bench,
     select_scenarios,
-    snapshot,
     update_baselines,
-    write_snapshot,
 )
 
 
+@pytest.fixture(scope="module")
+def first_run():
+    """``first_run(name)``: one ``DEFAULT_SEED`` profile per scenario,
+    run on first request and shared by every test of the module — the
+    shape tests read it, ``TestDeterminism`` compares a second run
+    against it."""
+    return functools.cache(lambda name: SCENARIOS[name].run(DEFAULT_SEED))
+
+
 class TestFig3Acceptance:
-    def test_fig3_gram_matches_the_paper_breakdown(self):
+    def test_fig3_gram_matches_the_paper_breakdown(self, first_run):
         # The acceptance numbers from results/fig3_gram_breakdown.txt:
         # the profile's exclusive attribution must reproduce Fig. 3.
-        profile = SCENARIOS["fig3_gram"].run(DEFAULT_SEED)
+        profile = first_run("fig3_gram")
         assert profile.exclusive_by_name("gram.initgroups") == pytest.approx(0.700)
         assert profile.exclusive_by_name("gram.auth") == pytest.approx(0.504)
         assert profile.exclusive_by_name("gram.misc") == pytest.approx(0.010)
         assert profile.exclusive_by_name("gram.fork") == pytest.approx(0.001)
 
-    def test_fig3_paths_are_rooted_at_gram_submit(self):
-        profile = SCENARIOS["fig3_gram"].run(DEFAULT_SEED)
+    def test_fig3_paths_are_rooted_at_gram_submit(self, first_run):
+        profile = first_run("fig3_gram")
         assert "gram.submit;gram.auth" in profile.paths
         assert profile.paths["gram.submit;gram.auth"].count == 1
 
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_profiles_byte_identical_across_runs(self, name):
-        scenario = SCENARIOS[name]
-        assert scenario.run(DEFAULT_SEED).dumps() == scenario.run(DEFAULT_SEED).dumps()
+    def test_profiles_byte_identical_across_runs(self, name, first_run):
+        assert first_run(name).dumps() == SCENARIOS[name].run(DEFAULT_SEED).dumps()
 
     def test_different_seed_still_builds(self):
         profile = SCENARIOS["fig3_gram"].run(7)
@@ -45,19 +51,19 @@ class TestDeterminism:
 
 
 class TestScenarios:
-    def test_figure1_profile_shape(self):
-        profile = SCENARIOS["figure1"].run(DEFAULT_SEED)
+    def test_figure1_profile_shape(self, first_run):
+        profile = first_run("figure1")
         assert "duroc.request" in profile.paths
         assert "duroc.request;duroc.submit;gram.submit;gram.auth" in profile.paths
         assert profile.count_by_name("gram.submit") == 3
         assert profile.counters["sim.events_processed"] > 0
 
-    def test_duroc_scaling_fans_out_six_sites(self):
-        profile = SCENARIOS["duroc_scaling"].run(DEFAULT_SEED)
+    def test_duroc_scaling_fans_out_six_sites(self, first_run):
+        profile = first_run("duroc_scaling")
         assert profile.count_by_name("duroc.submit") == 6
 
-    def test_campaign_baseline_carries_provenance(self):
-        profile = SCENARIOS["campaign_baseline"].run(DEFAULT_SEED)
+    def test_campaign_baseline_carries_provenance(self, first_run):
+        profile = first_run("campaign_baseline")
         assert profile.meta["scenario"] == "campaign_baseline"
         assert profile.meta["campaign"] == "baseline"
         assert profile.paths
@@ -83,29 +89,12 @@ class TestHarness:
         assert result.missing_baseline
         assert result.diff is None
 
-    def test_snapshot_digest_shape(self, tmp_path):
-        results = run_bench(names=["fig3_gram"], baseline_dir=tmp_path / "x")
-        digest = snapshot(results, DEFAULT_SEED)
-        assert digest["format"] == "repro.prof.bench/1"
-        assert digest["pr"] == 5
-        entry = digest["scenarios"]["fig3_gram"]
-        assert entry["span_count"] > 0
-        assert len(entry["top_exclusive"]) <= 5
-        assert "sim.events_processed" in entry["counters"]
-
-    def test_write_snapshot_deterministic(self, tmp_path):
-        results = run_bench(names=["fig3_gram"], baseline_dir=tmp_path / "x")
-        a = write_snapshot(results, DEFAULT_SEED, tmp_path / "a.json")
-        b = write_snapshot(results, DEFAULT_SEED, tmp_path / "b.json")
-        assert a.read_text() == b.read_text()
-        json.loads(a.read_text())
-
 
 class TestQueueTraceIdentity:
     """kernel_scale pins the op counters and the heap's own gauges."""
 
-    def test_kernel_scale_counters_agree_with_the_heap(self):
-        profile = SCENARIOS["kernel_scale"].run(DEFAULT_SEED)
+    def test_kernel_scale_counters_agree_with_the_heap(self, first_run):
+        profile = first_run("kernel_scale")
         counters = profile.counters
         # One run, per-message delivery: the pulled op counts are the
         # heap's gauges under their profile names, and no key of a

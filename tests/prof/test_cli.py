@@ -180,25 +180,20 @@ class TestBenchCommand:
         assert "REGRESSED" in out
         assert "gram.submit;gram.auth" in out
 
-    def test_out_dir_and_snapshot(self, tmp_path, capsys):
+    def test_out_dir(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
         main([
             "bench", "--update", "--scenario", "fig3_gram",
             "--baseline-dir", str(baseline_dir),
         ])
-        snapshot = tmp_path / "BENCH.json"
         code = main([
             "bench", "--scenario", "fig3_gram",
             "--baseline-dir", str(baseline_dir),
             "--out-dir", str(tmp_path / "profiles"),
-            "--snapshot", str(snapshot),
         ])
         assert code == 0
         assert (tmp_path / "profiles" / "fig3_gram.json").is_file()
         assert (tmp_path / "profiles" / "fig3_gram.collapsed").is_file()
-        payload = json.loads(snapshot.read_text())
-        assert payload["format"] == "repro.prof.bench/1"
-        assert "fig3_gram" in payload["scenarios"]
 
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -10,7 +10,6 @@ import inspect
 
 import pytest
 
-from repro.errors import ReproError
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.net.address import Endpoint
 from repro.net.message import Message
@@ -70,21 +69,11 @@ def run_timeouts(*probes, n=5):
     return env
 
 
-def counters_of(env, network=None):
-    counters = OpCounters()
-    counters.bind(env, network)
-    return counters
-
-
 class TestOpCounters:
     def test_kernel_events_counted(self):
-        snap = counters_of(run_timeouts(n=5)).snapshot()
+        snap = OpCounters(run_timeouts(n=5)).snapshot()
         assert snap["sim.events_processed"] > 0
         assert snap["sim.events_scheduled"] >= snap["sim.heap_high_water"] > 0
-
-    def test_snapshot_before_bind_is_an_error(self):
-        with pytest.raises(ReproError, match="before bind"):
-            OpCounters().snapshot()
 
     def test_network_messages_counted(self):
         env = Environment()
@@ -97,13 +86,13 @@ class TestOpCounters:
                 Message(src=Endpoint("a", "out"), dst=dst, kind="ping", payload=i)
             )
         env.run()
-        snap = counters_of(env, network).snapshot()
+        snap = OpCounters(env, network).snapshot()
         assert snap["sim.messages_sent"] == 3
         assert snap["sim.messages_delivered"] == 3
         assert snap["sim.messages_dropped"] == 0
 
     def test_snapshot_keys_and_types(self):
-        snap = counters_of(run_timeouts(n=2)).snapshot()
+        snap = OpCounters(run_timeouts(n=2)).snapshot()
         assert set(snap) == {
             "sim.events_processed",
             "sim.events_scheduled",
@@ -214,13 +203,31 @@ class TestFanoutProbe:
             getattr(fan, name)(*args)
         assert heard == [call for call in sent for _ in range(2)]
 
+        # ... and only the probes that override it: a hook one probe
+        # overrides is that probe's own method, a hook nobody overrides
+        # stays Probe's no-op.
+        class StepOnly(Probe):
+            def on_step(self, now):
+                heard.append(("step-only", now))
+
+        del heard[:]
+        everything, step_only = Listener(), StepOnly()
+        fan = FanoutProbe([Probe(), step_only])
+        assert fan.on_step == step_only.on_step
+        for name in set(HOOKS) - {"on_step"}:
+            assert getattr(fan, name).__func__ is getattr(Probe, name)
+        fan = FanoutProbe([step_only, Probe(), everything])
+        assert fan.on_send == everything.on_send
+        fan.on_step(3.0)
+        assert heard == [("step-only", 3.0), ("on_step", (3.0,))]
+
     def test_fanout_counts_match_solo_counts(self):
         solo = TallyProbe()
         env = run_timeouts(solo, n=4)
         first, second = TallyProbe(), TallyProbe()
         run_timeouts(first, second, n=4)
         assert first.snapshot() == second.snapshot() == solo.snapshot()
-        assert solo.snapshot() == counters_of(env).snapshot()
+        assert solo.snapshot() == OpCounters(env).snapshot()
 
 
 class TestPulledEqualsTallied:
@@ -300,7 +307,7 @@ class TestPulledEqualsTallied:
 
         env.run(env.process(traffic(env)))
         env.run()
-        snap = counters_of(env, network).snapshot()
+        snap = OpCounters(env, network).snapshot()
         assert snap == tally.snapshot()
         assert snap["sim.messages_dropped"] > 8  # rule + unreachable + unbound
         assert snap["sim.messages_sent"] == (

@@ -234,8 +234,8 @@ class TestSpanSink:
     def test_no_sink_means_no_metering(self, tracer):
         tracer.record("x", 0, 1)
         tracer.mark("m")
-        # The legacy path must not even create the metrics registry.
-        assert tracer._metrics is None
+        # The retain-all path registers no self-metering instrument.
+        assert tracer.metrics.names() == []
         assert tracer.spans_retained_high_water == 0
 
 

@@ -103,12 +103,12 @@ class TestObserverSeam:
         from repro.simcore import FanoutProbe
         from repro.verify.recorder import Recorder
 
-        recorder, flightrec, counters = Recorder(), FlightRecorder(), OpCounters()
+        recorder, flightrec = Recorder(), FlightRecorder()
         grid = (
             GridBuilder()
             .add_machine("m", nodes=4)
             .with_probe(recorder, flightrec)
-            .with_profiling(counters)
+            .with_profiling()
             .build()
         )
         assert isinstance(grid.env.probe, FanoutProbe)
@@ -116,7 +116,8 @@ class TestObserverSeam:
         assert recorder.env is flightrec.env is grid.env
         assert grid.recorder is recorder
         assert grid.flightrec is flightrec
-        assert grid.counters is counters
+        assert isinstance(grid.counters, OpCounters)
+        assert grid.counters.env is grid.env
 
     def test_legacy_methods_delegate(self):
         grid = (
@@ -160,9 +161,9 @@ class TestObserverSeam:
 
     def test_non_observer_rejected(self):
         from repro.prof.counters import OpCounters
-        from repro.simcore import SpanSink
+        from repro.simcore import Environment, SpanSink
 
-        for not_a_probe in (object(), SpanSink(), OpCounters()):
+        for not_a_probe in (object(), SpanSink(), OpCounters(Environment())):
             with pytest.raises(ReproError, match="takes Probe observers"):
                 GridBuilder().add_machine("m", nodes=4).with_probe(not_a_probe)
 
