@@ -71,6 +71,13 @@ HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
     "repro/simcore/tracing.py": frozenset(
         {"Span", "Mark", "TraceContext", "_OpenSpan", "_NullSpan"}
     ),
+    # Bound metric series: a traced run writes four of them per message
+    # (sent, rate, delivered, latency) — slotted, and no allocation or
+    # label handling per write.
+    "repro/simcore/metrics.py": frozenset(
+        {"_Bound", "BoundCounter", "BoundGauge", "BoundHistogram", "BoundRate",
+         "_HistogramSeries"}
+    ),
     # The flight recorder rides every kernel/message/span hook; its
     # records are allocated per observation and its ring push runs at
     # event rate.
@@ -89,8 +96,12 @@ EVENTISH_BASES = frozenset(
     {"Event", "Condition", "Timeout", "BaseRequest", "Message"}
 )
 
-#: Class-name suffixes with the same implication as an eventish base.
-EVENTISH_NAME = re.compile(r"(Event|Message|Request|Timeout|Span|Mark|Context)$")
+#: Class-name suffixes with the same implication as an eventish base,
+#: plus the metering handles (``Bound…``, ``…Series``): allocated once
+#: but dereferenced per message, so an instance dict is a per-write cost.
+EVENTISH_NAME = re.compile(
+    r"^Bound[A-Z]|(Event|Message|Request|Timeout|Span|Mark|Context|Series)$"
+)
 
 #: Wall-clock/entropy call tails (mirrors the det-wallclock set; the
 #: perf rule adds the hot-path cost angle and cross-references it).

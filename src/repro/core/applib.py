@@ -22,6 +22,7 @@ from repro.core.config import DurocConfig
 from repro.errors import CoAllocationError, StopProcess
 from repro.machine.host import ProcessContext
 from repro.net.transport import Port
+from repro.simcore.events import PENDING, Condition, Timeout
 from repro.simcore.probe import emit
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
 
@@ -72,14 +73,19 @@ def barrier(
     node = str(port.endpoint)
     emit(ctx.env, node, "barrier.enter", slot=slot_id, rank=ctx.rank, ok=ok)
     port.send(contact, CHECKIN, payload=payload, ctx=trace)
+    env = ctx.env
     resends = 0
+
+    def verdict(m) -> bool:
+        return m.kind in (RELEASE, ABORT)
+
     while True:
-        get = port.recv(filter=lambda m: m.kind in (RELEASE, ABORT))
-        timer = ctx.env.timeout(CHECKIN_RESEND_INTERVAL)
-        yield get | timer
-        if get.triggered:
+        get = port.recv(filter=verdict)
+        timer = Timeout(env, CHECKIN_RESEND_INTERVAL)
+        yield Condition(env, Condition.any_events, (get, timer))
+        message = get._value
+        if message is not PENDING:
             timer.cancelled = True
-            message = get.value
             break
         get.cancel()
         resends += 1

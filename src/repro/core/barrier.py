@@ -96,7 +96,9 @@ class BarrierManager:
     ) -> None:
         self.env = env
         self.port = port
-        self.metrics = env.tracer.metrics
+        metrics = env.tracer.metrics
+        self._m_waiting = metrics.bind("gauge", "duroc.barrier_waiting")
+        self._m_wait = metrics.bind("histogram", "duroc.barrier_wait_seconds")
         self.tables: dict[int, BarrierTable] = {}
         #: (slot_id, rank) -> release time, for barrier-wait statistics
         #: (§4.2).  Bounded by the request's own process count: one
@@ -138,7 +140,7 @@ class BarrierManager:
             op="record", rank=checkin.rank, applied=applied,
         )
         if applied:
-            self.metrics.gauge("duroc.barrier_waiting").inc()
+            self._m_waiting.inc()
         return table
 
     # -- fan-out ------------------------------------------------------------
@@ -183,10 +185,8 @@ class BarrierManager:
             self.release_times[  # repro: noqa mem-grow-only-attr
                 (slot_id, rank)
             ] = self.env.now
-            self.metrics.gauge("duroc.barrier_waiting").dec()
-            self.metrics.histogram("duroc.barrier_wait_seconds").observe(
-                self.env.now - checkin.time
-            )
+            self._m_waiting.dec()
+            self._m_wait.observe(self.env.now - checkin.time)
             released += 1
         return released
 
@@ -222,7 +222,7 @@ class BarrierManager:
             if (table.slot_id, checkin.rank) in self.release_times:
                 continue  # already released; kill goes via GRAM cancel
             self._send(checkin.endpoint, ABORT, {"reason": reason})
-            self.metrics.gauge("duroc.barrier_waiting").dec()
+            self._m_waiting.dec()
             aborted += 1
         return aborted
 

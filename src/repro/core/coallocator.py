@@ -71,6 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _slot_ids = itertools.count(1)
 
+#: How a request's root span closes: the ``outcome`` label of
+#: ``duroc.requests_total``.
+REQUEST_OUTCOMES = ("released", "aborted", "killed")
+
 #: Handler invoked on interactive subjob failure/timeout:
 #: ``handler(job, slot, notification)``.
 InteractiveHandler = Callable[["DurocJob", "SubjobSlot", Notification], None]
@@ -145,7 +149,6 @@ class DurocJob:
             duroc.network, ephemeral_endpoint(duroc.host, f"duroc.{self.job_id}")
         )
         self.tracer = duroc.tracer
-        self.metrics = self.tracer.metrics
         #: Root span of the request's trace tree: everything this
         #: co-allocation causes hangs off it.
         self.trace_span = self.tracer.span("duroc.request", job=self.job_id)
@@ -426,7 +429,7 @@ class DurocJob:
             return
         self._trace_finished = True
         self.trace_span.finish(outcome=outcome)
-        self.metrics.counter("duroc.requests_total").inc(outcome=outcome)
+        self.duroc._m_requests[outcome].inc()
 
     def _probe(self, name: str, **attrs: Any) -> None:
         """Emit a runtime-verification event on this job's locus."""
@@ -631,31 +634,38 @@ class DurocJob:
         while True:
             message = yield self.port.recv_kind(CHECKIN)
             payload = message.payload
+            slot_id = payload["slot_id"]
+            rank = payload["rank"]
+            slot = self._slot_by_id.get(slot_id)
+            if slot is None or not slot.state.live:
+                # A stale process (substituted-away subjob, aborted
+                # request): tell it to terminate.
+                self._send_abort(payload["endpoint"], "stale subjob")
+                continue
+            if self.state.terminal:
+                self._send_abort(payload["endpoint"], self.abort_reason or "aborted")
+                continue
+            released = slot.state is SubjobState.RELEASED
+            if not released:
+                table_before = self.barrier.tables.get(slot_id)
+                if table_before is not None and rank in table_before.checkins:
+                    # Duplicate of an already-recorded check-in — nine
+                    # in ten arrivals on a wide barrier — dropped before
+                    # the record is built.
+                    continue
             checkin = Checkin(
-                slot_id=payload["slot_id"],
-                rank=payload["rank"],
+                slot_id=slot_id,
+                rank=rank,
                 ok=payload["ok"],
                 reason=payload.get("reason"),
                 endpoint=payload["endpoint"],
                 time=self.env.now,
             )
-            slot = self._slot_by_id.get(checkin.slot_id)
-            if slot is None or not slot.state.live:
-                # A stale process (substituted-away subjob, aborted
-                # request): tell it to terminate.
-                self._send_abort(checkin.endpoint, "stale subjob")
-                continue
-            if self.state.terminal:
-                self._send_abort(checkin.endpoint, self.abort_reason or "aborted")
-                continue
-            if slot.state is SubjobState.RELEASED:
+            if released:
                 # A retransmitted check-in whose RELEASE was lost: send
                 # the stored configuration again.
                 self.barrier.resend_release(checkin)
                 continue
-            table_before = self.barrier.tables.get(checkin.slot_id)
-            if table_before is not None and checkin.rank in table_before.checkins:
-                continue  # duplicate of an already-recorded check-in
             self.tracer.mark(
                 "duroc.checkin",
                 parent=message.trace_ctx,
@@ -942,6 +952,13 @@ class Duroc:
         self.heartbeat_misses = heartbeat_misses
         self.jobs: list[DurocJob] = []
         self._job_counter = itertools.count(1)
+        #: Outcome -> its ``duroc.requests_total`` series, bound once
+        #: for every job of this co-allocator.
+        metrics = self.tracer.metrics
+        self._m_requests = {
+            outcome: metrics.bind("counter", "duroc.requests_total", outcome=outcome)
+            for outcome in REQUEST_OUTCOMES
+        }
 
     def submit(self, request: CoAllocationRequest) -> DurocJob:
         """Begin co-allocation; returns the editable job handle.

@@ -18,6 +18,7 @@ from repro.errors import AuthenticationError, HostDown, RSLError
 from repro.gram.costs import CostModel
 from repro.gram.job import Job
 from repro.gram.jobmanager import JobManager
+from repro.gram.states import JobState
 from repro.gsi.auth import HELLO, accept
 from repro.gsi.credentials import CertificateAuthority
 from repro.gsi.gridmap import GridMap
@@ -45,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     # module-level import here would close that cycle.
     from repro.core.bounded import BoundedDict
     from repro.simcore.environment import Environment
+    from repro.simcore.metrics import BoundCounter
 
 SUBMIT = "gram.submit"
 PING = "gram.ping"
@@ -82,7 +84,19 @@ class Gatekeeper:
         self.programs = programs
         self.costs = costs or CostModel()
         self.tracer = env.tracer
-        self.metrics = self.tracer.metrics
+        self.metrics = metrics = self.tracer.metrics
+        # This site's series, bound once (a handle asks for its
+        # instrument on its first write).
+        site = machine.name
+        self._m_inflight = metrics.bind("gauge", "gram.gatekeeper_inflight", site=site)
+        #: Submit outcome -> its counter, bound at the first such outcome.
+        self._m_submits: "dict[str, BoundCounter]" = {}
+        self._m_transitions = {
+            state: metrics.bind(
+                "counter", "gram.job_transitions_total", state=state.value, site=site
+            )
+            for state in JobState
+        }
         self.port = Port(machine.network, Endpoint(machine.name, GATEKEEPER_PORT))
         self.endpoint = self.port.endpoint
         #: Job managers created by this gatekeeper, by job id.  The
@@ -121,18 +135,24 @@ class Gatekeeper:
 
     def _handle(self, hello):
         """Serve one connection: authenticate, authorize, submit."""
-        env = self.env
-        site = self.machine.name
-        self.metrics.gauge("gram.gatekeeper_inflight").inc(site=site)
+        self._m_inflight.inc()
         try:
             yield from self._handle_inner(hello)
         finally:
-            self.metrics.gauge("gram.gatekeeper_inflight").dec(site=site)
+            self._m_inflight.dec()
 
     def _count_submit(self, outcome: str) -> None:
-        self.metrics.counter("gram.submits_total").inc(
-            site=self.machine.name, outcome=outcome
-        )
+        series = self._m_submits.get(outcome)
+        if series is None:
+            # Code-bounded: outcomes are the string literals at this
+            # class's _count_submit calls, not request data.
+            series = self._m_submits[outcome] = (  # repro: noqa mem-grow-only-attr
+                self.metrics.bind(
+                    "counter", "gram.submits_total",
+                    site=self.machine.name, outcome=outcome,
+                )
+            )
+        series.inc()
 
     def _handle_inner(self, hello):
         env = self.env
@@ -215,6 +235,7 @@ class Gatekeeper:
             job=job,
             program=self.programs[executable],
             costs=self.costs,
+            transitions=self._m_transitions,
             callback=request.payload.get("callback"),
             ctx=ctx,
         )

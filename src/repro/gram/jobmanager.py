@@ -23,6 +23,7 @@ from repro.simcore.process import Interrupt
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.simcore.metrics import BoundCounter
     from repro.simcore.environment import Environment
 
 #: Message kinds served by a job manager.
@@ -44,6 +45,7 @@ class JobManager:
         job: Job,
         program: Program,
         costs: CostModel,
+        transitions: "dict[JobState, BoundCounter]",
         callback: Optional[Endpoint] = None,
         ctx: Optional[TraceContext] = None,
     ) -> None:
@@ -56,7 +58,9 @@ class JobManager:
         #: Callback listeners; more can be (un)registered at runtime.
         self.callbacks: list[Endpoint] = [callback] if callback is not None else []
         self.tracer = env.tracer
-        self.metrics = self.tracer.metrics
+        #: The site's ``gram.job_transitions_total`` series by state:
+        #: the gatekeeper resolves them once for all its job managers.
+        self._m_transitions = transitions
         #: Trace context of the submit request this manager serves.
         self.ctx = ctx
         self.port = Port(
@@ -71,9 +75,7 @@ class JobManager:
     # -- lifecycle ------------------------------------------------------------
 
     def _count_transition(self) -> None:
-        self.metrics.counter("gram.job_transitions_total").inc(
-            state=self.job.state.value, site=self.machine.name
-        )
+        self._m_transitions[self.job.state].inc()
 
     def _drive(self):
         env = self.env

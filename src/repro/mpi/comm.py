@@ -14,11 +14,14 @@ All blocking operations are generators (``yield from comm.recv()``).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.config import DurocConfig
 from repro.errors import MPIError
 from repro.net.transport import Port
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simcore.metrics import BoundCounter
 
 #: Message kinds.
 PT2PT = "mpi.msg"
@@ -38,6 +41,9 @@ class MiniComm:
         self.rank = config.global_rank()
         self.size = config.total_processes
         self.metrics = port.network.env.tracer.metrics
+        #: Operation ("pt2pt" or a collective phase) -> its
+        #: ``mpi.messages_total`` series, bound at the first such send.
+        self._m_messages: "dict[str, BoundCounter]" = {}
         self._coll_seq = 0
 
     # -- naming -----------------------------------------------------------
@@ -49,12 +55,22 @@ class MiniComm:
     def address_of(self, rank: int):
         return self.config.address_of_global(rank)
 
+    def _count_message(self, op: str) -> None:
+        series = self._m_messages.get(op)
+        if series is None:
+            # Code-bounded: "pt2pt" and the phase names the collectives
+            # below pass to _coll_send, all string literals.
+            series = self._m_messages[op] = (  # repro: noqa mem-grow-only-attr
+                self.metrics.bind("counter", "mpi.messages_total", op=op)
+            )
+        series.inc()
+
     # -- point-to-point -----------------------------------------------------
 
     def send(self, dest: int, data: Any, tag: int = 0) -> None:
         """Asynchronous send to global rank ``dest``."""
         self._check_rank(dest)
-        self.metrics.counter("mpi.messages_total").inc(op="pt2pt")
+        self._count_message("pt2pt")
         self.port.send(
             self.address_of(dest),
             PT2PT,
@@ -82,7 +98,7 @@ class MiniComm:
     # sequence number isolates consecutive operations from one another.
 
     def _coll_send(self, dest: int, seq: int, phase: str, data: Any) -> None:
-        self.metrics.counter("mpi.messages_total").inc(op=phase)
+        self._count_message(phase)
         self.port.send(
             self.address_of(dest),
             COLLECTIVE,

@@ -27,6 +27,7 @@ from repro.simcore.rng import jittered
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
+    from repro.simcore.metrics import MetricsRegistry
 
 
 #: Default one-way latency between distinct hosts (paper: ~2 ms).
@@ -34,6 +35,10 @@ DEFAULT_LATENCY = 0.002
 
 #: Latency for host-local delivery (loopback).
 LOCAL_LATENCY = 1e-5
+
+#: Why a message is lost: a drop rule matched at send, the destination
+#: was down or partitioned away at delivery, or nothing is bound there.
+DROP_REASONS = ("rule", "unreachable", "unbound")
 
 
 class LatencyModel:
@@ -91,6 +96,24 @@ class LatencyModel:
         return delay
 
 
+class KindSeries:
+    """Every series labelled with one message kind, resolved once.
+
+    ``send``/``_deliver_message`` write the first two per message and
+    :func:`repro.net.rpc.call` the rest per call; a kind that is never
+    an RPC never asks for the ``rpc.*`` instruments.
+    """
+
+    __slots__ = ("sent", "delivered", "rpc_calls", "rpc_timeouts", "rpc_latency")
+
+    def __init__(self, metrics: "MetricsRegistry", kind: str) -> None:
+        self.sent = metrics.bind("counter", "net.messages_sent_total", kind=kind)
+        self.delivered = metrics.bind("counter", "net.messages_delivered_total", kind=kind)
+        self.rpc_calls = metrics.bind("counter", "rpc.calls_total", kind=kind)
+        self.rpc_timeouts = metrics.bind("counter", "rpc.timeouts_total", kind=kind)
+        self.rpc_latency = metrics.bind("histogram", "rpc.latency_seconds", kind=kind)
+
+
 class Network:
     """Hosts, mailboxes, and message delivery.
 
@@ -106,7 +129,16 @@ class Network:
         self.env = env
         self.latency_model = latency_model or LatencyModel()
         #: The run's registry, read once: ``send()`` runs per message.
-        self.metrics = env.tracer.metrics
+        self.metrics = metrics = env.tracer.metrics
+        #: Series bound once, written per message (a handle asks for its
+        #: instrument on its first write); per kind, at first sight.
+        self._m_kinds: dict[str, KindSeries] = {}
+        self._m_send_rate = metrics.bind("rate", "net.send_rate")
+        self._m_latency = metrics.bind("histogram", "net.delivery_latency_seconds")
+        self._m_dropped = {
+            reason: metrics.bind("counter", "net.messages_dropped_total", reason=reason)
+            for reason in DROP_REASONS
+        }
         self._hosts: set[str] = set()
         self._down: set[str] = set()
         self._mailboxes: dict[Endpoint, Store] = {}
@@ -238,10 +270,12 @@ class Network:
         message.sent_at = env.now
         # Unobserved runs (NULL_METRICS, no probe) make no metering
         # calls: this runs once per message.
-        metrics = self.metrics
-        if metrics is not NULL_METRICS:
-            metrics.counter("net.messages_sent_total").inc(kind=message.kind)
-            metrics.rate("net.send_rate").tick()
+        if self.metrics is not NULL_METRICS:
+            series = self._m_kinds.get(message.kind)
+            if series is None:
+                series = self.kind_series(message.kind)
+            series.sent.inc()
+            self._m_send_rate.tick()
         probe = env.probe
         if probe is not None:
             probe.on_send(message)
@@ -272,21 +306,33 @@ class Network:
         env = self.env
         message.delivered_at = now = env.now
         self.delivered_count += 1
-        metrics = self.metrics
-        if metrics is not NULL_METRICS:
-            metrics.counter("net.messages_delivered_total").inc(kind=message.kind)
+        if self.metrics is not NULL_METRICS:
+            series = self._m_kinds.get(message.kind)
+            if series is None:
+                series = self.kind_series(message.kind)
+            series.delivered.inc()
             if message.sent_at is not None:
-                metrics.histogram("net.delivery_latency_seconds").observe(
-                    now - message.sent_at
-                )
+                self._m_latency.observe(now - message.sent_at)
         probe = env.probe
         if probe is not None:
             probe.on_deliver(message)
         box.put(message)
 
+    def kind_series(self, kind: str) -> "KindSeries":
+        """The metering handles of one message kind, bound at first sight."""
+        series = self._m_kinds.get(kind)
+        if series is None:
+            # Code-bounded: message kinds are string literals at the
+            # sending sites (plus their ".reply"/".error" forms), not
+            # request data.
+            series = self._m_kinds[kind] = KindSeries(  # repro: noqa mem-grow-only-attr
+                self.metrics, kind
+            )
+        return series
+
     def _drop(self, message: Message, reason: str) -> None:
         self.dropped_count += 1
-        self.metrics.counter("net.messages_dropped_total").inc(reason=reason)
+        self._m_dropped[reason].inc()
         probe = self.env.probe
         if probe is not None:
             probe.on_drop(message, reason)

@@ -53,12 +53,12 @@ def call(
     network = port.network
     env = network.env
     # Unobserved runs (NULL_METRICS) make no metering calls.
-    metrics = network.metrics
-    metered = metrics is not NULL_METRICS
+    metered = network.metrics is not NULL_METRICS
     corr = port.next_corr_id()
     if metered:
         started = env.now
-        metrics.counter("rpc.calls_total").inc(kind=kind)
+        series = network.kind_series(kind)
+        series.rpc_calls.inc()
     port.send(dst, kind, payload, reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
     reply_event = port.recv(filter=lambda m: m.corr_id == corr)
@@ -71,7 +71,7 @@ def call(
         if message is PENDING:
             reply_event.cancel()
             if metered:
-                metrics.counter("rpc.timeouts_total").inc(kind=kind)
+                series.rpc_timeouts.inc()
             raise RPCTimeout(
                 f"rpc {kind!r} to {dst} timed out after {timeout:g}s",
                 endpoint=dst,
@@ -81,7 +81,7 @@ def call(
         deadline.cancelled = True  # retire the timer
 
     if metered:
-        metrics.histogram("rpc.latency_seconds").observe(env.now - started, kind=kind)
+        series.rpc_latency.observe(env.now - started)
     if message.kind == kind + ".error":
         raise RPCError(message.payload)
     return message.payload

@@ -46,7 +46,13 @@ class CircuitBreaker:
         self.endpoint = endpoint
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.metrics = env.tracer.metrics
+        metrics = env.tracer.metrics
+        self._m_state = metrics.bind(
+            "gauge", "resilience.breaker_state", endpoint=str(endpoint)
+        )
+        self._m_trips = metrics.bind(
+            "counter", "resilience.breaker_trips_total", endpoint=str(endpoint)
+        )
         self.state = BreakerPhase.CLOSED
         self.failures = 0
         self.opened_at: Optional[float] = None
@@ -54,9 +60,7 @@ class CircuitBreaker:
     def _transition(self, new: BreakerPhase) -> None:
         check_breaker_transition(self.state, new)
         self.state = new
-        self.metrics.gauge("resilience.breaker_state").set(
-            list(BreakerPhase).index(new), endpoint=str(self.endpoint)
-        )
+        self._m_state.set(list(BreakerPhase).index(new))
 
     @property
     def retry_at(self) -> Optional[float]:
@@ -102,9 +106,7 @@ class CircuitBreaker:
     def _trip(self) -> None:
         self._transition(BreakerPhase.OPEN)
         self.opened_at = self.env.now
-        self.metrics.counter("resilience.breaker_trips_total").inc(
-            endpoint=str(self.endpoint)
-        )
+        self._m_trips.inc()
         emit(
             self.env,
             str(self.endpoint),

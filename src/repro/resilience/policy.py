@@ -216,7 +216,13 @@ class RetryEpisode:
         self.rng = rng
         self.operation = operation
         self.endpoint = endpoint
-        self.metrics = env.tracer.metrics
+        metrics = env.tracer.metrics
+        self._m_retries = metrics.bind(
+            "counter", "resilience.retries_total", operation=operation
+        )
+        self._m_exhausted = metrics.bind(
+            "counter", "resilience.exhausted_total", operation=operation
+        )
         self.state = AttemptPhase.RUNNING
         self.attempt = 1
         self.started_at = env.now
@@ -243,9 +249,7 @@ class RetryEpisode:
     def exhaust(self, cause: Optional[BaseException], why: str) -> None:
         """End the episode unsuccessfully; always raises RetryExhausted."""
         self._transition(AttemptPhase.EXHAUSTED)
-        self.metrics.counter("resilience.exhausted_total").inc(
-            operation=self.operation
-        )
+        self._m_exhausted.inc()
         emit(
             self.env,
             str(self.endpoint) if self.endpoint is not None else self.operation,
@@ -277,9 +281,7 @@ class RetryEpisode:
             self.exhaust(cause, "deadline reached")
         self._transition(AttemptPhase.BACKING_OFF)
         self.delays.append(delay)
-        self.metrics.counter("resilience.retries_total").inc(
-            operation=self.operation
-        )
+        self._m_retries.inc()
         if delay > 0:
             yield self.env.timeout(delay)
         self._transition(AttemptPhase.RUNNING)

@@ -139,8 +139,24 @@ class LocalScheduler:
         #: History of (submitted_at, granted_at, count) for prediction.
         self.history: list[tuple[float, float, int]] = []
         self.metrics = env.tracer.metrics
-        #: Site label on this scheduler's metrics, set by the owning Site.
-        self.site: str = ""
+        self.site = ""
+
+    @property
+    def site(self) -> str:
+        """Site label on this scheduler's metrics, set by the owning Site."""
+        return self._site
+
+    @site.setter
+    def site(self, name: str) -> None:
+        # The label is fixed from here on: bind the three series once (a
+        # handle asks for its instrument on its first write).
+        self._site = name
+        metrics = self.metrics
+        self._m_queue_wait = metrics.bind(
+            "histogram", "sched.queue_wait_seconds", site=name, policy=self.policy
+        )
+        self._m_nodes_busy = metrics.bind("gauge", "sched.nodes_busy", site=name)
+        self._m_queue_length = metrics.bind("gauge", "sched.queue_length", site=name)
 
     # -- API ------------------------------------------------------------------
 
@@ -186,10 +202,7 @@ class LocalScheduler:
             self.history.append(
                 (request.submitted_at, self.env.now, request.count)
             )
-            self.metrics.histogram("sched.queue_wait_seconds").observe(
-                self.env.now - request.submitted_at,
-                site=self.site, policy=self.policy,
-            )
+            self._m_queue_wait.observe(self.env.now - request.submitted_at)
         pending.transition(QueuePhase.GRANTED)
         pending.event.succeed(lease)
         self._observe_occupancy()
@@ -212,10 +225,8 @@ class LocalScheduler:
 
     def _observe_occupancy(self) -> None:
         """Refresh the busy-nodes and queue-depth gauges for this site."""
-        self.metrics.gauge("sched.nodes_busy").set(self.busy, site=self.site)
-        self.metrics.gauge("sched.queue_length").set(
-            self.queue_length(), site=self.site
-        )
+        self._m_nodes_busy.set(self.busy)
+        self._m_queue_length.set(self.queue_length())
 
     @property
     def busy(self) -> int:

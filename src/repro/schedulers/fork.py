@@ -32,9 +32,7 @@ class ForkScheduler(LocalScheduler):
         lease = Lease(self, request)
         self.leases.append(lease)
         self.history.append((self.env.now, self.env.now, request.count))
-        self.metrics.histogram("sched.queue_wait_seconds").observe(
-            0.0, site=self.site, policy=self.policy
-        )
+        self._m_queue_wait.observe(0.0)
         pending.transition(QueuePhase.GRANTED)
         pending.event.succeed(lease)
         self._observe_occupancy()

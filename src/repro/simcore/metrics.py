@@ -6,6 +6,15 @@ keyed by (name, sorted label items).  All timestamps come from the
 simulated clock, never from the wall clock, so two identical runs
 produce byte-identical snapshots.
 
+Code that meters at message rate does not pay the name lookup and the
+label sort per write: ``registry.bind(kind, name, **labels)`` (or
+``instrument.bind(**labels)`` with the instrument in hand) computes the
+label key once and returns a handle whose writes take no labels.  The
+labelled writers (``inc(amount, **labels)``, …) are ``bind`` plus that
+one write.  A handle asks for its instrument and creates its series on
+its first write, not when it is bound, so binding in a constructor adds
+nothing to the export of a run that never reaches the site.
+
 This is the emit side: it imports only the standard library and sits
 beside :mod:`~repro.simcore.tracing` and :mod:`~repro.simcore.probe`,
 so every layer can meter itself without importing the tooling in
@@ -19,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Protocol
 
 #: Sorted (label, value) pairs — the identity of one labeled series.
@@ -30,6 +40,9 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
+
+
+_NEG_INF = float("-inf")
 
 
 def _label_key(labels: Dict[str, Any]) -> LabelKey:
@@ -58,11 +71,11 @@ class Counter:
         self.help = help
         self._values: Dict[LabelKey, float] = {}
 
+    def bind(self, **labels: Any) -> "BoundCounter":
+        return BoundCounter(lambda: self, _label_key(labels))
+
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
+        self.bind(**labels).inc(amount)
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -82,6 +95,38 @@ class Counter:
         }
 
 
+class _Bound:
+    """One labelled series: the key computed at bind, the rest on first write.
+
+    ``resolve`` returns the instrument; it is not called before the
+    first write, so a handle that is never written leaves the registry
+    and the instrument exactly as it found them.  ``_target`` is what
+    the writer then works on (set by that first write).
+    """
+
+    __slots__ = ("_resolve", "_key", "_target")
+
+    def __init__(self, resolve: Callable[[], Any], key: LabelKey) -> None:
+        self._resolve = resolve
+        self._key = key
+        self._target: Any = None
+
+
+class BoundCounter(_Bound):
+    """One series of a :class:`Counter`."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self._resolve().name!r} cannot decrease")
+        values = self._target
+        if values is None:
+            values = self._target = self._resolve()._values
+        key = self._key
+        values[key] = values.get(key, 0.0) + amount
+
+
 class Gauge:
     """Instantaneous level (queue depth, barrier occupancy, ...).
 
@@ -97,17 +142,17 @@ class Gauge:
         self._values: Dict[LabelKey, float] = {}
         self._high: Dict[LabelKey, float] = {}
 
+    def bind(self, **labels: Any) -> "BoundGauge":
+        return BoundGauge(lambda: self, _label_key(labels))
+
     def set(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        self._values[key] = value
-        if value > self._high.get(key, float("-inf")):
-            self._high[key] = value
+        self.bind(**labels).set(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        self.set(self._values.get(_label_key(labels), 0.0) + amount, **labels)
+        self.bind(**labels).inc(amount)
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
+        self.bind(**labels).dec(amount)
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
@@ -130,11 +175,39 @@ class Gauge:
         }
 
 
-class _HistogramSeries:
-    __slots__ = ("counts", "count", "sum", "min", "max")
+class BoundGauge(_Bound):
+    """One series of a :class:`Gauge`."""
 
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * (n_buckets + 1)  # +1 for the +Inf bucket
+    __slots__ = ()
+
+    def _level(self) -> float:
+        gauge = self._target
+        if gauge is None:
+            gauge = self._target = self._resolve()
+        return gauge._values.get(self._key, 0.0)
+
+    def set(self, value: float) -> None:
+        gauge = self._target
+        if gauge is None:
+            gauge = self._target = self._resolve()
+        key = self._key
+        gauge._values[key] = value
+        if value > gauge._high.get(key, _NEG_INF):
+            gauge._high[key] = value
+
+    def inc(self, amount: float = 1.0) -> None:
+        self.set(self._level() + amount)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.set(self._level() - amount)
+
+
+class _HistogramSeries:
+    __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
+
+    def __init__(self, buckets: tuple[float, ...]) -> None:
+        self.buckets = buckets
+        self.counts = [0] * (len(buckets) + 1)  # +1 for the +Inf bucket
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -159,18 +232,11 @@ class Histogram:
         self.buckets = tuple(float(b) for b in buckets)
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
+    def bind(self, **labels: Any) -> "BoundHistogram":
+        return BoundHistogram(lambda: self, _label_key(labels))
+
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.buckets))
-        series.counts[bisect_left(self.buckets, value)] += 1
-        series.count += 1
-        series.sum += value
-        if value < series.min:
-            series.min = value
-        if value > series.max:
-            series.max = value
+        self.bind(**labels).observe(value)
 
     def count(self, **labels: Any) -> int:
         series = self._series.get(_label_key(labels))
@@ -222,6 +288,30 @@ class Histogram:
         return {"type": self.kind, "help": self.help, "values": values}
 
 
+class BoundHistogram(_Bound):
+    """One series of a :class:`Histogram`."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        series = self._target
+        if series is None:
+            histogram = self._resolve()
+            series = histogram._series.get(self._key)
+            if series is None:
+                series = histogram._series[self._key] = _HistogramSeries(
+                    histogram.buckets
+                )
+            self._target = series
+        series.counts[bisect_left(series.buckets, value)] += 1
+        series.count += 1
+        series.sum += value
+        if value < series.min:
+            series.min = value
+        if value > series.max:
+            series.max = value
+
+
 class WindowedRate:
     """Events per second over a sliding window of simulated time."""
 
@@ -243,15 +333,11 @@ class WindowedRate:
         self._events: Dict[LabelKey, Deque[float]] = {}
         self._totals: Dict[LabelKey, int] = {}
 
+    def bind(self, **labels: Any) -> "BoundRate":
+        return BoundRate(lambda: self, _label_key(labels))
+
     def tick(self, **labels: Any) -> None:
-        key = _label_key(labels)
-        events = self._events.get(key)
-        if events is None:
-            events = self._events[key] = deque()
-        now = self._clock.now
-        events.append(now)
-        self._totals[key] = self._totals.get(key, 0) + 1
-        self._prune(events, now)
+        self.bind(**labels).tick()
 
     def _prune(self, events: Deque[float], now: float) -> None:
         horizon = now - self.window
@@ -281,6 +367,35 @@ class WindowedRate:
                 }
             )
         return {"type": self.kind, "help": self.help, "values": values}
+
+
+class BoundRate(_Bound):
+    """One series of a :class:`WindowedRate`."""
+
+    __slots__ = ()
+
+    def tick(self) -> None:
+        rate = self._target
+        if rate is None:
+            rate = self._target = self._resolve()
+        key = self._key
+        events = rate._events.get(key)
+        if events is None:
+            events = rate._events[key] = deque()
+        now = rate._clock.now
+        events.append(now)
+        rate._totals[key] = rate._totals.get(key, 0) + 1
+        if events[0] <= now - rate.window:
+            rate._prune(events, now)
+
+
+#: Bound-series class of each registry accessor, for :meth:`MetricsRegistry.bind`.
+_BOUND: Dict[str, type] = {
+    "counter": BoundCounter,
+    "gauge": BoundGauge,
+    "histogram": BoundHistogram,
+    "rate": BoundRate,
+}
 
 
 #: Quantiles reported in histogram summaries (text and JSON exports).
@@ -374,6 +489,22 @@ class MetricsRegistry:
             WindowedRate, name, lambda: WindowedRate(name, self._clock, window, help)
         )
 
+    def bind(self, kind: str, name: str, /, *args: Any, **labels: Any) -> Any:
+        """One series of the ``kind`` instrument ``name``, for repeated writes.
+
+        ``registry.bind("counter", "x", site="RM1").inc()`` counts what
+        ``registry.counter("x").inc(site="RM1")`` counts, but the
+        accessor (``kind``: ``counter``/``gauge``/``histogram``/``rate``,
+        ``args``: its ``help`` etc.) is first called by the handle's
+        first write.  A component binds its series in its constructor
+        and writes them per message; one it never writes is never asked
+        for, so the run's export does not depend on what was merely
+        built.
+        """
+        return _BOUND[kind](
+            partial(getattr(self, kind), name, *args), _label_key(labels)
+        )
+
     def names(self) -> list[str]:
         return sorted(self._instruments)
 
@@ -394,6 +525,9 @@ class _NullInstrument:
     kind = "null"
     name = "null"
     help = ""
+
+    def bind(self, **labels: Any) -> "_NullInstrument":
+        return self
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         pass
@@ -460,6 +594,9 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def rate(self, name: str, window: float = 10.0, help: str = "") -> WindowedRate:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
+
+    def bind(self, kind: str, name: str, /, *args: Any, **labels: Any) -> Any:
+        return _NULL_INSTRUMENT
 
     def names(self) -> list[str]:
         return []

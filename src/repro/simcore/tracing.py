@@ -343,16 +343,16 @@ class Tracer:
             self._meter_recorded = metrics.counter(
                 "obs.spans_recorded_total",
                 "span/mark completions seen by the telemetry layer",
-            )
+            ).bind()
             self._meter_dropped = metrics.counter(
                 "obs.spans_dropped_total",
                 "completions not retained in memory (sampled out or streamed)",
-            )
+            ).bind()
             self._meter_retained = metrics.gauge(
                 "obs.spans_retained",
                 "records currently held by the telemetry layer "
                 "(tracer lists + sink buffers); high_water bounds its memory",
-            )
+            ).bind()
         self._meter_recorded.inc()
         if dropped:
             self._meter_dropped.inc()

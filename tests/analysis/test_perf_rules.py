@@ -159,8 +159,31 @@ def test_registry_covers_the_kernel_modules():
         "repro/simcore/events.py",
         "repro/net/message.py",
         "repro/net/network.py",
+        "repro/simcore/metrics.py",
     ):
         assert suffix in HOT_PATHS
+
+
+def test_bound_metric_series_must_be_slotted(run_checker):
+    # A traced run writes four bound series per message: the registered
+    # classes of metrics.py are held to __slots__ by name, the cold
+    # instruments beside them are not.
+    source = """
+        class Counter:
+            def bind(self):
+                return BoundCounter()
+
+        class BoundCounter:
+            def inc(self):
+                pass
+
+        class BoundedThing:
+            pass
+    """
+    findings = run_checker(
+        PerfChecker(), source, filename="repro/simcore/metrics.py"
+    )
+    assert [(f.rule, f.line) for f in findings] == [("perf-no-slots", 6)]
 
 
 def test_hot_roots_whole_module(run_checker, tmp_path, write_file):

@@ -1,6 +1,10 @@
 """Unit tests for the deterministic metrics registry."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simcore import Environment
 from repro.simcore.metrics import (
@@ -210,3 +214,142 @@ class TestNullRegistry:
         g = Gauge("standalone")
         g.set(2)
         assert g.high_water() == 2
+
+
+class _Clock:
+    def __init__(self):
+        self.now = 0.0
+
+
+#: A small label alphabet: unlabelled, one label, two labels in either
+#: spelling order (the same series), a non-string value.
+LABEL_SETS = (
+    {},
+    {"site": "RM1"},
+    {"site": "RM2"},
+    {"site": "RM1", "kind": "x"},
+    {"kind": "x", "site": "RM1"},
+    {"rank": 3},
+)
+
+#: (accessor, write method, takes an amount) for every labelled writer.
+WRITES = (
+    ("counter", "inc", True),
+    ("gauge", "set", True),
+    ("gauge", "inc", True),
+    ("gauge", "dec", True),
+    ("histogram", "observe", True),
+    ("rate", "tick", False),
+)
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(WRITES),
+            st.sampled_from(("a", "b")),
+            st.integers(0, len(LABEL_SETS) - 1),
+            st.sampled_from((0.0, 0.0004, 0.5, 1.0, 3.0, 1000.0)),
+        ),
+        st.floats(0.0, 7.0).map(lambda dt: ("advance", dt)),
+    ),
+    max_size=40,
+)
+
+
+class TestBoundSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_steps, bind_first=st.booleans())
+    def test_handles_and_kwargs_writers_export_the_same(self, steps, bind_first):
+        """Bound handles against one registry, kwargs against another."""
+        clock = _Clock()
+        bound, labelled = MetricsRegistry(clock), MetricsRegistry(clock)
+        handles = {}
+
+        def handle(accessor, name, index):
+            key = (accessor, name, index)
+            if key not in handles:
+                handles[key] = bound.bind(
+                    accessor, f"{accessor}.{name}", **LABEL_SETS[index]
+                )
+            return handles[key]
+
+        if bind_first:
+            # Constructor style: every series bound before any write.
+            for accessor in ("counter", "gauge", "histogram", "rate"):
+                for name in ("a", "b"):
+                    for index in range(len(LABEL_SETS)):
+                        handle(accessor, name, index)
+        for step in steps:
+            if step[0] == "advance":
+                clock.now += step[1]
+            else:
+                (accessor, method, takes_amount), name, index, amount = step
+                args = (amount,) if takes_amount else ()
+                getattr(handle(accessor, name, index), method)(*args)
+                instrument = getattr(labelled, accessor)(f"{accessor}.{name}")
+                getattr(instrument, method)(*args, **LABEL_SETS[index])
+            assert bound.names() == labelled.names()
+            assert json.dumps(bound.snapshot(), sort_keys=True) == json.dumps(
+                labelled.snapshot(), sort_keys=True
+            )
+
+    def test_unwritten_handle_leaves_the_registry_untouched(self, registry):
+        registry.counter("declared")
+        names, snapshot = registry.names(), registry.snapshot()
+        handles = [
+            registry.bind("counter", "c", site="RM1"),
+            registry.bind("gauge", "g", site="RM1"),
+            registry.bind("histogram", "h", site="RM1"),
+            registry.bind("rate", "r", site="RM1"),
+            # With the instrument in hand: no series before a write.
+            registry.counter("declared").bind(site="RM1"),
+        ]
+        assert registry.names() == names == ["declared"]
+        assert registry.snapshot() == snapshot
+        # Instrument and series arrive together, with the first write.
+        handles[0].inc()
+        assert registry.names() == ["c", "declared"]
+        assert registry.snapshot()["metrics"]["c"]["values"] == [
+            {"labels": {"site": "RM1"}, "value": 1.0}
+        ]
+
+    def test_bind_passes_the_accessor_arguments(self, registry):
+        registry.bind("counter", "c", "what it counts").inc()
+        assert registry.counter("c").help == "what it counts"
+        registry.bind("histogram", "h", "", (1.0, 2.0)).observe(1.5)
+        assert registry.histogram("h").buckets == (1.0, 2.0)
+        with pytest.raises(KeyError):
+            registry.bind("summary", "s")
+
+    def test_type_mismatch_surfaces_at_the_first_write(self, registry):
+        registry.counter("x")
+        handle = registry.bind("gauge", "x")
+        with pytest.raises(TypeError):
+            handle.set(1)
+
+    def test_two_handles_share_one_series(self, registry):
+        first = registry.bind("histogram", "h", site="RM1")
+        second = registry.histogram("h").bind(site="RM1")
+        first.observe(0.1)
+        second.observe(0.2)
+        assert registry.histogram("h").count(site="RM1") == 2
+        first, second = registry.bind("rate", "r"), registry.bind("rate", "r")
+        first.tick()
+        second.tick()
+        assert registry.rate("r").snapshot()["values"][0]["total"] == 2
+
+    def test_bound_counter_cannot_decrease(self, registry):
+        handle = registry.counter("x").bind()
+        with pytest.raises(ValueError, match="'x' cannot decrease"):
+            handle.inc(-1)
+        assert registry.counter("x").total() == 0
+
+    def test_null_instrument_binds_to_itself(self):
+        null = NULL_METRICS.counter("x")
+        handle = null.bind(k="v")
+        assert handle is null
+        assert NULL_METRICS.bind("counter", "x", k="v") is null
+        handle.inc()
+        handle.observe(1.0)
+        handle.tick()
+        assert NULL_METRICS.snapshot() == {"time": 0.0, "metrics": {}}
