@@ -22,6 +22,7 @@ from repro.core.config import DurocConfig
 from repro.errors import CoAllocationError, StopProcess
 from repro.machine.host import ProcessContext
 from repro.net.transport import Port
+from repro.resilience import Deadline, RetryPolicy
 from repro.simcore.events import PENDING, Condition, Timeout
 from repro.simcore.probe import emit
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
@@ -35,10 +36,22 @@ PARAM_SLOT = "duroc.slot"
 #: check-in until the co-allocator's verdict (RELEASE/ABORT) arrives.
 #: The co-allocator records check-ins idempotently and answers
 #: retransmissions from released slots with the configuration again.
-CHECKIN_RESEND_INTERVAL = 2.0
-
-#: Resend cap: past this the process gives up on the co-allocator.
-CHECKIN_MAX_RESENDS = 60
+#: A waiting process backs off — resends 2, 6, 14, 30, 60, 90 and 120 s
+#: after its first check-in — so barrier traffic follows the number of
+#: processes, not how long they wait; 122 s after the first check-in it
+#: gives up on the co-allocator.  No jitter: the simulated network has
+#: no congestion for de-synchronised resends to relieve.  The price is
+#: recovery latency: a lost first CHECKIN is still repaired after 2 s,
+#: a RELEASE lost after a long wait only at the next resend, up to
+#: ``max_delay`` later (docs/RESILIENCE.md).
+CHECKIN_RESEND = RetryPolicy(
+    max_attempts=8,
+    base_delay=2.0,
+    multiplier=2.0,
+    max_delay=30.0,
+    jitter=0.0,
+    deadline=122.0,
+)
 
 
 def barrier(
@@ -54,8 +67,10 @@ def barrier(
     Raises :class:`~repro.errors.StopProcess` if the co-allocation is
     aborted (the process "may not return from the barrier"), and also
     when ``ok=False`` was reported (a process that failed startup never
-    proceeds).  ``trace`` rides on the check-in message so the
-    co-allocator can tie its barrier accounting into the trace tree.
+    proceeds) or no verdict arrives before ``CHECKIN_RESEND.deadline``
+    (the co-allocator is taken for lost).  ``trace`` rides on the
+    check-in message so the co-allocator can tie its barrier accounting
+    into the trace tree.
     """
     if PARAM_CONTACT not in ctx.params:
         raise CoAllocationError(
@@ -74,22 +89,25 @@ def barrier(
     emit(ctx.env, node, "barrier.enter", slot=slot_id, rank=ctx.rank, ok=ok)
     port.send(contact, CHECKIN, payload=payload, ctx=trace)
     env = ctx.env
-    resends = 0
+    deadline = Deadline(env, CHECKIN_RESEND.deadline)
 
     def verdict(m) -> bool:
         return m.kind in (RELEASE, ABORT)
 
-    while True:
-        get = port.recv(filter=verdict)
-        timer = Timeout(env, CHECKIN_RESEND_INTERVAL)
+    # One receive for the whole wait; each round arms only a timer.  The
+    # round after the last resend waits out what is left of the deadline,
+    # and a wait the deadline cut short is the last.
+    get = port.recv(filter=verdict)
+    for delay in (*CHECKIN_RESEND.schedule(), float("inf")):
+        wait = deadline.clamp(delay)
+        timer = Timeout(env, wait)
         yield Condition(env, Condition.any_events, (get, timer))
         message = get._value
         if message is not PENDING:
             timer.cancelled = True
             break
-        get.cancel()
-        resends += 1
-        if resends > CHECKIN_MAX_RESENDS:
+        if wait < delay:
+            get.cancel()
             emit(ctx.env, node, "barrier.abandoned", slot=slot_id, rank=ctx.rank)
             raise StopProcess(("failed", "no barrier verdict arrived"))
         port.send(contact, CHECKIN, payload=payload, ctx=trace)

@@ -316,7 +316,7 @@ class EventQueueMonitor(Monitor):
         ),
         Rule(
             "dl-barrier-abandoned",
-            "a process gave up on the barrier after exhausting resends",
+            "a process waited out the barrier's give-up horizon without a verdict",
             severity=Severity.WARNING,
         ),
     )
@@ -332,9 +332,8 @@ class EventQueueMonitor(Monitor):
             yield self.finding(
                 ctx, log, event, "dl-barrier-abandoned",
                 f"process rank {event.attrs.get('rank')} (slot "
-                f"{event.attrs.get('slot')}) abandoned the barrier after "
-                "exhausting check-in resends: the co-allocator never "
-                "answered",
+                f"{event.attrs.get('slot')}) abandoned the barrier at its "
+                "give-up horizon: the co-allocator never answered",
             )
 
     def _clock_regressions(

@@ -4,9 +4,10 @@ A traced run used to pay a registry lookup and a label sort for every
 metric write — four of each per message.  Components now bind their
 series once (``instrument.bind``), so the number of lookups depends on
 what was built, never on how long it ran.  This is a count, not a
-timing: the same request is run twice, the second time with a start-up
-delay that doubles the check-in retransmissions, and the lookups must
-not move while the traffic doubles.
+timing: the same request is run twice, the second time with sixteen times
+the processes in its two wide subjobs — each one checks in, re-sends
+while it waits and is released — and the lookups must not move while
+the traffic doubles.
 """
 
 from repro.core.applib import make_program
@@ -15,12 +16,12 @@ from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.simcore import metrics
 
 
-def _counted_run(monkeypatch, slow_startup: float) -> dict[str, int]:
+def _counted_run(monkeypatch, width: int) -> dict[str, int]:
     """Build a traced Figure-1 grid and co-allocate on it to commit.
 
-    The third subjob's processes take ``slow_startup`` seconds to reach
-    the barrier; the five already there re-send their check-in every
-    two seconds meanwhile.
+    The two interactive subjobs have ``width`` processes each; the third
+    subjob's take 50 seconds to reach the barrier, and the processes
+    already there re-send their check-in meanwhile.
     """
     calls = {"_get": 0, "_label_key": 0}
     real_get, real_label_key = metrics.MetricsRegistry._get, metrics._label_key
@@ -41,7 +42,7 @@ def _counted_run(monkeypatch, slow_startup: float) -> dict[str, int]:
             .add_machine("RM1", nodes=16)
             .add_machine("RM2", nodes=64)
             .add_machine("RM3", nodes=64)
-            .program("slow", make_program(startup=slow_startup))
+            .program("slow", make_program(startup=50.0))
             .build()
         )
 
@@ -55,8 +56,8 @@ def _counted_run(monkeypatch, slow_startup: float) -> dict[str, int]:
 
         request = CoAllocationRequest([
             spec("RM1", 1, SubjobType.REQUIRED),
-            spec("RM2", 4, SubjobType.INTERACTIVE),
-            spec("RM3", 4, SubjobType.INTERACTIVE, executable="slow"),
+            spec("RM2", width, SubjobType.INTERACTIVE),
+            spec("RM3", width, SubjobType.INTERACTIVE, executable="slow"),
         ])
         duroc = grid.duroc()
         committed = []
@@ -67,7 +68,7 @@ def _counted_run(monkeypatch, slow_startup: float) -> dict[str, int]:
             committed.append(result)
 
         grid.run(grid.process(agent(grid.env)))
-    assert committed and committed[0].sizes == (1, 4, 4)
+    assert committed and committed[0].sizes == (1, width, width)
     assert grid.tracer.metrics is not metrics.NULL_METRICS
     calls["sent"] = grid.network.sent_count
     calls["checkins"] = int(
@@ -77,13 +78,13 @@ def _counted_run(monkeypatch, slow_startup: float) -> dict[str, int]:
 
 
 def test_lookups_do_not_scale_with_messages(monkeypatch):
-    short = _counted_run(monkeypatch, slow_startup=50.0)
-    long = _counted_run(monkeypatch, slow_startup=100.0)
-    # The longer wait roughly doubles the check-ins, and with them the traffic ...
-    assert long["checkins"] >= 1.8 * short["checkins"]
-    assert long["sent"] >= 1.5 * short["sent"]
-    # ... and costs not one more registry lookup or label sort.
-    assert long["_get"] == short["_get"]
-    assert long["_label_key"] == short["_label_key"]
+    narrow = _counted_run(monkeypatch, width=4)
+    wide = _counted_run(monkeypatch, width=64)
+    # Sixteen times the processes multiply the check-ins, and with them the traffic ...
+    assert wide["checkins"] >= 1.8 * narrow["checkins"]
+    assert wide["sent"] >= 1.5 * narrow["sent"]
+    # ... and cost not one more registry lookup or label sort.
+    assert wide["_get"] == narrow["_get"]
+    assert wide["_label_key"] == narrow["_label_key"]
     # Both are a per-grid constant, far below one per message.
-    assert short["_get"] < short["sent"] / 2
+    assert narrow["_get"] < narrow["sent"] / 2
