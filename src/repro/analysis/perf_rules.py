@@ -78,9 +78,10 @@ HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
         {"_Bound", "BoundCounter", "BoundGauge", "BoundHistogram", "BoundRate",
          "_HistogramSeries"}
     ),
-    # The flight recorder rides every kernel/message/span hook; its
-    # records are allocated per observation and its ring push runs at
-    # event rate.
+    # The flight recorder rides every kernel/message/span hook: one
+    # tuple stored and one ring push per observation, at event rate.
+    # Its record classes are built only when a dump reads the rings,
+    # a ring's worth at a time, and stay slotted.
     "repro/obs/flightrec.py": frozenset(
         {"KernelRecord", "MessageRecord", "ProtoRecord", "SpanRecord",
          "FlightRing.push", "FlightRecorder.on_schedule",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.net.address import Endpoint
 
@@ -37,10 +37,10 @@ class Message:
     sent_at: float | None = None
     delivered_at: float | None = None
     trace_ctx: "TraceContext | None" = None
-    #: Sender's vector clock at send time, stamped by the runtime
-    #: verification recorder (see ``repro.verify``); None when no
-    #: recorder is attached.
-    vclock: "dict[str, int] | None" = None
+    #: Sender's vector clock at send time: the runtime verification
+    #: recorder's own immutable clock object, shared, not a copy (see
+    #: ``repro.verify``); None when no recorder is attached.
+    vclock: "Mapping[str, int] | None" = None
 
     def reply(self, kind: str, payload: Any = None) -> "Message":
         """Build a response message correlated with this request."""

@@ -6,9 +6,11 @@ state — so by the time a fault campaign or a ``repro.verify`` monitor
 fires, the context that explains the failure is gone.  This module is
 the always-on black box that closes that gap: a
 :class:`FlightRecorder` is a :class:`~repro.simcore.probe.Probe` that
-records every hook it hears as compact slots-dataclass records into
+stores every hook it hears as one plain tuple of immutable values in
 per-category :class:`FlightRing` buffers of fixed capacity —
-O(capacity) memory by construction, policed by the ``mem-*`` lint.
+O(capacity) memory by construction, policed by the ``mem-*`` lint —
+and builds the record objects only when a dump reads them: in a
+healthy run no trigger trips, and every observation is evicted unread.
 
 Declarative :class:`Trigger` rules watch the observed stream: fault
 activation (:mod:`repro.faults`), breaker-open / retry-exhaustion
@@ -50,9 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Dump format tag, bumped on incompatible record changes.
 FLIGHT_FORMAT = "repro.obs.flightrec/1"
-
-#: Record categories, in canonical dump order.
-CATEGORIES = ("kernel", "message", "proto", "span")
 
 #: Default per-category ring capacity.
 DEFAULT_CAPACITY = 256
@@ -187,6 +186,25 @@ class SpanRecord:
 FlightRecord = Union[KernelRecord, MessageRecord, ProtoRecord, SpanRecord]
 
 
+def _message_record(
+    seq: int, time: float, op: str, msg: int, kind: str, src: Any, dst: Any, *rest: Any
+) -> MessageRecord:
+    """A stored message tuple holds the endpoints; their strings are read-time work."""
+    return MessageRecord(seq, time, op, msg, kind, str(src), str(dst), *rest)
+
+
+#: Category -> what builds its records from the tuples its ring stores.
+_RENDER: dict[str, Callable[..., FlightRecord]] = {
+    "kernel": KernelRecord,
+    "message": _message_record,
+    "proto": ProtoRecord,
+    "span": SpanRecord,
+}
+
+#: Record categories, in canonical dump order.
+CATEGORIES = tuple(_RENDER)
+
+
 # ---------------------------------------------------------------------------
 # The ring buffer
 # ---------------------------------------------------------------------------
@@ -196,13 +214,13 @@ class FlightRing:
     """A fixed-capacity ring of flight records, oldest-first eviction.
 
     Storage is preallocated once; a push is a single subscript store
-    and an index bump — O(1), allocation-free, no resident growth —
+    and a counter bump — O(1), allocation-free, no resident growth —
     so the recorder can ride the kernel dispatch path.  Eviction is a
     pure function of the push sequence (the oldest record is always
     the victim), the :mod:`repro.core.bounded` determinism contract.
     """
 
-    __slots__ = ("capacity", "pushed", "_slots", "_next", "_filled")
+    __slots__ = ("capacity", "pushed", "render", "_slots", "_cleared")
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
@@ -210,45 +228,38 @@ class FlightRing:
         self.capacity = int(capacity)
         #: Lifetime pushes (``pushed - len(self)`` records were evicted).
         self.pushed = 0
-        self._slots: list[Optional[FlightRecord]] = [None] * self.capacity
-        self._next = 0
-        self._filled = 0
+        #: Builds the record of a stored argument tuple when
+        #: :meth:`snapshot` reads it (``None``: entries are records).
+        self.render: Optional[Callable[..., FlightRecord]] = None
+        self._slots: list[Any] = [None] * self.capacity
+        #: ``pushed`` as of the last :meth:`clear`.
+        self._cleared = 0
 
-    def push(self, record: FlightRecord) -> None:
-        self._slots[self._next] = record
-        nxt = self._next + 1
-        self._next = 0 if nxt == self.capacity else nxt
-        if self._filled < self.capacity:
-            self._filled += 1
+    def push(self, record: Any) -> None:
+        self._slots[self.pushed % self.capacity] = record
         self.pushed += 1
 
     def __len__(self) -> int:
-        return self._filled
+        return min(self.pushed - self._cleared, self.capacity)
 
     @property
     def evicted(self) -> int:
         """Records displaced by later pushes."""
-        return self.pushed - self._filled
+        return self.pushed - len(self)
 
-    def snapshot(self) -> list[FlightRecord]:
+    def snapshot(self) -> list[Any]:
         """The live records, oldest first."""
-        if self._filled < self.capacity:
-            return [r for r in self._slots[: self._filled] if r is not None]
-        head = [r for r in self._slots[self._next :] if r is not None]
-        tail = [r for r in self._slots[: self._next] if r is not None]
-        return head + tail
+        slots, capacity, render = self._slots, self.capacity, self.render
+        live = [slots[i % capacity] for i in range(self.pushed - len(self), self.pushed)]
+        return live if render is None else [render(*entry) for entry in live]
 
     def clear(self) -> None:
         """Drop every record (the lifetime ``pushed`` count survives)."""
         self._slots = [None] * self.capacity
-        self._next = 0
-        self._filled = 0
+        self._cleared = self.pushed
 
     def __repr__(self) -> str:
-        return (
-            f"<FlightRing {self._filled}/{self.capacity} "
-            f"pushed={self.pushed}>"
-        )
+        return f"<FlightRing {len(self)}/{self.capacity} pushed={self.pushed}>"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +293,11 @@ class Trigger:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _overrides(trigger: Trigger, matcher: str) -> bool:
+    """Whether ``trigger`` does anything on ``matcher`` (overrides it)."""
+    return getattr(getattr(trigger, matcher), "__func__", None) is not getattr(Trigger, matcher)
 
 
 class OnFault(Trigger):
@@ -429,19 +445,25 @@ class FlightRecorder(Probe):
         if max_dumps < 1:
             raise ValueError(f"max_dumps must be >= 1, got {max_dumps!r}")
         self.capacity = int(capacity)
-        self.triggers: tuple[Trigger, ...] = tuple(triggers)
+        self._triggers: tuple[Trigger, ...] = tuple(triggers)
+        # Partitioned once, by the stream each rule overrides a matcher
+        # for (FanoutProbe's technique): no per-observation no-op calls.
+        self._event_triggers = tuple(
+            t for t in self._triggers if _overrides(t, "match_event")
+        )
+        self._message_triggers = tuple(
+            t for t in self._triggers if _overrides(t, "match_message")
+        )
         self.max_dumps = int(max_dumps)
-        self._kernel = FlightRing(self.capacity)
-        self._message = FlightRing(self.capacity)
-        self._proto = FlightRing(self.capacity)
-        self._span = FlightRing(self.capacity)
         #: Category name -> ring, in canonical dump order.
-        self.rings: dict[str, FlightRing] = {
-            "kernel": self._kernel,
-            "message": self._message,
-            "proto": self._proto,
-            "span": self._span,
-        }
+        self.rings: dict[str, FlightRing] = {}
+        for category, render in _RENDER.items():
+            ring = self.rings[category] = FlightRing(self.capacity)
+            ring.render = render
+        self._kernel = self.rings["kernel"]
+        self._message = self.rings["message"]
+        self._proto = self.rings["proto"]
+        self._span = self.rings["span"]
         #: Captured dumps, oldest first, at most ``max_dumps``.
         self.dumps: list[dict[str, Any]] = []
         #: Trips observed after the dump cap was reached.
@@ -456,6 +478,11 @@ class FlightRecorder(Probe):
         self._msg_next = 0
         #: Peak retained count as of the last :meth:`reset`.
         self._retained_floor = 0
+
+    @property
+    def triggers(self) -> tuple[Trigger, ...]:
+        """The rule set, fixed at construction (where it is partitioned)."""
+        return self._triggers
 
     def retained(self) -> int:
         """Live records across rings and the message-id table."""
@@ -481,80 +508,77 @@ class FlightRecorder(Probe):
         return env.now if env is not None else 0.0
 
     def _local_msg_id(self, raw: int) -> int:
-        local = self._msg_local.get(raw)
-        if local is None:
-            self._msg_next += 1
-            local = self._msg_next
-            self._msg_local[raw] = local
-        return local
+        table = self._msg_local
+        if raw in table:  # a probe; the read below refreshes recency
+            return table[raw]
+        self._msg_next += 1
+        table[raw] = self._msg_next
+        return self._msg_next
 
     # -- probe hooks (the hot path) ----------------------------------------
+    #
+    # Each stores one tuple in its record class's field order — immutable
+    # values, plus the recorder's own cleaned copy of any attrs — and
+    # FlightRing.snapshot builds the records.  The kernel and message
+    # hooks (nine records in ten) read the clock in line.
 
     def on_schedule(self, when: float, queue_size: int) -> None:
         if self.frozen:
             return
-        self._seq += 1
-        self._kernel.push(
-            KernelRecord(self._seq, self._now(), "schedule", when, queue_size)
-        )
+        seq = self._seq = self._seq + 1
+        env = self.env
+        now = env.now if env is not None else 0.0
+        self._kernel.push((seq, now, "schedule", when, queue_size))
 
     def on_step(self, now: float) -> None:
         if self.frozen:
             return
-        self._seq += 1
-        self._kernel.push(KernelRecord(self._seq, now, "step", now, 0))
+        seq = self._seq = self._seq + 1
+        self._kernel.push((seq, now, "step", now, 0))
 
     def _message_op(
         self, op: str, message: "Message", reason: Optional[str]
     ) -> None:
-        self._seq += 1
+        if self.frozen:
+            return
+        seq = self._seq = self._seq + 1
+        env = self.env
         ctx = message.trace_ctx
-        self._message.push(
-            MessageRecord(
-                self._seq,
-                self._now(),
-                op,
-                self._local_msg_id(message.msg_id),
-                message.kind,
-                str(message.src),
-                str(message.dst),
-                message.corr_id,
-                ctx.trace_id if ctx is not None else None,
-                ctx.span_id if ctx is not None else None,
-                reason,
-            )
-        )
-        triggers = self.triggers
-        for trigger in triggers:
+        self._message.push((
+            seq,
+            env.now if env is not None else 0.0,
+            op,
+            self._local_msg_id(message.msg_id),
+            message.kind,
+            message.src,
+            message.dst,
+            message.corr_id,
+            ctx.trace_id if ctx is not None else None,
+            ctx.span_id if ctx is not None else None,
+            reason,
+        ))
+        for trigger in self._message_triggers:
             matched = trigger.match_message(op, message)
             if matched is not None:
                 self.trip(matched, trigger=trigger.name)
                 break
 
     def on_send(self, message: "Message") -> None:
-        if self.frozen:
-            return
         self._message_op("send", message, None)
 
     def on_deliver(self, message: "Message") -> None:
-        if self.frozen:
-            return
         self._message_op("deliver", message, None)
 
     def on_drop(self, message: "Message", reason: str) -> None:
-        if self.frozen:
-            return
         self._message_op("drop", message, reason)
 
     def event(self, node: str, name: str, attrs: dict[str, Any]) -> None:
         if self.frozen:
             return
-        self._seq += 1
-        self._proto.push(
-            ProtoRecord(self._seq, self._now(), "event", node, name, _clean(attrs))
-        )
-        triggers = self.triggers
-        for trigger in triggers:
+        seq = self._seq = self._seq + 1
+        # attrs may hold mutable values: cleaned now, never at read time.
+        self._proto.push((seq, self._now(), "event", node, name, _clean(attrs)))
+        for trigger in self._event_triggers:
             matched = trigger.match_event(node, name, attrs)
             if matched is not None:
                 self.trip(matched, trigger=trigger.name)
@@ -565,55 +589,36 @@ class FlightRecorder(Probe):
     ) -> None:
         if self.frozen:
             return
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         cleaned = _clean(attrs)
         cleaned["mode"] = mode
-        self._proto.push(
-            ProtoRecord(self._seq, self._now(), "access", node, resource, cleaned)
-        )
+        self._proto.push((seq, self._now(), "access", node, resource, cleaned))
 
     def on_span_open(
         self, trace_id: str, span_id: int, parent_id: Optional[int], name: str
     ) -> None:
         if self.frozen:
             return
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         self._span.push(
-            SpanRecord(
-                self._seq, self._now(), "open", name, trace_id, span_id, parent_id
-            )
+            (seq, self._now(), "open", name, trace_id, span_id, parent_id)
         )
 
     def on_span_close(self, span: Span) -> None:
         if self.frozen:
             return
-        self._seq += 1
-        self._span.push(
-            SpanRecord(
-                self._seq,
-                span.end,
-                "close",
-                span.name,
-                span.trace_id,
-                span.span_id,
-                span.parent_id,
-            )
-        )
+        seq = self._seq = self._seq + 1
+        self._span.push((
+            seq, span.end, "close", span.name,
+            span.trace_id, span.span_id, span.parent_id,
+        ))
 
     def on_mark(self, mark: Mark) -> None:
         if self.frozen:
             return
-        self._seq += 1
+        seq = self._seq = self._seq + 1
         self._span.push(
-            SpanRecord(
-                self._seq,
-                mark.time,
-                "mark",
-                mark.name,
-                mark.trace_id,
-                None,
-                mark.parent_id,
-            )
+            (seq, mark.time, "mark", mark.name, mark.trace_id, None, mark.parent_id)
         )
 
     # -- freeze / dump ------------------------------------------------------

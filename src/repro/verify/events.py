@@ -11,8 +11,9 @@ event, which monitors embed in their findings as the violation witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping, NamedTuple, Optional
 
 from repro.verify.vclock import VClock
 
@@ -24,9 +25,9 @@ EVENT = "event"
 ACCESS = "access"
 
 
-@dataclass(frozen=True)
-class ProtoEvent:
-    """One observed event of a verified run."""
+class ProtoEvent(NamedTuple):
+    """One observed event of a verified run (immutable, positional:
+    the recorder builds one per observation)."""
 
     seq: int
     time: float
@@ -34,7 +35,7 @@ class ProtoEvent:
     kind: str
     name: str
     clock: VClock
-    attrs: Mapping[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = MappingProxyType({})
     #: Sequence number of the previous event on the same node (program
     #: order), or None for the node's first event.
     prev: Optional[int] = None

@@ -2,11 +2,12 @@
 
 One :class:`Recorder` observes one run.  It maintains a vector clock
 per *locus of control* — a co-allocator job, a remote application
-process, a site service — ticks it on every observed event, stamps the
-sender's clock onto every :class:`~repro.net.message.Message` at send
-time (``Message.vclock``), and merges it into the receiver's clock at
-delivery.  The result is an append-only :class:`ProtoEvent` list whose
-clocks encode the run's happens-before relation exactly.
+process, a site service — ticks it on every observed event, hands the
+sender's (immutable) clock to every :class:`~repro.net.message.Message`
+at send time (``Message.vclock``), and merges it into the receiver's
+clock at delivery.  The result is an append-only :class:`ProtoEvent`
+list whose clocks encode the run's happens-before relation exactly
+(tests/verify/test_happens_before.py holds them to it).
 
 Loci: components register their endpoints with
 :meth:`Recorder.register_locus` (the DUROC job registers its barrier
@@ -39,6 +40,9 @@ from repro.verify.vclock import VClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
+
+#: The clock of a locus nothing has been observed on yet.
+_ZERO = VClock()
 
 #: Payload fields worth keeping on message events (scalars only).
 _SCALAR_TYPES = (str, int, float, bool)
@@ -78,9 +82,6 @@ class Recorder(Probe):
 
     # -- event recording ----------------------------------------------------
 
-    def _now(self) -> float:
-        return self.env.now if self.env is not None else 0.0
-
     def _append(
         self,
         node: str,
@@ -90,70 +91,59 @@ class Recorder(Probe):
         attrs: dict[str, Any],
         link: Optional[int] = None,
         advances_node: bool = True,
-    ) -> ProtoEvent:
+    ) -> int:
+        """Log one event; returns its sequence number."""
+        env = self.env
         seq = len(self.events) + 1
-        prev = self._last_on_node.get(node) if advances_node else None
-        event = ProtoEvent(
-            seq=seq,
-            time=self._now(),
-            node=node,
-            kind=kind,
-            name=name,
-            clock=clock,
-            attrs=attrs,
-            prev=prev,
-            link=link,
-        )
-        self.events.append(event)
+        prev = None
         if advances_node:
+            prev = self._last_on_node.get(node)
             self._last_on_node[node] = seq
-        return event
-
-    def _tick(self, node: str) -> VClock:
-        clock = self._clocks.get(node, VClock()).tick(node)
-        self._clocks[node] = clock
-        return clock
+        self.events.append(ProtoEvent(
+            seq, env.now if env is not None else 0.0,
+            node, kind, name, clock, attrs, prev, link,
+        ))
+        return seq
 
     # -- Probe interface ----------------------------------------------------
+    #
+    # Clocks are immutable, so a locus's first advance starts from the
+    # shared _ZERO and a message carries its sender's clock itself.
 
     def on_send(self, message: "Message") -> None:
-        node = self.node_of(message.src)
-        clock = self._tick(node)
-        message.vclock = clock.as_dict()
-        attrs: dict[str, Any] = {
-            "msg_id": message.msg_id,
-            "src": str(message.src),
-            "dst": str(message.dst),
-        }
+        src, dst = str(message.src), str(message.dst)
+        node = self._locus.get(src, src)
+        clock = self._clocks[node] = self._clocks.get(node, _ZERO).tick(node)
+        message.vclock = clock
+        attrs: dict[str, Any] = {"msg_id": message.msg_id, "src": src, "dst": dst}
         if message.corr_id is not None:
             attrs["corr_id"] = message.corr_id
         attrs.update(_payload_summary(message.payload))
-        event = self._append(node, SEND, message.kind, clock, attrs)
-        self._send_seq[message.msg_id] = event.seq
+        self._send_seq[message.msg_id] = self._append(
+            node, SEND, message.kind, clock, attrs
+        )
 
     def on_deliver(self, message: "Message") -> None:
-        node = self.node_of(message.dst)
-        merged = self._clocks.get(node, VClock()).merge(message.vclock)
-        self._clocks[node] = merged
-        clock = self._tick(node)
-        attrs: dict[str, Any] = {
-            "msg_id": message.msg_id,
-            "src": str(message.src),
-            "dst": str(message.dst),
-            "copy": self._deliveries.get(message.msg_id, 0) + 1,
-        }
-        self._deliveries[message.msg_id] = attrs["copy"]
+        src, dst, msg_id = str(message.src), str(message.dst), message.msg_id
+        node = self._locus.get(dst, dst)
+        clock = self._clocks[node] = self._clocks.get(node, _ZERO).merge_tick(
+            message.vclock, node
+        )
+        copy = self._deliveries[msg_id] = self._deliveries.get(msg_id, 0) + 1
+        attrs: dict[str, Any] = {"msg_id": msg_id, "src": src, "dst": dst, "copy": copy}
         attrs.update(_payload_summary(message.payload))
         self._append(
             node, DELIVER, message.kind, clock, attrs,
-            link=self._send_seq.get(message.msg_id),
+            link=self._send_seq.get(msg_id),
         )
 
     def on_drop(self, message: "Message", reason: str) -> None:
         # Drops never advance any locus's clock — the destination did
         # not observe anything.  Recorded on a pseudo-node for loss
         # accounting, carrying the send-time clock.
-        clock = VClock(message.vclock) if message.vclock else VClock()
+        clock = message.vclock
+        if not isinstance(clock, VClock):  # sent unobserved, or stamped by another
+            clock = VClock(clock)
         self._append(
             "net",
             DROP,
@@ -170,15 +160,15 @@ class Recorder(Probe):
         )
 
     def event(self, node: str, name: str, attrs: dict[str, Any]) -> None:
-        locus = self.node_of(node)
-        clock = self._tick(locus)
+        locus = self._locus.get(node, node)
+        clock = self._clocks[locus] = self._clocks.get(locus, _ZERO).tick(locus)
         self._append(locus, EVENT, name, clock, dict(attrs))
 
     def access(
         self, node: str, resource: str, mode: str, attrs: dict[str, Any]
     ) -> None:
-        locus = self.node_of(node)
-        clock = self._tick(locus)
+        locus = self._locus.get(node, node)
+        clock = self._clocks[locus] = self._clocks.get(locus, _ZERO).tick(locus)
         merged = dict(attrs)
         merged["mode"] = mode
         self._append(locus, ACCESS, resource, clock, merged)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 
-class VClock:
+class VClock(Mapping[str, int]):
     """An immutable vector clock."""
 
     __slots__ = ("_clock",)
@@ -22,23 +22,37 @@ class VClock:
         self._clock: dict[str, int] = dict(clock) if clock else {}
 
     # -- construction ------------------------------------------------------
+    #
+    # Each builds its result with one copy, in ``__init__``, and fills
+    # it in before anyone else can see it.
 
     def tick(self, node: str) -> "VClock":
         """A new clock with ``node``'s component advanced by one."""
-        out = dict(self._clock)
-        out[node] = out.get(node, 0) + 1
-        return VClock(out)
+        out = VClock(self._clock)
+        out._clock[node] = out._clock.get(node, 0) + 1
+        return out
 
-    def merge(self, other: "VClock | Mapping[str, int] | None") -> "VClock":
+    def merge(self, other: Mapping[str, int] | None) -> "VClock":
         """Componentwise maximum of the two clocks."""
         if other is None:
             return self
-        items = other._clock if isinstance(other, VClock) else other
-        out = dict(self._clock)
-        for node, count in items.items():
-            if count > out.get(node, 0):
-                out[node] = count
-        return VClock(out)
+        out = VClock(self._clock)
+        out._absorb(other)
+        return out
+
+    def merge_tick(self, other: Mapping[str, int] | None, node: str) -> "VClock":
+        """``merge(other).tick(node)`` — a delivery — in one allocation."""
+        out = VClock(self._clock)
+        if other is not None:
+            out._absorb(other)
+        out._clock[node] = out._clock.get(node, 0) + 1
+        return out
+
+    def _absorb(self, other: Mapping[str, int]) -> None:
+        clock = self._clock
+        for node, count in (other._clock if isinstance(other, VClock) else other).items():
+            if count > clock.get(node, 0):
+                clock[node] = count
 
     # -- comparison --------------------------------------------------------
 
@@ -58,12 +72,15 @@ class VClock:
         return not self.leq(other) and not other.leq(self)
 
     # -- mapping protocol ---------------------------------------------------
-
-    def get(self, node: str, default: int = 0) -> int:
-        return self._clock.get(node, default)
+    #
+    # A component never advanced reads 0, so ``get`` never falls back to
+    # its default; ``in``, ``len`` and iteration see the advanced ones.
 
     def __getitem__(self, node: str) -> int:
         return self._clock.get(node, 0)
+
+    def __contains__(self, node: object) -> bool:
+        return node in self._clock
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._clock)
@@ -80,7 +97,7 @@ class VClock:
         return hash(tuple(sorted(self._clock.items())))
 
     def as_dict(self) -> dict[str, int]:
-        """A plain-dict snapshot (for message stamping / serialization)."""
+        """A plain-dict snapshot (for serialization)."""
         return dict(self._clock)
 
     def __repr__(self) -> str:
