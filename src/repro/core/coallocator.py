@@ -176,7 +176,7 @@ class DurocJob:
 
         self._gram_listener = CallbackListener(duroc.network, duroc.host)
         #: Verification locus: the job's processes (listener, driver,
-        #: watchdog, heartbeat, commit) share state legitimately and
+        #: watchdog, commit) share state legitimately and
         #: form one unit of control for happens-before purposes.
         self._verify_node = f"{self.job_id}@{duroc.host}"
         register_locus(self.env, self.port.endpoint, self._verify_node)
@@ -190,8 +190,6 @@ class DurocJob:
         self._driver = self.env.process(
             self._drive(), name=f"{self.job_id}:drive"
         )
-        if duroc.heartbeat_interval > 0:
-            self.env.process(self._heartbeat(), name=f"{self.job_id}:hb")
         for spec in request:
             self.add(spec)
 
@@ -524,6 +522,7 @@ class DurocJob:
             self._cancel_gram_async(handle)
             return
         slot.gram_handle = handle
+        self.duroc._watch(self, slot)
         self._gram_listener.on(
             handle.job_id,
             lambda job_id, state, reason, s=slot: self._on_gram(s, state, reason),
@@ -576,56 +575,13 @@ class DurocJob:
                 DurocEvent.SUBJOB_TIMEOUT,
             )
 
-    def _heartbeat(self) -> ProcessGenerator:
-        """Poll job managers to detect silent site deaths.
-
-        A crashed machine takes its job manager with it, so no FAILED
-        callback ever arrives; like the real DUROC, we poll each job
-        contact and treat lost contact as subjob failure.  Contact
-        counts as lost only after ``heartbeat_misses`` *consecutive*
-        failed polls, so a lossy network eating one status reply does
-        not take a healthy subjob down.
-        """
-        interval = self.duroc.heartbeat_interval
-        allowed_misses = self.duroc.heartbeat_misses
-        misses: dict[int, int] = {}
-
-        def pollable() -> list[SubjobSlot]:
-            return [
-                slot
-                for slot in self.slots
-                if slot.gram_handle is not None
-                and slot.state.live
-                and (slot.gram_state is None or not slot.gram_state.terminal)
-            ]
-
-        while True:
-            if self.state.terminal or self.state is RequestState.DONE:
-                return
-            if self.state is RequestState.RELEASED and not pollable():
-                return  # everything finished; stop generating events
-            yield self.env.timeout(interval)
-            for slot in pollable():
-                try:
-                    state = yield from self.duroc.gram.status(
-                        slot.gram_handle, timeout=interval,
-                        retry=self.duroc.retry,
-                    )
-                except (RPCTimeout, HostDown, RetryExhausted, CircuitOpen):
-                    misses[slot.slot_id] = misses.get(slot.slot_id, 0) + 1
-                    if (
-                        misses[slot.slot_id] >= allowed_misses
-                        and slot.state.live
-                        and not self.state.terminal
-                    ):
-                        self._slot_failed(
-                            slot,
-                            "lost contact with job manager",
-                            DurocEvent.SUBJOB_FAILED,
-                        )
-                    continue
-                misses.pop(slot.slot_id, None)
-                self._on_gram(slot, state, slot.gram_handle.failure_reason)
+    def _pollable(self, slot: SubjobSlot) -> bool:
+        """Whether ``slot``'s GRAM job still needs the liveness watch."""
+        return (
+            not self.state.terminal
+            and slot.state.live
+            and (slot.gram_state is None or not slot.gram_state.terminal)
+        )
 
     # -- barrier listener -------------------------------------------------------
 
@@ -940,16 +896,24 @@ class Duroc:
         #: The paper's DUROC submits subjobs strictly sequentially
         #: (Fig. 5); False enables the concurrent-submission ablation.
         self.sequential_submission = sequential_submission
-        #: Seconds between job-manager liveness polls (0 disables).
+        #: Seconds between liveness polls of a watched site (0 disables).
+        if heartbeat_interval < 0:
+            raise ValueError(
+                f"heartbeat_interval must be >= 0, got {heartbeat_interval!r}"
+            )
         self.heartbeat_interval = heartbeat_interval
-        #: Consecutive failed polls before a subjob is declared lost.
-        #: The default (1) is the legacy fail-fast behaviour; raise it
-        #: on lossy networks so one eaten status reply is not death.
+        #: Consecutive failed polls of a *site* before every subjob
+        #: watched there is declared lost (a slot joining a site already
+        #: one miss down inherits that evidence).  The default, 1, fails
+        #: fast; raise it where one eaten status reply is not death.
         if heartbeat_misses < 1:
             raise ValueError(
                 f"heartbeat_misses must be >= 1, got {heartbeat_misses!r}"
             )
         self.heartbeat_misses = heartbeat_misses
+        #: The liveness watch: gatekeeper -> {GRAM job id: (job, slot)},
+        #: one monitor process per key; both shrink as slots retire.
+        self._watched: dict[Endpoint, dict[str, tuple[DurocJob, SubjobSlot]]] = {}
         self.jobs: list[DurocJob] = []
         self._job_counter = itertools.count(1)
         #: Outcome -> its ``duroc.requests_total`` series, bound once
@@ -974,6 +938,64 @@ class Duroc:
         # explicit request queue.
         self.jobs.append(job)  # repro: noqa mem-grow-only-attr
         return job
+
+    # -- liveness watch (§3.4) -----------------------------------------------
+
+    def _watch(self, job: DurocJob, slot: SubjobSlot) -> None:
+        """Put ``slot``'s GRAM job under its site's liveness watch."""
+        if not self.heartbeat_interval:
+            return
+        site = slot.gram_handle.gatekeeper
+        watched = self._watched.get(site)
+        if watched is None:
+            watched = self._watched[site] = {}
+            self.env.process(self._monitor(site, watched), name=f"watch:{site.host}")
+        watched[slot.gram_handle.job_id] = (job, slot)
+
+    def _monitor(
+        self, site: Endpoint, watched: "dict[str, tuple[DurocJob, SubjobSlot]]"
+    ) -> ProcessGenerator:
+        """Poll one gatekeeper to detect a silent site death.
+
+        A crashed machine takes its job managers with it, so no FAILED
+        callback ever arrives.  One status RPC per interval asks about
+        every live GRAM job watched there, whichever request owns it;
+        each state in the reply is handled as its callback would be
+        (repairing a lost one) and a job it does not name is no news.
+        Contact is lost only after ``heartbeat_misses`` *consecutive*
+        failed polls, so one eaten reply takes no healthy subjob down.
+        Exits when nothing is left to watch, so a drained run quiesces.
+        """
+        interval = self.heartbeat_interval
+        misses = 0
+        while True:
+            yield self.env.timeout(interval)
+            for job_id, (job, slot) in list(watched.items()):
+                if not job._pollable(slot):
+                    del watched[job_id]
+            if not watched:
+                del self._watched[site]
+                return
+            handles = [slot.gram_handle for _, slot in watched.values()]
+            try:
+                states = yield from self.gram.site_status(
+                    site, handles, timeout=interval, retry=self.retry
+                )
+            except (RPCTimeout, HostDown, RetryExhausted, CircuitOpen):
+                misses += 1
+                if misses >= self.heartbeat_misses:
+                    for job, slot in watched.values():
+                        if job._pollable(slot):
+                            job._slot_failed(
+                                slot,
+                                "lost contact with job manager",
+                                DurocEvent.SUBJOB_FAILED,
+                            )
+                continue
+            misses = 0
+            for job_id, (state, reason) in states.items():
+                job, slot = watched[job_id]
+                job._on_gram(slot, state, reason)
 
     def run(
         self, request: CoAllocationRequest

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -45,6 +45,8 @@ class JobHandle:
 
     job_id: str
     manager: Endpoint
+    #: The gatekeeper that issued the job, as ``submit`` resolved it.
+    gatekeeper: Endpoint
     state: JobState = JobState.PENDING
     failure_reason: Optional[str] = None
     submitted_at: float = 0.0
@@ -254,9 +256,25 @@ class GramClient:
             job_id=payload["job_id"],
             manager=payload["manager"],
             submitted_at=self.env.now,
+            gatekeeper=dst,
         )
         span.finish(ok=True, job=handle.job_id)
         return handle
+
+    def _poll(self, endpoint: Endpoint, payload: Any, timeout, retry):
+        """A ``gram.status`` RPC's generator, re-polled under ``retry`` if given."""
+
+        def attempt():
+            return self._call(endpoint, STATUS, payload, timeout)
+
+        if retry is None:
+            return attempt()
+        return retrying(
+            self.env, retry, attempt,
+            rng=self.rng,
+            operation="gram.status",
+            endpoint=endpoint,
+        )
 
     def status(
         self,
@@ -270,21 +288,29 @@ class GramClient:
         re-polls on lost replies so a lossy network does not read as a
         dead job manager.
         """
-
-        def attempt():
-            return self._call(handle.manager, STATUS, None, timeout)
-
-        if retry is None:
-            payload = yield from attempt()
-        else:
-            payload = yield from retrying(
-                self.env, retry, attempt,
-                rng=self.rng,
-                operation="gram.status",
-                endpoint=handle.manager,
-            )
+        payload = yield from self._poll(handle.manager, None, timeout, retry)
         handle.update(payload["state"], payload.get("reason"), self.env.now)
         return handle.state
+
+    def site_status(
+        self,
+        gatekeeper: Endpoint,
+        handles: Iterable[JobHandle],
+        timeout: Optional[float] = None,
+        retry: Optional[RetryPolicy] = None,
+    ):
+        """Poll a gatekeeper for many of its jobs in one round trip.
+
+        Updates every handle the reply names and returns the reply,
+        ``{job_id: (state, reason)}``.  A job the gatekeeper no longer
+        retains is absent and its handle untouched: the reply proves the
+        site alive, not that job dead.  ``retry`` as for :meth:`status`.
+        """
+        by_id = {handle.job_id: handle for handle in handles}
+        states = yield from self._poll(gatekeeper, {"jobs": list(by_id)}, timeout, retry)
+        for job_id, (state, reason) in states.items():
+            by_id[job_id].update(state, reason, self.env.now)
+        return states
 
     def cancel(self, handle: JobHandle, timeout: Optional[float] = None):
         """Cancel the job (idempotent); returns the resulting state."""

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import AuthenticationError, HostDown, RSLError
 from repro.gram.costs import CostModel
 from repro.gram.job import Job
-from repro.gram.jobmanager import JobManager
+from repro.gram.jobmanager import STATUS, JobManager
 from repro.gram.states import JobState
 from repro.gsi.auth import HELLO, accept
 from repro.gsi.credentials import CertificateAuthority
@@ -124,14 +124,36 @@ class Gatekeeper:
     def _listen(self):
         while True:
             message = yield self.port.recv(
-                filter=lambda m: m.kind in (HELLO, PING)
+                filter=lambda m: m.kind in (HELLO, PING, STATUS)
             )
             if message.kind == PING:
                 reply_ok(self.port, message, payload={"contact": self.contact})
                 continue
+            if message.kind == STATUS:
+                self._reply_status(message)
+                continue
             self.env.process(
                 self._handle(message), name=f"gk-conn:{self.machine.name}"
             )
+
+    def _reply_status(self, message) -> None:
+        """Answer for every named job still in the table, in one reply.
+
+        Same host as the job managers, so the same evidence of life.  A
+        job never issued here, or evicted, is left out: absent = no news.
+        """
+        payload = message.payload
+        jobs = payload.get("jobs") if isinstance(payload, dict) else None
+        if not isinstance(jobs, list):
+            reply_error(self.port, message, payload="gram.status needs a 'jobs' list")
+            return
+        states = {}
+        for job_id in jobs:
+            # peek: a poll must not reorder the LRU table it reads.
+            manager = self.job_managers.peek(job_id)
+            if manager is not None:
+                states[job_id] = (manager.job.state, manager.job.failure_reason)
+        reply_ok(self.port, message, payload=states)
 
     def _handle(self, hello):
         """Serve one connection: authenticate, authorize, submit."""

@@ -34,3 +34,18 @@ def request_for(grid, counts=(1, 4, 4), start_types=None):
             for i in range(len(counts))
         ]
     )
+
+
+def first(matches):
+    """Drop rule: lose the first message ``matches`` accepts, and no other
+    (``rule.lost`` holds it once it is gone)."""
+    lost = []
+
+    def rule(message):
+        if lost or not matches(message):
+            return False
+        lost.append(message)
+        return True
+
+    rule.lost = lost
+    return rule

@@ -21,6 +21,8 @@ from repro.errors import StopProcess
 from repro.gridenv import GridBuilder
 from repro.simcore.probe import Probe
 
+from .conftest import first
+
 #: Seconds after its first check-in at which a waiting process re-sends
 #: it, and at which it gives up — the instant PR 3's sixty 2 s resends
 #: ended at.
@@ -135,19 +137,6 @@ class World:
 
     def slot_of(self, index):
         return self.job.slots[index].slot_id
-
-
-def first(matches):
-    """Drop rule: lose the first message ``matches`` accepts, and no other."""
-    lost = []
-
-    def rule(message):
-        if lost or not matches(message):
-            return False
-        lost.append(message)
-        return True
-
-    return rule
 
 
 def test_schedule_is_pinned():

@@ -74,3 +74,15 @@ def rsl_for(contact, count=1, executable="sleeper", extra=""):
         f"&(resourceManagerContact={contact})"
         f"(count={count})(executable={executable}){extra}"
     )
+
+
+def drive(env, gen):
+    """Run ``gen`` as a process to completion; returns its value."""
+    return env.run(env.process(gen))
+
+
+def client_mailboxes(net):
+    """Endpoints still bound on the client host, as sorted strings."""
+    return sorted(
+        str(endpoint) for endpoint in net._mailboxes if endpoint.host == "workstation"
+    )

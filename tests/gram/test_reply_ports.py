@@ -12,17 +12,7 @@ from repro.errors import AuthenticationError, RPCTimeout
 from repro.gram import CallbackListener, JobState
 from repro.simcore import Probe
 
-from .conftest import rsl_for
-
-
-def drive(env, gen):
-    return env.run(env.process(gen))
-
-
-def client_mailboxes(net):
-    return sorted(
-        str(endpoint) for endpoint in net._mailboxes if endpoint.host == "workstation"
-    )
+from .conftest import client_mailboxes, drive, rsl_for
 
 
 class DropLog(Probe):
