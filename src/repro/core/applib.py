@@ -23,8 +23,8 @@ from repro.errors import CoAllocationError, StopProcess
 from repro.machine.host import ProcessContext
 from repro.net.transport import Port
 from repro.resilience import Deadline, RetryPolicy
-from repro.simcore.events import PENDING, Condition, Timeout
 from repro.simcore.probe import emit
+from repro.simcore.resources import TIMED_OUT
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
 
 #: Context parameter keys injected by the DUROC co-allocator at submit.
@@ -52,6 +52,15 @@ CHECKIN_RESEND = RetryPolicy(
     jitter=0.0,
     deadline=122.0,
 )
+
+
+#: The waits of one barrier call, shared by all of them: the resend
+#: schedule, then whatever is left of the deadline.
+_ROUNDS = (*CHECKIN_RESEND.schedule(), float("inf"))
+
+
+def _verdict(message: Any) -> bool:
+    return message.kind in (RELEASE, ABORT)
 
 
 def barrier(
@@ -90,24 +99,13 @@ def barrier(
     port.send(contact, CHECKIN, payload=payload, ctx=trace)
     env = ctx.env
     deadline = Deadline(env, CHECKIN_RESEND.deadline)
-
-    def verdict(m) -> bool:
-        return m.kind in (RELEASE, ABORT)
-
-    # One receive for the whole wait; each round arms only a timer.  The
-    # round after the last resend waits out what is left of the deadline,
-    # and a wait the deadline cut short is the last.
-    get = port.recv(filter=verdict)
-    for delay in (*CHECKIN_RESEND.schedule(), float("inf")):
+    # One timed receive per round; a wait the deadline cut short is the last.
+    for delay in _ROUNDS:
         wait = deadline.clamp(delay)
-        timer = Timeout(env, wait)
-        yield Condition(env, Condition.any_events, (get, timer))
-        message = get._value
-        if message is not PENDING:
-            timer.cancelled = True
+        message = yield port.recv(_verdict, wait)
+        if message is not TIMED_OUT:
             break
         if wait < delay:
-            get.cancel()
             emit(ctx.env, node, "barrier.abandoned", slot=slot_id, rank=ctx.rank)
             raise StopProcess(("failed", "no barrier verdict arrived"))
         port.send(contact, CHECKIN, payload=payload, ctx=trace)

@@ -38,7 +38,9 @@ from repro.rsl.attributes import (
 )
 from repro.rsl.parser import parse
 from repro.rsl.attributes import validate_subjob_spec
+from repro.rsl.transform import resolve_substitutions
 from repro.schedulers.base import LocalScheduler
+from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
     # BoundedDict is imported lazily in __init__: repro.core's package
@@ -196,17 +198,12 @@ class Gatekeeper:
         )
 
         # The authenticated peer now sends the actual request.
-        get = self.port.recv(
-            filter=lambda m: m.kind == SUBMIT and m.src == session.peer
+        request = yield self.port.recv(
+            lambda m: m.kind == SUBMIT and m.src == session.peer, 30.0
         )
-        deadline = env.timeout(30.0)
-        yield get | deadline
-        if not get.triggered:
-            get.cancel()
+        if request is TIMED_OUT:
             self._count_submit("request_timeout")
             return
-        deadline.cancelled = True  # retire the timer
-        request = get.value
         ctx = request.trace_ctx or ctx
 
         submission_id = request.payload.get("submission_id")
@@ -273,8 +270,6 @@ class Gatekeeper:
         if isinstance(spec, Conjunction):
             # Resolve $(NAME) references against the request's own
             # rslSubstitution bindings before validation.
-            from repro.rsl.transform import resolve_substitutions
-
             spec = resolve_substitutions(spec)
         return validate_subjob_spec(spec)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import HostDown
+from repro.errors import HostDown, SchedulerError
 from repro.gram.costs import CostModel
 from repro.gram.job import Job, JobContact
 from repro.gram.states import JobState
@@ -69,6 +69,8 @@ class JobManager:
         self.contact = JobContact(job_id=job.job_id, manager=self.port.endpoint)
         self._lease = None
         self._pending_alloc = None
+        #: Join over the job's processes, while the driver waits on it.
+        self._exits = None
         self.driver = env.process(self._drive(), name=f"jm:{job.job_id}")
         self.server = env.process(self._serve(), name=f"jm-serve:{job.job_id}")
 
@@ -87,8 +89,6 @@ class JobManager:
         # Obtain nodes from the local scheduling policy.  Requests the
         # machine can never satisfy (too many nodes, too much memory)
         # are refused synchronously.
-        from repro.errors import SchedulerError
-
         queue_start = env.now
         try:
             self._pending_alloc = self.scheduler.submit(
@@ -161,8 +161,9 @@ class JobManager:
         # Wait for every process to exit.  If any process dies abnormally
         # (kill, crash, application error), the whole job fails and the
         # remaining processes are terminated.
+        self._exits = env.all_of([r.process for r in records])
         try:
-            yield env.all_of([r.process for r in records])
+            yield self._exits
         except Interrupt as intr:
             for pid in list(self.job.pids):
                 self.machine.kill(pid)
@@ -175,6 +176,9 @@ class JobManager:
             self._release()
             self._fail(f"process error: {exc}")
             return
+        finally:
+            # A retained manager must not keep its dead processes alive.
+            self._exits = None
 
         self._release()
         if job.state.terminal:
@@ -274,6 +278,13 @@ class JobManager:
         performs teardown (kills, lease release).
         """
         if self.job.state.terminal:
+            return
+        exits = self._exits
+        if exits is not None and exits.triggered and exits.ok:
+            # Every process has already exited cleanly and the driver
+            # is about to say so: there is nothing left to kill, and
+            # which of the two runs first in this instant must not
+            # decide whether the job reads DONE or FAILED.
             return
         self._fail(reason)
         if self._pending_alloc is not None and not self._pending_alloc.granted:

@@ -29,6 +29,7 @@ from repro.gsi.gridmap import GridMap
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.transport import Port
+from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -91,7 +92,7 @@ def initiate(
 
     # The server answers with CHALLENGE, or with an early RESULT on
     # verification/authorization failure.
-    challenge = yield from _await(port, env, corr, (CHALLENGE, RESULT), timeout)
+    challenge = yield from _await(port, corr, (CHALLENGE, RESULT), timeout)
     if challenge.kind == RESULT:
         raise AuthenticationError(challenge.payload["reason"])
     # Public-key response computation on the client.
@@ -100,7 +101,7 @@ def initiate(
     port.send(dst, RESPONSE, payload={"nonce": challenge.payload["nonce"]},
               reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
-    result = yield from _await(port, env, corr, RESULT, timeout)
+    result = yield from _await(port, corr, RESULT, timeout)
     outcome = result.payload
     if not outcome["ok"]:
         raise AuthenticationError(outcome["reason"])
@@ -112,25 +113,20 @@ def initiate(
     )
 
 
-def _await(port: Port, env, corr: int, kind, timeout: Optional[float]):
+def _await(port: Port, corr: int, kind, timeout: Optional[float]):
     """Wait for a correlated handshake message, with optional deadline.
 
     ``kind`` may be a single kind string or a tuple of acceptable kinds.
     """
     kinds = (kind,) if isinstance(kind, str) else tuple(kind)
-    want = port.recv(filter=lambda m: m.corr_id == corr and m.kind in kinds)
-    if timeout is None:
-        message = yield want
-        return message
-    deadline = env.timeout(timeout)
-    yield want | deadline
-    if not want.triggered:
-        want.cancel()
+    message = yield port.recv(
+        lambda m: m.corr_id == corr and m.kind in kinds, timeout
+    )
+    if message is TIMED_OUT:
         raise AuthTimeout(
             f"handshake timed out waiting for {kind}", timeout=timeout
         )
-    deadline.cancelled = True  # retire the timer
-    return want.value
+    return message
 
 
 def accept(
@@ -173,7 +169,7 @@ def accept(
     nonce = next(_session_ids)
     port.send(client, CHALLENGE, corr_id=corr, payload={"nonce": nonce})
 
-    response = yield from _await(port, env, corr, RESPONSE, timeout)
+    response = yield from _await(port, corr, RESPONSE, timeout)
     if response.payload["nonce"] != nonce:
         port.send(client, RESULT, corr_id=corr,
                   payload={"ok": False, "reason": "bad challenge response"})

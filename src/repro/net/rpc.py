@@ -16,8 +16,8 @@ from repro.errors import NetworkError, RPCTimeout
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.transport import Port
-from repro.simcore.events import PENDING, Condition, Timeout
 from repro.simcore.metrics import NULL_METRICS
+from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.tracing import TraceContext
@@ -61,24 +61,16 @@ def call(
         series.rpc_calls.inc()
     port.send(dst, kind, payload, reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
-    reply_event = port.recv(filter=lambda m: m.corr_id == corr)
-    if timeout is None:
-        message: Message = yield reply_event
-    else:
-        deadline = Timeout(env, timeout)
-        yield Condition(env, Condition.any_events, (reply_event, deadline))
-        message = reply_event._value
-        if message is PENDING:
-            reply_event.cancel()
-            if metered:
-                series.rpc_timeouts.inc()
-            raise RPCTimeout(
-                f"rpc {kind!r} to {dst} timed out after {timeout:g}s",
-                endpoint=dst,
-                kind=kind,
-                timeout=timeout,
-            )
-        deadline.cancelled = True  # retire the timer
+    message: Message = yield port.recv(lambda m: m.corr_id == corr, timeout)
+    if message is TIMED_OUT:
+        if metered:
+            series.rpc_timeouts.inc()
+        raise RPCTimeout(
+            f"rpc {kind!r} to {dst} timed out after {timeout:g}s",
+            endpoint=dst,
+            kind=kind,
+            timeout=timeout,
+        )
 
     if metered:
         series.rpc_latency.observe(env.now - started)

@@ -78,9 +78,14 @@ class Port:
             message.src = self.endpoint
         self.network.send(message)
 
-    def recv(self, filter: Optional[Callable[[Message], bool]] = None) -> StoreGet:
-        """Event firing with the next (matching) inbound message."""
-        return self.mailbox.get(filter=filter)
+    def recv(
+        self,
+        filter: Optional[Callable[[Message], bool]] = None,
+        timeout: Optional[float] = None,
+    ) -> StoreGet:
+        """Event firing with the next (matching) inbound message, or with
+        :data:`~repro.simcore.resources.TIMED_OUT` after ``timeout`` seconds."""
+        return self.mailbox.get(filter, timeout)
 
     def recv_kind(self, kind: str) -> StoreGet:
         """Event firing with the next message of the given kind."""

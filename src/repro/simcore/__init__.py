@@ -21,7 +21,7 @@ from repro.simcore.environment import Environment, FOREVER
 from repro.simcore.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.simcore.probe import FanoutProbe, Probe, attach
 from repro.simcore.process import Interrupt, Process
-from repro.simcore.resources import Container, Resource, Store
+from repro.simcore.resources import TIMED_OUT, Container, Resource, Store
 from repro.simcore.rng import RngRegistry, jittered
 from repro.simcore.tracing import (
     NULL_TRACER,
@@ -56,6 +56,7 @@ __all__ = [
     "Span",
     "SpanSink",
     "Store",
+    "TIMED_OUT",
     "Timeout",
     "TraceContext",
     "Tracer",

@@ -11,9 +11,9 @@ mailboxes are made of:
 * :class:`Store` — a FIFO of distinct Python objects (used as message
   mailboxes and job queues).
 
-All requests are events, so processes simply ``yield store.get()``.
-Requests may be canceled before they fire (e.g. on RPC timeout) via
-:meth:`BaseRequest.cancel`.
+All requests are events, so processes simply ``yield store.get()``; a
+store ``get`` may carry a timeout (it then fires with :data:`TIMED_OUT`).
+Requests may be withdrawn before they fire via :meth:`BaseRequest.cancel`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from repro.errors import SimulationError
-from repro.simcore.events import PENDING, Event
+from repro.simcore.events import NORMAL, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -47,8 +47,11 @@ class BaseRequest(Event):
         if self._value is not PENDING:
             return False
         self.resource._withdraw(self)
-        # Fire the event as failed-but-defused so anything composed on it
-        # (conditions) resolves rather than leaking.
+        # Nothing fires: the request is marked processed with value
+        # None, so it is never scheduled and whatever still listened on
+        # it is dropped.  The one caller left, JobManager._serve,
+        # cancels its control-message get only after the ``|`` it raced
+        # it in has been decided by the other branch.
         self._ok = True
         self._value = None
         self.callbacks = None
@@ -170,10 +173,14 @@ class Container(_BaseResource):
         return False
 
 
+#: What a ``get(timeout=...)`` fires with when its deadline passes first.
+TIMED_OUT = object()
+
+
 class StoreGet(BaseRequest):
     """Pending ``get`` against a :class:`Store`, optionally filtered."""
 
-    __slots__ = ("filter",)
+    __slots__ = ("filter", "deadline")
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
         # One per receive: the slots are set here rather than through
@@ -186,6 +193,44 @@ class StoreGet(BaseRequest):
         self.cancelled = False
         self.resource = store
         self.filter = filter
+        #: The armed :class:`_Deadline` of a timed get still waiting.
+        self.deadline: Optional[_Deadline] = None
+
+
+class _Deadline(Event):
+    """Kernel timer of a timed ``get``: on expiry the request fires with
+    :data:`TIMED_OUT`.  It loses every tie — scheduled after NORMAL, as
+    ``run(until=)``'s stop event is — so an item put in its own instant
+    is still received.  Whichever side decides unlinks request and
+    deadline, so neither is left to the cycle collector.
+    """
+
+    __slots__ = ("request",)
+
+    def __init__(self, request: StoreGet, delay: float) -> None:
+        self.env = env = request.env
+        self.callbacks = [_expire]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
+        self.request: Optional[StoreGet] = request
+        env.schedule(self, NORMAL + 1, delay)
+
+
+def _expire(deadline: Event) -> None:
+    assert isinstance(deadline, _Deadline) and deadline.request is not None
+    request = deadline.request
+    request.resource._withdraw(request)
+    request.succeed(TIMED_OUT)
+
+
+def _retire(request: StoreGet) -> None:
+    """Unlink a decided request from its deadline; the kernel discards that."""
+    deadline = request.deadline
+    if deadline is not None:
+        request.deadline = deadline.request = None
+        deadline.cancelled = True
 
 
 class Store(_BaseResource):
@@ -223,16 +268,29 @@ class Store(_BaseResource):
             accepts = request.filter
             if accepts is None or accepts(item):
                 del waiters[idx]
+                _retire(request)
                 request.succeed(item)
                 return
         items.append(item)
 
-    def get(self, filter: Optional[Callable[[Any], bool]] = None) -> StoreGet:
-        """Event that fires with the next (matching) item."""
+    def get(
+        self,
+        filter: Optional[Callable[[Any], bool]] = None,
+        timeout: Optional[float] = None,
+    ) -> StoreGet:
+        """Event that fires with the next (matching) item, or with
+        :data:`TIMED_OUT` if none arrives within ``timeout`` seconds."""
         request = StoreGet(self, filter)
         if not (self.items and self._try_grant(request)):
+            if timeout is not None:
+                request.deadline = _Deadline(request, timeout)
             self._waiters.append(request)
         return request
+
+    def _withdraw(self, request: BaseRequest) -> None:
+        assert isinstance(request, StoreGet)
+        super()._withdraw(request)
+        _retire(request)
 
     def _try_grant(self, request: StoreGet) -> bool:  # type: ignore[override]
         """Hand ``request`` the first queued item it accepts, if any."""

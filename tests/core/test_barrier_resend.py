@@ -41,6 +41,12 @@ class BarrierLog(Probe):
         self.events = []      # (now, name, attrs)
         self.repairs = []     # (now, rank) of every resend_release
         self.records = 0      # BarrierManager.record calls
+        self.steps = 0        # kernel events processed so far
+        self.released = []    # step at which each RELEASE was delivered
+        self.resumed = []     # step at which each process left the barrier
+
+    def on_step(self, now):
+        self.steps += 1
 
     def on_send(self, message):
         if message.kind in BARRIER_KINDS:
@@ -49,10 +55,14 @@ class BarrierLog(Probe):
     def on_deliver(self, message):
         if message.kind in BARRIER_KINDS:
             self.delivered.append((self.env.now, message))
+            if message.kind == RELEASE:
+                self.released.append(self.steps)
 
     def event(self, node, name, attrs):
         if name.startswith("barrier."):
             self.events.append((self.env.now, name, attrs))
+            if name == "barrier.exit":
+                self.resumed.append(self.steps)
 
     def access(self, node, resource, mode, attrs):
         if attrs.get("op") == "resend_release":
@@ -276,3 +286,20 @@ def test_checkin_traffic_follows_processes_not_waiting_time():
     assert world.log.records == 65
     checkins = sum(message.kind == CHECKIN for _, message in world.log.sent)
     assert checkins / world.log.records <= 8
+
+
+def test_a_released_process_is_resumed_by_its_receives_own_event():
+    """Tripwire, as a count: 64 processes held at the barrier are
+    released in one instant, and that instant is two kernel events per
+    process — the RELEASE delivered, then the timed receive it answers,
+    whose own step resumes the waiter (a third, a ``Condition`` over the
+    receive and a timer, stood between them until PR 20)."""
+    world = World(slow_startup=100.0, counts=(64, 1)).run()
+    log = world.log
+
+    assert world.job.state is RequestState.DONE
+    assert len(log.released) == len(log.resumed) == 65
+    # Every RELEASE is delivered before the first process resumes, so the
+    # receives fire in delivery order, one step each.
+    assert log.released == list(range(log.released[0], log.released[0] + 65))
+    assert log.resumed == [step + 65 for step in log.released]

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import GramError
-from repro.gram import CallbackListener, JobState
+from repro.gram import CallbackListener, JobState, Site
 from repro.gram.costs import CostModel
+from repro.gsi import initiate
+from repro.net import Endpoint, Network, Port
+from repro.simcore import Environment, Tracer
 
 from .conftest import rsl_for
 
@@ -184,6 +187,62 @@ class TestCancel:
             return state
 
         assert drive(env, scenario(env)) is JobState.FAILED
+
+    def test_cancel_after_every_process_exited_leaves_the_job_done(
+        self, env, site, client
+    ):
+        """A rule, not a count of kernel hops: a cancel landing in the
+        instant the last process exits cleanly — after the exits, before
+        the driver has said so — kills nothing, and the job ends DONE."""
+        acks = []
+
+        def scenario(env):
+            handle = yield from client.submit(
+                site.contact, rsl_for(site.contact, count=2)
+            )
+            yield from client.wait_for_state(handle, JobState.ACTIVE)
+            manager = site.gatekeeper.job_managers[handle.job_id]
+            last = site.machine.processes[manager.job.pids[-1]].process
+
+            def cancel_late(event):
+                assert manager.job.state is JobState.ACTIVE
+                manager.cancel("too late")
+                acks.append(manager.job.state)
+
+            # Runs after the job manager's own exit bookkeeping.
+            last.callbacks.append(cancel_late)
+            yield manager.driver
+            return manager.job
+
+        job = drive(env, scenario(env))
+        assert acks == [JobState.ACTIVE]
+        assert (job.state, job.failure_reason) == (JobState.DONE, None)
+        env.run()
+        assert site.scheduler.free == site.nodes
+
+
+class TestGatekeeperDeadlines:
+    def test_authenticated_peer_that_never_submits_is_timed_out(self, ca, programs):
+        """The gatekeeper waits 30 s for the request with one timed
+        receive; the outcome is counted at that instant."""
+        env = Environment()
+        env.tracer = Tracer(env)
+        net = Network(env)
+        net.add_host("workstation")
+        site = Site(env, net, "origin", nodes=4, ca=ca, programs=programs)
+        site.authorize("alice")
+        port = Port(net, Endpoint("workstation", "mute"))
+        env.process(initiate(port, site.gatekeeper.endpoint, ca.issue("alice")))
+        timed_out = env.tracer.metrics.counter("gram.submits_total")
+        inflight = env.tracer.metrics.gauge("gram.gatekeeper_inflight")
+        # The server's side of the handshake ends at 0.506 s.
+        env.run(until=30.5059)
+        assert timed_out.value(site="origin", outcome="request_timeout") == 0
+        assert inflight.value(site="origin") == 1
+        env.run(until=30.5061)
+        assert timed_out.value(site="origin", outcome="request_timeout") == 1
+        assert inflight.value(site="origin") == 0
+        assert len(site.gatekeeper.port.mailbox._waiters) == 1  # the listener
 
 
 class TestFailureModes:

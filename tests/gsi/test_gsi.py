@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AuthenticationError, AuthorizationError
+from repro.errors import AuthenticationError, AuthorizationError, AuthTimeout
 from repro.gsi import (
     AuthConfig,
     CertificateAuthority,
@@ -167,3 +167,65 @@ class TestHandshake:
         config = AuthConfig(client_cpu=0.0, server_cpu=0.0)
         outcome = _run_handshake(env, net, ca, gridmap, cred, config)
         assert outcome["client_done_at"] == pytest.approx(0.008, abs=1e-6)
+
+
+class TestHandshakeDeadlines:
+    """Each leg waits with ``port.recv(filter, timeout)``; the instants
+    are those of the ``get | timeout`` races it replaced."""
+
+    def test_client_gives_up_when_the_server_never_answers(self, env, net, ca):
+        Port(net, Endpoint("site", "gatekeeper"))  # bound, but nobody serves it
+        client_port = Port(net, Endpoint("client", "app"))
+
+        def client(env):
+            with pytest.raises(AuthTimeout) as caught:
+                yield from initiate(
+                    client_port, Endpoint("site", "gatekeeper"), ca.issue("alice"),
+                    timeout=3.0,
+                )
+            return caught.value.timeout, env.now
+
+        assert env.run(env.process(client(env))) == (3.0, 3.0)
+        assert not client_port.mailbox._waiters
+
+    def test_server_gives_up_on_a_client_that_never_responds(
+        self, env, net, ca, gridmap
+    ):
+        server_port = Port(net, Endpoint("site", "gatekeeper"))
+        client_port = Port(net, Endpoint("client", "app"))
+        client_port.send(
+            server_port.endpoint, HELLO, payload={"credential": ca.issue("alice")},
+            reply_to=client_port.endpoint, corr_id=7,
+        )
+
+        def server(env):
+            hello = yield server_port.recv_kind(HELLO)
+            with pytest.raises(AuthTimeout):
+                yield from accept(server_port, hello, ca, gridmap, timeout=2.0)
+            return env.now
+
+        # HELLO lands at 2 ms, verification takes 0.25 s, then 2 s of waiting.
+        assert env.run(env.process(server(env))) == pytest.approx(2.252)
+        assert not server_port.mailbox._waiters
+        env.run()
+        assert env.now == pytest.approx(2.252)
+
+    def test_a_completed_handshake_leaves_no_deadline_to_wait_out(
+        self, env, net, ca, gridmap
+    ):
+        server_port = Port(net, Endpoint("site", "gatekeeper"))
+        client_port = Port(net, Endpoint("client", "app"))
+
+        def server(env):
+            hello = yield server_port.recv_kind(HELLO)
+            yield from accept(server_port, hello, ca, gridmap, timeout=30.0)
+
+        def client(env):
+            yield from initiate(
+                client_port, server_port.endpoint, ca.issue("alice"), timeout=30.0
+            )
+
+        env.process(server(env))
+        env.process(client(env))
+        env.run()
+        assert env.now == pytest.approx(0.508, abs=1e-6)

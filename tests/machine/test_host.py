@@ -1,12 +1,14 @@
 """Unit tests for the machine/process model."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.faults import HostCrash, Overload, schedule
 from repro.machine import Machine
 from repro.net import Network
-from repro.simcore import Environment, Interrupt
+from repro.simcore import Environment, Interrupt, Process
 
 
 @pytest.fixture
@@ -87,6 +89,35 @@ class TestMachine:
         env.run()
         assert outcome == ["killed"]
         assert machine.process_count == 0
+
+    def test_killed_process_is_freed_without_the_collector(self, env, machine):
+        """A kill ends a process with an ``Interrupt`` whose traceback
+        holds the frame that delivered it, and that frame the process: a
+        cycle per killed process (an abort kills thousands) that waited
+        for a full collection.  Reaping drops the traceback."""
+
+        def program(ctx):
+            yield ctx.env.timeout(100)  # lets the Interrupt propagate
+
+        def live_processes():
+            return sum(1 for obj in gc.get_objects() if type(obj) is Process)
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_processes()
+            record = machine.spawn(program, executable="app", rank=0, count=1)
+            process = record.process
+            env.run(until=1)
+            machine.kill(record.pid)
+            env.run()
+            assert not process.ok and isinstance(process.value, Interrupt)
+            assert process.value.cause == "killed"
+            assert process.value.__traceback__ is None
+            del record, process
+            assert live_processes() == before
+        finally:
+            gc.enable()
 
     def test_kill_unknown_pid_returns_false(self, machine):
         assert machine.kill(99999) is False

@@ -9,6 +9,13 @@ grant — kept here as the oracle: driven in lockstep through random
 interleavings of ``put``, ``get()``, ``get(filter)`` and ``cancel()``
 the two must grant the same items to the same requests during the same
 call, and leave the same items and waiters behind.
+
+Timed gets ride the same interleavings.  The oracle has no kernel
+timer: it notes when each timed request is due and, as the clock is
+advanced, withdraws whichever are still waiting once everything else
+in their instant has run — the specification ``Store.get(timeout=)``
+implements with a priority and two pointers.  Puts scheduled for a
+later instant land *inside* the run, so ties with a deadline occur.
 """
 
 from hypothesis import given, settings
@@ -16,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simcore import Environment, Store
-from repro.simcore.resources import StoreGet
+from repro.simcore.resources import TIMED_OUT, StoreGet
 
 
 class RescanStore(Store):
@@ -28,11 +35,30 @@ class RescanStore(Store):
         self.items.append(item)
         self._wake()
 
-    def get(self, filter=None):
+    def __init__(self, env, capacity=float("inf")):
+        super().__init__(env, capacity)
+        #: (due, request) of every timed get, in arming order.
+        self.due = []
+
+    def get(self, filter=None, timeout=None):
         request = StoreGet(self, filter)
         self._waiters.append(request)
         self._wake()
+        if timeout is not None and not request.triggered:
+            self.due.append((self.env.now + timeout, request))
         return request
+
+    def run(self, until):
+        """Advance the clock, expiring due requests at the end of their instant."""
+        env = self.env
+        for due in sorted({due for due, _ in self.due if due <= until}):
+            env.run(until=due)
+            for _, request in [entry for entry in self.due if entry[0] == due]:
+                if not request.triggered:
+                    self._waiters.remove(request)
+                    request.succeed(TIMED_OUT)
+        self.due = [entry for entry in self.due if entry[0] > until]
+        env.run(until=until)
 
     def _try_grant(self, request):
         if request.filter is None:
@@ -66,6 +92,14 @@ _OPS = st.lists(
         # Overlapping predicates: residues mod 2 and mod 3 share items.
         st.tuples(st.just("get"), st.tuples(st.sampled_from([2, 3]), st.integers(0, 2))),
         st.tuples(st.just("cancel"), st.integers(0, 200)),
+        # Whole-number delays, so deadlines, delayed puts and the
+        # instants the clock stops at coincide often.
+        st.tuples(st.just("timed_get"), st.tuples(
+            st.one_of(st.none(), st.tuples(st.sampled_from([2, 3]), st.integers(0, 2))),
+            st.integers(0, 3),
+        )),
+        st.tuples(st.just("put_later"), st.tuples(st.integers(0, 3), st.integers(0, 11))),
+        st.tuples(st.just("advance"), st.integers(0, 3)),
     ),
     max_size=80,
 )
@@ -78,22 +112,38 @@ class _Driver:
         self.requests = []
         self.fired = []
 
+    def put(self, item):
+        try:
+            self.store.put(item)
+        except SimulationError:
+            return "overflow"
+        return None
+
     def apply(self, op):
         kind, arg = op
         if kind == "put":
-            try:
-                self.store.put(arg)
-            except SimulationError:
-                return "overflow"
-        elif kind == "get":
+            return self.put(arg)
+        if kind == "put_later":
+            delay, item = arg
+            self.env.timeout(delay).callbacks.append(lambda event: self.put(item))
+        elif kind == "advance":
+            until = self.env.now + arg
+            if isinstance(self.store, RescanStore):
+                self.store.run(until)
+            else:
+                self.env.run(until=until)
+        elif kind in ("get", "timed_get"):
+            timeout = None
+            if kind == "timed_get":
+                arg, timeout = arg
             accepts = None
             if arg is not None:
                 modulus, residue = arg
                 accepts = lambda item: item % modulus == residue  # noqa: E731
-            request = self.store.get(accepts)
+            request = self.store.get(accepts, timeout)
             index = len(self.requests)
             request.callbacks.append(
-                lambda event: self.fired.append((index, event.value))
+                lambda event: self.fired.append((self.env.now, index, event.value))
             )
             self.requests.append(request)
         elif self.requests:
@@ -124,9 +174,12 @@ def test_targeted_wakeups_match_the_full_rescan(ops, capacity):
                 for item in new.store.items
             )
     new.env.run()
+    old.store.run(new.env.now)
     old.env.run()
-    # Events fire in the order they were granted.
+    # Events fire in the order they were granted or expired, at the
+    # same instants.
     assert new.fired == old.fired
+    assert new.state() == old.state()
 
 
 def test_put_offers_the_item_to_waiters_in_fifo_order():
