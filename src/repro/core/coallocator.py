@@ -495,7 +495,7 @@ class DurocJob:
         try:
             handle = yield from self.duroc.gram.submit(
                 slot.spec.contact,
-                slot.spec.to_rsl(),
+                slot.spec.rsl_text,
                 callback=self._gram_listener.endpoint,
                 params={
                     PARAM_CONTACT: self.port.endpoint,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 from repro.errors import RSLValidationError
@@ -32,6 +33,7 @@ from repro.rsl.attributes import (
     validate_subjob_spec,
 )
 from repro.rsl.parser import parse_multirequest
+from repro.rsl.printer import unparse
 
 
 class SubjobType(str, Enum):
@@ -117,6 +119,12 @@ class SubjobSpec:
         if self.reservation_id is not None:
             children.append(Relation(RESERVATION_ID, (self.reservation_id,)))
         return Conjunction(tuple(children))
+
+    @cached_property
+    def rsl_text(self) -> str:
+        """:meth:`to_rsl` as the text that goes on the wire, rendered
+        once: a retry or a resubmission sends the identical string."""
+        return unparse(self.to_rsl())
 
     @classmethod
     def from_rsl(cls, spec: Specification) -> "SubjobSpec":

@@ -44,8 +44,10 @@ class JobHandle:
     """Client-side view of a submitted job."""
 
     job_id: str
+    #: The job manager's identity and callback source; nothing listens there.
     manager: Endpoint
-    #: The gatekeeper that issued the job, as ``submit`` resolved it.
+    #: The gatekeeper that issued the job, as ``submit`` resolved it:
+    #: where every status/cancel/(un)register for the job is sent.
     gatekeeper: Endpoint
     state: JobState = JobState.PENDING
     failure_reason: Optional[str] = None
@@ -157,13 +159,29 @@ class GramClient:
         concludes, so a reply that arrives later is an "unbound" drop."""
         return Port(self.network, ephemeral_endpoint(self.host, "gram"))
 
-    def _call(self, manager: Endpoint, kind: str, payload: Any, timeout: Optional[float]):
-        """One RPC to a job manager over a reply port of its own."""
+    def _call(self, gatekeeper: Endpoint, kind: str, payload: Any, timeout: Optional[float]):
+        """One RPC to a gatekeeper over a reply port of its own."""
         port = self._fresh_port()
         try:
-            return (yield from call(port, manager, kind, payload=payload, timeout=timeout))
+            return (yield from call(port, gatekeeper, kind, payload=payload, timeout=timeout))
         finally:
             port.close()
+
+    def _control(self, handle: JobHandle, kind: str, timeout: Optional[float], **fields: Any):
+        """A job-control RPC to the job's gatekeeper: updates and returns the
+        handle's state; :class:`GramError` if the gatekeeper refuses it."""
+        try:
+            payload = yield from self._call(
+                handle.gatekeeper, kind, {"job_id": handle.job_id, **fields}, timeout
+            )
+        except RPCError as exc:
+            raise GramError(
+                f"{kind} for {handle.job_id} refused: {exc.payload}",
+                contact=str(handle.gatekeeper),
+                payload=exc.payload,
+            ) from None
+        handle.update(payload["state"], payload.get("reason"), self.env.now)
+        return handle.state
 
     def _breaker(self, endpoint: Endpoint) -> Optional[CircuitBreaker]:
         if self.breakers is None:
@@ -261,35 +279,24 @@ class GramClient:
         span.finish(ok=True, job=handle.job_id)
         return handle
 
-    def _poll(self, endpoint: Endpoint, payload: Any, timeout, retry):
-        """A ``gram.status`` RPC's generator, re-polled under ``retry`` if given."""
-
-        def attempt():
-            return self._call(endpoint, STATUS, payload, timeout)
-
-        if retry is None:
-            return attempt()
-        return retrying(
-            self.env, retry, attempt,
-            rng=self.rng,
-            operation="gram.status",
-            endpoint=endpoint,
-        )
-
     def status(
         self,
         handle: JobHandle,
         timeout: Optional[float] = None,
         retry: Optional[RetryPolicy] = None,
     ):
-        """Poll the job manager; updates and returns the handle's state.
+        """Poll the job's gatekeeper; updates and returns the handle's state.
 
-        ``retry`` (explicit only — status is not retried by default)
-        re-polls on lost replies so a lossy network does not read as a
-        dead job manager.
+        :meth:`site_status` of one handle, except that a job the
+        gatekeeper no longer retains raises :class:`GramError`: its
+        last known state is not news.
         """
-        payload = yield from self._poll(handle.manager, None, timeout, retry)
-        handle.update(payload["state"], payload.get("reason"), self.env.now)
+        states = yield from self.site_status(handle.gatekeeper, [handle], timeout, retry)
+        if handle.job_id not in states:
+            raise GramError(
+                f"{STATUS} for {handle.job_id} refused: unknown job",
+                contact=str(handle.gatekeeper),
+            )
         return handle.state
 
     def site_status(
@@ -304,10 +311,22 @@ class GramClient:
         Updates every handle the reply names and returns the reply,
         ``{job_id: (state, reason)}``.  A job the gatekeeper no longer
         retains is absent and its handle untouched: the reply proves the
-        site alive, not that job dead.  ``retry`` as for :meth:`status`.
+        site alive, not that job dead.  ``retry`` (explicit only — a poll
+        is not retried by default) re-polls on lost replies so a lossy
+        network does not read as a dead site.
         """
         by_id = {handle.job_id: handle for handle in handles}
-        states = yield from self._poll(gatekeeper, {"jobs": list(by_id)}, timeout, retry)
+
+        def attempt():
+            return self._call(gatekeeper, STATUS, {"jobs": list(by_id)}, timeout)
+
+        if retry is None:
+            states = yield from attempt()
+        else:
+            states = yield from retrying(
+                self.env, retry, attempt,
+                rng=self.rng, operation="gram.status", endpoint=gatekeeper,
+            )
         for job_id, (state, reason) in states.items():
             by_id[job_id].update(state, reason, self.env.now)
         return states
@@ -315,13 +334,11 @@ class GramClient:
     def cancel(self, handle: JobHandle, timeout: Optional[float] = None):
         """Cancel the job (idempotent); returns the resulting state."""
         try:
-            payload = yield from self._call(handle.manager, CANCEL, None, timeout)
+            return (yield from self._control(handle, CANCEL, timeout))
         except RPCTimeout:
             # The site may be dead; locally mark what we know.
             handle.update(JobState.FAILED, "cancel timed out", self.env.now)
             raise
-        handle.update(payload["state"], payload.get("reason"), self.env.now)
-        return handle.state
 
     def register_callback(
         self,
@@ -334,11 +351,7 @@ class GramClient:
         Mirrors GRAM's callback-register operation: monitoring can be
         attached after submission (e.g. by a second tool).
         """
-        payload = yield from self._call(
-            handle.manager, REGISTER, {"endpoint": endpoint}, timeout
-        )
-        handle.update(payload["state"], payload.get("reason"), self.env.now)
-        return handle.state
+        return self._control(handle, REGISTER, timeout, endpoint=endpoint)
 
     def unregister_callback(
         self,
@@ -347,11 +360,7 @@ class GramClient:
         timeout: Optional[float] = None,
     ):
         """Remove a previously registered callback listener."""
-        payload = yield from self._call(
-            handle.manager, UNREGISTER, {"endpoint": endpoint}, timeout
-        )
-        handle.update(payload["state"], payload.get("reason"), self.env.now)
-        return handle.state
+        return self._control(handle, UNREGISTER, timeout, endpoint=endpoint)
 
     def wait_for_state(
         self,
@@ -374,6 +383,6 @@ class GramClient:
                 raise GramError(
                     f"job {handle.job_id} did not reach {want.value} "
                     f"within {timeout:g}s (last state {state.value})",
-                    contact=str(handle.manager),
+                    contact=str(handle.gatekeeper),
                 )
             yield self.env.timeout(poll)

@@ -7,7 +7,9 @@ NIS databases), and then hands the request to a freshly created job
 manager, returning the job contact to the client.
 
 Each incoming connection is served by its own handler process, as the
-real gatekeeper forked per connection.
+real gatekeeper forked per connection.  Job control (status, cancel,
+callback registration) is answered by the listener itself, in-process,
+for every job manager of the site.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import AuthenticationError, HostDown, RSLError
 from repro.gram.costs import CostModel
 from repro.gram.job import Job
-from repro.gram.jobmanager import STATUS, JobManager
+from repro.gram.jobmanager import CANCEL, REGISTER, STATUS, UNREGISTER, JobManager
 from repro.gram.states import JobState
 from repro.gsi.auth import HELLO, accept
 from repro.gsi.credentials import CertificateAuthority
@@ -35,9 +37,9 @@ from repro.rsl.attributes import (
     MAX_TIME,
     MIN_MEMORY,
     RESERVATION_ID,
+    validate_subjob_spec,
 )
 from repro.rsl.parser import parse
-from repro.rsl.attributes import validate_subjob_spec
 from repro.rsl.transform import resolve_substitutions
 from repro.schedulers.base import LocalScheduler
 from repro.simcore.resources import TIMED_OUT
@@ -56,10 +58,10 @@ PING = "gram.ping"
 #: The well-known gatekeeper port name.
 GATEKEEPER_PORT = "gatekeeper"
 
-#: Bound on per-gatekeeper retained request state (job-manager handles
-#: and the submission dedup cache).  LRU eviction: an entry only
-#: matters while its client may still retry, so the bound need only
-#: exceed the in-flight window, not the service lifetime.
+#: Bound on per-gatekeeper retained request state (job-manager handles,
+#: the submission dedup cache and the parsed-RSL table).  LRU eviction:
+#: an entry only matters while its client may still retry, so the bound
+#: need only exceed the in-flight window, not the service lifetime.
 RETAINED_JOBS_MAX = 1024
 
 
@@ -115,6 +117,10 @@ class Gatekeeper:
         self._submissions: "BoundedDict[str, dict]" = BoundedDict(
             RETAINED_JOBS_MAX
         )
+        #: Validated subjob specs by RSL text: co-allocators send few
+        #: distinct texts many times.  Shared between jobs (every
+        #: ``repro.rsl.ast`` node is frozen); a refused text is not kept.
+        self._specs: "BoundedDict[str, Conjunction]" = BoundedDict(RETAINED_JOBS_MAX)
         self._job_counter = 0
         self.listener = env.process(self._listen(), name=f"gk:{machine.name}")
 
@@ -124,19 +130,22 @@ class Gatekeeper:
         return str(self.endpoint)
 
     def _listen(self):
+        served = (HELLO, PING, STATUS, CANCEL, REGISTER, UNREGISTER)
         while True:
-            message = yield self.port.recv(
-                filter=lambda m: m.kind in (HELLO, PING, STATUS)
-            )
-            if message.kind == PING:
-                reply_ok(self.port, message, payload={"contact": self.contact})
-                continue
-            if message.kind == STATUS:
-                self._reply_status(message)
-                continue
-            self.env.process(
-                self._handle(message), name=f"gk-conn:{self.machine.name}"
-            )
+            message = yield self.port.recv(filter=lambda m: m.kind in served)
+            try:
+                if message.kind == HELLO:
+                    self.env.process(
+                        self._handle(message), name=f"gk-conn:{self.machine.name}"
+                    )
+                elif message.kind == PING:
+                    reply_ok(self.port, message, payload={"contact": self.contact})
+                elif message.kind == STATUS:
+                    self._reply_status(message)
+                else:
+                    self._control(message)
+            except HostDown:
+                pass  # we died in this very instant; nothing more to say
 
     def _reply_status(self, message) -> None:
         """Answer for every named job still in the table, in one reply.
@@ -156,6 +165,29 @@ class Gatekeeper:
             if manager is not None:
                 states[job_id] = (manager.job.state, manager.job.failure_reason)
         reply_ok(self.port, message, payload=states)
+
+    def _control(self, message) -> None:
+        """Cancel a job or edit its callback list, in-process, and answer
+        with its status; a job not in the table is an error, not silence."""
+        payload = message.payload
+        job_id = payload.get("job_id") if isinstance(payload, dict) else None
+        manager = self.job_managers.peek(job_id) if isinstance(job_id, str) else None
+        if manager is None:
+            reply_error(self.port, message, payload="unknown job")
+            return
+        if message.kind == CANCEL:
+            manager.cancel("canceled by request")
+        else:
+            endpoint = payload.get("endpoint")
+            if not isinstance(endpoint, Endpoint):
+                reply_error(self.port, message, payload=f"{message.kind} needs an 'endpoint'")
+                return
+            listening = endpoint in manager.callbacks
+            if message.kind == REGISTER and not listening:
+                manager.callbacks.append(endpoint)
+            elif message.kind == UNREGISTER and listening:
+                manager.callbacks.remove(endpoint)
+        reply_ok(self.port, message, payload=manager.status())
 
     def _handle(self, hello):
         """Serve one connection: authenticate, authorize, submit."""
@@ -266,20 +298,23 @@ class Gatekeeper:
         reply_ok(self.port, request, payload=payload)
 
     def _parse_request(self, rsl) -> Conjunction:
-        spec = parse(rsl) if isinstance(rsl, str) else rsl
-        if isinstance(spec, Conjunction):
-            # Resolve $(NAME) references against the request's own
-            # rslSubstitution bindings before validation.
-            spec = resolve_substitutions(spec)
-        return validate_subjob_spec(spec)
+        if not isinstance(rsl, str):
+            raise RSLError(f"rsl must be RSL text, got {type(rsl).__name__}")
+        spec = self._specs.get(rsl)
+        if spec is None:
+            spec = parse(rsl)
+            if isinstance(spec, Conjunction):
+                # Resolve $(NAME) references against the request's own
+                # rslSubstitution bindings before validation.
+                spec = resolve_substitutions(spec)
+            spec = self._specs[rsl] = validate_subjob_spec(spec)
+        return spec
 
     def _make_job(self, spec: Conjunction, params: dict) -> Job:
-        arguments = ()
-        args_rel = spec.relations().get(ARGUMENTS.lower())
-        if args_rel is not None:
-            arguments = args_rel.values
+        relations = spec.relations()
+        args_rel = relations.get(ARGUMENTS.lower())
         env_params = dict(params)
-        env_rel = spec.relations().get(ENVIRONMENT.lower())
+        env_rel = relations.get(ENVIRONMENT.lower())
         if env_rel is not None:
             for item in env_rel.values:
                 if isinstance(item, ValueSequence) and len(item) == 2:
@@ -294,7 +329,7 @@ class Gatekeeper:
             site=self.machine.name,
             count=int(spec.get(COUNT)),
             executable=str(spec.get(EXECUTABLE)),
-            arguments=tuple(arguments),
+            arguments=args_rel.values if args_rel is not None else (),
             params=env_params,
             max_time=float(max_time) if max_time is not None else None,
             min_memory=float(min_memory) if min_memory is not None else None,

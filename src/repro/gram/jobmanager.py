@@ -2,9 +2,11 @@
 
 One job manager is created per accepted request.  It owns the job's
 state machine: it obtains nodes from the local scheduler, forks the
-application processes on the machine, publishes state-change callbacks
-to the client, and services status/cancel messages until the job
-reaches a terminal state.
+application processes on the machine and publishes state-change
+callbacks to the client.  It is an object, not a server: the site's
+gatekeeper answers status/cancel/(un)register messages and calls
+:meth:`JobManager.cancel` or edits :attr:`JobManager.callbacks` directly,
+so a job that has ended owns no process and no mailbox.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.gram.job import Job, JobContact
 from repro.gram.states import JobState
 from repro.machine.host import Machine, Program
 from repro.net.address import Endpoint
-from repro.net.transport import Port
+from repro.net.message import Message
 from repro.schedulers.base import LocalScheduler, NodeRequest
 from repro.simcore.process import Interrupt
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.metrics import BoundCounter
     from repro.simcore.environment import Environment
 
-#: Message kinds served by a job manager.
+#: Job-control message kinds, served by the gatekeeper for its managers.
 STATUS = "gram.status"
 CANCEL = "gram.cancel"
 CALLBACK = "gram.callback"
@@ -63,16 +65,15 @@ class JobManager:
         self._m_transitions = transitions
         #: Trace context of the submit request this manager serves.
         self.ctx = ctx
-        self.port = Port(
-            machine.network, Endpoint(machine.name, f"jm.{job.job_id.split('/')[-1]}")
-        )
-        self.contact = JobContact(job_id=job.job_id, manager=self.port.endpoint)
+        #: This manager's identity and the source address of its
+        #: callbacks.  Never bound: control goes to the gatekeeper.
+        self.endpoint = Endpoint(machine.name, f"jm.{job.job_id.split('/')[-1]}")
+        self.contact = JobContact(job_id=job.job_id, manager=self.endpoint)
         self._lease = None
         self._pending_alloc = None
         #: Join over the job's processes, while the driver waits on it.
         self._exits = None
         self.driver = env.process(self._drive(), name=f"jm:{job.job_id}")
-        self.server = env.process(self._serve(), name=f"jm-serve:{job.job_id}")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -202,72 +203,22 @@ class JobManager:
 
     def _notify(self) -> None:
         """Send a state callback to every registered listener."""
+        send = self.machine.network.send
         for endpoint in self.callbacks:
             try:
-                self.port.send(
-                    endpoint,
-                    CALLBACK,
-                    payload={
-                        "job_id": self.job.job_id,
-                        "state": self.job.state,
-                        "reason": self.job.failure_reason,
-                    },
-                )
+                send(Message(self.endpoint, endpoint, CALLBACK, self.status()))
             except HostDown:
                 return  # our own machine died; nothing more to say
 
-    # -- control server ---------------------------------------------------------
+    # -- control API (what the gatekeeper answers control messages with) --------
 
-    def _serve(self):
-        """Answer status and cancel messages until the job terminates."""
-        served = (STATUS, CANCEL, REGISTER, UNREGISTER)
-        while not self.job.state.terminal:
-            get = self.port.recv(filter=lambda m: m.kind in served)
-            done = self.driver
-            yield get | done
-            if not get.triggered:
-                get.cancel()
-                break
-            message = get.value
-            if message.kind == STATUS:
-                self._reply_status(message)
-            elif message.kind == CANCEL:
-                self.cancel("canceled by request")
-                self._reply_status(message)
-            elif message.kind == REGISTER:
-                endpoint = message.payload["endpoint"]
-                if endpoint not in self.callbacks:
-                    self.callbacks.append(endpoint)
-                self._reply_status(message)
-            elif message.kind == UNREGISTER:
-                endpoint = message.payload["endpoint"]
-                if endpoint in self.callbacks:
-                    self.callbacks.remove(endpoint)
-                self._reply_status(message)
-        # Keep answering status queries briefly after termination so
-        # late pollers see the terminal state.
-        while True:
-            message = yield self.port.recv(
-                filter=lambda m: m.kind in served
-            )
-            self._reply_status(message)
-
-    def _reply_status(self, message) -> None:
-        try:
-            self.port.send_message(
-                message.reply(
-                    message.kind + ".reply",
-                    payload={
-                        "job_id": self.job.job_id,
-                        "state": self.job.state,
-                        "reason": self.job.failure_reason,
-                    },
-                )
-            )
-        except HostDown:
-            pass
-
-    # -- control API (also callable in-process) ----------------------------------
+    def status(self) -> dict:
+        """The ``{job_id, state, reason}`` payload of callbacks and replies."""
+        return {
+            "job_id": self.job.job_id,
+            "state": self.job.state,
+            "reason": self.job.failure_reason,
+        }
 
     def cancel(self, reason: str = "canceled") -> None:
         """Kill the job: dequeue it if still queued, else kill its processes.

@@ -52,13 +52,17 @@ class ProcessContext:
     executable: str
     arguments: tuple[Any, ...] = ()
     params: dict[str, Any] = field(default_factory=dict)
+    #: Ports this process bound; the machine closes them when it exits.
+    ports: tuple[Port, ...] = field(default=(), init=False, repr=False)
 
     def port(self, label: str) -> Port:
         """Bind a fresh port on this machine for this process."""
-        return Port(
+        port = Port(
             self.machine.network,
             Endpoint(self.machine.name, f"{label}.pid{self.pid}"),
         )
+        self.ports += (port,)
+        return port
 
     @property
     def now(self) -> float:
@@ -134,7 +138,7 @@ class Machine:
             program(context),
             name=f"{self.name}/{executable}[{rank}]",
         )
-        process.callbacks.append(lambda event: self._reap(pid, event))
+        process.callbacks.append(lambda event: self._reap(context, event))
         record = ProcessRecord(
             pid=pid,
             executable=executable,
@@ -145,9 +149,12 @@ class Machine:
         self.processes[pid] = record
         return record
 
-    def _reap(self, pid: int, event) -> None:
-        """Remove an exited process; swallow kill-induced interrupts."""
-        self.processes.pop(pid, None)
+    def _reap(self, context: ProcessContext, event) -> None:
+        """Remove an exited process and its mailboxes; swallow
+        kill-induced interrupts."""
+        self.processes.pop(context.pid, None)
+        for port in context.ports:
+            port.close()
         if not event._ok and isinstance(event.value, Interrupt):
             # Termination via kill()/crash() is an expected outcome, not
             # a simulation error; other exceptions still surface.

@@ -17,7 +17,9 @@ Values are strings, integers, floats, or nested specifications.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from functools import cached_property
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence, Union
 
 #: A scalar RSL value.
 Scalar = Union[str, int, float]
@@ -137,13 +139,19 @@ class Conjunction(_Composite):
 
     # -- attribute helpers used throughout the stack -----------------------
 
-    def relations(self) -> dict[str, Relation]:
-        """Mapping of attribute name → relation (last wins)."""
+    @cached_property
+    def _relations(self) -> Mapping[str, Relation]:
+        # Computed once per node: the node is frozen, and one parsed
+        # spec serves every job submitted with the same text.
         out: dict[str, Relation] = {}
         for child in self.children:
             if isinstance(child, Relation):
                 out[child.attribute.lower()] = child
-        return out
+        return MappingProxyType(out)
+
+    def relations(self) -> Mapping[str, Relation]:
+        """Read-only mapping of attribute name → relation (last wins)."""
+        return self._relations
 
     def get(self, attribute: str, default: Value | None = None) -> Value | None:
         """The single value of ``attribute`` (case-insensitive)."""

@@ -49,9 +49,9 @@ class BaseRequest(Event):
         self.resource._withdraw(self)
         # Nothing fires: the request is marked processed with value
         # None, so it is never scheduled and whatever still listened on
-        # it is dropped.  The one caller left, JobManager._serve,
-        # cancels its control-message get only after the ``|`` it raced
-        # it in has been decided by the other branch.
+        # it is dropped: withdraw a request only once nothing waits on
+        # it alone (e.g. after the ``|`` it was raced in was decided by
+        # the other branch).  Nothing under ``src/`` does any more.
         self._ok = True
         self._value = None
         self.callbacks = None

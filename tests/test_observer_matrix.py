@@ -3,13 +3,18 @@
 Twenty concurrent eight-subjob co-allocations — the load shape of
 ``benchmarks/wall``'s ``coalloc_*`` workloads — under every observer
 combination must produce the same per-request records, the same final
-clock, the same kernel tallies and the same message count.
+clock, the same kernel tallies and the same message count.  One more
+agent drives GRAM job control — status, (un)register, cancel, and a
+cancel the gatekeeper must refuse — against the same gatekeepers.
 """
 
 import pytest
 
 from repro.core.request import CoAllocationRequest
-from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
+from repro.errors import GramError
+from repro.gram import JobHandle, JobState
+from repro.gridenv import CLIENT_HOST, DEFAULT_EXECUTABLE, GridBuilder
+from repro.net import Endpoint, Port
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.streaming import AggregatingSink, JsonlStreamSink, TelemetryPipeline
 
@@ -41,13 +46,18 @@ def _all_three_streaming(builder, tmp_path):
     ))
 
 
+def idle(ctx):
+    yield ctx.env.timeout(60.0)
+
+
 def _run(observe, tmp_path):
     builder = GridBuilder(seed=42).add_machines("RM", SITES, nodes=64)
+    builder.program("idle", idle)
     if observe is not None:
         observe(builder, tmp_path)
     grid = builder.build()
     duroc = grid.duroc()
-    records = [None] * REQUESTS
+    records = [None] * REQUESTS  # + the controller's, appended
 
     def agent(index):
         # Each request visits the sites in its own rotation.
@@ -62,8 +72,29 @@ def _run(observe, tmp_path):
         yield from job.wait_done()
         records[index] = (job.state.value, result.sizes, result.elapsed)
 
+    def controller():
+        # Job control goes to a gatekeeper the co-allocations load.
+        gram = grid.gram_client()
+        listener = Port(grid.network, Endpoint(CLIENT_HOST, "control"))
+        contact = grid.site("RM1").contact
+        handle = yield from gram.submit(
+            contact, f"&(resourceManagerContact={contact})(count=2)(executable=idle)"
+        )
+        seen = [(yield from gram.wait_for_state(handle, JobState.ACTIVE))]
+        seen.append((yield from gram.register_callback(handle, listener.endpoint)))
+        seen.append((yield from gram.cancel(handle)))
+        seen.append((yield listener.recv()).payload["state"])
+        seen.append((yield from gram.unregister_callback(handle, listener.endpoint)))
+        stranger = JobHandle("RM1/job0", handle.manager, handle.gatekeeper)
+        try:
+            yield from gram.cancel(stranger)
+        except GramError as refusal:
+            seen.append(refusal.payload)
+        records.append((tuple(map(str, seen)), grid.now))
+
     for index in range(REQUESTS):
         grid.process(agent(index))
+    grid.process(controller())
     grid.run()
     grid.tracer.close()
     return grid, (
