@@ -1,7 +1,9 @@
 """Command-line entry point: ``python -m repro.analysis``.
 
 Exit status: 0 when clean, 1 when any finding (error or warning)
-survives suppression, 2 on usage errors.
+survives suppression, 2 on usage errors — among them a path that does
+not exist or holds no Python file, so a misspelt path cannot pass as a
+clean run of nothing.
 """
 
 from __future__ import annotations
@@ -167,12 +169,26 @@ def _known_selectors(checkers: Sequence[Checker]) -> set[str]:
     return known
 
 
+def _path_problem(raw: str) -> Optional[str]:
+    """Why ``raw`` gives the analyzer nothing to check, if it does not."""
+    if not Path(raw).exists():
+        return f"{raw}: no such file or directory"
+    if not iter_python_files([raw]):
+        return f"{raw}: no Python file to analyze"
+    return None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
         print(list_rules_json() if args.format == "json" else list_rules())
         return 0
+    for raw in args.paths:
+        problem = _path_problem(raw)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     select = None
     if args.select:
         select = [

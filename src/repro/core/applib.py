@@ -145,7 +145,9 @@ def make_program(
     """
 
     def program(ctx: ProcessContext) -> Generator:
-        port = ctx.port("duroc")
+        coallocated = PARAM_CONTACT in ctx.params
+        # A plain-GRAM process without a body would never read a port.
+        port = ctx.port("duroc") if coallocated or body is not None else None
         span = ctx.tracer.span(
             "app.startup",
             parent=ctx.params.get(OBS_CONTEXT_PARAM),
@@ -157,7 +159,8 @@ def make_program(
             yield ctx.env.timeout(ctx.machine.startup_delay(startup))
         ok, reason = (True, None) if startup_ok is None else startup_ok(ctx)
         span.finish(ok=ok)
-        if PARAM_CONTACT in ctx.params:
+        if coallocated:
+            assert port is not None
             config = yield from barrier(
                 ctx, port, ok=ok, reason=reason, trace=span.context
             )
@@ -167,6 +170,7 @@ def make_program(
             if not ok:
                 raise StopProcess(("failed", reason))
         if body is not None:
+            assert port is not None
             result = yield from body(ctx, port, config)
             return result
         if runtime > 0:

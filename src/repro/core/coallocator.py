@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 import numpy as np
 
-from repro.core.barrier import CHECKIN, ABORT, BarrierManager, Checkin
+from repro.core.barrier import ABORT, BarrierManager, Checkin
 from repro.core.callbacks import CallbackDispatcher, DurocEvent, Handler, Notification
 from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.core.states import (
@@ -52,15 +52,16 @@ from repro.errors import (
     RequestStateError,
     RetryExhausted,
 )
-from repro.gram.client import CallbackListener, GramClient, JobHandle
+from repro.gram.client import GramClient, JobHandle
+from repro.gram.jobmanager import CALLBACK
 from repro.gram.states import JobState
 from repro.gsi.auth import AuthConfig
 from repro.gsi.credentials import Credential
 from repro.net.network import Network
 from repro.net.address import Endpoint
 from repro.net.transport import Port, ephemeral_endpoint
-from repro.resilience import BreakerBoard, Deadline, RetryPolicy
-from repro.simcore.events import Event
+from repro.resilience import BreakerBoard, RetryPolicy
+from repro.simcore.events import NORMAL, Event
 from repro.simcore.probe import emit, register_locus
 from repro.simcore.process import ProcessGenerator
 from repro.simcore.resources import Store
@@ -78,6 +79,9 @@ REQUEST_OUTCOMES = ("released", "aborted", "killed")
 #: Handler invoked on interactive subjob failure/timeout:
 #: ``handler(job, slot, notification)``.
 InteractiveHandler = Callable[["DurocJob", "SubjobSlot", Notification], None]
+
+#: Slot states still waiting to check in (under a running deadline).
+WAITING = (SubjobState.PENDING, SubjobState.SUBMITTING, SubjobState.SUBMITTED)
 
 
 class SubjobSlot:
@@ -98,10 +102,17 @@ class SubjobSlot:
         self.gram_state: Optional[JobState] = None
         #: Context of this slot's ``duroc.submit`` span, once opened.
         self.trace_ctx: Optional[TraceContext] = None
+        #: Kernel timer of the check-in deadline, armed at submission.
+        self.deadline: Optional[Event] = None
 
     def transition(self, new: SubjobState, now: float) -> None:
         check_subjob_transition(self.state, new)
         self.state = new
+        if self.deadline is not None and new not in WAITING:
+            # The one place a slot stops waiting: the kernel discards
+            # the retired timer without advancing the clock to it.
+            self.deadline.cancelled = True
+            self.deadline = None
         if new is SubjobState.SUBMITTING:
             self.submit_started_at = now
         elif new is SubjobState.SUBMITTED:
@@ -142,9 +153,9 @@ class DurocJob:
         self.duroc = duroc
         self.env: "Environment" = duroc.env
         self.job_id = f"duroc{next(duroc._job_counter)}"
-        # The barrier port must be unique per job even across Duroc
-        # instances (job ids are only unique per instance), so it gets
-        # an ephemeral endpoint rather than a job-id-derived name.
+        # Check-ins and GRAM callbacks arrive on this one port.  It must
+        # be unique per job even across Duroc instances (job ids are only
+        # unique per instance), so it gets an ephemeral endpoint.
         self.port = Port(
             duroc.network, ephemeral_endpoint(duroc.host, f"duroc.{self.job_id}")
         )
@@ -172,17 +183,17 @@ class DurocJob:
         #: Live-slot index; entries are dropped as slots retire.
         self._slot_by_id: dict[int, SubjobSlot] = {}
         self._submit_queue: Store = Store(self.env)
-        self._waiters: list[Event] = []
+        #: Blocked :meth:`wait` calls: (predicate, event to succeed).
+        self._waiters: list[tuple[Callable[["DurocJob"], Any], Event]] = []
+        #: GRAM job id -> its slot, while the job may still call back;
+        #: entries are dropped when the job is terminal.
+        self._gram_slots: dict[str, SubjobSlot] = {}
 
-        self._gram_listener = CallbackListener(duroc.network, duroc.host)
         #: Verification locus: the job's processes (listener, driver,
-        #: watchdog, commit) share state legitimately and
-        #: form one unit of control for happens-before purposes.
+        #: commit) share state legitimately and form one unit of control
+        #: for happens-before purposes.
         self._verify_node = f"{self.job_id}@{duroc.host}"
         register_locus(self.env, self.port.endpoint, self._verify_node)
-        register_locus(
-            self.env, self._gram_listener.endpoint, self._verify_node
-        )
         self._probe("duroc.state", state=self.state.value)
         self._listener = self.env.process(
             self._listen(), name=f"{self.job_id}:listen"
@@ -274,7 +285,10 @@ class DurocJob:
         """Generator: block until ``predicate(self)`` or a terminal state.
 
         Returns the predicate's truthy value, or raises
-        :class:`AllocationAborted` if the request terminated first.
+        :class:`AllocationAborted` if the request terminated first.  The
+        job re-tests ``predicate`` at each of its state changes and wakes
+        the caller only once it holds; the caller tests it again on
+        resuming, so it must be a pure function of the job.
         """
         while True:
             if self.state.terminal:
@@ -286,7 +300,7 @@ class DurocJob:
             if value:
                 return value
             event = self.env.event()
-            self._waiters.append(event)
+            self._waiters.append((predicate, event))
             yield event
 
     def commit(self) -> Generator[Event, Any, DurocResult]:
@@ -309,15 +323,14 @@ class DurocJob:
         self._probe("duroc.commit")
 
         def settled(job: "DurocJob") -> bool:
-            if job._blocking_slots():
+            waiting = [slot for slot in job.slots if slot.state in WAITING]
+            if any(s.spec.start_type is not SubjobType.OPTIONAL for s in waiting):
                 return False
-            if job.checked_in_slots():
-                return True
-            # Nothing ready yet: if optional subjobs are still in
-            # flight, wait for the first arrival rather than releasing
+            # Only optional subjobs are still in flight.  With nothing
+            # ready yet, wait for the first arrival rather than release
             # an empty configuration ("workers join the computation as
             # and when they become active").
-            return not job._pending_optional_slots()
+            return bool(job.checked_in_slots()) or not waiting
 
         yield from self.wait(settled)
 
@@ -334,32 +347,6 @@ class DurocJob:
             elapsed=self.env.now - self.started_at,
         )
 
-    def _blocking_slots(self) -> list[SubjobSlot]:
-        """Slots the commit must still wait for."""
-        return [
-            slot
-            for slot in self.slots
-            if slot.state in (
-                SubjobState.PENDING,
-                SubjobState.SUBMITTING,
-                SubjobState.SUBMITTED,
-            )
-            and slot.spec.start_type is not SubjobType.OPTIONAL
-        ]
-
-    def _pending_optional_slots(self) -> list[SubjobSlot]:
-        """Optional slots that may still check in."""
-        return [
-            slot
-            for slot in self.slots
-            if slot.state in (
-                SubjobState.PENDING,
-                SubjobState.SUBMITTING,
-                SubjobState.SUBMITTED,
-            )
-            and slot.spec.start_type is SubjobType.OPTIONAL
-        ]
-
     def wait_done(self) -> Generator[Event, Any, None]:
         """Generator: block until every released subjob's job finished."""
         if self.state is not RequestState.RELEASED:
@@ -373,10 +360,7 @@ class DurocJob:
                 and slot.released_at is not None
             )
 
-        try:
-            yield from self.wait(finished)
-        except AllocationAborted:
-            raise
+        yield from self.wait(finished)
         if self.state is RequestState.RELEASED:
             self._transition(RequestState.DONE)
             self._emit(DurocEvent.REQUEST_DONE, None, None)
@@ -452,9 +436,17 @@ class DurocJob:
         )
 
     def _kick(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
+        """Wake the waiters whose predicate now holds (all, once terminal)."""
+        if not self._waiters:
+            return
+        terminal = self.state.terminal
+        blocked = []
+        for predicate, event in self._waiters:
+            if terminal or predicate(self):
+                event.succeed()
+            else:
+                blocked.append((predicate, event))
+        self._waiters = blocked
 
     # -- submission driver ---------------------------------------------------
 
@@ -486,7 +478,7 @@ class DurocJob:
         """Run one slot's GRAM submission to completion."""
         env = self.env
         slot.transition(SubjobState.SUBMITTING, env.now)
-        env.process(self._watchdog(slot), name=f"{self.job_id}:watch{slot.index}")
+        self._arm_deadline(slot)
         span = self.tracer.span(
             "duroc.submit", parent=self.trace_ctx,
             job=self.job_id, slot=slot.index,
@@ -496,7 +488,7 @@ class DurocJob:
             handle = yield from self.duroc.gram.submit(
                 slot.spec.contact,
                 slot.spec.rsl_text,
-                callback=self._gram_listener.endpoint,
+                callback=self.port.endpoint,
                 params={
                     PARAM_CONTACT: self.port.endpoint,
                     PARAM_SLOT: slot.slot_id,
@@ -523,10 +515,7 @@ class DurocJob:
             return
         slot.gram_handle = handle
         self.duroc._watch(self, slot)
-        self._gram_listener.on(
-            handle.job_id,
-            lambda job_id, state, reason, s=slot: self._on_gram(s, state, reason),
-        )
+        self._gram_slots[handle.job_id] = slot
         slot.transition(SubjobState.SUBMITTED, env.now)
         self._probe(
             "duroc.slot.state",
@@ -542,38 +531,28 @@ class DurocJob:
         self._maybe_checkin(slot)
         self._kick()
 
-    def _watchdog(self, slot: SubjobSlot) -> ProcessGenerator:
-        """Enforce the subjob's check-in deadline.
+    def _arm_deadline(self, slot: SubjobSlot) -> None:
+        """Fail ``slot`` if it is still waiting when its timeout runs out.
 
-        The deadline timer is retired (cancelled) as soon as the slot
-        settles so that long default timeouts never keep an otherwise
-        finished simulation alive.
+        One kernel timer at ``NORMAL + 1``, as ``run(until=)``'s stop
+        event, so it loses every tie: a check-in delivered in its own
+        instant is recorded.  :meth:`SubjobSlot.transition` retires it.
         """
         timeout = slot.spec.timeout or self.duroc.default_subjob_timeout
-        deadline = Deadline(self.env, timeout)
-        timer = self.env.timeout(timeout)
-        waiting_states = (
-            SubjobState.PENDING,
-            SubjobState.SUBMITTING,
-            SubjobState.SUBMITTED,
-        )
-        while True:
-            if self.state.terminal or slot.state not in waiting_states:
-                timer.cancelled = True
-                return
-            kick = self.env.event()
-            self._waiters.append(kick)
-            yield timer | kick
-            if timer.processed:
-                break
-        if self.state.terminal:
-            return
-        if deadline.expired and slot.state in waiting_states:
-            self._slot_failed(
-                slot,
-                f"no check-in within {timeout:g}s",
-                DurocEvent.SUBJOB_TIMEOUT,
-            )
+        timer = slot.deadline = Event(self.env)
+        timer._value = None  # triggered now, processed at the deadline
+
+        def expire(_: Event) -> None:
+            slot.deadline = None
+            if not self.state.terminal:
+                self._slot_failed(
+                    slot,
+                    f"no check-in within {timeout:g}s",
+                    DurocEvent.SUBJOB_TIMEOUT,
+                )
+
+        timer.callbacks.append(expire)
+        self.env.schedule(timer, NORMAL + 1, timeout)
 
     def _pollable(self, slot: SubjobSlot) -> bool:
         """Whether ``slot``'s GRAM job still needs the liveness watch."""
@@ -583,13 +562,20 @@ class DurocJob:
             and (slot.gram_state is None or not slot.gram_state.terminal)
         )
 
-    # -- barrier listener -------------------------------------------------------
+    # -- the request's one receive loop ---------------------------------------
 
     def _listen(self) -> ProcessGenerator:
-        """Receive process check-ins."""
+        """Receive process check-ins and GRAM state callbacks."""
+        recv = self.port.recv
         while True:
-            message = yield self.port.recv_kind(CHECKIN)
+            message = yield recv()
             payload = message.payload
+            if message.kind == CALLBACK:
+                slot = self._gram_slots.get(payload["job_id"])
+                if slot is not None:
+                    self._on_gram(slot, payload["state"], payload.get("reason"))
+                continue
+            # Anything else is a duroc.checkin: nothing else is sent here.
             slot_id = payload["slot_id"]
             rank = payload["rank"]
             slot = self._slot_by_id.get(slot_id)
@@ -682,20 +668,17 @@ class DurocJob:
             )
         slot.gram_state = state
         if state.terminal and slot.gram_handle is not None:
-            # A terminal GRAM job never transitions again: drop the
-            # per-job handler so long-lived co-allocators do not
-            # accumulate one listener entry per finished subjob.
-            self._gram_listener.off(slot.gram_handle.job_id)
+            # A terminal GRAM job never transitions again: drop its
+            # entry so long-lived requests do not keep one per finished
+            # subjob.
+            self._gram_slots.pop(slot.gram_handle.job_id, None)
         if state is JobState.FAILED and slot.state in (
             SubjobState.SUBMITTED,
             SubjobState.CHECKED_IN,
-        ):
-            self._slot_failed(
-                slot, f"GRAM job failed: {reason}", DurocEvent.SUBJOB_FAILED
-            )
-        elif state is JobState.FAILED and slot.state is SubjobState.RELEASED:
             # Post-release failure: §3.4 monitoring.  Required subjobs
             # still take the whole computation down.
+            SubjobState.RELEASED,
+        ):
             self._slot_failed(
                 slot, f"GRAM job failed: {reason}", DurocEvent.SUBJOB_FAILED
             )

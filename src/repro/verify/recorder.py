@@ -10,10 +10,11 @@ list whose clocks encode the run's happens-before relation exactly
 (tests/verify/test_happens_before.py holds them to it).
 
 Loci: components register their endpoints with
-:meth:`Recorder.register_locus` (the DUROC job registers its barrier
-port and GRAM-callback listener under one ``jobid@host`` locus, since
-its listener/driver/watchdog processes share state legitimately in the
-single-threaded simulation).  Unregistered endpoints are their own
+:meth:`Recorder.register_locus` (the DUROC job registers its one port,
+where check-ins and GRAM callbacks both arrive, as the ``jobid@host``
+locus, since its listener/driver processes and its agent's commit share
+state legitimately in the single-threaded simulation).  Unregistered
+endpoints are their own
 locus, which is the right granularity for spawned application
 processes — each binds a unique per-pid port.
 

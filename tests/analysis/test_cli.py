@@ -115,6 +115,27 @@ def test_select_is_repeatable(tmp_path):
     }
 
 
+def test_a_path_that_does_not_exist_is_a_usage_error(tmp_path):
+    clean = tmp_path / "ok.py"
+    clean.write_text("VALUE = 1\n")
+    for missing in (tmp_path / "no-such-dir", tmp_path / "missing.py"):
+        # Even next to a path that does hold a clean file.
+        proc = run_cli(str(clean), str(missing))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {missing}: no such file or directory\n"
+
+
+def test_a_path_with_no_python_file_is_a_usage_error(tmp_path):
+    (tmp_path / "notes.txt").write_text("import random\n")
+    for empty in (tmp_path, tmp_path / "notes.txt"):
+        proc = run_cli(str(empty))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {empty}: no Python file to analyze\n"
+    # The in-process entry point says the same.
+    assert main([str(tmp_path)]) == 2
+
+
 def test_select_rejects_unmatched_glob():
     proc = run_cli("src", "--select", "bogus-*")
     assert proc.returncode == 2

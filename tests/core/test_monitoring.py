@@ -271,8 +271,19 @@ class TestSiteWatch:
         (message,) = lost.lost
         managers = grid.site("RM2").gatekeeper.job_managers
         finished = managers[message.payload["job_id"]].job.finished_at
-        assert all(process.value.state is RequestState.DONE for process in agents)
+        jobs = [process.value for process in agents]
+        assert all(job.state is RequestState.DONE for job in jobs)
         assert finished < max(done_at.values()) <= finished + interval + 2 * RTT
+        # The callback was addressed to its request's own port, and the
+        # poll's repair went through the same dispatch: every terminal
+        # GRAM job has left its request's table...
+        assert message.dst in {job.port.endpoint for job in jobs}
+        assert all(job._gram_slots == {} for job in jobs)
+        # ...so the lost callback, delivered late, is no news.
+        grid.network.mailbox(message.dst).put(message)
+        grid.run()
+        assert all(job.state is RequestState.DONE for job in jobs)
+        assert all(failures(job) == [] for job in jobs)
 
 
 class TestNotificationStream:

@@ -60,7 +60,14 @@ def test_duroc_locus_unifies_job_endpoints():
     job = duroc.jobs[0]
     locus = f"{job.job_id}@{duroc.host}"
     assert recorder.node_of(job.port.endpoint) == locus
-    assert recorder.node_of(job._gram_listener.endpoint) == locus
+    # GRAM state callbacks arrive on the job's own port, on its locus.
+    callbacks = [
+        e for e in recorder.events
+        if e.kind == DELIVER and e.name == "gram.callback"
+    ]
+    assert callbacks
+    assert {e.attrs["dst"] for e in callbacks} == {str(job.port.endpoint)}
+    assert {e.node for e in callbacks} == {locus}
     # Commit/state probes and barrier accesses land on that locus.
     nodes = {e.node for e in recorder.events if e.name == "duroc.commit"}
     assert nodes == {locus}
