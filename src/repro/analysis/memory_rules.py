@@ -24,9 +24,8 @@ they are *scoped*: they fire only inside the registered long-lived loci
 manager/client, the DUROC co-allocator and barrier, the callback
 dispatcher, and the obs registries) or in defs/classes explicitly
 opted in with a ``# repro: longlived`` marker comment.  Growth that is
-bounded *by construction* — :class:`repro.core.bounded.BoundedDict`,
-:class:`~repro.core.bounded.BoundedSet`, ``deque(maxlen=...)`` — is
-exempt: those are the sanctioned remedy.
+bounded *by construction* — :class:`repro.core.bounded.BoundedDict`
+and ``deque(maxlen=...)`` — is exempt: those are the sanctioned remedy.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ LONG_LIVED: dict[str, Optional[frozenset[str]]] = {
     "repro/core/coallocator.py": None,
     "repro/core/barrier.py": None,
     "repro/core/callbacks.py": None,
-    # Observability sinks: always on, they accumulate per-trace
-    # state at event rate (the span records themselves are governed by
-    # the SpanSink seam, documented in docs/OBSERVABILITY.md).
-    "repro/obs/streaming.py": None,
     # The always-on black box: observes every event for the whole run,
     # so its rings and dump list must be provably bounded.
     "repro/obs/flightrec.py": frozenset({"FlightRing", "FlightRecorder"}),
@@ -92,7 +87,7 @@ SHRINK_METHODS = frozenset(
 )
 
 #: Constructor name tails whose result is bounded by construction.
-BOUNDED_CONSTRUCTORS = frozenset({"BoundedDict", "BoundedSet"})
+BOUNDED_CONSTRUCTORS = frozenset({"BoundedDict"})
 
 #: Registration call names that must be paired with an unregistration.
 REGISTER_METHODS = frozenset(
@@ -156,7 +151,7 @@ def _name_root(node: ast.AST) -> Optional[ast.AST]:
 
 
 def _is_bounded_ctor(value: ast.AST) -> bool:
-    """True for ``BoundedDict(...)``/``BoundedSet(...)``/``deque(maxlen=N)``."""
+    """True for ``BoundedDict(...)``/``deque(maxlen=N)``."""
     if not isinstance(value, ast.Call):
         return False
     name = dotted_name(value.func)
@@ -217,7 +212,7 @@ class MemoryChecker(Checker):
         Rule("mem-grow-only-attr",
              "instance container grown in handlers with no reachable "
              "shrink site in its class; unbounded over a service "
-             "lifetime — bound it (BoundedDict/BoundedSet/deque(maxlen)) "
+             "lifetime — bound it (BoundedDict/deque(maxlen)) "
              "or add an eviction path",
              Severity.ERROR),
         Rule("mem-module-cache",

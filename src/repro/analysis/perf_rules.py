@@ -67,7 +67,7 @@ HOT_PATHS: dict[str, Optional[frozenset[str]]] = {
     "repro/net/network.py": None,
     "repro/net/transport.py": None,
     # Telemetry records: one Span/Mark per completion, at event rate
-    # when tracing; the streaming sinks keep only these objects.
+    # when tracing.
     "repro/simcore/tracing.py": frozenset(
         {"Span", "Mark", "TraceContext", "_OpenSpan", "_NullSpan"}
     ),

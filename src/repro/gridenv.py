@@ -34,7 +34,7 @@ from repro.schedulers.reservation import ReservationScheduler
 from repro.simcore.environment import Environment
 from repro.simcore.probe import Probe, attach
 from repro.simcore.rng import RngRegistry
-from repro.simcore.tracing import SpanSink, Tracer
+from repro.simcore.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
@@ -176,7 +176,6 @@ class GridBuilder:
         self._faults: list[FaultSpec] = []
         self._probes: list[Probe] = []
         self._profiling = False
-        self._span_sink: Optional[SpanSink] = None
 
     def add_machine(
         self,
@@ -261,29 +260,9 @@ class GridBuilder:
         """Read the built grid's op counts through ``grid.counters``.
 
         The :class:`~repro.prof.counters.OpCounters` are pointed at the
-        grid's kernel, network and tracer; they hear nothing during the
-        run.
+        grid's kernel and network; they hear nothing during the run.
         """
         self._profiling = True
-        return self
-
-    def with_span_sink(self, sink: SpanSink) -> "GridBuilder":
-        """Stream the grid's telemetry through ``sink``.
-
-        The built tracer routes every completed span and mark through
-        the sink (sampling, bounded-memory aggregation, and incremental
-        JSONL export live in :mod:`repro.obs.streaming`) and meters
-        itself.  A tracer has one sink; compose several with
-        :class:`~repro.obs.streaming.TelemetryPipeline` first.  Call
-        ``grid.tracer.close()`` after the run to flush the sink.
-        Ignored when ``trace=False``.
-        """
-        if self._span_sink is not None and self._span_sink is not sink:
-            raise ReproError(
-                "a grid streams through one span sink; compose sinks "
-                "with repro.obs.streaming.TelemetryPipeline"
-            )
-        self._span_sink = sink
         return self
 
     def build(self) -> Grid:
@@ -310,7 +289,7 @@ class GridBuilder:
         )
         # Before any component is built: each reads env.tracer once.
         if self.trace:
-            env.tracer = Tracer(env, sink=self._span_sink)
+            env.tracer = Tracer(env)
         network = Network(env, latency_model)
         network.add_host(self.client_host)
         counters: "Optional[OpCounters]" = None

@@ -11,9 +11,6 @@ Three pillars (see docs/OBSERVABILITY.md):
 - **Queries** — exporters (:mod:`repro.obs.export`), tree/critical-path
   analysis (:mod:`repro.obs.query`), renderers (:mod:`repro.obs.render`)
   and the ``python -m repro.obs`` CLI.
-- **Streaming** — :mod:`repro.obs.streaming` sinks behind the tracer's
-  :class:`~repro.simcore.tracing.SpanSink` seam: deterministic trace
-  sampling, bounded-memory aggregation, incremental JSONL export.
 - **Post-mortem** — :mod:`repro.obs.flightrec` is a probe flown as an
   always-on black box: bounded ring buffers,
   declarative failure triggers, canonical JSON dumps; rendered by
@@ -37,15 +34,6 @@ from repro.obs.flightrec import (
     dump_json,
     write_dump,
 )
-from repro.obs.streaming import (
-    AGGREGATE_FORMAT,
-    AggregatingSink,
-    JsonlStreamSink,
-    TelemetryPipeline,
-    TraceSampler,
-    aggregate_trace,
-    load_aggregate,
-)
 from repro.simcore.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
@@ -58,8 +46,6 @@ from repro.simcore.metrics import (
 )
 
 __all__ = [
-    "AGGREGATE_FORMAT",
-    "AggregatingSink",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_TRIGGERS",
@@ -68,7 +54,6 @@ __all__ = [
     "FlightRing",
     "Gauge",
     "Histogram",
-    "JsonlStreamSink",
     "MetricsRegistry",
     "NULL_METRICS",
     "NullMetricsRegistry",
@@ -78,15 +63,11 @@ __all__ = [
     "OnPredicate",
     "OnProcessFailure",
     "OnRetryExhausted",
-    "TelemetryPipeline",
-    "TraceSampler",
     "Trigger",
     "WindowedRate",
-    "aggregate_trace",
     "diff_dumps",
     "dump_digest",
     "dump_json",
-    "load_aggregate",
     "load_dump",
     "merge_timeline",
     "write_dump",

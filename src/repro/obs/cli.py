@@ -7,7 +7,6 @@ Inspect trace and metrics exports produced by an instrumented run::
     python -m repro.obs critical-path results/quickstart_trace.jsonl
     python -m repro.obs summary results/quickstart_trace.jsonl
     python -m repro.obs metrics results/quickstart_metrics.json
-    python -m repro.obs report results/telemetry_aggregate.json
     python -m repro.obs blackbox results/flight_crash.json
     python -m repro.obs blackbox a.json --diff b.json
 
@@ -47,11 +46,9 @@ from repro.obs.render import (
     render_critical_path,
     render_gantt,
     render_metrics,
-    render_report,
     render_summary,
     render_tree,
 )
-from repro.obs.streaming import AGGREGATE_FORMAT, aggregate_trace
 from repro.simcore.metrics import histogram_summary
 
 #: Minimum fraction of spans whose parent chain must reach a root for a
@@ -114,19 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     metrics = sub.add_parser("metrics", help="flatten a metrics snapshot")
     metrics.add_argument("snapshot", help="metrics JSON export")
-
-    report = sub.add_parser(
-        "report",
-        help="path/tenant aggregate report (streamed snapshot or full dump)",
-    )
-    report.add_argument(
-        "source",
-        help=f"a {AGGREGATE_FORMAT} snapshot, or a JSONL trace "
-        "to aggregate post-hoc",
-    )
-    report.add_argument(
-        "--top", type=int, default=20, help="paths shown (default: 20)"
-    )
 
     blackbox = sub.add_parser(
         "blackbox",
@@ -238,18 +222,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(render_metrics(snapshot))
         return 0 if snapshot.get("metrics") else 1
 
-    if args.command == "report":
-        aggregate = _load_aggregate_source(parser, args.source)
-        if args.format == "json":
-            _emit(
-                json.dumps(
-                    _aggregate_with_summaries(aggregate), sort_keys=True, indent=2
-                )
-            )
-        else:
-            _emit(render_report(aggregate, top=args.top))
-        return 0 if aggregate.get("spans") else 1
-
     dump = _load(parser, args.trace)
 
     if args.command == "timeline":
@@ -330,49 +302,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 1
     return 0
-
-
-def _load_aggregate_source(
-    parser: argparse.ArgumentParser, source: str
-) -> dict[str, Any]:
-    """An aggregate snapshot — loaded directly, or folded from a dump.
-
-    The ``report`` command accepts both inputs precisely so the two
-    can be diffed: the streamed snapshot of a run and the post-hoc
-    aggregation of its full dump must produce the same report.
-    """
-    path = Path(source)
-    if not path.is_file():
-        parser.error(f"no such file: {source}")
-    with path.open() as fh:
-        head = fh.read(1024).lstrip()
-    if head.startswith("{") and '"record"' not in head.split("\n", 1)[0]:
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"cannot parse {source}: {exc}")
-        if not isinstance(data, dict) or data.get("format") != AGGREGATE_FORMAT:
-            parser.error(f"{source}: not a {AGGREGATE_FORMAT} snapshot")
-        return data
-    dump = _load(parser, source)
-    return aggregate_trace(dump).snapshot()
-
-
-def _aggregate_with_summaries(aggregate: dict[str, Any]) -> dict[str, Any]:
-    """Copy of an aggregate with p50/p90/p99 on every series record."""
-    out = dict(aggregate)
-    out["paths"] = {
-        path: {**record, "summary": histogram_summary(record)}
-        for path, record in aggregate.get("paths", {}).items()
-    }
-    out["labels"] = {
-        key: {
-            name: {**record, "summary": histogram_summary(record)}
-            for name, record in series.items()
-        }
-        for key, series in aggregate.get("labels", {}).items()
-    }
-    return out
 
 
 def _with_summaries(snapshot: dict[str, Any]) -> dict[str, Any]:

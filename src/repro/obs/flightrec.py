@@ -1,11 +1,10 @@
 """The flight recorder: bounded black-box capture with triggered dumps.
 
-At the 10⁵–10⁶-event scale the ROADMAP targets, the streaming telemetry
-pipeline deliberately *discards* spans and the bounded tables *evict*
-state — so by the time a fault campaign or a ``repro.verify`` monitor
-fires, the context that explains the failure is gone.  This module is
-the always-on black box that closes that gap: a
-:class:`FlightRecorder` is a :class:`~repro.simcore.probe.Probe` that
+The bounded tables *evict* state, so by the time a fault campaign or
+a ``repro.verify`` monitor fires, the context that explains the
+failure may be gone.  This module is the always-on black box that
+closes that gap: a :class:`FlightRecorder` is a
+:class:`~repro.simcore.probe.Probe` that
 stores every hook it hears as one plain tuple of immutable values in
 per-category :class:`FlightRing` buffers of fixed capacity —
 O(capacity) memory by construction, policed by the ``mem-*`` lint —
@@ -20,16 +19,16 @@ predicate.  When one matches, the recorder freezes its buffers and
 captures a *dump*: a canonical sorted-key JSON document carrying the
 trigger reason, the simulated timestamp, and the last-N records of
 every category, each with trace/span ids so the dump correlates with
-the streaming pipeline's kept traces.  Dumps are pure functions of the
-observed event stream — the same seeded run always produces
+the tracer's span tree.  Dumps are pure functions of the observed
+event stream — the same seeded run always produces
 byte-identical dump bytes (raw message ids, the one module-global
 counter in the stream, are remapped to recorder-local first-seen ids).
 
 Like every probe, the recorder is observation-only: it never schedules
 events or draws random numbers, so a recorded run's simulation is
-byte-identical to a bare one (asserted by the ``blackbox_stress``
-benchmark).  Post-mortem rendering lives in :mod:`repro.obs.blackbox`
-(``python -m repro.obs blackbox``).
+byte-identical to a bare one (asserted by
+``tests/obs/test_flightrec.py``).  Post-mortem rendering lives in
+:mod:`repro.obs.blackbox` (``python -m repro.obs blackbox``).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.simcore.tracing import Mark, Span
 if TYPE_CHECKING:  # pragma: no cover
     # Imported lazily at construction time: repro.core's package init
     # reaches repro.net, which imports repro.obs — a module-level
-    # import here would close that cycle (same break as streaming.py).
+    # import here would close that cycle.
     from repro.core.bounded import BoundedDict
     from repro.net.message import Message
 

@@ -195,81 +195,6 @@ def render_summary(stats: Sequence[NameStats]) -> str:
     return "\n".join(lines)
 
 
-def render_report(aggregate: dict[str, Any], top: int = 20) -> str:
-    """A streamed-aggregate report: top paths, then per-label sections.
-
-    Consumes the ``repro.obs.aggregate/1`` snapshot written by
-    :class:`repro.obs.streaming.AggregatingSink` — the same numbers
-    whether the aggregate was folded live or rebuilt post-hoc from a
-    full dump, which is exactly what the byte-identity tests assert.
-    """
-    lines = [
-        f"telemetry report: {aggregate.get('spans', 0)} spans, "
-        f"{aggregate.get('marks', 0)} marks"
-    ]
-    window = aggregate.get("window")
-    span_seconds = 0.0
-    if window:
-        span_seconds = float(window["end"]) - float(window["start"])
-        lines[0] += f" over [{_fmt(window['start'])} .. {_fmt(window['end'])}]s"
-
-    paths = aggregate.get("paths", {})
-    if not paths:
-        lines.append("(no paths)")
-    else:
-        ordered = sorted(
-            paths.items(), key=lambda kv: (-kv[1]["sum"], kv[0])
-        )
-        name_width = max(
-            4, min(48, max(len(path) for path, _ in ordered[:top]))
-        )
-        header = (
-            f"{'path':<{name_width}} {'count':>7} {'total':>12} "
-            f"{'p50':>10} {'p90':>10} {'p99':>10} {'max':>10}"
-        )
-        lines += [header, "-" * len(header)]
-        for path, record in ordered[:top]:
-            summary = histogram_summary(record)
-            if len(path) > name_width:  # keep the tail: it names the leaf
-                path = "..." + path[len(path) - name_width + 3 :]
-            lines.append(
-                f"{path:<{name_width}} {record['count']:>7} "
-                f"{_fmt(record['sum']):>12} {_fmt(summary['p50']):>10} "
-                f"{_fmt(summary['p90']):>10} {_fmt(summary['p99']):>10} "
-                f"{_fmt(record['max']):>10}"
-            )
-        if len(ordered) > top:
-            lines.append(f"(+{len(ordered) - top} more paths)")
-
-    for key in sorted(aggregate.get("labels", {})):
-        series = aggregate["labels"][key]
-        lines.append("")
-        lines.append(f"by {key}:")
-        name_width = max(len(key), max(len(name) for name in series))
-        header = (
-            f"  {key:<{name_width}} {'count':>7} {'total':>12} "
-            f"{'p50':>10} {'p90':>10} {'p99':>10} {'goodput':>10}"
-        )
-        lines += [header, "  " + "-" * (len(header) - 2)]
-        for name in sorted(series):
-            record = series[name]
-            summary = histogram_summary(record)
-            rec_window = record.get("window")
-            active = (
-                float(rec_window["end"]) - float(rec_window["start"])
-                if rec_window
-                else span_seconds
-            )
-            goodput = record["count"] / active if active > 0 else 0.0
-            lines.append(
-                f"  {name:<{name_width}} {record['count']:>7} "
-                f"{_fmt(record['sum']):>12} {_fmt(summary['p50']):>10} "
-                f"{_fmt(summary['p90']):>10} {_fmt(summary['p99']):>10} "
-                f"{_fmt(goodput):>8}/s"
-            )
-    return "\n".join(lines)
-
-
 def render_metrics(snapshot: dict[str, Any]) -> str:
     """Flatten a metrics snapshot into one labelled value per line."""
     metrics = snapshot.get("metrics", {})

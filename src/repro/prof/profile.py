@@ -50,8 +50,6 @@ METRIC_COUNTERS: tuple[tuple[str, str], ...] = (
     ("resilience.retries_total", "resilience.retries"),
     ("resilience.exhausted_total", "resilience.exhausted"),
     ("resilience.breaker_trips_total", "resilience.breaker_trips"),
-    ("obs.spans_recorded_total", "obs.spans_recorded"),
-    ("obs.spans_dropped_total", "obs.spans_dropped"),
 )
 
 
@@ -146,23 +144,26 @@ class Profile:
         return path
 
     @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "Profile":
+    def from_json(cls, data: Any) -> "Profile":
+        """Rebuild a profile; a document of the wrong shape is a ``ValueError``."""
+        data = _object(data, "a profile")
         fmt = data.get("format")
         if fmt != FORMAT:
             raise ValueError(f"not a {FORMAT} profile (format={fmt!r})")
-        paths = {
-            path: PathStats(
+        paths: dict[str, PathStats] = {}
+        for path, entry in _object(data.get("paths", {}), "paths").items():
+            entry = _object(entry, f"path {path!r}")
+            paths[path] = PathStats(
                 path=path,
                 count=int(entry["count"]),
                 inclusive=float(entry["inclusive"]),
                 exclusive=float(entry["exclusive"]),
             )
-            for path, entry in data.get("paths", {}).items()
-        }
+        counters = _object(data.get("counters", {}), "counters")
         return cls(
             paths=paths,
-            counters={k: float(v) for k, v in data.get("counters", {}).items()},
-            meta=dict(data.get("meta", {})),
+            counters={k: float(v) for k, v in counters.items()},
+            meta=dict(_object(data.get("meta", {}), "meta")),
             span_count=int(data.get("span_count", 0)),
             total_time=float(data.get("total_time", 0.0)),
         )
@@ -180,6 +181,13 @@ class Profile:
             f"<Profile paths={len(self.paths)} spans={self.span_count} "
             f"total={self.total_time:g}s>"
         )
+
+
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """``value`` if it is a JSON object, else a ``ValueError`` naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 # -- building ----------------------------------------------------------------

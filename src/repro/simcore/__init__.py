@@ -29,7 +29,6 @@ from repro.simcore.tracing import (
     Mark,
     NullTracer,
     Span,
-    SpanSink,
     TraceContext,
     Tracer,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "Span",
-    "SpanSink",
     "Store",
     "TIMED_OUT",
     "Timeout",

@@ -13,7 +13,6 @@ mailboxes are made of:
 
 All requests are events, so processes simply ``yield store.get()``; a
 store ``get`` may carry a timeout (it then fires with :data:`TIMED_OUT`).
-Requests may be withdrawn before they fire via :meth:`BaseRequest.cancel`.
 """
 
 from __future__ import annotations
@@ -36,26 +35,6 @@ class BaseRequest(Event):
     def __init__(self, resource: "_BaseResource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-
-    def cancel(self) -> bool:
-        """Withdraw the request if it has not yet been granted.
-
-        Returns True if the request was withdrawn, False if it had
-        already triggered (in which case the caller owns the result and
-        must release/put it back explicitly if unwanted).
-        """
-        if self._value is not PENDING:
-            return False
-        self.resource._withdraw(self)
-        # Nothing fires: the request is marked processed with value
-        # None, so it is never scheduled and whatever still listened on
-        # it is dropped: withdraw a request only once nothing waits on
-        # it alone (e.g. after the ``|`` it was raced in was decided by
-        # the other branch).  Nothing under ``src/`` does any more.
-        self._ok = True
-        self._value = None
-        self.callbacks = None
-        return True
 
 
 class _BaseResource:

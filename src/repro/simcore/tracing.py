@@ -17,16 +17,8 @@ same ids as the same run executed after another.
 
 Every span open, span close and mark is announced on the environment's
 probe (:mod:`repro.simcore.probe`), like kernel and network events.
-
-By default a tracer *retains* every completed span and mark in memory
-— the right thing at paper scale, unbounded at 10⁵–10⁶ events.  A
-:class:`SpanSink` decides retention instead: it sees every completion
-and says whether the tracer keeps the object (sampling, aggregation,
-and incremental export live in :mod:`repro.obs.streaming`).  With a
-sink attached the tracer also meters itself —
-``obs.spans_{recorded,retained,dropped}`` on its metrics registry and
-:attr:`Tracer.spans_retained_high_water` — so telemetry memory is a
-gated quantity, not a silent cost.
+A tracer retains every completed span and mark in memory: the paper's
+runs are a handful of requests.
 """
 
 from __future__ import annotations
@@ -112,45 +104,6 @@ class Mark:
 Parent = Union[TraceContext, Span, "_OpenSpan", None]
 
 
-class SpanSink:
-    """Decides what a :class:`Tracer` retains (one sink per tracer).
-
-    Every hook is a cheap no-op in the base class; subclasses override
-    what they need.  ``on_span``/``on_mark`` return whether the tracer
-    should *retain* the record in its in-memory lists — a streaming
-    sink returns ``False`` and owns whatever bounded state it needs
-    (report :meth:`retained` so the tracer's self-metering stays
-    honest).  Sinks must never schedule events or draw random numbers:
-    like probes, they are observation-only, and a sinked run's
-    simulation is byte-identical to a bare one.  An observer that only
-    watches spans go by is a probe, not a sink.
-    """
-
-    def on_span_start(
-        self,
-        trace_id: str,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-    ) -> None:
-        """A span was opened (ids are final; the end time is not known yet)."""
-
-    def on_span(self, span: Span) -> bool:
-        """A span completed.  Return ``True`` to retain it on the tracer."""
-        return True
-
-    def on_mark(self, mark: Mark) -> bool:
-        """A mark was recorded.  Return ``True`` to retain it on the tracer."""
-        return True
-
-    def retained(self) -> int:
-        """Records currently buffered *inside* the sink (for metering)."""
-        return 0
-
-    def close(self) -> None:
-        """Flush any buffered state; called once at end of run."""
-
-
 class _OpenSpan:
     """In-flight span; records itself on ``close()``/``finish()``/exit."""
 
@@ -215,31 +168,17 @@ class Tracer:
     """Collects spans and marks against an environment's clock.
 
     Also owns the run's :class:`~repro.simcore.metrics.MetricsRegistry`
-    (:attr:`metrics`), which shares its clock.
-
-    With no ``sink`` every completed record is appended to
-    :attr:`spans` / :attr:`marks` exactly as always.  With a
-    :class:`SpanSink` attached, completions are routed through the sink
-    (which may stream them out instead of retaining them) and the
-    tracer meters itself: ``obs.spans_recorded_total`` /
-    ``obs.spans_dropped_total`` counters and an ``obs.spans_retained``
-    gauge, whose peak is :attr:`spans_retained_high_water`.
+    (:attr:`metrics`), which shares its clock.  Every completed record
+    is appended to :attr:`spans` / :attr:`marks`.
     """
 
-    def __init__(self, env: "Environment", sink: Optional[SpanSink] = None) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
         self.spans: list[Span] = []
         self.marks: list[Mark] = []
-        #: Peak number of span/mark records held by the telemetry layer
-        #: (tracer lists + sink buffers).  Only metered with a sink.
-        self.spans_retained_high_water = 0
-        self.sink = sink
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self.metrics = MetricsRegistry(env)
-        self._meter_recorded: Any = None
-        self._meter_dropped: Any = None
-        self._meter_retained: Any = None
         self._spans_by_name: Optional[dict[str, list[Span]]] = None
         self._spans_indexed = 0
         self._marks_by_name: Optional[dict[str, list[Mark]]] = None
@@ -301,14 +240,7 @@ class Tracer:
         probe = self.env.probe
         if probe is not None:
             probe.on_mark(mark)
-        sink = self.sink
-        if sink is None:
-            self.marks.append(mark)
-        else:
-            retain = sink.on_mark(mark)
-            if retain:
-                self.marks.append(mark)
-            self._meter(dropped=not retain)
+        self.marks.append(mark)
         return mark
 
     # -- emission ----------------------------------------------------------
@@ -319,55 +251,13 @@ class Tracer:
         probe = self.env.probe
         if probe is not None:
             probe.on_span_open(trace_id, span_id, parent_id, name)
-        if self.sink is not None:
-            self.sink.on_span_start(trace_id, span_id, parent_id, name)
 
     def _emit_span(self, span: Span) -> None:
-        """Announce a completed span, then retain it unless the sink declines."""
+        """Announce a completed span, then retain it."""
         probe = self.env.probe
         if probe is not None:
             probe.on_span_close(span)
-        sink = self.sink
-        if sink is None:
-            self.spans.append(span)
-            return
-        retain = sink.on_span(span)
-        if retain:
-            self.spans.append(span)
-        self._meter(dropped=not retain)
-
-    def _meter(self, dropped: bool = False) -> None:
-        """Update the self-metering instruments after one completion."""
-        if self._meter_recorded is None:
-            metrics = self.metrics
-            self._meter_recorded = metrics.counter(
-                "obs.spans_recorded_total",
-                "span/mark completions seen by the telemetry layer",
-            ).bind()
-            self._meter_dropped = metrics.counter(
-                "obs.spans_dropped_total",
-                "completions not retained in memory (sampled out or streamed)",
-            ).bind()
-            self._meter_retained = metrics.gauge(
-                "obs.spans_retained",
-                "records currently held by the telemetry layer "
-                "(tracer lists + sink buffers); high_water bounds its memory",
-            ).bind()
-        self._meter_recorded.inc()
-        if dropped:
-            self._meter_dropped.inc()
-        sink = self.sink
-        held = len(self.spans) + len(self.marks)
-        if sink is not None:
-            held += sink.retained()
-        self._meter_retained.set(float(held))
-        if held > self.spans_retained_high_water:
-            self.spans_retained_high_water = held
-
-    def close(self) -> None:
-        """Flush the attached sink, if any (safe to call repeatedly)."""
-        if self.sink is not None:
-            self.sink.close()
+        self.spans.append(span)
 
     # -- queries -----------------------------------------------------------
 
@@ -486,14 +376,9 @@ class NullTracer(Tracer):
         self.env = _FrozenClock()  # type: ignore[assignment]
         self.spans = _DropList()
         self.marks = _DropList()
-        self.spans_retained_high_water = 0
-        self.sink = None
         self._span_ids = itertools.count(1)
         self._trace_ids = itertools.count(1)
         self.metrics = NULL_METRICS
-        self._meter_recorded = None
-        self._meter_dropped = None
-        self._meter_retained = None
         self._spans_by_name = None
         self._spans_indexed = 0
         self._marks_by_name = None

@@ -13,7 +13,7 @@ import pytest
 from repro.obs.cli import main
 from repro.obs.flightrec import FlightRecorder, dump_json
 
-TRACE_COMMANDS = ("timeline", "tree", "critical-path", "summary", "report")
+TRACE_COMMANDS = ("timeline", "tree", "critical-path", "summary")
 
 
 def _exit_code(argv):
@@ -103,12 +103,6 @@ class TestMalformedFiles:
         snapshot.write_text(payload)
         assert _exit_code(["metrics", str(snapshot)]) == 2
         assert "not a metrics snapshot" in capsys.readouterr().err
-
-    def test_report_wrong_format_tag(self, tmp_path, capsys):
-        source = tmp_path / "agg.json"
-        source.write_text('{"format": "something/else"}')
-        assert _exit_code(["report", str(source)]) == 2
-        assert "not a" in capsys.readouterr().err
 
 
 class TestMalformedFlightDumps:

@@ -1,7 +1,6 @@
 """The flight recorder: bounded capture, triggers, canonical dumps.
 
-The contract gated here (and re-asserted at stress scale by the
-``blackbox_stress`` benchmark):
+The contract gated here:
 
 * rings evict deterministically, oldest first, in O(capacity) memory;
 * the recorder observes every category, spans included, as a plain
@@ -11,15 +10,16 @@ The contract gated here (and re-asserted at stress scale by the
 * recording never perturbs the run (observation-only).
 """
 
+import hashlib
 import json
 import os
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.framework import Finding, Severity
-from repro.core.bounded import RetainedCensus
 from repro.errors import ReproError
 from repro.faults import HostCrash
 from repro.gridenv import GridBuilder
@@ -34,12 +34,47 @@ from repro.obs.flightrec import (
     dump_json,
     write_dump,
 )
-from repro.prof.bench import EventStreamDigest
 from repro.simcore.environment import Environment
-from repro.simcore.probe import attach
+from repro.simcore.probe import Probe, attach
 from repro.verify.monitors import Monitor
 from repro.verify.recorder import Recorder
 from repro.verify.runner import verify_recorder
+
+
+class EventStreamDigest(Probe):
+    """Order-sensitive digest of the simulation-visible event stream.
+
+    Hashes every kernel schedule and step and every network
+    send/deliver/drop in order, so two runs have equal digests exactly
+    when their kernels queued and dispatched the same events at the
+    same times and the network moved the same messages in the same
+    order.
+    """
+
+    def __init__(self):
+        self._digest = hashlib.sha256()
+
+    def on_schedule(self, when, queue_size):
+        self._digest.update(struct.pack("<dq", when, queue_size))
+
+    def on_step(self, now):
+        self._digest.update(struct.pack("<d", now))
+
+    def on_send(self, message):
+        self._digest.update(
+            f"s|{message.src}|{message.dst}|{message.kind}|{message.payload!r}".encode()
+        )
+
+    def on_deliver(self, message):
+        self._digest.update(
+            f"d|{message.src}|{message.dst}|{message.kind}|{message.payload!r}".encode()
+        )
+
+    def on_drop(self, message, reason):
+        self._digest.update(f"x|{reason}|{message.src}|{message.dst}".encode())
+
+    def hexdigest(self):
+        return self._digest.hexdigest()
 
 
 class TestFlightRing:
@@ -156,7 +191,7 @@ class TestRecorderOnGrid:
 
 
 class TestRetainedHighWater:
-    """The O(1) derived peak against a per-record census of the same tables."""
+    """The O(1) derived peak against a per-record count of the same tables."""
 
     OPS = st.lists(
         st.one_of(
@@ -211,18 +246,16 @@ class TestRetainedHighWater:
     @settings(max_examples=200, deadline=None)
     def test_derived_peak_equals_census_oracle(self, ops, capacity):
         recorder = FlightRecorder(capacity=capacity, max_dumps=1000)
-        census = RetainedCensus()
-        census.register_all(recorder.rings.values())
-        census.register(recorder._msg_local)
-        dumped = 0
+        peak = dumped = 0
         for op, arg in ops:
             self._apply(recorder, op, arg)
-            census.observe()
-            assert recorder.retained() == census.retained()
-            assert recorder.retained_high_water == census.high_water
+            retained = sum(map(len, recorder.rings.values())) + len(recorder._msg_local)
+            peak = max(peak, retained)
+            assert recorder.retained() == retained
+            assert recorder.retained_high_water == peak
             for dump in recorder.dumps[dumped:]:
                 # A dump carries the peak as of its own trip.
-                assert dump["retained_high_water"] == census.high_water
+                assert dump["retained_high_water"] == peak
             dumped = len(recorder.dumps) if op != "reset" else 0
         assert recorder.retained_high_water <= 8 * capacity
 

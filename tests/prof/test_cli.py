@@ -132,6 +132,20 @@ class TestDiffCommand:
             main(["diff", str(bad), str(bad)])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text", ["[]", '{"format": "repro.prof/1", "paths": {"a": 3}}'],
+        ids=["list-document", "int-path-entry"],
+    )
+    def test_malformed_profile_is_one_error_line(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", str(bad), str(bad)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot parse {bad}: " in err
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_list_scenarios(self, capsys):
@@ -194,6 +208,16 @@ class TestBenchCommand:
         assert code == 0
         assert (tmp_path / "profiles" / "fig3_gram.json").is_file()
         assert (tmp_path / "profiles" / "fig3_gram.collapsed").is_file()
+
+    def test_corrupt_baseline_is_one_error_line_naming_it(self, tmp_path, capsys):
+        baseline = tmp_path / "fig3_gram.json"
+        baseline.write_text("[]")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--scenario", "fig3_gram", "--baseline-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot load baseline {baseline}: " in err
+        assert "Traceback" not in err
 
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

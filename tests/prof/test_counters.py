@@ -17,6 +17,7 @@ from repro.net.network import Network
 from repro.prof.counters import OpCounters
 from repro.simcore.environment import Environment
 from repro.simcore.probe import HOOKS, FanoutProbe, Probe, attach
+from tests.timer_churn import run_timer_churn
 
 
 class TallyProbe(Probe):
@@ -233,20 +234,11 @@ class TestFanoutProbe:
 class TestPulledEqualsTallied:
     """``OpCounters.snapshot()`` against the per-event oracle, to the digit."""
 
-    def test_figure1_with_every_observer_attached(self, tmp_path):
+    def test_figure1_with_every_observer_attached(self):
         from repro.obs.flightrec import FlightRecorder
-        from repro.obs.streaming import (
-            AggregatingSink,
-            JsonlStreamSink,
-            TelemetryPipeline,
-        )
         from repro.prof.bench import _coallocate, _figure1_request
 
         tally = TallyProbe()
-        pipeline = TelemetryPipeline(
-            aggregator=AggregatingSink(),
-            exporter=JsonlStreamSink(tmp_path / "stream.jsonl", buffer_size=8),
-        )
         grid = (
             GridBuilder(seed=42)
             .add_machine("RM1", nodes=16)
@@ -255,28 +247,18 @@ class TestPulledEqualsTallied:
             .with_monitors()
             .with_profiling()
             .with_probe(FlightRecorder(), tally)
-            .with_span_sink(pipeline)
             .build()
         )
         _coallocate(grid, _figure1_request(grid))
-        grid.tracer.close()
         snap = grid.counters.snapshot()
-        # The sinked tracer metered itself; nothing else adds a key.
-        assert snap.pop("obs.spans_retained_high_water") == (
-            grid.tracer.spans_retained_high_water
-        ) > 0
         assert snap == tally.snapshot()
         assert snap["sim.messages_sent"] > 0
 
     @pytest.mark.parametrize("compact_cancelled", [True, False])
-    def test_kernel_stress_with_and_without_compaction(self, compact_cancelled):
-        from repro.prof.bench import _kernel_stress_run
-
+    def test_timer_churn_with_and_without_compaction(self, compact_cancelled):
         tally = TallyProbe()
-        _, counters = _kernel_stress_run(
-            42, compact_cancelled=compact_cancelled, probes=(tally,)
-        )
-        assert counters.snapshot() == tally.snapshot()
+        env, network = run_timer_churn(compact_cancelled, probes=(tally,))
+        assert OpCounters(env, network).snapshot() == tally.snapshot()
 
     def test_drop_rules_and_a_crashed_host(self):
         tally = TallyProbe()

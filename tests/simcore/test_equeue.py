@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gridenv import GridBuilder
-from repro.prof.bench import DEFAULT_SEED, _kernel_stress_run
 from repro.simcore import Environment, Probe
 from repro.simcore.environment import EmptySchedule
+from tests.timer_churn import run_timer_churn
 
 _TIMES = st.one_of(
     st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
@@ -83,8 +83,7 @@ class _Tally(Probe):
 class TestQueueStats:
     def test_gauges_after_timer_churn(self):
         tally = _Tally()
-        tracer, _ = _kernel_stress_run(DEFAULT_SEED, probes=(tally,))
-        env = tracer.env
+        env, _ = run_timer_churn(probes=(tally,))
         stats = env.queue.stats()
         assert all(isinstance(value, float) for value in stats.values())
         assert stats["pushes"] == tally.scheduled

@@ -58,38 +58,6 @@ class TestResource:
         with pytest.raises(SimulationError):
             res.release()
 
-    def test_cancel_pending_request(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            yield res.request()
-            yield env.timeout(10)
-            res.release()
-
-        env.process(holder(env))
-
-        def impatient(env):
-            yield env.timeout(1)
-            req = res.request()
-            yield env.timeout(1)
-            assert req.cancel() is True
-
-        env.process(impatient(env))
-        env.run()
-        # The canceled request must not have consumed a slot.
-        assert res.in_use == 0
-
-    def test_cancel_after_grant_returns_false(self, env):
-        res = Resource(env, capacity=1)
-
-        def proc(env):
-            req = res.request()
-            yield req
-            assert req.cancel() is False
-            res.release()
-
-        env.run(env.process(proc(env)))
-
 
 class TestContainer:
     def test_init_validation(self, env):

@@ -6,9 +6,9 @@ invariant in the class docstring).  :class:`RescanStore` below is the
 implementation that preceded it — after every ``put``/``get`` it
 rescanned every waiter against every item, restarting after each
 grant — kept here as the oracle: driven in lockstep through random
-interleavings of ``put``, ``get()``, ``get(filter)`` and ``cancel()``
-the two must grant the same items to the same requests during the same
-call, and leave the same items and waiters behind.
+interleavings of ``put``, ``get()`` and ``get(filter)`` the two must
+grant the same items to the same requests during the same call, and
+leave the same items and waiters behind.
 
 Timed gets ride the same interleavings.  The oracle has no kernel
 timer: it notes when each timed request is due and, as the clock is
@@ -91,7 +91,6 @@ _OPS = st.lists(
         st.tuples(st.just("get"), st.none()),
         # Overlapping predicates: residues mod 2 and mod 3 share items.
         st.tuples(st.just("get"), st.tuples(st.sampled_from([2, 3]), st.integers(0, 2))),
-        st.tuples(st.just("cancel"), st.integers(0, 200)),
         # Whole-number delays, so deadlines, delayed puts and the
         # instants the clock stops at coincide often.
         st.tuples(st.just("timed_get"), st.tuples(
@@ -146,8 +145,6 @@ class _Driver:
                 lambda event: self.fired.append((self.env.now, index, event.value))
             )
             self.requests.append(request)
-        elif self.requests:
-            return self.requests[arg % len(self.requests)].cancel()
         return None
 
     def state(self):

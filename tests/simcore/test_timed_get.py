@@ -147,18 +147,6 @@ def test_negative_timeout_is_refused_and_queues_nothing():
     assert not store._waiters and env.queue.stats()["pushes"] == 0
 
 
-def test_cancel_retires_the_deadline():
-    env = Environment()
-    store = Store(env)
-    request = store.get(timeout=4.0)
-    deadline = request.deadline
-    assert request.cancel()
-    assert deadline.cancelled and deadline.request is None
-    assert request.deadline is None and not store._waiters
-    env.run()
-    assert env.now == 0.0  # nothing left to fire
-
-
 def test_fifo_order_among_timed_and_untimed_waiters():
     env = Environment()
     store = Store(env)

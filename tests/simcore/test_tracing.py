@@ -9,8 +9,6 @@ from repro.simcore import (
     NullTracer,
     Probe,
     RngRegistry,
-    Span,
-    SpanSink,
     TraceContext,
     Tracer,
     attach,
@@ -124,79 +122,8 @@ class TestTracer:
             assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
-class _CountingSink(SpanSink):
-    """Observes everything, retains nothing, buffers what it's told."""
-
-    def __init__(self, buffered: int = 0) -> None:
-        self.started: list[tuple] = []
-        self.spans: list[Span] = []
-        self.marks: list[Mark] = []
-        self.closed = 0
-        self._buffered = buffered
-
-    def on_span_start(self, trace_id, span_id, parent_id, name):
-        self.started.append((trace_id, span_id, parent_id, name))
-
-    def on_span(self, span):
-        self.spans.append(span)
-        return False
-
-    def on_mark(self, mark):
-        self.marks.append(mark)
-        return False
-
-    def retained(self):
-        return self._buffered
-
-    def close(self):
-        self.closed += 1
-
-
-class TestSpanSink:
-    def test_sink_sees_completions_tracer_retains_nothing(self, env):
-        sink = _CountingSink()
-        tracer = Tracer(env, sink=sink)
-        with tracer.span("a") as a:
-            tracer.record("b", 0.0, 0.0, parent=a)
-        tracer.mark("m", parent=a)
-        assert [s.name for s in sink.spans] == ["b", "a"]  # completion order
-        assert [m.name for m in sink.marks] == ["m"]
-        assert tracer.spans == [] and tracer.marks == []
-
-    def test_span_start_announced_with_final_ids(self, env):
-        sink = _CountingSink()
-        tracer = Tracer(env, sink=sink)
-        with tracer.span("parent") as parent:
-            child = tracer.record("child", 0.0, 0.0, parent=parent)
-        # Parent announced before the child, ids match the records.
-        assert [entry[3] for entry in sink.started] == ["parent", "child"]
-        assert sink.started[1][2] == sink.started[0][1] == child.parent_id
-
-    def test_retaining_sink_keeps_records_on_tracer(self, env):
-        class Keep(SpanSink):
-            pass  # base hooks return True
-
-        tracer = Tracer(env, sink=Keep())
-        tracer.record("x", 0, 1)
-        tracer.mark("m")
-        assert len(tracer.spans) == 1 and len(tracer.marks) == 1
-
-    def test_self_metering_counts_and_high_water(self, env):
-        sink = _CountingSink(buffered=2)
-        tracer = Tracer(env, sink=sink)
-        tracer.record("x", 0, 1)
-        tracer.record("y", 1, 2)
-        tracer.mark("m")
-        metrics = tracer.metrics
-        assert metrics.counter("obs.spans_recorded_total").total() == 3
-        assert metrics.counter("obs.spans_dropped_total").total() == 3
-        # Held = tracer lists (0) + the sink's buffered claim.
-        assert tracer.spans_retained_high_water == 2
-        assert metrics.gauge("obs.spans_retained").high_water() == 2
-
+class TestProbeSeam:
     def test_probe_hears_open_close_and_mark(self, env):
-        # Spans are announced on the probe seam with or without a sink,
-        # before the sink decides retention.
         heard = []
 
         class Listener(Probe):
@@ -210,33 +137,17 @@ class TestSpanSink:
                 heard.append(("mark", mark.name, None, mark.parent_id))
 
         attach(env, Listener())
-        for sink in (None, _CountingSink()):
-            del heard[:]
-            tracer = Tracer(env, sink=sink)
-            with tracer.span("a") as a:
-                tracer.record("b", 0.0, 0.0, parent=a)
-                tracer.mark("m", parent=a)
-            assert heard == [
-                ("open", "a", 1, None),
-                ("open", "b", 2, 1),
-                ("close", "b", 2, 1),
-                ("mark", "m", None, 1),
-                ("close", "a", 1, None),
-            ]
-
-    def test_close_flushes_sink(self, env):
-        sink = _CountingSink()
-        tracer = Tracer(env, sink=sink)
-        tracer.close()
-        tracer.close()
-        assert sink.closed == 2
-
-    def test_no_sink_means_no_metering(self, tracer):
-        tracer.record("x", 0, 1)
-        tracer.mark("m")
-        # The retain-all path registers no self-metering instrument.
-        assert tracer.metrics.names() == []
-        assert tracer.spans_retained_high_water == 0
+        tracer = Tracer(env)
+        with tracer.span("a") as a:
+            tracer.record("b", 0.0, 0.0, parent=a)
+            tracer.mark("m", parent=a)
+        assert heard == [
+            ("open", "a", 1, None),
+            ("open", "b", 2, 1),
+            ("close", "b", 2, 1),
+            ("mark", "m", None, 1),
+            ("close", "a", 1, None),
+        ]
 
 
 class TestRngRegistry:

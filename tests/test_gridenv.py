@@ -85,7 +85,7 @@ class TestGridBuilder:
 
 
 class TestObserverSeam:
-    """`with_probe` takes probes; the span sink and op counters are not probes."""
+    """`with_probe` takes probes; op counters are not probes."""
 
     def test_single_probe_attaches_directly(self):
         from repro.verify.recorder import Recorder
@@ -132,20 +132,6 @@ class TestObserverSeam:
         grid.run(until=1.0)
         assert grid.counters.snapshot()["sim.events_processed"] > 0
 
-    def test_span_sink_routes_to_tracer(self):
-        from repro.simcore import SpanSink
-
-        sink = SpanSink()
-        builder = GridBuilder().add_machine("m", nodes=4).with_span_sink(sink)
-        grid = builder.build()
-        assert grid.tracer.sink is sink
-        assert grid.env.probe is None
-        # Re-adding the same sink is idempotent; a second, different
-        # sink is a composition error.
-        builder.with_span_sink(sink)
-        with pytest.raises(ReproError, match="one span sink"):
-            builder.with_span_sink(SpanSink())
-
     def test_duplicate_probe_is_idempotent(self):
         from repro.verify.recorder import Recorder
 
@@ -161,9 +147,9 @@ class TestObserverSeam:
 
     def test_non_observer_rejected(self):
         from repro.prof.counters import OpCounters
-        from repro.simcore import Environment, SpanSink
+        from repro.simcore import Environment
 
-        for not_a_probe in (object(), SpanSink(), OpCounters(Environment())):
+        for not_a_probe in (object(), OpCounters(Environment())):
             with pytest.raises(ReproError, match="takes Probe observers"):
                 GridBuilder().add_machine("m", nodes=4).with_probe(not_a_probe)
 

@@ -16,45 +16,36 @@ from repro.gram import JobHandle, JobState
 from repro.gridenv import CLIENT_HOST, DEFAULT_EXECUTABLE, GridBuilder
 from repro.net import Endpoint, Port
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.streaming import AggregatingSink, JsonlStreamSink, TelemetryPipeline
 
 SITES = 8
 REQUESTS = 20
 
 
-def _monitors(builder, tmp_path):
+def _monitors(builder):
     builder.with_monitors()
 
 
-def _profiling(builder, tmp_path):
+def _profiling(builder):
     builder.with_profiling()
 
 
-def _flight_recorder(builder, tmp_path):
+def _flight_recorder(builder):
     builder.with_probe(FlightRecorder())
 
 
-def _all_three(builder, tmp_path):
+def _all_three(builder):
     builder.with_monitors().with_profiling().with_probe(FlightRecorder())
-
-
-def _all_three_streaming(builder, tmp_path):
-    _all_three(builder, tmp_path)
-    builder.with_span_sink(TelemetryPipeline(
-        aggregator=AggregatingSink(),
-        exporter=JsonlStreamSink(tmp_path / "stream.jsonl", buffer_size=64),
-    ))
 
 
 def idle(ctx):
     yield ctx.env.timeout(60.0)
 
 
-def _run(observe, tmp_path):
+def _run(observe):
     builder = GridBuilder(seed=42).add_machines("RM", SITES, nodes=64)
     builder.program("idle", idle)
     if observe is not None:
-        observe(builder, tmp_path)
+        observe(builder)
     grid = builder.build()
     duroc = grid.duroc()
     records = [None] * REQUESTS  # + the controller's, appended
@@ -96,32 +87,28 @@ def _run(observe, tmp_path):
         grid.process(agent(index))
     grid.process(controller())
     grid.run()
-    grid.tracer.close()
     return grid, (
         records, grid.env.now, grid.env.queue.stats(), grid.network.sent_count
     )
 
 
 @pytest.fixture(scope="module")
-def bare(tmp_path_factory):
-    _, outcome = _run(None, tmp_path_factory.mktemp("bare"))
+def bare():
+    _, outcome = _run(None)
     assert all(record is not None for record in outcome[0])
     return outcome
 
 
 @pytest.mark.parametrize(
     "observe",
-    [_monitors, _profiling, _flight_recorder, _all_three, _all_three_streaming],
+    [_monitors, _profiling, _flight_recorder, _all_three],
     ids=lambda observe: observe.__name__.strip("_"),
 )
-def test_observed_run_equals_bare_run(observe, bare, tmp_path):
-    grid, outcome = _run(observe, tmp_path)
+def test_observed_run_equals_bare_run(observe, bare):
+    grid, outcome = _run(observe)
     assert outcome == bare
     if grid.counters is not None:
         assert grid.counters.snapshot()["sim.messages_sent"] == bare[3]
     if grid.flightrec is not None:
-        # Spans reach the recorder through the probe seam, sink or no sink.
+        # Spans reach the recorder through the probe seam.
         assert grid.flightrec.rings["span"].pushed > 0
-    if grid.tracer.sink is not None:
-        assert grid.tracer.spans == []
-        assert 0 < grid.tracer.spans_retained_high_water <= 2 * 64
