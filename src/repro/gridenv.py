@@ -247,8 +247,8 @@ class GridBuilder:
 
         Delegates to :meth:`with_probe`.  The recorder (a fresh one
         unless given) observes every message send/delivery/drop and
-        every instrumented protocol event under vector clocks, ready
-        for :func:`repro.verify.evaluate`.
+        every instrumented protocol event with its happens-before
+        edges, ready for :func:`repro.verify.evaluate`.
         """
         if recorder is None:
             from repro.verify.recorder import Recorder

@@ -63,13 +63,17 @@ _SCALARS = (str, int, float, bool)
 
 
 def _clean(value: Any) -> Any:
-    """A JSON-representable, deterministic copy of an attribute value."""
+    """A JSON-representable copy of an attribute value.
+
+    Keys keep their insertion order: every dump is serialised with
+    ``sort_keys=True`` (:func:`dump_json`, the blackbox renderer).
+    """
     if value is None or isinstance(value, _SCALARS):
         return value
     if isinstance(value, (list, tuple)):
         return [_clean(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _clean(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _clean(v) for k, v in value.items()}
     return str(value)
 
 

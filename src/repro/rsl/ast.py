@@ -21,6 +21,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence, Union
 
+from repro.errors import RSLValidationError
+
 #: A scalar RSL value.
 Scalar = Union[str, int, float]
 Value = Union[Scalar, "Specification"]
@@ -96,9 +98,10 @@ class Relation(Specification):
 
     @property
     def value(self) -> Value:
-        """The single value (error if the relation is multi-valued)."""
+        """The single value (:class:`RSLValidationError` if the relation
+        is multi-valued)."""
         if len(self.values) != 1:
-            raise ValueError(
+            raise RSLValidationError(
                 f"relation {self.attribute!r} has {len(self.values)} values"
             )
         return self.values[0]

@@ -101,6 +101,18 @@ def validate_subjob_spec(spec: Specification, strict: bool = False) -> Conjuncti
                 f"subjobTimeout must be a positive number, got {value!r}"
             )
 
+    # Consumers read these with float(); refuse here what it would.
+    for name in (MAX_TIME, MIN_MEMORY):
+        relation = relations.get(name.lower())
+        if relation is None:
+            continue
+        try:
+            float(relation.value)
+        except (TypeError, ValueError):
+            raise RSLValidationError(
+                f"{name} must be a number, got {relation.value!r}"
+            ) from None
+
     if strict:
         for key in relations:
             if key not in KNOWN_ATTRIBUTES:

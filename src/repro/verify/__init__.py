@@ -2,8 +2,9 @@
 
 This package turns the deterministic simulation into a model checker
 for the paper's co-allocation protocol: a :class:`~repro.verify.recorder.Recorder`
-attaches vector clocks to every simulated message and builds a
-happens-before event log, and a suite of :class:`~repro.verify.monitors.Monitor`
+logs every simulated message and protocol event with its program-order
+and message edges — a happens-before event log whose vector clocks are
+derived on demand — and a suite of :class:`~repro.verify.monitors.Monitor`
 s evaluates protocol invariants over that log — race freedom (``hb-*``),
 two-phase-commit safety (``tpc-*``), and event-queue liveness (``dl-*``).
 

@@ -2,11 +2,14 @@
 
 A :class:`ProtoEvent` is one observed protocol event — a message send,
 delivery, or drop, a named component event, or a state access — stamped
-with the simulated time and the recording locus's vector clock.  The
-:class:`EventLog` indexes a run's events and answers happens-before
-queries; :meth:`EventLog.witness_path` reconstructs a *connected*
-causal chain (program-order and message edges only) ending at a given
-event, which monitors embed in their findings as the violation witness.
+with the simulated time, its locus, and its program-order (``prev``)
+and message (``link``) edges.  The :class:`EventLog` indexes a run's
+events and answers happens-before queries from those edges: events on
+one locus are ordered by sequence number, and the first cross-locus
+question derives every event's vector clock in one pass
+(:meth:`EventLog.clock`).  :meth:`EventLog.witness_path` reconstructs
+a *connected* causal chain ending at a given event, which monitors
+embed in their findings as the violation witness.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ DROP = "drop"
 EVENT = "event"
 ACCESS = "access"
 
+#: The clock of a locus nothing has been observed on yet.
+_ZERO = VClock()
+
 
 class ProtoEvent(NamedTuple):
     """One observed event of a verified run (immutable, positional:
@@ -34,13 +40,15 @@ class ProtoEvent(NamedTuple):
     node: str
     kind: str
     name: str
-    clock: VClock
     attrs: Mapping[str, Any] = MappingProxyType({})
     #: Sequence number of the previous event on the same node (program
     #: order), or None for the node's first event.
     prev: Optional[int] = None
     #: For DELIVER/DROP events: sequence number of the matching SEND.
     link: Optional[int] = None
+    #: An explicit vector clock, for a log built by hand; a recorded
+    #: event has none and :meth:`EventLog.clock` derives it.
+    clock: Optional[VClock] = None
 
     def describe(self) -> str:
         """One-line rendering used in witness paths and reports."""
@@ -84,6 +92,8 @@ class EventLog:
         for e in events:
             self._by_name.setdefault(e.name, []).append(e)
             self._by_kind.setdefault(e.kind, []).append(e)
+        #: seq -> vector clock, derived on the first cross-locus question.
+        self._clocks: Optional[dict[Optional[int], VClock]] = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -112,14 +122,54 @@ class EventLog:
         return self.of_kind(ACCESS)
 
     # -- happens-before -----------------------------------------------------
+    #
+    # Every event on a locus ticks that locus's clock, so two events on
+    # one locus are ordered by sequence number — exactly what their
+    # clocks would say.  A drop sits on the ``net`` pseudo-locus and
+    # ticks nothing, so drops always compare by clock.
+
+    @staticmethod
+    def _one_locus(a: ProtoEvent, b: ProtoEvent) -> bool:
+        return a.node == b.node and a.kind != DROP and b.kind != DROP
 
     def happens_before(self, a: ProtoEvent, b: ProtoEvent) -> bool:
         """True iff ``a`` causally precedes ``b``."""
-        return a.seq != b.seq and a.clock.leq(b.clock)
+        if a.seq == b.seq:
+            return False
+        if self._one_locus(a, b):
+            return a.seq < b.seq
+        return self.clock(a).leq(self.clock(b))
 
     def concurrent(self, a: ProtoEvent, b: ProtoEvent) -> bool:
         """Neither event precedes the other."""
-        return a.seq != b.seq and a.clock.concurrent(b.clock)
+        if a.seq == b.seq or self._one_locus(a, b):
+            return False
+        return self.clock(a).concurrent(self.clock(b))
+
+    def clock(self, event: ProtoEvent) -> VClock:
+        """``event``'s vector clock: its explicit one, or the derived one."""
+        if event.clock is not None:
+            return event.clock
+        if self._clocks is None:
+            self._clocks = self._derive_clocks()
+        return self._clocks[event.seq]
+
+    def _derive_clocks(self) -> dict[Optional[int], VClock]:
+        """Every event's clock, in one pass in log order (edges point
+        back): an event ticks its program-order predecessor's clock, a
+        delivery first merges its send's, and a drop takes its send's."""
+        # Keyed by seq; an absent edge (None) is never stored, so looking
+        # it up yields the default.
+        clocks: dict[Optional[int], VClock] = {}
+        for e in self.events:
+            if e.clock is not None:
+                clock = e.clock
+            elif e.kind == DROP:
+                clock = clocks.get(e.link, _ZERO)
+            else:
+                clock = clocks.get(e.prev, _ZERO).merge_tick(clocks.get(e.link), e.node)
+            clocks[e.seq] = clock
+        return clocks
 
     # -- witnesses -----------------------------------------------------------
 

@@ -1,13 +1,16 @@
-"""The vector-clock recorder: a :class:`~repro.simcore.probe.Probe`.
+"""The happens-before recorder: a :class:`~repro.simcore.probe.Probe`.
 
-One :class:`Recorder` observes one run.  It maintains a vector clock
-per *locus of control* — a co-allocator job, a remote application
-process, a site service — ticks it on every observed event, hands the
-sender's (immutable) clock to every :class:`~repro.net.message.Message`
-at send time (``Message.vclock``), and merges it into the receiver's
-clock at delivery.  The result is an append-only :class:`ProtoEvent`
-list whose clocks encode the run's happens-before relation exactly
-(tests/verify/test_happens_before.py holds them to it).
+One :class:`Recorder` observes one run.  It appends one
+:class:`ProtoEvent` per observation — a message send, delivery or drop,
+a named component event, a state access — on the event's *locus of
+control* (a co-allocator job, a remote application process, a site
+service), with two edges: ``prev``, the locus's previous event (program
+order), and ``link``, a delivery's or drop's matching send (the message
+edge).  Those edges are the run's happens-before relation; the
+recorder builds no clock while the run executes, and
+:class:`~repro.verify.events.EventLog` derives vector clocks from the
+edges only when a monitor asks a cross-locus question
+(tests/verify/test_happens_before.py holds them to reachability).
 
 Loci: components register their endpoints with
 :meth:`Recorder.register_locus` (the DUROC job registers its one port,
@@ -37,13 +40,9 @@ from repro.verify.events import (
     SEND,
     ProtoEvent,
 )
-from repro.verify.vclock import VClock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.message import Message
-
-#: The clock of a locus nothing has been observed on yet.
-_ZERO = VClock()
 
 #: Payload fields worth keeping on message events (scalars only).
 _SCALAR_TYPES = (str, int, float, bool)
@@ -63,11 +62,10 @@ def _payload_summary(payload: Any) -> dict[str, Any]:
 
 
 class Recorder(Probe):
-    """Record a run's protocol events under vector clocks."""
+    """Record a run's protocol events with their happens-before edges."""
 
     def __init__(self) -> None:
         self.events: list[ProtoEvent] = []
-        self._clocks: dict[str, VClock] = {}
         self._locus: dict[str, str] = {}
         self._last_on_node: dict[str, int] = {}
         self._send_seq: dict[int, int] = {}
@@ -88,7 +86,6 @@ class Recorder(Probe):
         node: str,
         kind: str,
         name: str,
-        clock: VClock,
         attrs: dict[str, Any],
         link: Optional[int] = None,
         advances_node: bool = True,
@@ -102,54 +99,40 @@ class Recorder(Probe):
             self._last_on_node[node] = seq
         self.events.append(ProtoEvent(
             seq, env.now if env is not None else 0.0,
-            node, kind, name, clock, attrs, prev, link,
+            node, kind, name, attrs, prev, link,
         ))
         return seq
 
     # -- Probe interface ----------------------------------------------------
-    #
-    # Clocks are immutable, so a locus's first advance starts from the
-    # shared _ZERO and a message carries its sender's clock itself.
 
     def on_send(self, message: "Message") -> None:
         src, dst = str(message.src), str(message.dst)
-        node = self._locus.get(src, src)
-        clock = self._clocks[node] = self._clocks.get(node, _ZERO).tick(node)
-        message.vclock = clock
         attrs: dict[str, Any] = {"msg_id": message.msg_id, "src": src, "dst": dst}
         if message.corr_id is not None:
             attrs["corr_id"] = message.corr_id
         attrs.update(_payload_summary(message.payload))
         self._send_seq[message.msg_id] = self._append(
-            node, SEND, message.kind, clock, attrs
+            self._locus.get(src, src), SEND, message.kind, attrs
         )
 
     def on_deliver(self, message: "Message") -> None:
         src, dst, msg_id = str(message.src), str(message.dst), message.msg_id
-        node = self._locus.get(dst, dst)
-        clock = self._clocks[node] = self._clocks.get(node, _ZERO).merge_tick(
-            message.vclock, node
-        )
         copy = self._deliveries[msg_id] = self._deliveries.get(msg_id, 0) + 1
         attrs: dict[str, Any] = {"msg_id": msg_id, "src": src, "dst": dst, "copy": copy}
         attrs.update(_payload_summary(message.payload))
         self._append(
-            node, DELIVER, message.kind, clock, attrs,
+            self._locus.get(dst, dst), DELIVER, message.kind, attrs,
             link=self._send_seq.get(msg_id),
         )
 
     def on_drop(self, message: "Message", reason: str) -> None:
-        # Drops never advance any locus's clock — the destination did
-        # not observe anything.  Recorded on a pseudo-node for loss
-        # accounting, carrying the send-time clock.
-        clock = message.vclock
-        if not isinstance(clock, VClock):  # sent unobserved, or stamped by another
-            clock = VClock(clock)
+        # A drop advances no locus — the destination observed nothing.
+        # It is recorded on a pseudo-node for loss accounting, linked to
+        # its send.
         self._append(
             "net",
             DROP,
             message.kind,
-            clock,
             {
                 "msg_id": message.msg_id,
                 "src": str(message.src),
@@ -161,18 +144,14 @@ class Recorder(Probe):
         )
 
     def event(self, node: str, name: str, attrs: dict[str, Any]) -> None:
-        locus = self._locus.get(node, node)
-        clock = self._clocks[locus] = self._clocks.get(locus, _ZERO).tick(locus)
-        self._append(locus, EVENT, name, clock, dict(attrs))
+        self._append(self._locus.get(node, node), EVENT, name, dict(attrs))
 
     def access(
         self, node: str, resource: str, mode: str, attrs: dict[str, Any]
     ) -> None:
-        locus = self._locus.get(node, node)
-        clock = self._clocks[locus] = self._clocks.get(locus, _ZERO).tick(locus)
         merged = dict(attrs)
         merged["mode"] = mode
-        self._append(locus, ACCESS, resource, clock, merged)
+        self._append(self._locus.get(node, node), ACCESS, resource, merged)
 
     # -- convenience ---------------------------------------------------------
 

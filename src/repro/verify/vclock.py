@@ -1,11 +1,12 @@
 """Vector clocks for the happens-before relation.
 
-A :class:`VClock` is an immutable mapping ``node -> count``.  The
-recorder maintains one clock per locus of control and ticks it on every
-observed event; message sends stamp the sender's clock onto the message
-and deliveries merge it into the receiver's.  With per-event ticks the
-standard result holds: event *a* happens-before event *b* iff
-``a.clock <= b.clock`` (componentwise) and the clocks differ.
+A :class:`VClock` is an immutable mapping ``node -> count``.
+:meth:`repro.verify.events.EventLog.clock` derives one per recorded
+event after the run, from the event's edges: it ticks the previous
+clock of the event's locus, and a delivery first merges its send's
+clock.  With per-event ticks the standard result holds: event *a*
+happens-before event *b* iff ``a.clock <= b.clock`` (componentwise) and
+the clocks differ.
 """
 
 from __future__ import annotations

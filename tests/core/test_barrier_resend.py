@@ -11,13 +11,13 @@ from the probe seam.
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import CoAllocationRequest, RequestState, SubjobSpec
 from repro.core.applib import CHECKIN_RESEND, PARAM_SLOT, barrier
 from repro.core.barrier import ABORT, CHECKIN, RELEASE
-from repro.errors import StopProcess
+from repro.errors import AllocationAborted, StopProcess
 from repro.gridenv import GridBuilder
 from repro.simcore.probe import Probe
 
@@ -134,7 +134,12 @@ class World:
 
         def agent(env):
             self.job = duroc.submit(self.request)
-            self.result = yield from self.job.commit()
+            try:
+                self.result = yield from self.job.commit()
+            except AllocationAborted:
+                # A loss pattern may abort the request; the tests read
+                # the outcome from the job's state and the probe.
+                return
             yield from self.job.wait_done()
 
         self.grid.process(agent(self.grid.env))
@@ -225,6 +230,10 @@ def test_no_verdict_at_all_is_abandoned_at_the_give_up_horizon():
 
 @settings(max_examples=40, deadline=None)
 @given(mask=st.lists(st.booleans(), max_size=60))
+# Every check-in of one process is lost (the initial one and all seven
+# resends): the request aborts at its check-in deadline, after every
+# process has abandoned the barrier.
+@example(mask=[i in (0, 2, 6, 12, 16, 20, 24, 28) for i in range(29)])
 def test_any_loss_pattern_leaves_each_process_one_outcome(mask):
     """Drop barrier messages by a random mask (message *i* is lost iff
     ``mask[i]``): no process both returns a configuration and abandons,

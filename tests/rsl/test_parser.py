@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RSLSyntaxError
+from repro.errors import RSLSyntaxError, RSLValidationError
 from repro.rsl import (
     Conjunction,
     Disjunction,
@@ -160,5 +160,5 @@ class TestConjunctionHelpers:
 
     def test_single_value_accessor_rejects_multivalue(self):
         rel = parse("arguments=a b")
-        with pytest.raises(ValueError):
+        with pytest.raises(RSLValidationError):
             _ = rel.value

@@ -1,12 +1,15 @@
 """An oracle for the clocks themselves.
 
-``Recorder`` claims its vector clocks encode the run's happens-before
-relation exactly.  The other tests check that along edges the recorder
-itself drew (a send and its delivery, a witness chain); this one checks
-the whole relation, both ways: over every pair of recorded events,
-``a.clock <= b.clock`` iff ``a`` is reachable from ``b`` through
-program-order (``prev``) and message (``link``) edges — on a clean run
-and on one that loses a message and delivers another twice.
+``EventLog`` claims the vector clocks it derives from a recorded run
+encode the run's happens-before relation exactly.  The other tests
+check that along edges the recorder itself drew (a send and its
+delivery, a witness chain); this one checks the whole relation, both
+ways: over every pair of recorded events, ``log.clock(a) <=
+log.clock(b)`` — and ``log.happens_before(a, b)``, which orders one
+locus by sequence number — iff ``a`` is reachable from ``b`` through
+program-order (``prev``) and message (``link``) edges.  It holds on a
+clean run, on one that loses a message and delivers another twice, and
+on concurrent requests contending for the same sites.
 """
 
 from __future__ import annotations
@@ -40,8 +43,11 @@ def _assert_clocks_are_reachability(events) -> int:
     reach = _ancestors(events)
     on_a_locus = [e for e in events if e.kind != DROP]
     for b in on_a_locus:
+        clock_b = log.clock(b)
         for a in on_a_locus:
             reachable = bool(reach[b.seq] >> a.seq & 1)
+            derived = a.seq != b.seq and log.clock(a).leq(clock_b)
+            assert derived == reachable, (a.describe(), b.describe())
             assert log.happens_before(a, b) == reachable, (a.describe(), b.describe())
     return len(on_a_locus) ** 2
 
@@ -105,10 +111,50 @@ def test_clocks_equal_reachability_under_loss_and_duplication():
     copies = [e.attrs["copy"] for e in recorder.events if e.kind == DELIVER]
     assert max(copies) == 2, "nothing was delivered twice"
     _assert_clocks_are_reachability(recorder.events)
-    # A drop sits on no locus: it carries its send's clock and advances nothing.
-    for drop in (e for e in recorder.events if e.kind == DROP):
+    # A drop sits on no locus: it takes its send's clock and advances nothing.
+    log = EventLog(recorder.events)
+    for drop in log.of_kind(DROP):
         assert drop.prev is None
-        assert drop.clock == recorder.events[drop.link - 1].clock
+        assert log.clock(drop) == log.clock(log.get(drop.link))
+
+
+def run_concurrent(requests: int = 6, seed: int = 7):
+    """``requests`` two-site co-allocations submitted at once, all
+    contending for the same two gatekeepers."""
+    recorder = Recorder()
+    grid = (
+        GridBuilder(seed=seed)
+        .add_machine("RM1", nodes=8)
+        .add_machine("RM2", nodes=8)
+        .with_monitors(recorder)
+        .build()
+    )
+    duroc = grid.duroc()
+    done = []
+
+    def agent(index):
+        request = CoAllocationRequest([
+            SubjobSpec(f"{site}:gatekeeper", 1, DEFAULT_EXECUTABLE,
+                       start_type=SubjobType.REQUIRED)
+            for site in ("RM1", "RM2")
+        ])
+        job = duroc.submit(request)
+        yield from job.commit()
+        yield from job.wait_done()
+        done.append(index)
+
+    for index in range(requests):
+        grid.process(agent(index))
+    grid.run()
+    assert sorted(done) == list(range(requests))
+    return recorder
+
+
+def test_clocks_equal_reachability_under_concurrent_requests():
+    recorder = run_concurrent()
+    loci = {e.node for e in recorder.events if e.name == "duroc.commit"}
+    assert len(loci) == 6, "every request commits on its own locus"
+    assert _assert_clocks_are_reachability(recorder.events) > 100_000
 
 
 _CLOCKS = st.dictionaries(st.sampled_from("abcdef"), st.integers(1, 9), max_size=6)

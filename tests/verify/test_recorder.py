@@ -42,7 +42,7 @@ def test_recorder_attaches_and_observes():
     assert {"send", "deliver", "event", "access"} <= kinds
 
 
-def test_sends_stamp_vclocks_and_deliveries_link_back():
+def test_deliveries_link_back_to_their_sends():
     _, _, recorder = run_simple()
     log = EventLog(recorder.events)
     sends = {e.attrs["msg_id"]: e for e in log.of_kind(SEND)}
@@ -50,9 +50,15 @@ def test_sends_stamp_vclocks_and_deliveries_link_back():
     assert delivers, "no deliveries recorded"
     for deliver in delivers:
         send = sends[deliver.attrs["msg_id"]]
-        assert deliver.link == send.seq
+        assert deliver.link == send.seq < deliver.seq
+        assert log.get(deliver.link) is send
+        assert (deliver.attrs["src"], deliver.attrs["dst"]) == (
+            send.attrs["src"], send.attrs["dst"],
+        )
         assert log.happens_before(send, deliver)
         assert not log.happens_before(deliver, send)
+    # Nothing recorded carries a clock: the log derives them.
+    assert all(e.clock is None for e in recorder.events)
 
 
 def test_duroc_locus_unifies_job_endpoints():
