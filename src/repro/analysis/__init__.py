@@ -1,7 +1,7 @@
 """Static invariant checks for the co-allocation codebase.
 
-Six rule families guard the invariants the simulator can only test
-probabilistically:
+Five rule families guard the invariants of the paper's protocol that
+the simulator can only test probabilistically:
 
 * **determinism** (``det-*``) — all randomness through
   :class:`~repro.simcore.rng.RngRegistry`, all time through
@@ -13,10 +13,7 @@ probabilistically:
 * **rsl-schema** (``rsl-*``) — RSL attribute keys at construction sites
   exist in the canonical registry;
 * **resilience** (``res-*``) — no bare ``except`` around RPC calls, no
-  literal-seeded RNGs feeding retry jitter or breaker timing;
-* **performance** (``perf-*``) — no per-event allocations, O(n) list
-  pops, or re-resolved attribute chains inside the registered hot
-  paths of the event kernel.
+  literal-seeded RNGs feeding retry jitter or breaker timing.
 
 Run ``python -m repro.analysis [paths]``; see ``docs/ANALYSIS.md``.
 The *dynamic* counterpart — protocol monitors over recorded runs,
@@ -35,7 +32,6 @@ from repro.analysis.framework import (
     Rule,
     Severity,
 )
-from repro.analysis.perf_rules import PerfChecker
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.resilience_rules import ResilienceChecker
 from repro.analysis.rsl_schema import RslSchemaChecker
@@ -49,7 +45,6 @@ __all__ = [
     "DeterminismChecker",
     "Finding",
     "Module",
-    "PerfChecker",
     "ResilienceChecker",
     "RslSchemaChecker",
     "Rule",

@@ -10,28 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.callback_safety import CallbackSafetyChecker
 from repro.analysis.determinism import DeterminismChecker
-from repro.analysis.framework import (
-    Analyzer,
-    Checker,
-    is_glob_selector,
-    iter_python_files,
-)
-from repro.analysis.memory_rules import MemoryChecker
-from repro.analysis.perf_rules import PerfChecker
-from repro.analysis.reporters import (
-    render_json,
-    render_sarif,
-    render_stats_text,
-    render_text,
-)
+from repro.analysis.framework import Analyzer, Checker, iter_python_files
+from repro.analysis.reporters import render_json, render_sarif, render_text
 from repro.analysis.resilience_rules import ResilienceChecker
 from repro.analysis.rsl_schema import RslSchemaChecker
 from repro.analysis.statemachine import StateMachineChecker
@@ -45,8 +31,6 @@ def all_checkers() -> list[Checker]:
         CallbackSafetyChecker(),
         RslSchemaChecker(),
         ResilienceChecker(),
-        PerfChecker(),
-        MemoryChecker(),
     ]
 
 
@@ -70,22 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         "document for code-scanning upload",
     )
     parser.add_argument(
-        "--changed-only", nargs="?", const="origin/main", default=None,
-        metavar="REF",
-        help="analyze only files changed since REF (default origin/main) "
-        "plus untracked files, per git; unchanged files are skipped",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="collect per-checker/per-file timings and per-rule finding "
-        "counts; appended to text output, embedded in json, printed to "
-        "stderr for sarif",
-    )
-    parser.add_argument(
         "--select", action="append", default=None, metavar="RULES",
-        help="comma-separated rule ids, families (det, sm, cb, rsl, res, "
-        "perf), checker names, or glob patterns ('perf-*') to run; "
-        "repeatable; everything else is skipped",
+        help="comma-separated rule ids, families (det, sm, cb, rsl, res) "
+        "or checker names to run; repeatable; everything else is skipped",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -123,40 +94,6 @@ def list_rules_json() -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _git_lines(args: Sequence[str]) -> list[str]:
-    """Run a git command, returning its non-empty output lines."""
-    completed = subprocess.run(
-        ["git", *args], capture_output=True, text=True, check=True
-    )
-    return [line for line in completed.stdout.splitlines() if line.strip()]
-
-
-def changed_files(
-    paths: Sequence[str], ref: str
-) -> list[str]:
-    """The discovered files that differ from ``ref`` or are untracked.
-
-    Both sides resolve to absolute paths before intersecting, so the
-    filter works no matter how ``paths`` were spelled relative to the
-    repository root.  Raises ``subprocess.CalledProcessError`` /
-    ``OSError`` when git is unavailable — the CLI turns that into a
-    usage error rather than silently analyzing everything.
-    """
-    top = Path(_git_lines(["rev-parse", "--show-toplevel"])[0])
-    changed = {
-        (top / line).resolve()
-        for line in (
-            _git_lines(["diff", "--name-only", ref])
-            + _git_lines(["ls-files", "--others", "--exclude-standard"])
-        )
-    }
-    return [
-        str(path)
-        for path in iter_python_files(paths)
-        if path.resolve() in changed
-    ]
 
 
 def _known_selectors(checkers: Sequence[Checker]) -> set[str]:
@@ -199,43 +136,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
     if select is not None:
         known = _known_selectors(all_checkers())
-        unknown = sorted(
-            token for token in select
-            if not is_glob_selector(token) and token not in known
-        )
-        # A glob that matches nothing is as dead as a typo'd name.
-        unknown += sorted(
-            token for token in select
-            if is_glob_selector(token)
-            and not any(fnmatchcase(name, token.lower()) for name in known)
-        )
+        unknown = sorted(token for token in select if token not in known)
         if unknown:
             parser.error(
                 f"--select: unknown rule/family/checker {', '.join(unknown)} "
                 f"(see --list-rules)"
             )
-    paths = args.paths or _default_paths()
-    if args.changed_only is not None:
-        try:
-            paths = changed_files(paths, args.changed_only)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = getattr(exc, "stderr", "") or str(exc)
-            parser.error(f"--changed-only: git failed: {detail.strip()}")
-    analyzer = Analyzer(
-        all_checkers(), select=select, collect_stats=args.stats
+    report = Analyzer(all_checkers(), select=select).run(
+        args.paths or _default_paths()
     )
-    report = analyzer.run(paths)
     if args.format == "json":
         rendered = render_json(report)
     elif args.format == "sarif":
         rendered = render_sarif(report, all_checkers())
     else:
         rendered = render_text(report)
-        if report.stats is not None:
-            rendered = "\n".join([rendered, render_stats_text(report.stats)])
     print(rendered)
-    if args.format == "sarif" and report.stats is not None:
-        print(render_stats_text(report.stats), file=sys.stderr)
     return 0 if report.clean else 1
 
 

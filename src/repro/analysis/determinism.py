@@ -77,6 +77,27 @@ NUMPY_GLOBAL_FNS = {
 }
 
 
+def import_aliases(tree: ast.AST) -> dict[str, str]:
+    """Local name -> the dotted path an import bound it to.
+
+    ``import time as t`` maps ``t`` to ``time``, ``import numpy.random as
+    npr`` and ``from numpy import random as npr`` map ``npr`` to
+    ``numpy.random``; a plain ``import numpy`` binds its own name and
+    needs no entry.  Relative imports name package-local modules and
+    are left out.
+    """
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
 class DeterminismChecker(Checker):
     """Flag constructs that break seeded reproducibility."""
 
@@ -103,13 +124,14 @@ class DeterminismChecker(Checker):
             return
         if is_deprecation_shim(module):
             return
+        aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 yield from self._check_import(module, node)
             elif isinstance(node, ast.ImportFrom):
                 yield from self._check_import_from(module, node)
             elif isinstance(node, ast.Call):
-                yield from self._check_call(module, node)
+                yield from self._check_call(module, node, aliases)
 
     # -- imports -----------------------------------------------------------
 
@@ -153,11 +175,14 @@ class DeterminismChecker(Checker):
 
     # -- calls -------------------------------------------------------------
 
-    def _check_call(self, module: Module, node: ast.Call) -> Iterator[Finding]:
+    def _check_call(
+        self, module: Module, node: ast.Call, aliases: dict[str, str]
+    ) -> Iterator[Finding]:
         chain = dotted_name(node.func)
         if chain is None:
             return
-        parts = chain.split(".")
+        head, dot, rest = chain.partition(".")
+        parts = (aliases.get(head, head) + dot + rest).split(".")
         tail2 = ".".join(parts[-2:])
         if tail2 in WALLCLOCK_CALLS:
             yield self.finding(

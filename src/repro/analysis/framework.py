@@ -15,9 +15,7 @@ from __future__ import annotations
 import ast
 import difflib
 import re
-import time
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -177,44 +175,12 @@ def iter_python_files(paths: Iterable[str]) -> list[Path]:
 
 
 @dataclass
-class AnalysisStats:
-    """Cost accounting for one analyzer run (``--stats``).
-
-    Wall-clock seconds per checker and per analyzed file, plus reported
-    and suppressed finding counts per rule.  Timings are host-dependent
-    and informational — they never feed baselines or gates, which is
-    why collecting them is opt-in and quarantined here rather than
-    woven into :class:`AnalysisReport` proper.
-    """
-
-    checker_seconds: dict[str, float] = field(default_factory=dict)
-    file_seconds: dict[str, float] = field(default_factory=dict)
-    rule_counts: dict[str, int] = field(default_factory=dict)
-    suppressed_counts: dict[str, int] = field(default_factory=dict)
-    parse_seconds: float = 0.0
-
-    def charge(self, checker: str, path: Optional[str], seconds: float) -> None:
-        """Attribute ``seconds`` of checker work (``path=None``: finalize)."""
-        self.checker_seconds[checker] = (
-            self.checker_seconds.get(checker, 0.0) + seconds
-        )
-        if path is not None:
-            self.file_seconds[path] = self.file_seconds.get(path, 0.0) + seconds
-
-    def count(self, rule_id: str, suppressed: bool) -> None:
-        table = self.suppressed_counts if suppressed else self.rule_counts
-        table[rule_id] = table.get(rule_id, 0) + 1
-
-
-@dataclass
 class AnalysisReport:
     """Everything one analyzer run produced."""
 
     findings: list[Finding]
     suppressed: int
     files_checked: int
-    #: Present only when the run collected cost accounting (``--stats``).
-    stats: Optional[AnalysisStats] = None
 
     @property
     def clean(self) -> bool:
@@ -233,32 +199,16 @@ def rule_selected(
     rule_id: str, checker_name: str, select: Optional[set[str]]
 ) -> bool:
     """Shared ``--select`` semantics: a selector matches a finding by
-    exact rule id, rule family (the prefix before the first ``-``), the
-    owning checker/monitor name, or — when it contains ``*``/``?``/``[``
-    — as a glob pattern over any of the three (``perf-*``).  Used by
-    both the static analyzer and the dynamic monitors of
-    :mod:`repro.verify`.
+    exact rule id, rule family (the prefix before the first ``-``), or
+    the owning checker/monitor name.  Used by both the static analyzer
+    and the dynamic monitors of :mod:`repro.verify`.
     """
     if select is None:
         return True
     rule = rule_id.lower()
-    names = (rule, rule.split("-", 1)[0], checker_name.lower())
-    for selector in select:
-        if is_glob_selector(selector):
-            if any(fnmatchcase(name, selector) for name in names):
-                return True
-        elif selector in names:
-            return True
-    return False
-
-
-def is_glob_selector(selector: str) -> bool:
-    """True when a ``--select`` token is a glob pattern, not a name."""
-    return any(ch in selector for ch in "*?[")
-
-
-def _selected(finding: Finding, checker_name: str, select: Optional[set[str]]) -> bool:
-    return rule_selected(finding.rule, checker_name, select)
+    return not select.isdisjoint(
+        (rule, rule.split("-", 1)[0], checker_name.lower())
+    )
 
 
 class Analyzer:
@@ -268,11 +218,9 @@ class Analyzer:
         self,
         checkers: Sequence[Checker],
         select: Optional[Iterable[str]] = None,
-        collect_stats: bool = False,
     ) -> None:
         self.checkers = list(checkers)
         self.select = normalize_select(select)
-        self.collect_stats = collect_stats
 
     def parse(self, path: Path) -> "Module | Finding":
         """Parse one file into a Module, or a parse-error Finding."""
@@ -296,62 +244,39 @@ class Analyzer:
         modules: list[Module] = []
         findings: list[Finding] = []
         suppressed = 0
-        stats = AnalysisStats() if self.collect_stats else None
 
-        start = time.perf_counter() if stats else 0.0  # repro: noqa det-wallclock
         for path in files:
             parsed = self.parse(path)
             if isinstance(parsed, Finding):
                 findings.append(parsed)
                 continue
             modules.append(parsed)
-        if stats is not None:
-            stats.parse_seconds = time.perf_counter() - start  # repro: noqa det-wallclock
 
         by_path = {module.path: module for module in modules}
         raw: list[tuple[Finding, str]] = []
         for module in modules:
             for checker in self.checkers:
-                if stats is None:
-                    for finding in checker.check(module):
-                        raw.append((finding, checker.name))
-                else:
-                    start = time.perf_counter()  # repro: noqa det-wallclock
-                    produced = list(checker.check(module))
-                    elapsed = time.perf_counter() - start  # repro: noqa det-wallclock
-                    stats.charge(checker.name, module.path, elapsed)
-                    raw.extend((finding, checker.name) for finding in produced)
+                for finding in checker.check(module):
+                    raw.append((finding, checker.name))
             for finding in self._unknown_noqa(module):
                 raw.append((finding, "framework"))
         for checker in self.checkers:
-            if stats is None:
-                for finding in checker.finalize(modules):
-                    raw.append((finding, checker.name))
-            else:
-                start = time.perf_counter()  # repro: noqa det-wallclock
-                produced = list(checker.finalize(modules))
-                elapsed = time.perf_counter() - start  # repro: noqa det-wallclock
-                stats.charge(checker.name, None, elapsed)
-                raw.extend((finding, checker.name) for finding in produced)
+            for finding in checker.finalize(modules):
+                raw.append((finding, checker.name))
 
         for finding, checker_name in raw:
-            if not _selected(finding, checker_name, self.select):
+            if not rule_selected(finding.rule, checker_name, self.select):
                 continue
             module = by_path.get(finding.file)
             if module is not None and is_suppressed(finding, module.lines):
                 suppressed += 1
-                if stats is not None:
-                    stats.count(finding.rule, suppressed=True)
                 continue
             findings.append(finding)
-            if stats is not None:
-                stats.count(finding.rule, suppressed=False)
 
         return AnalysisReport(
             findings=sorted(set(findings)),
             suppressed=suppressed,
             files_checked=len(files),
-            stats=stats,
         )
 
     def _unknown_noqa(self, module: Module) -> Iterator[Finding]:

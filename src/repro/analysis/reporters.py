@@ -13,12 +13,7 @@ import json
 from pathlib import PurePath
 from typing import Sequence
 
-from repro.analysis.framework import (
-    AnalysisReport,
-    AnalysisStats,
-    Checker,
-    Finding,
-)
+from repro.analysis.framework import AnalysisReport, Checker, Finding
 
 
 def format_finding(finding: Finding) -> str:
@@ -72,53 +67,7 @@ def render_json(report: AnalysisReport) -> str:
         "suppressed": report.suppressed,
         "findings": [finding_payload(f) for f in report.findings],
     }
-    if report.stats is not None:
-        payload["stats"] = stats_payload(report.stats)
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-# -- cost accounting (--stats) ------------------------------------------------
-
-
-def stats_payload(stats: AnalysisStats) -> dict:
-    """The stats' JSON object form (embedded under ``"stats"``)."""
-    return {
-        "parse_seconds": stats.parse_seconds,
-        "checker_seconds": dict(sorted(stats.checker_seconds.items())),
-        "file_seconds": dict(sorted(stats.file_seconds.items())),
-        "rule_counts": dict(sorted(stats.rule_counts.items())),
-        "suppressed_counts": dict(sorted(stats.suppressed_counts.items())),
-    }
-
-
-def render_stats_text(stats: AnalysisStats, top_files: int = 10) -> str:
-    """Human-readable cost accounting: slowest checkers/files, rule tallies."""
-    lines = ["-- analysis stats --"]
-    lines.append(f"parse: {stats.parse_seconds * 1000.0:.1f} ms")
-    lines.append("per-checker:")
-    by_cost = sorted(
-        stats.checker_seconds.items(), key=lambda item: (-item[1], item[0])
-    )
-    for name, seconds in by_cost:
-        lines.append(f"  {name:<24} {seconds * 1000.0:8.1f} ms")
-    slowest = sorted(
-        stats.file_seconds.items(), key=lambda item: (-item[1], item[0])
-    )[:top_files]
-    if slowest:
-        lines.append(f"slowest files (top {len(slowest)}):")
-        for path, seconds in slowest:
-            lines.append(f"  {path:<48} {seconds * 1000.0:8.1f} ms")
-    tallies = sorted(
-        set(stats.rule_counts) | set(stats.suppressed_counts)
-    )
-    if tallies:
-        lines.append("per-rule findings (reported / suppressed):")
-        for rule_id in tallies:
-            lines.append(
-                f"  {rule_id:<24} {stats.rule_counts.get(rule_id, 0):4d} / "
-                f"{stats.suppressed_counts.get(rule_id, 0)}"
-            )
-    return "\n".join(lines)
 
 
 # -- SARIF --------------------------------------------------------------------

@@ -66,7 +66,7 @@ class BarrierTable:
         # Bounded by construction: at most ``count`` ranks check in
         # (the spawner created exactly count processes) and the table
         # itself is dropped on retire.
-        self.checkins[checkin.rank] = checkin  # repro: noqa mem-grow-only-attr
+        self.checkins[checkin.rank] = checkin
         return True
 
     @property
@@ -179,12 +179,10 @@ class BarrierManager:
                 continue
             payload = dict(base, my_rank=rank)
             self._send(checkin.endpoint, RELEASE, payload)
-            # Audited: one entry per released process of this job; the
+            # Bounded by the job: one entry per released process; the
             # §4.2 statistics read every entry for the manager's
             # lifetime.
-            self.release_times[  # repro: noqa mem-grow-only-attr
-                (slot_id, rank)
-            ] = self.env.now
+            self.release_times[(slot_id, rank)] = self.env.now
             self._m_waiting.dec()
             self._m_wait.observe(self.env.now - checkin.time)
             released += 1

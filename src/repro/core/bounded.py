@@ -1,13 +1,14 @@
 """A deterministic bounded mapping for long-lived services.
 
-The ``mem-*`` lints (:mod:`repro.analysis.memory_rules`) flag
-per-request state that only ever grows over a service's lifetime —
-dedup caches, intern tables, trace/context maps.  :class:`BoundedDict`
-is the sanctioned remedy: a drop-in LRU mapping whose size is bounded
-*by construction*, with eviction that is a pure function of the
-operation sequence (never of hash order, process layout, or wall
-clock), so a bounded run's behaviour is byte-identical across machines
-and interpreter invocations.  Its :attr:`~BoundedDict.high_water` keeps
+A service that never exits must not keep per-request state without a
+bound: the gatekeeper's job, submission and parsed-RSL tables, the
+barrier's release bases, ``Endpoint.parse``'s cache and the flight
+recorder's message-id table all hold it in a :class:`BoundedDict`, a
+drop-in LRU mapping whose size is bounded *by construction*, with
+eviction that is a pure function of the operation sequence (never of
+hash order, process layout, or wall clock), so a bounded run's
+behaviour is byte-identical across machines and interpreter
+invocations.  Its :attr:`~BoundedDict.high_water` keeps
 the peak size, so a bound that is routinely reached shows in profiles.
 """
 

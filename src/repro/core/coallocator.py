@@ -215,7 +215,7 @@ class DurocJob:
                 f"cannot edit request in state {self.state.value}"
             )
         slot = SubjobSlot(len(self.slots), spec, self.env.now)
-        self.slots.append(slot)  # repro: noqa mem-grow-only-attr
+        self.slots.append(slot)
         self._slot_by_id[slot.slot_id] = slot
         self.barrier.open_table(slot.slot_id, spec.count)
         self._submit_queue.put(slot)
@@ -916,10 +916,11 @@ class Duroc:
         """
         job = DurocJob(self, request)
         # API surface: callers index duroc.jobs for handles, so every
-        # submitted job stays listed.  The orchestrator-as-a-service
-        # refactor (ROADMAP item 3) will move retention behind an
-        # explicit request queue.
-        self.jobs.append(job)  # repro: noqa mem-grow-only-attr
+        # submitted job stays listed, terminal ones included, until the
+        # release of everything a terminal request owned drops it here
+        # too (ROADMAP.md, "Everything a terminal request owned is
+        # released at termination").
+        self.jobs.append(job)
         return job
 
     # -- liveness watch (§3.4) -----------------------------------------------

@@ -202,7 +202,7 @@ class Gatekeeper:
         if series is None:
             # Code-bounded: outcomes are the string literals at this
             # class's _count_submit calls, not request data.
-            series = self._m_submits[outcome] = (  # repro: noqa mem-grow-only-attr
+            series = self._m_submits[outcome] = (
                 self.metrics.bind(
                     "counter", "gram.submits_total",
                     site=self.machine.name, outcome=outcome,

@@ -60,7 +60,7 @@ class MiniComm:
         if series is None:
             # Code-bounded: "pt2pt" and the phase names the collectives
             # below pass to _coll_send, all string literals.
-            series = self._m_messages[op] = (  # repro: noqa mem-grow-only-attr
+            series = self._m_messages[op] = (
                 self.metrics.bind("counter", "mpi.messages_total", op=op)
             )
         series.inc()

@@ -62,7 +62,6 @@ class Endpoint:
     #: for the process lifetime, so only well-known service addresses
     #: belong here: :meth:`intern` enforces that by rejecting ephemeral
     #: reply ports and capping the table at INTERN_MAX.
-    #: # repro: noqa mem-instance-registry — policy-bounded (see above)
     _interned: dict[tuple[str, str], "Endpoint"] = {}
 
     #: Bounded parse memo: text -> Endpoint for addresses that are
@@ -156,7 +155,7 @@ class Endpoint:
                 )
             # Policy-bounded: ephemeral ports rejected above, hard cap
             # enforced; one entry per well-known service address.
-            Endpoint._interned[key] = self  # repro: noqa mem-instance-registry
+            Endpoint._interned[key] = self
             canonical = self
         return canonical
 

@@ -158,7 +158,7 @@ class Network:
         # Topology-bounded: one entry per machine in the grid, and
         # crash/partition faults mark hosts down rather than remove
         # them.
-        self._hosts.add(name)  # repro: noqa mem-grow-only-attr
+        self._hosts.add(name)
 
     def has_host(self, name: str) -> bool:
         return name in self._hosts
@@ -325,7 +325,7 @@ class Network:
             # Code-bounded: message kinds are string literals at the
             # sending sites (plus their ".reply"/".error" forms), not
             # request data.
-            series = self._m_kinds[kind] = KindSeries(  # repro: noqa mem-grow-only-attr
+            series = self._m_kinds[kind] = KindSeries(
                 self.metrics, kind
             )
         return series

@@ -462,7 +462,7 @@ class MetricsRegistry:
             # Code-bounded: one entry per metric *name*, and names are
             # string literals at instrumentation sites, not request
             # data.
-            instrument = self._instruments[name] = factory()  # repro: noqa mem-grow-only-attr
+            instrument = self._instruments[name] = factory()
         elif not isinstance(instrument, cls):
             raise TypeError(
                 f"metric {name!r} is a {type(instrument).__name__}, "

@@ -151,9 +151,9 @@ class Process(Event):
         while True:
             # The generator protocol signals completion by raising
             # StopIteration out of send()/throw(); there is no
-            # pre-checkable fast path.  Audited as the one irreducible
-            # per-resume try.
-            try:  # repro: noqa perf-try-in-loop
+            # pre-checkable fast path, so this is the one try the
+            # resume loop keeps.
+            try:
                 if event is None or event._ok:
                     next_event = generator.send(None if event is None else event._value)
                 else:

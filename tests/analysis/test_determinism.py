@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.determinism import DeterminismChecker
 
 from tests.analysis.conftest import rules_of
@@ -65,6 +67,42 @@ def test_unseeded_default_rng_flagged(run_checker):
     )
     assert rules_of(findings) == {"det-global-numpy"}
     assert len(findings) == 3
+
+
+def test_wallclock_through_module_alias_flagged(run_checker):
+    findings = run_checker(
+        DeterminismChecker(),
+        """
+        import time as t
+        import datetime as dt
+
+        stamp = t.time()
+        start = t.perf_counter()
+        today = dt.datetime.now()
+        """,
+    )
+    assert [(f.line, f.rule) for f in findings] == [
+        (5, "det-wallclock"), (6, "det-wallclock"), (7, "det-wallclock"),
+    ]
+
+
+@pytest.mark.parametrize("prefix, imports", [
+    ("np.random.", "import numpy as np"),
+    ("numpy.random.", "import numpy"),
+    ("npr.", "import numpy.random as npr"),
+    ("npr.", "from numpy import random as npr"),
+], ids=["np", "numpy", "import-as-npr", "from-import-as-npr"])
+def test_numpy_random_through_import_alias_flagged(run_checker, prefix, imports):
+    findings = run_checker(
+        DeterminismChecker(),
+        f"{imports}\n"
+        f"draw = {prefix}normal(0, 1)\n"
+        f"gen = {prefix}default_rng()\n"
+        f"seeded = {prefix}default_rng(7)\n",
+    )
+    assert [(f.line, f.rule) for f in findings] == [
+        (2, "det-global-numpy"), (3, "det-global-numpy"),
+    ]
 
 
 def test_seeded_rng_and_injected_streams_clean(run_checker):

@@ -1,4 +1,4 @@
-"""Property tests for the bounded LRU mapping (the mem-* remedy).
+"""Property tests for the bounded LRU mapping of the long-lived services.
 
 Model-based: every operation sequence is replayed against a plain
 ``OrderedDict`` LRU reference, and the bounded mapping must agree on

@@ -1,10 +1,25 @@
 """Shape tests for the application-experience experiments (§4.3)."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import apps, reservations
+
+RESTART_TABLE = (
+    Path(__file__).resolve().parents[2] / "results" / "app_restart_cost.txt"
+)
+
+
+def restart_cells(table: str) -> dict[float, list[float]]:
+    """startup -> every cell of each row of a rendered restart table."""
+    # Title, header and rule come first; a "failed" cell fails float().
+    rows = [
+        [float(cell) for cell in line.split("|")]
+        for line in table.splitlines()[3:]
+    ]
+    return {cells[0]: cells for cells in rows}
 
 
 class TestMotivating:
@@ -80,6 +95,13 @@ class TestRestartCost:
 
     def test_render(self, rows):
         assert "atomic" in apps.render_restart(rows)
+
+    def test_rows_match_the_committed_table(self, rows):
+        measured = restart_cells(apps.render_restart(rows))
+        committed = restart_cells(RESTART_TABLE.read_text())
+        assert sorted(measured) == [30.0, 120.0]
+        for startup, cells in measured.items():
+            assert cells == pytest.approx(committed[startup], rel=1e-6)
 
 
 class TestReservations:

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.net.address import Endpoint
+from repro.net.message import Message
+from repro.net.network import KindSeries
+from repro.obs.flightrec import KernelRecord, MessageRecord, ProtoRecord, SpanRecord
 from repro.simcore import (
     Environment,
     Mark,
@@ -13,6 +17,28 @@ from repro.simcore import (
     Tracer,
     attach,
     jittered,
+)
+from repro.simcore.events import AllOf, AnyOf, Condition, Event, Timeout
+from repro.simcore.metrics import (
+    BoundCounter,
+    BoundGauge,
+    BoundHistogram,
+    BoundRate,
+    _HistogramSeries,
+)
+from repro.simcore.process import Initialize, Process, _InterruptEvent
+from repro.simcore.resources import BaseRequest, ContainerGet, StoreGet, _Deadline
+from repro.simcore.tracing import Span, _NullSpan, _OpenSpan
+
+#: Classes instantiated per kernel event, message, span or metric write.
+PER_EVENT_CLASSES = (
+    Event, Timeout, Condition, AllOf, AnyOf,
+    Initialize, _InterruptEvent, Process,
+    BaseRequest, StoreGet, ContainerGet, _Deadline,
+    Message, Endpoint, KindSeries,
+    Span, Mark, TraceContext, _OpenSpan, _NullSpan,
+    BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
+    KernelRecord, MessageRecord, ProtoRecord, SpanRecord,
 )
 
 
@@ -114,12 +140,17 @@ class TestTracer:
         tracer.record("op", 2, 3)
         assert len(tracer.spans_named("op")) == 1
 
-    def test_record_dataclasses_are_slotted(self, tracer):
-        # perf-no-slots: one Span per completion at event rate; none of
-        # the record types may carry a per-instance __dict__.
-        span = tracer.record("x", 0, 1)
-        for obj in (span, Mark("m", 0.0), TraceContext("t", 1)):
-            assert not hasattr(obj, "__dict__"), type(obj).__name__
+    @pytest.mark.parametrize(
+        "cls", PER_EVENT_CLASSES, ids=lambda cls: cls.__name__
+    )
+    def test_record_dataclasses_are_slotted(self, cls):
+        # One class without __slots__ anywhere up the MRO gives every
+        # instance a __dict__ again, at event rate.
+        unslotted = [
+            k.__name__ for k in cls.__mro__
+            if k is not object and "__slots__" not in vars(k)
+        ]
+        assert unslotted == []
 
 
 class TestProbeSeam:
