@@ -35,7 +35,7 @@ _pids = itertools.count(1000)
 Program = Callable[["ProcessContext"], Generator]
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessContext:
     """Everything a spawned program instance can see.
 
@@ -74,7 +74,7 @@ class ProcessContext:
         return self.env.tracer
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessRecord:
     """Bookkeeping for one running program instance."""
 

@@ -13,7 +13,7 @@ cache return canonical instances for long-lived, repeatedly parsed
 addresses (a service's well-known contact) so equal endpoints are
 usually also identical.
 
-Retention policy (mem-* audited): the intern table holds *well-known
+Retention policy: the intern table holds *well-known
 service addresses only* — :meth:`Endpoint.intern` rejects ephemeral
 reply ports (``label.N`` names minted by
 :func:`repro.net.transport.ephemeral_endpoint`) and hard-fails at

@@ -32,6 +32,8 @@ def ephemeral_endpoint(host: str, label: str = "tmp") -> Endpoint:
 class Port:
     """A bound endpoint with blocking receive and fire-and-forget send."""
 
+    __slots__ = ("network", "endpoint", "mailbox", "_last_corr_id")
+
     def __init__(self, network: Network, endpoint: Endpoint) -> None:
         self.network = network
         self.endpoint = endpoint
@@ -40,7 +42,7 @@ class Port:
         # reproducible in isolation: the first RPC from a fresh grid
         # always gets corr_id 1, regardless of what ran earlier in the
         # same process.
-        self._corr_ids = itertools.count(1)
+        self._last_corr_id = 0
 
     @property
     def env(self):
@@ -48,7 +50,8 @@ class Port:
 
     def next_corr_id(self) -> int:
         """A fresh correlation id, unique within this port."""
-        return next(self._corr_ids)
+        self._last_corr_id += 1
+        return self._last_corr_id
 
     def send(
         self,

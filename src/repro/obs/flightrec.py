@@ -7,7 +7,8 @@ closes that gap: a :class:`FlightRecorder` is a
 :class:`~repro.simcore.probe.Probe` that
 stores every hook it hears as one plain tuple of immutable values in
 per-category :class:`FlightRing` buffers of fixed capacity —
-O(capacity) memory by construction, policed by the ``mem-*`` lint —
+O(capacity) memory by construction (``tests/obs/test_flightrec_model.py``
+checks each ring against a bounded deque) —
 and builds the record objects only when a dump reads them: in a
 healthy run no trigger trips, and every observation is evicted unread.
 

@@ -96,22 +96,26 @@ def validate_subjob_spec(spec: Specification, strict: bool = False) -> Conjuncti
     timeout = relations.get(SUBJOB_TIMEOUT.lower())
     if timeout is not None:
         value = timeout.value
-        if not isinstance(value, (int, float)) or value <= 0:
+        # ``not value > 0`` also refuses NaN, which every comparison fails.
+        if not isinstance(value, (int, float)) or not value > 0:
             raise RSLValidationError(
                 f"subjobTimeout must be a positive number, got {value!r}"
             )
 
-    # Consumers read these with float(); refuse here what it would.
+    # Consumers read these with float(); refuse here what it would, and
+    # any value that is not a positive number.
     for name in (MAX_TIME, MIN_MEMORY):
         relation = relations.get(name.lower())
         if relation is None:
             continue
         try:
-            float(relation.value)
+            positive = float(relation.value) > 0  # False for NaN too
         except (TypeError, ValueError):
+            positive = False
+        if not positive:
             raise RSLValidationError(
-                f"{name} must be a number, got {relation.value!r}"
-            ) from None
+                f"{name} must be a positive number, got {relation.value!r}"
+            )
 
     if strict:
         for key in relations:

@@ -14,14 +14,14 @@ A minimal, deterministic, generator-driven simulator in the SimPy style:
 ``__all__`` below is the kernel's stable public surface: the
 environment (which owns the one pending-event heap) and event types,
 the observer seam (:class:`Probe`, installed with :func:`attach`), tracing,
-resources, and seeded RNG streams.
+the :class:`Store` mailbox, and seeded RNG streams.
 """
 
 from repro.simcore.environment import Environment, FOREVER
 from repro.simcore.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from repro.simcore.probe import FanoutProbe, Probe, attach
 from repro.simcore.process import Interrupt, Process
-from repro.simcore.resources import TIMED_OUT, Container, Resource, Store
+from repro.simcore.resources import TIMED_OUT, Store
 from repro.simcore.rng import RngRegistry, jittered
 from repro.simcore.tracing import (
     NULL_TRACER,
@@ -38,7 +38,6 @@ __all__ = [
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "FOREVER",
@@ -50,7 +49,6 @@ __all__ = [
     "OBS_CONTEXT_PARAM",
     "Probe",
     "Process",
-    "Resource",
     "RngRegistry",
     "Span",
     "Store",

@@ -212,8 +212,8 @@ class Environment:
 
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Queue ``event`` to be processed after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # also refuses NaN, which every comparison fails
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         self._eid = eid = self._eid + 1
         when = self._now + delay
         heap = self._heap

@@ -152,8 +152,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
+        if not delay >= 0:  # also refuses NaN
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         # One per message and per RPC deadline: the slots are set here
         # rather than through Event.__init__.
         self.env = env

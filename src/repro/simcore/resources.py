@@ -1,24 +1,14 @@
-"""Shared-resource primitives: Resource, Container, Store.
+"""The mailbox primitive: :class:`Store`, a FIFO of distinct Python
+objects with blocking, optionally filtered ``get``.
 
-These are the queueing building blocks the local schedulers and network
-mailboxes are made of:
-
-* :class:`Resource` — ``capacity`` identical slots with a FIFO wait
-  queue (used to model e.g. a gatekeeper that serves one authentication
-  at a time).
-* :class:`Container` — a homogeneous bulk quantity (used to model the
-  free-node pool of a space-shared machine).
-* :class:`Store` — a FIFO of distinct Python objects (used as message
-  mailboxes and job queues).
-
-All requests are events, so processes simply ``yield store.get()``; a
-store ``get`` may carry a timeout (it then fires with :data:`TIMED_OUT`).
+Every bound network endpoint owns one.  All requests are events, so
+processes simply ``yield store.get()``; a ``get`` may carry a timeout
+(it then fires with :data:`TIMED_OUT`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.simcore.events import NORMAL, PENDING, Event
@@ -32,124 +22,9 @@ class BaseRequest(Event):
 
     __slots__ = ("resource",)
 
-    def __init__(self, resource: "_BaseResource") -> None:
+    def __init__(self, resource: "Store") -> None:
         super().__init__(resource.env)
         self.resource = resource
-
-
-class _BaseResource:
-    """Common queue bookkeeping for all resource types."""
-
-    def __init__(self, env: "Environment") -> None:
-        self.env = env
-        self._waiters: Deque[BaseRequest] = deque()
-
-    def _withdraw(self, request: BaseRequest) -> None:
-        try:
-            self._waiters.remove(request)
-        except ValueError:
-            pass
-
-    def _wake(self) -> None:
-        """Grant as many queued requests as currently possible (FIFO)."""
-        waiters = self._waiters
-        while waiters:
-            request = waiters[0]
-            if not self._try_grant(request):
-                break
-            waiters.popleft()
-
-    def _try_grant(self, request: BaseRequest) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-
-class Resource(_BaseResource):
-    """``capacity`` identical slots with FIFO queueing."""
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity!r}")
-        super().__init__(env)
-        self.capacity = int(capacity)
-        self.in_use = 0
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self.in_use
-
-    def request(self) -> BaseRequest:
-        """Event that fires when a slot is acquired."""
-        req = BaseRequest(self)
-        self._waiters.append(req)
-        self._wake()
-        return req
-
-    def release(self) -> None:
-        """Return one slot to the pool."""
-        if self.in_use <= 0:
-            raise SimulationError("release() without a matching request")
-        self.in_use -= 1
-        self._wake()
-
-    def _try_grant(self, request: BaseRequest) -> bool:
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            request.succeed()
-            return True
-        return False
-
-
-class ContainerGet(BaseRequest):
-    """Pending ``get`` of a quantity from a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float) -> None:
-        super().__init__(container)
-        self.amount = amount
-
-
-class Container(_BaseResource):
-    """A bulk quantity with blocking ``get`` and immediate ``put``."""
-
-    def __init__(
-        self,
-        env: "Environment",
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ) -> None:
-        if init < 0 or init > capacity:
-            raise SimulationError(f"init={init!r} outside [0, {capacity!r}]")
-        super().__init__(env)
-        self.capacity = capacity
-        self.level = init
-
-    def get(self, amount: float) -> BaseRequest:
-        """Event that fires once ``amount`` units have been withdrawn."""
-        if amount < 0:
-            raise SimulationError(f"negative amount {amount!r}")
-        req = ContainerGet(self, amount)
-        self._waiters.append(req)
-        self._wake()
-        return req
-
-    def put(self, amount: float) -> None:
-        """Deposit ``amount`` units (never blocks; overflow is an error)."""
-        if amount < 0:
-            raise SimulationError(f"negative amount {amount!r}")
-        if self.level + amount > self.capacity:
-            raise SimulationError("container overflow")
-        self.level += amount
-        self._wake()
-
-    def _try_grant(self, request: BaseRequest) -> bool:
-        assert isinstance(request, ContainerGet)
-        amount = request.amount
-        if self.level >= amount:
-            self.level -= amount
-            request.succeed(amount)
-            return True
-        return False
 
 
 #: What a ``get(timeout=...)`` fires with when its deadline passes first.
@@ -212,7 +87,7 @@ def _retire(request: StoreGet) -> None:
         deadline.cancelled = True
 
 
-class Store(_BaseResource):
+class Store:
     """FIFO of distinct items with blocking ``get``.
 
     ``get(filter=...)`` retrieves the first item matching the predicate,
@@ -225,13 +100,21 @@ class Store(_BaseResource):
     waiter cannot break it.  So a new item can only be wanted by the
     waiters already queued, and a new request can only want the items
     already queued — neither has to rescan the other side against
-    itself (DESIGN.md §7).  :meth:`_wake` is therefore unused here.
+    itself (DESIGN.md §7).
+
+    Items and waiters are plain lists: a mailbox receives a message or
+    two in its life and never holds more than a few hundred, so an
+    empty deque's preallocated block would outweigh every ``pop(0)``
+    it saves (DESIGN.md §7, "A mailbox is two lists").
     """
 
+    __slots__ = ("env", "capacity", "items", "_waiters")
+
     def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
-        super().__init__(env)
+        self.env = env
         self.capacity = capacity
-        self.items: Deque[Any] = deque()
+        self.items: list[Any] = []
+        self._waiters: list[StoreGet] = []
 
     def put(self, item: Any) -> None:
         """Add an item (never blocks; overflow is an error).
@@ -266,18 +149,18 @@ class Store(_BaseResource):
             self._waiters.append(request)
         return request
 
-    def _withdraw(self, request: BaseRequest) -> None:
-        assert isinstance(request, StoreGet)
-        super()._withdraw(request)
+    def _withdraw(self, request: StoreGet) -> None:
+        """Drop an expired waiter (its deadline is armed only while it waits)."""
+        self._waiters.remove(request)
         _retire(request)
 
-    def _try_grant(self, request: StoreGet) -> bool:  # type: ignore[override]
+    def _try_grant(self, request: StoreGet) -> bool:
         """Hand ``request`` the first queued item it accepts, if any."""
         items = self.items
         accepts = request.filter
         if accepts is None:
             if items:
-                request.succeed(items.popleft())
+                request.succeed(items.pop(0))
                 return True
             return False
         for idx, item in enumerate(items):

@@ -109,6 +109,15 @@ class TestValidation:
         with pytest.raises(RSLValidationError, match="subjobTimeout"):
             validate_subjob_spec(spec)
 
+    @pytest.mark.parametrize("fragment", [
+        "(subjobTimeout=nan)", "(maxTime=nan)", "(maxTime=-5)", "(maxTime=0)",
+        "(minMemory=nan)", "(minMemory=-64)", "(minMemory=0)",
+    ])
+    def test_nan_or_non_positive_number_rejected(self, fragment):
+        spec = parse("&(resourceManagerContact=RM1)(count=4)(executable=w)" + fragment)
+        with pytest.raises(RSLValidationError, match=fragment[1:].split("=")[0]):
+            validate_subjob_spec(spec)
+
     def test_strict_rejects_unknown(self):
         spec = parse(
             "&(resourceManagerContact=RM1)(count=4)(executable=w)(wibble=1)"

@@ -81,6 +81,26 @@ class TestClock:
         with pytest.raises(SimulationError):
             env.schedule(env.event(), delay=-1)
 
+    def test_nan_schedule_delay_rejected(self, env):
+        # NaN passes ``delay < 0``; scheduled, it would run the clock backwards.
+        with pytest.raises(SimulationError):
+            env.schedule(env.event(), delay=float("nan"))
+        assert len(env.queue) == 0
+
+    def test_nan_timeout_rejected_and_clock_stays_monotonic(self, env):
+        fired = []
+
+        def arm(delay):
+            env.timeout(delay).callbacks.append(lambda _: fired.append(env.now))
+
+        arm(5)
+        with pytest.raises(SimulationError):
+            arm(float("nan"))
+        for delay in (1, 3, 2):
+            arm(delay)
+        env.run()
+        assert fired == [1, 2, 3, 5]
+
     def test_step_on_empty_queue_raises(self, env):
         from repro.simcore.environment import EmptySchedule
 

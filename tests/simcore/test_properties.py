@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import Container, Environment, Store
+from repro.simcore import Environment, Store
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False),
@@ -71,35 +71,6 @@ def test_store_conserves_items(ops):
     env.run()
     assert got_items == put_items[:n_gets]
     assert list(store.items) == put_items[n_gets:]
-
-
-@given(
-    st.integers(min_value=1, max_value=16),
-    st.lists(st.tuples(st.integers(1, 8), st.floats(0.1, 10.0)),
-             min_size=1, max_size=30),
-)
-@settings(max_examples=100, deadline=None)
-def test_container_never_negative_never_overflows(capacity, jobs):
-    """Container level stays within [0, capacity] for any get/put pattern."""
-    env = Environment()
-    pool = Container(env, capacity=capacity, init=capacity)
-    violations = []
-
-    def job(env, amount, hold):
-        amount = min(amount, capacity)
-        yield pool.get(amount)
-        if not (0 <= pool.level <= capacity):
-            violations.append(pool.level)
-        yield env.timeout(hold)
-        pool.put(amount)
-        if not (0 <= pool.level <= capacity):
-            violations.append(pool.level)
-
-    for amount, hold in jobs:
-        env.process(job(env, amount, hold))
-    env.run()
-    assert not violations
-    assert pool.level == capacity  # everything returned
 
 
 @given(st.data())

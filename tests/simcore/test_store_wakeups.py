@@ -63,7 +63,7 @@ class RescanStore(Store):
     def _try_grant(self, request):
         if request.filter is None:
             if self.items:
-                request.succeed(self.items.popleft())
+                request.succeed(self.items.pop(0))
                 return True
             return False
         for idx, item in enumerate(self.items):

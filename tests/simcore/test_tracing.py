@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.machine.host import ProcessContext, ProcessRecord
 from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.network import KindSeries
+from repro.net.transport import Port
 from repro.obs.flightrec import KernelRecord, MessageRecord, ProtoRecord, SpanRecord
 from repro.simcore import (
     Environment,
@@ -27,19 +29,23 @@ from repro.simcore.metrics import (
     _HistogramSeries,
 )
 from repro.simcore.process import Initialize, Process, _InterruptEvent
-from repro.simcore.resources import BaseRequest, ContainerGet, StoreGet, _Deadline
+from repro.simcore.resources import BaseRequest, Store, StoreGet, _Deadline
 from repro.simcore.tracing import Span, _NullSpan, _OpenSpan
 
 #: Classes instantiated per kernel event, message, span or metric write.
 PER_EVENT_CLASSES = (
     Event, Timeout, Condition, AllOf, AnyOf,
     Initialize, _InterruptEvent, Process,
-    BaseRequest, StoreGet, ContainerGet, _Deadline,
+    BaseRequest, StoreGet, _Deadline,
     Message, Endpoint, KindSeries,
     Span, Mark, TraceContext, _OpenSpan, _NullSpan,
     BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
     KernelRecord, MessageRecord, ProtoRecord, SpanRecord,
 )
+
+#: Classes instantiated per bound port or spawned process: thousands
+#: live at once in a wide co-allocation.
+PER_PROCESS_CLASSES = (Store, Port, ProcessContext, ProcessRecord)
 
 
 @pytest.fixture
@@ -141,7 +147,7 @@ class TestTracer:
         assert len(tracer.spans_named("op")) == 1
 
     @pytest.mark.parametrize(
-        "cls", PER_EVENT_CLASSES, ids=lambda cls: cls.__name__
+        "cls", PER_EVENT_CLASSES + PER_PROCESS_CLASSES, ids=lambda cls: cls.__name__
     )
     def test_record_dataclasses_are_slotted(self, cls):
         # One class without __slots__ anywhere up the MRO gives every
