@@ -1,23 +1,15 @@
 """Co-allocation agents: application-specific strategies over the mechanisms."""
 
-from repro.broker.alternatives import AlternativesAgent, expand_alternatives, parse_alternatives
 from repro.broker.atomic_agent import AtomicAgent
 from repro.broker.base import AgentOutcome
 from repro.broker.coreserve import CoReservationAgent
 from repro.broker.interactive_agent import InteractiveAgent
-from repro.broker.ordered import OrderedAcquisitionAgent
 from repro.broker.overallocate import OverAllocatingAgent
-from repro.broker.selection import plan_layout
 
 __all__ = [
     "AgentOutcome",
-    "AlternativesAgent",
     "AtomicAgent",
     "CoReservationAgent",
     "InteractiveAgent",
-    "OrderedAcquisitionAgent",
     "OverAllocatingAgent",
-    "expand_alternatives",
-    "parse_alternatives",
-    "plan_layout",
 ]

@@ -2,9 +2,8 @@
 
 "The only way of dealing with a request failure is to formulate and
 resubmit a revised co-allocation request, based on more current
-information" (§3.2).  This agent retries the whole transaction after
-each abort under a :class:`~repro.resilience.RetryPolicy` — bounded
-attempts with (optionally jittered) backoff between resubmissions —
+information" (§3.2).  This agent resubmits the whole transaction at
+once after each abort, up to ``max_attempts`` submissions in all,
 optionally replacing the site blamed for the failure with a fresh
 candidate from the information service.  That is the best an atomic
 co-allocator can do, and the baseline the application experiments
@@ -15,8 +14,6 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-import numpy as np
-
 from repro.broker.base import AgentOutcome
 from repro.core.atomic import Grab
 from repro.core.request import CoAllocationRequest
@@ -26,25 +23,18 @@ from repro.resilience import RetryEpisode, RetryPolicy
 
 
 class AtomicAgent:
-    """Submit atomically; on failure, back off and restart from scratch."""
+    """Submit atomically; on failure, restart from scratch."""
 
     def __init__(
         self,
         grab: Grab,
         max_attempts: int = 3,
         directory: Optional[Directory] = None,
-        retry: Optional[RetryPolicy] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
-        if retry is None:
-            # Legacy shape: ``max_attempts`` immediate resubmissions.
-            retry = RetryPolicy(
-                max_attempts=max_attempts, base_delay=0.0, jitter=0.0
-            )
         self.grab = grab
-        self.policy = retry
-        self.max_attempts = retry.max_attempts
-        self.rng = rng
+        self.policy = RetryPolicy(
+            max_attempts=max_attempts, base_delay=0.0, jitter=0.0
+        )
         self.directory = directory
 
     def allocate(self, request: CoAllocationRequest) -> Generator:
@@ -54,9 +44,7 @@ class AtomicAgent:
         outcome = AgentOutcome(success=False)
         current = CoAllocationRequest(list(request))
         blamed: set[str] = set()
-        episode = RetryEpisode(
-            env, self.policy, self.rng, operation="grab.allocate"
-        )
+        episode = RetryEpisode(env, self.policy, operation="grab.allocate")
 
         while True:
             outcome.attempts = episode.attempt

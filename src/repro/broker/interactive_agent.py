@@ -17,7 +17,6 @@ from repro.core.coallocator import Duroc, DurocJob, SubjobSlot
 from repro.core.request import CoAllocationRequest
 from repro.errors import AllocationAborted
 from repro.mds.directory import Directory
-from repro.resilience import RetryPolicy
 
 
 class InteractiveAgent:
@@ -29,22 +28,18 @@ class InteractiveAgent:
         spares: Optional[Sequence[str]] = None,
         directory: Optional[Directory] = None,
         max_substitutions_per_subjob: int = 3,
-        substitution_policy: Optional[RetryPolicy] = None,
     ) -> None:
-        if substitution_policy is None:
-            # Legacy shape: a flat per-subjob substitution budget.  A
-            # policy's attempts are the subjob's whole lineage: the
-            # original placement plus its substitutions.
-            substitution_policy = RetryPolicy(
-                max_attempts=max_substitutions_per_subjob + 1,
-                base_delay=0.0,
-                jitter=0.0,
+        if max_substitutions_per_subjob < 0:
+            raise ValueError(
+                "max_substitutions_per_subjob must be >= 0, "
+                f"got {max_substitutions_per_subjob!r}"
             )
         self.duroc = duroc
         self.spares = list(spares or [])
         self.directory = directory
-        self.substitution_policy = substitution_policy
-        self.max_substitutions_per_subjob = substitution_policy.max_attempts - 1
+        #: Replacements allowed along one subjob's lineage (the original
+        #: placement and every substitute that took its place).
+        self.max_substitutions_per_subjob = max_substitutions_per_subjob
 
     def allocate(self, request: CoAllocationRequest) -> Generator:
         """Generator: run the interactive strategy; returns AgentOutcome."""

@@ -9,6 +9,7 @@ in, deletes the stragglers, and commits.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Generator, Sequence
 
 from repro.broker.base import AgentOutcome
@@ -50,17 +51,7 @@ class OverAllocatingAgent:
         job = self.duroc.submit(request)
         for spec in workers:
             if spec.start_type is not SubjobType.INTERACTIVE:
-                spec = SubjobSpec(
-                    contact=spec.contact,
-                    count=spec.count,
-                    executable=spec.executable,
-                    start_type=SubjobType.INTERACTIVE,
-                    arguments=spec.arguments,
-                    environment=spec.environment,
-                    timeout=spec.timeout,
-                    label=spec.label,
-                    max_time=spec.max_time,
-                )
+                spec = replace(spec, start_type=SubjobType.INTERACTIVE)
             worker_slots.append(job.add(spec))
 
         def enough(job) -> bool:

@@ -75,14 +75,11 @@ class SubjobSpec:
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise RSLValidationError(f"count must be positive, got {self.count!r}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise RSLValidationError(
-                f"timeout must be positive, got {self.timeout!r}"
-            )
-        if self.min_memory is not None and self.min_memory <= 0:
-            raise RSLValidationError(
-                f"min_memory must be positive, got {self.min_memory!r}"
-            )
+        for name in ("timeout", "max_time", "min_memory"):
+            value = getattr(self, name)
+            # ``not value > 0`` also refuses NaN, as RSL validation does.
+            if value is not None and not value > 0:
+                raise RSLValidationError(f"{name} must be positive, got {value!r}")
         if not isinstance(self.start_type, SubjobType):
             object.__setattr__(self, "start_type", SubjobType(self.start_type))
 

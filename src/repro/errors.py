@@ -214,10 +214,6 @@ class RequestStateError(CoAllocationError):
     """An edit/control operation was applied in an illegal request state."""
 
 
-class SubjobFailed(CoAllocationError):
-    """A subjob failed; carried to the application via barrier release."""
-
-
 class AllocationAborted(CoAllocationError):
     """The co-allocation was aborted (required subjob failed, kill, ...).
 
@@ -230,10 +226,6 @@ class AllocationAborted(CoAllocationError):
     def __init__(self, message: str, *, subjob: Optional[int] = None) -> None:
         super().__init__(message)
         self.subjob = subjob
-
-
-class CommitFailed(CoAllocationError):
-    """Commit was issued but the final configuration could not start."""
 
 
 class ConfigurationError(CoAllocationError):

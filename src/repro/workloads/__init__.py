@@ -9,29 +9,16 @@ from repro.workloads.scenarios import (
     motivating_scenario,
     sf_express,
 )
-from repro.workloads.traces import TraceJob, TraceReplayer, TraceStats, WorkloadModel
-from repro.workloads.synthetic import (
-    GridSpec,
-    build_grid,
-    split_processes,
-    uniform_request,
-)
+from repro.workloads.synthetic import split_processes
 
 __all__ = [
     "BackgroundLoad",
-    "GridSpec",
     "LoadSpec",
     "SF_EXPRESS_COUNTS",
     "SF_EXPRESS_SIZES",
     "Scenario",
-    "TraceJob",
-    "TraceReplayer",
-    "TraceStats",
-    "WorkloadModel",
-    "build_grid",
     "microtomography",
     "motivating_scenario",
     "sf_express",
     "split_processes",
-    "uniform_request",
 ]

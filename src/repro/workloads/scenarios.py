@@ -41,10 +41,6 @@ class Scenario:
     request: CoAllocationRequest
     faults: dict[str, str]
 
-    @property
-    def duroc_kwargs(self) -> dict:
-        return {}
-
 
 def sf_express(
     failure_model: Optional[FailureModel] = None,

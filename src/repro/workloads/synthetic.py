@@ -1,59 +1,6 @@
-"""Synthetic grid and workload generation for experiments."""
+"""Synthetic workload shapes for experiments."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from repro.gram.costs import CostModel
-from repro.gridenv import DEFAULT_EXECUTABLE, Grid, GridBuilder
-from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Shape of a synthetic testbed."""
-
-    machine_sizes: tuple[int, ...]
-    scheduler: str = "fork"
-    latency: float = 0.002
-    seed: int = 0
-    costs: Optional[CostModel] = None
-
-    def total_nodes(self) -> int:
-        return sum(self.machine_sizes)
-
-
-def build_grid(spec: GridSpec) -> Grid:
-    """Materialize a synthetic testbed: RM1..RMn plus a client host."""
-    builder = GridBuilder(seed=spec.seed, latency=spec.latency, costs=spec.costs)
-    for idx, size in enumerate(spec.machine_sizes, start=1):
-        builder.add_machine(f"RM{idx}", nodes=size, scheduler=spec.scheduler)
-    return builder.build()
-
-
-def uniform_request(
-    grid: Grid,
-    processes_per_machine: int,
-    machines: Optional[Sequence[str]] = None,
-    start_type: SubjobType = SubjobType.REQUIRED,
-    executable: str = DEFAULT_EXECUTABLE,
-    timeout: Optional[float] = None,
-) -> CoAllocationRequest:
-    """One equal-sized subjob on each (or the named) machine."""
-    names = list(machines) if machines is not None else sorted(grid.sites)
-    return CoAllocationRequest(
-        [
-            SubjobSpec(
-                contact=grid.site(name).contact,
-                count=processes_per_machine,
-                executable=executable,
-                start_type=start_type,
-                timeout=timeout,
-            )
-            for name in names
-        ]
-    )
 
 
 def split_processes(total: int, parts: int) -> list[int]:

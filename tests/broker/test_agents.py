@@ -4,13 +4,12 @@ import pytest
 
 from repro.broker import (
     AtomicAgent,
+    CoReservationAgent,
     InteractiveAgent,
-    OrderedAcquisitionAgent,
     OverAllocatingAgent,
-    plan_layout,
 )
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
-from repro.errors import ReproError
+from repro.errors import ReservationError
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.mds import Directory
 
@@ -254,6 +253,13 @@ class TestInteractiveAgent:
         assert not outcome.success
         assert "required" in outcome.failure
 
+    def test_validation(self, grid):
+        with pytest.raises(ValueError, match="max_substitutions_per_subjob"):
+            InteractiveAgent(grid.duroc(), max_substitutions_per_subjob=-1)
+        # Zero is a budget too: drop every failed interactive subjob.
+        agent = InteractiveAgent(grid.duroc(), max_substitutions_per_subjob=0)
+        assert agent.max_substitutions_per_subjob == 0
+
 
 class TestOverAllocatingAgent:
     def test_commits_first_k(self, grid):
@@ -309,71 +315,88 @@ class TestOverAllocatingAgent:
 
         assert drive(grid, scenario(grid.env))
 
-
-class TestOrderedAcquisition:
-    def test_required_acquired_before_interactive(self, grid):
-        agent = OrderedAcquisitionAgent(grid.duroc())
-
-        def scenario(env):
-            outcome = yield from agent.allocate(
-                CoAllocationRequest(
-                    [
-                        spec(grid, "RM1", count=1),
-                        spec(grid, "RM2", start_type=SubjobType.INTERACTIVE),
-                    ]
-                )
-            )
-            return outcome
-
-        outcome = drive(grid, scenario(grid.env))
-        assert outcome.success
-        assert outcome.result.sizes == (1, 4)
-        # The interactive subjob was submitted only after the required
-        # one held: its submit span starts after the first check-in.
-        spans = sorted(
-            grid.tracer.spans_named("duroc.submit"), key=lambda s: s.start
-        )
-        assert len(spans) == 2
-        assert spans[1].start > spans[0].end
-
-    def test_required_failure_costs_nothing_interactive(self, grid):
-        grid.site("RM1").crash()
-        agent = OrderedAcquisitionAgent(grid.duroc(submit_timeout=3.0))
-
-        def scenario(env):
-            outcome = yield from agent.allocate(
-                CoAllocationRequest(
-                    [
-                        spec(grid, "RM1", count=1),
-                        spec(grid, "RM2", start_type=SubjobType.INTERACTIVE),
-                    ]
-                )
-            )
-            return outcome
-
-        outcome = drive(grid, scenario(grid.env))
-        assert not outcome.success
-        # RM2 was never touched.
-        assert grid.site("RM2").gatekeeper.job_managers == {}
-
-
-class TestPlanLayout:
-    def test_splits_across_best_sites(self, grid, directory):
-        request = plan_layout(
-            directory, total=100, max_per_site=64, executable=DEFAULT_EXECUTABLE
-        )
-        assert request.total_processes() == 100
-        assert all(s.count <= 64 for s in request)
-
-    def test_insufficient_capacity(self, grid, directory):
-        with pytest.raises(ReproError, match="cannot cover"):
-            plan_layout(
-                directory, total=10_000, max_per_site=64,
+    def test_coerced_worker_keeps_every_field(self, grid):
+        """Making a worker INTERACTIVE must not drop any other field."""
+        agent = OverAllocatingAgent(grid.duroc(), needed=2)
+        workers = [
+            SubjobSpec(
+                contact=grid.site(name).contact,
+                count=4,
                 executable=DEFAULT_EXECUTABLE,
+                min_memory=256,
+                reservation_id="r-1",
             )
+            for name in ("RM2", "RM3", "RM4")
+        ]
 
-    def test_validation(self, grid, directory):
-        with pytest.raises(ReproError):
-            plan_layout(directory, total=0, max_per_site=4, executable="x")
-        with pytest.raises(ReproError):
-            plan_layout(directory, total=4, max_per_site=0, executable="x")
+        outcome = drive(
+            grid, agent.allocate(anchors=[spec(grid, "RM1", count=1)], workers=workers)
+        )
+        assert outcome.success
+        worker_specs = [slot.spec for slot in outcome.result.job.slots[1:]]
+        assert len(worker_specs) == 3
+        for worker, original in zip(worker_specs, workers):
+            assert worker.start_type is SubjobType.INTERACTIVE
+            assert worker.min_memory == 256
+            assert worker.reservation_id == "r-1"
+            assert worker.contact == original.contact
+
+
+class TestCoReservationAgent:
+    @pytest.fixture
+    def resv_grid(self):
+        return (
+            GridBuilder(seed=11)
+            .add_machine("east", nodes=64, scheduler="reservation")
+            .add_machine("west", nodes=64, scheduler="reservation")
+            .build()
+        )
+
+    def test_site_without_reservations_refused(self, grid):
+        agent = CoReservationAgent(grid.duroc())
+
+        def scenario(env):
+            with pytest.raises(ReservationError, match="cannot grant"):
+                yield from agent.allocate(
+                    [(grid.site("RM1"), 4)], duration=10.0,
+                    executable=DEFAULT_EXECUTABLE,
+                )
+            return True
+
+        assert drive(grid, scenario(grid.env))
+
+    def test_refusal_at_second_site_cancels_the_first(self, resv_grid):
+        east, west = resv_grid.site("east"), resv_grid.site("west")
+        # West is fully booked for the whole horizon, so the agent's
+        # second reservation is refused after the first was granted.
+        held = west.scheduler.reserve(64, 0.0, 10_000.0)
+        agent = CoReservationAgent(resv_grid.duroc())
+
+        outcome = drive(
+            resv_grid,
+            agent.allocate(
+                [(east, 32), (west, 32)], duration=60.0,
+                executable=DEFAULT_EXECUTABLE,
+            ),
+        )
+        assert not outcome.success
+        assert outcome.failure.startswith("co-reservation failed")
+        assert east.scheduler.reservations() == []
+        assert west.scheduler.reservations() == [held]
+
+    def test_abort_after_reserving_cancels_every_reservation(self, resv_grid):
+        east, west = resv_grid.site("east"), resv_grid.site("west")
+        west.crash()  # the reservation is granted; the submission is lost
+        agent = CoReservationAgent(resv_grid.duroc(submit_timeout=3.0))
+
+        outcome = drive(
+            resv_grid,
+            agent.allocate(
+                [(east, 32), (west, 32)], duration=60.0,
+                executable=DEFAULT_EXECUTABLE,
+            ),
+        )
+        assert not outcome.success
+        assert outcome.log[0].startswith("reserved common window")
+        assert east.scheduler.reservations() == []
+        assert west.scheduler.reservations() == []

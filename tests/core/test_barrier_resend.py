@@ -6,6 +6,11 @@ co-allocator's ``resend_release`` when the next resend reaches it; both
 are bounded by ``applib.CHECKIN_RESEND``.  Every test drops messages
 with ``Network`` drop rules on a two-site grid and reads the outcome
 from the probe seam.
+
+Two budgets are counts, not timings: 64 processes held at the barrier
+for 100 s send at most 8 check-ins per recorded process, and a released
+waiter is resumed by its receive's own event, with no ``Condition``
+between them.
 """
 
 from itertools import accumulate

@@ -27,6 +27,18 @@ class TestSubjobSpec:
             SubjobSpec(contact="RM1", count=0, executable="w")
         with pytest.raises(RSLValidationError):
             SubjobSpec(contact="RM1", count=1, executable="w", timeout=0)
+        # Built in code, a spec refuses what RSL validation refuses: a
+        # NaN or non-positive timeout, maxTime or minMemory.
+        nan = float("nan")
+        for field, value in [
+            ("timeout", nan),
+            ("min_memory", nan),
+            ("max_time", nan),
+            ("max_time", -5),
+            ("max_time", 0),
+        ]:
+            with pytest.raises(RSLValidationError, match=field):
+                SubjobSpec(contact="RM1", count=1, executable="w", **{field: value})
 
     def test_start_type_coercion_from_string(self):
         spec = SubjobSpec(contact="RM1", count=1, executable="w",

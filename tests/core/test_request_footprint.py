@@ -3,9 +3,11 @@
 A live request owns one port and two kernel processes — its receive
 loop (check-ins and GRAM callbacks) and its submission driver — and
 nothing per subjob: a subjob's check-in deadline is a kernel timer, not
-a watchdog process racing ``timer | kick``.  A blocked ``commit()`` or
-``wait_done()`` is woken only when what it waits for holds, so an agent
-resumes once for each, however many subjobs report in between.
+a watchdog process racing ``timer | kick``, and the request composes no
+event (the only composite events built are the GRAM jobs' ``AllOf``
+joins).  A blocked ``commit()`` or ``wait_done()`` is woken only when
+what it waits for holds, so an agent resumes once for each, however
+many subjobs report in between.
 
 Run on a fixed grid: four concurrent eight-subjob requests.
 """

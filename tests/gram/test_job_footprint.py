@@ -4,7 +4,9 @@ A job is one kernel process (its driver) while it runs and nothing once
 it has ended: job control is answered by the gatekeeper's listener, so
 no job manager binds a mailbox or parks a server process, an exited
 application process leaves no port behind, and the gatekeeper parses
-each distinct RSL text once.  Counts, not timings.
+each distinct RSL text once.  So the mailboxes and live kernel
+processes a drained run leaves do not grow with the number of jobs.
+Counts, not timings.
 """
 
 import pytest

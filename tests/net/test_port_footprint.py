@@ -4,6 +4,7 @@ Every co-allocated process binds its own mailbox, and a wide request
 holds thousands at once.  Most receive a message or two in their life,
 so what an idle port carries — its ``Port``, its ``Store`` and the
 store's item and waiter queues — is what a wide run pays per process.
+Binding 1 000 idle ports may add at most 512 traced bytes each.
 """
 
 import tracemalloc

@@ -1,5 +1,9 @@
 """The system under study never imports its tooling, and ``env`` is the
-only instrumentation handle its components take."""
+only instrumentation handle its components take.
+
+Everything a bare ``import repro.gridenv`` reaches, in a fresh
+interpreter, loads no ``repro.obs``, ``repro.prof``, ``repro.verify`` or
+``repro.analysis`` module."""
 
 import subprocess
 import sys

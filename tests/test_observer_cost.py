@@ -9,7 +9,10 @@ build no clock while the run executes: happens-before is derived from
 the recorded edges when a monitor asks.  These are counts, not timings
 (docs/OBSERVABILITY.md "What observing costs" has those): eight
 concurrent co-allocations under both observers, and what each does per
-message and per event must stay where the budget puts it.
+message and per event must stay where the budget puts it: no vector
+clock built during the run and none carried on a message, no flight
+record built before a dump, and at most five endpoints stringified per
+message.
 """
 
 from repro.core.request import CoAllocationRequest

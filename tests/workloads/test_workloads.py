@@ -5,17 +5,14 @@ import pytest
 from repro.core import SubjobType
 from repro.machine import FailureModel
 from repro.workloads import (
-    GridSpec,
     LoadSpec,
     SF_EXPRESS_COUNTS,
     SF_EXPRESS_SIZES,
     BackgroundLoad,
-    build_grid,
     microtomography,
     motivating_scenario,
     sf_express,
     split_processes,
-    uniform_request,
 )
 
 
@@ -36,19 +33,6 @@ class TestSplitProcesses:
             split_processes(3, 5)
         with pytest.raises(ValueError):
             split_processes(3, 0)
-
-
-class TestSynthetic:
-    def test_build_grid_shape(self):
-        grid = build_grid(GridSpec(machine_sizes=(16, 32), seed=1))
-        assert set(grid.sites) == {"RM1", "RM2"}
-        assert grid.site("RM2").nodes == 32
-
-    def test_uniform_request(self):
-        grid = build_grid(GridSpec(machine_sizes=(16, 16, 16)))
-        request = uniform_request(grid, processes_per_machine=8)
-        assert len(request) == 3
-        assert request.total_processes() == 24
 
 
 class TestScenarios:
