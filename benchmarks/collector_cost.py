@@ -4,7 +4,10 @@
 of ``benchmarks/wall`` at full load, with each collection timed through
 ``gc.callbacks`` — the one collector hook touched; no threshold, freeze
 or disable (a full collection before each repeat, as the observatory's
-harness makes, so a repeat pays for its own garbage only).  ``cProfile``
+harness makes, so a repeat pays for its own garbage only).  Each
+repeat's peak RSS is read as the observatory reads it (the high-water
+mark reset after that collection), so garbage that waits for the
+collector shows up as memory too.  ``cProfile``
 cannot show this layer: a pause is charged to whichever constructor
 happened to trigger it.  Host time on a shared box, so not a gate:
 EXPERIMENTS.md "Host cost" and ROADMAP item 4 quote the table.  The
@@ -39,16 +42,18 @@ class CollectorMeter:
             self.freed_by_full += info["collected"]
 
 
-def one_repeat(workload) -> tuple[float, CollectorMeter]:
-    """Host seconds of one ``run`` (inputs and grid build excluded) and its meter."""
+def one_repeat(workload) -> tuple[float, float, CollectorMeter]:
+    """Host seconds of one ``run`` (inputs and grid build excluded), the
+    repeat's peak RSS in MiB (build included) and its meter."""
     gc.collect()  # as the observatory does: a repeat collects its own garbage only
+    clock.reset_peak_rss()
     world = workload.build(workload.generate(SEED, workload.load))
     meter = CollectorMeter()
     gc.callbacks.append(meter)
     started = clock.now()
     try:
         workload.run(world)
-        return clock.now() - started, meter
+        return clock.now() - started, clock.peak_rss_mb(), meter
     finally:
         gc.callbacks.remove(meter)
 
@@ -61,15 +66,17 @@ def span(values, fmt: str) -> str:
 if __name__ == "__main__":
     print(
         f"| workload | run s ({REPEATS} repeats) | in the collector s | share "
-        "| gen-0 | gen-1 | full | freed by full |\n|---|---|---|---|---|---|---|---|"
+        "| gen-0 | gen-1 | full | freed by full | peak RSS MiB |\n"
+        "|---|---|---|---|---|---|---|---|---|"
     )
     for workload in WORKLOADS:
         repeats = [one_repeat(workload) for _ in range(REPEATS)]
-        runs = [[meter.runs[gen] for _, meter in repeats] for gen in range(3)]
+        runs = [[meter.runs[gen] for _, _, meter in repeats] for gen in range(3)]
         print(
-            f"| {workload.name} | {span([s for s, _ in repeats], '.2f')} "
-            f"| {span([m.seconds for _, m in repeats], '.2f')} "
-            f"| {span([m.seconds / s for s, m in repeats], '.0%')} "
+            f"| {workload.name} | {span([s for s, _, _ in repeats], '.2f')} "
+            f"| {span([m.seconds for _, _, m in repeats], '.2f')} "
+            f"| {span([m.seconds / s for s, _, m in repeats], '.0%')} "
             f"| {span(runs[0], 'd')} | {span(runs[1], 'd')} | {span(runs[2], 'd')} "
-            f"| {span([m.freed_by_full for _, m in repeats], 'd')} |"
+            f"| {span([m.freed_by_full for _, _, m in repeats], 'd')} "
+            f"| {' / '.join(format(rss, '.1f') for _, rss, _ in repeats)} |"
         )

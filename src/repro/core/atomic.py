@@ -85,6 +85,11 @@ class Grab:
         result: DurocResult = yield from job.commit()
         return result
 
+    def close(self) -> None:
+        """Forget every request once the world has ended (see
+        :meth:`Duroc.close`)."""
+        self._duroc.close()
+
     @staticmethod
     def _force_required(spec: SubjobSpec) -> SubjobSpec:
         if spec.start_type is SubjobType.REQUIRED:

@@ -923,6 +923,20 @@ class Duroc:
         self.jobs.append(job)
         return job
 
+    def close(self) -> None:
+        """Forget every request once the world has ended (see
+        :meth:`repro.gridenv.Grid.close`).
+
+        A request and its co-allocator point at each other, and an
+        agent's interactive handler usually closes over the request it
+        handles, so the job table, the liveness watch and each request's
+        handler are dropped.
+        """
+        self._watched.clear()
+        for job in self.jobs:
+            job.interactive_handler = None
+        self.jobs.clear()
+
     # -- liveness watch (§3.4) -----------------------------------------------
 
     def _watch(self, job: DurocJob, slot: SubjobSlot) -> None:

@@ -127,6 +127,7 @@ def sweep_failure_rate(
                         started_processes=outcome.started_processes,
                     )
                 )
+                scenario.grid.close()
     return rows
 
 
@@ -252,6 +253,7 @@ def sweep_startup_cost(
                 if outcome.success:
                     times[strategy].append(outcome.elapsed)
                 waste[strategy].append(wasted_node_seconds(scenario.grid))
+                scenario.grid.close()
 
         def mean(values: list[float]) -> Optional[float]:
             return sum(values) / len(values) if values else None
@@ -322,6 +324,7 @@ def run_motivating(seed: int = 0) -> MotivatingResult:
         return outcome
 
     outcome = grid.run(grid.process(run(grid.env)))
+    grid.close()
     return MotivatingResult(
         success=outcome.success,
         substitutions=outcome.substitutions,
@@ -362,6 +365,7 @@ def run_microtomography(seed: int = 0) -> TomoResult:
         and slot.state is SubjobState.RELEASED
         and slot.released_at > result.released_at
     )
+    grid.close()
     return TomoResult(
         success=True,
         released_sizes=result.sizes,

@@ -62,7 +62,9 @@ def measure_gram_latency(
         yield active
         return env.now - t0
 
-    return grid.run(grid.process(scenario(grid.env)))
+    latency = grid.run(grid.process(scenario(grid.env)))
+    grid.close()
+    return latency
 
 
 def run_fig2(

@@ -71,6 +71,7 @@ def run_fig3(seed: int = 0, costs: Optional[CostModel] = None) -> list[Fig3Row]:
         "misc.": tracer.total("gram.misc"),
         "fork()": tracer.total("gram.fork"),
     }
+    grid.close()
     return [
         Fig3Row(operation=name, latency=measured[name],
                 paper_latency=PAPER_BREAKDOWN[name])

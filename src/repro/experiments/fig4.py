@@ -82,6 +82,7 @@ def measure_duroc(
 
     result = grid.run(grid.process(agent(grid.env)))
     waits = [wait for (_slot, _rank, wait) in result.barrier_waits()]
+    grid.close()
     avg_wait = sum(waits) / len(waits)
     return result.released_at, avg_wait
 

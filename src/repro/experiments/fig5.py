@@ -99,6 +99,7 @@ def run_fig5(
                 entries.append(
                     TimelineEntry(lane, "barrier", span.start, span.end)
                 )
+    grid.close()
     entries.append(
         TimelineEntry("request", "active", result.released_at, result.released_at)
     )

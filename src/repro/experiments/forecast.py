@@ -127,6 +127,7 @@ def run_forecast_experiment(
             grid = _build_grid(seed)
             pick = make_pick(grid)
             mean_wait, done = _selection_stream(grid, pick, n_jobs, interarrival)
+            grid.close()
             waits.append(mean_wait)
             completed += done
         return ForecastRow(

@@ -69,7 +69,9 @@ def barrier_wait_profile(
         return result
 
     result = grid.run(grid.process(agent(grid.env)))
-    return result.released_at, result.barrier_waits()
+    waits = result.barrier_waits()
+    grid.close()
+    return result.released_at, waits
 
 
 def waits_are_block_structured(

@@ -140,6 +140,7 @@ def run_decomposition(scenario: str, seed: int = 0,
         first, last = min(arrivals), max(arrivals)
         first_checkin = first if first_checkin is None else min(first_checkin, first)
         last_checkin = last if last_checkin is None else max(last_checkin, last)
+    grid.close()
     skew = (last_checkin - first_checkin) if first_checkin is not None else 0.0
     sync = (result.released_at - last_checkin) if last_checkin is not None else 0.0
     n = max(len(queue_waits), 1)

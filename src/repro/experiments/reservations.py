@@ -120,12 +120,14 @@ def run_once(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     result = grid.run(grid.process(agent(grid.env)))
+    waits = None if result is None else result.barrier_waits()
+    grid.close()
     if result is None:
         return ReservationRow(
             strategy=strategy, seed=seed, success=False,
             released_at=None, barrier_idle_node_seconds=float("nan"),
         )
-    idle = sum(wait for _, _, wait in result.barrier_waits())
+    idle = sum(wait for _, _, wait in waits)
     return ReservationRow(
         strategy=strategy,
         seed=seed,

@@ -179,7 +179,10 @@ class JobManager:
             return
         finally:
             # A retained manager must not keep its dead processes alive.
+            # Nor may this frame: an exit that failed the wait is a dead
+            # process's value, and its traceback now holds this frame.
             self._exits = None
+            del records
 
         self._release()
         if job.state.terminal:

@@ -66,6 +66,14 @@ class Site:
     def crash(self) -> None:
         self.machine.crash()
 
+    def close(self) -> None:
+        """Forget the work running here once the world has ended (see
+        :meth:`repro.gridenv.Grid.close`): the machine's process table
+        and the scheduler's leases and queue.  Each entry points back
+        at its owner."""
+        self.machine.processes.clear()
+        self.scheduler.close()
+
     def restore(self) -> None:
         self.machine.restore()
 

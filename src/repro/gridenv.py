@@ -93,6 +93,9 @@ class Grid:
         #: The black-box flight recorder observing this grid, if the
         #: builder attached one (see :mod:`repro.obs.flightrec`).
         self.flightrec = flightrec
+        #: Co-allocators built by :meth:`duroc`/:meth:`grab`, which
+        #: :meth:`close` closes.
+        self._coallocators: list["Duroc | Grab"] = []
 
     # -- accessors -------------------------------------------------------------
 
@@ -119,13 +122,17 @@ class Grid:
         """
         kwargs.setdefault("auth", self.costs.auth)
         kwargs.setdefault("rng", self.rngs.stream("resilience.retry"))
-        return Duroc(self.network, self.client_host, self.credential, **kwargs)
+        duroc = Duroc(self.network, self.client_host, self.credential, **kwargs)
+        self._coallocators.append(duroc)
+        return duroc
 
     def grab(self, **kwargs) -> Grab:
         """An atomic-transaction co-allocator on the client host."""
         kwargs.setdefault("auth", self.costs.auth)
         kwargs.setdefault("rng", self.rngs.stream("resilience.retry"))
-        return Grab(self.network, self.client_host, self.credential, **kwargs)
+        grab = Grab(self.network, self.client_host, self.credential, **kwargs)
+        self._coallocators.append(grab)
+        return grab
 
     def gram_client(self) -> GramClient:
         return GramClient(
@@ -140,6 +147,24 @@ class Grid:
 
     def process(self, generator, name: Optional[str] = None):
         return self.env.process(generator, name=name)
+
+    def close(self) -> None:
+        """End this grid once its results are read (idempotent).
+
+        Closes the environment (every live process ends, every timer
+        is dropped), then each site (process table, leases, queue), the
+        network (every mailbox is unbound) and each co-allocator this
+        grid built (its request table).  A closed grid that is dropped
+        is freed by reference counting, without waiting for the cycle
+        collector; its tracer keeps the run's spans, marks and metrics.
+        """
+        self.env.close()
+        for site in self.sites.values():
+            site.close()
+        self.network.close()
+        for coallocator in self._coallocators:
+            coallocator.close()
+        self._coallocators.clear()
 
     @property
     def now(self) -> float:

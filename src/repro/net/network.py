@@ -234,6 +234,13 @@ class Network:
         """
         self._mailboxes.pop(endpoint, None)
 
+    def close(self) -> None:
+        """Unbind every mailbox, withdrawing the receives queued there
+        (see :meth:`repro.gridenv.Grid.close`)."""
+        for box in self._mailboxes.values():
+            box.withdraw_waiters()
+        self._mailboxes.clear()
+
     def mailbox(self, endpoint: Endpoint) -> Store:
         """The mailbox for a bound endpoint (error if unbound)."""
         try:

@@ -11,7 +11,15 @@ applies the same operations to its live subjob table.
 from __future__ import annotations
 
 from repro.errors import RSLValidationError
-from repro.rsl.ast import Conjunction, MultiRequest, Specification
+from repro.rsl.ast import (
+    Conjunction,
+    Disjunction,
+    MultiRequest,
+    Relation,
+    Specification,
+    ValueSequence,
+    Variable,
+)
 
 
 def add_subjob(request: MultiRequest, spec: Specification) -> MultiRequest:
@@ -74,25 +82,10 @@ def substitute_variables(spec: Specification, bindings: dict) -> Specification:
 
     Raises :class:`RSLValidationError` on unbound references.
     """
-    from repro.rsl.ast import (
-        Disjunction,
-        MultiRequest as _Multi,
-        Relation,
-        ValueSequence,
-        Variable,
-    )
-
-    def resolve_value(value):
-        if isinstance(value, Variable):
-            if value.name not in bindings:
-                raise RSLValidationError(f"unbound RSL variable $({value.name})")
-            return bindings[value.name]
-        if isinstance(value, ValueSequence):
-            return ValueSequence(tuple(resolve_value(v) for v in value.values))
-        return value
-
     if isinstance(spec, Relation):
-        return Relation(spec.attribute, tuple(resolve_value(v) for v in spec.values))
+        return Relation(
+            spec.attribute, tuple(_resolve_value(v, bindings) for v in spec.values)
+        )
     if isinstance(spec, Conjunction):
         return Conjunction(
             tuple(substitute_variables(c, bindings) for c in spec.children)
@@ -101,11 +94,21 @@ def substitute_variables(spec: Specification, bindings: dict) -> Specification:
         return Disjunction(
             tuple(substitute_variables(c, bindings) for c in spec.children)
         )
-    if isinstance(spec, _Multi):
-        return _Multi(
+    if isinstance(spec, MultiRequest):
+        return MultiRequest(
             tuple(substitute_variables(c, bindings) for c in spec.children)
         )
     return spec
+
+
+def _resolve_value(value, bindings: dict):
+    if isinstance(value, Variable):
+        if value.name not in bindings:
+            raise RSLValidationError(f"unbound RSL variable $({value.name})")
+        return bindings[value.name]
+    if isinstance(value, ValueSequence):
+        return ValueSequence(tuple(_resolve_value(v, bindings) for v in value.values))
+    return value
 
 
 def resolve_substitutions(spec: Conjunction, extra: dict | None = None) -> Conjunction:
@@ -116,8 +119,6 @@ def resolve_substitutions(spec: Conjunction, extra: dict | None = None) -> Conju
     the remaining relations is resolved, and the binding relation itself
     is removed from the result.
     """
-    from repro.rsl.ast import Relation, ValueSequence
-
     bindings: dict = {}
     rest: list[Specification] = []
     for child in spec.children:

@@ -168,6 +168,12 @@ class LocalScheduler:
         """Number of requests waiting (not yet granted)."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Forget held leases and queued requests once the world has
+        ended; each points back at this scheduler (see
+        :meth:`repro.gram.site.Site.close`)."""
+        self.leases.clear()
+
     def estimate_wait(self, count: int, max_time: Optional[float] = None) -> float:
         """Predicted queue wait in seconds for a hypothetical request."""
         raise NotImplementedError

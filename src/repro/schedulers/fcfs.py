@@ -47,6 +47,10 @@ class FcfsScheduler(LocalScheduler):
         self._observe_occupancy()
         return pending
 
+    def close(self) -> None:
+        super().close()
+        self._queue.clear()
+
     def queue_length(self) -> int:
         return len(self._queue)
 

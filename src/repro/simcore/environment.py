@@ -8,6 +8,10 @@ order and invokes their callbacks; processes resume as callbacks of the
 events they wait on.  Time only advances between events — callbacks
 execute atomically at one instant, which gives the deterministic
 interleaving the co-allocation protocol tests rely on.
+
+A finished world ends with ``close()``: it closes every process still
+suspended and drops the queue, so what the world built is freed by
+reference counting alone (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from repro.simcore.events import (
     Timeout,
 )
 from repro.simcore.process import Process, ProcessGenerator
+from repro.simcore.resources import _Deadline
 from repro.simcore.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -105,8 +110,9 @@ class Environment:
         (time, priority, sequence) key, so the surviving multiset
         reproduces the exact same pop sequence — but the queue
         high-water mark shrinks by orders of magnitude under timer
-        churn (schedule a watchdog, cancel it, repeat).  The knob
-        exists so benchmarks can measure the pre-compaction kernel.
+        churn (schedule a watchdog, cancel it, repeat).  Only tests
+        turn it off, to check that compaction changes no pop order and
+        to see the queue it saves.
     """
 
     def __init__(
@@ -130,6 +136,11 @@ class Environment:
         #: Sequence number of the last scheduled event (= pushes).
         self._eid = 0
         self._active_process: Optional[Process] = None
+        #: Processes whose generator has not finished, in creation
+        #: order (a dict used as an ordered set): ``Process`` adds
+        #: itself, and its last resume removes it.
+        self._processes: dict[Process, None] = {}
+        self._closed = False
         #: Runtime-verification probe (see :mod:`repro.simcore.probe`);
         #: None means every instrumentation hook is a no-op.
         self.probe: "Optional[Probe]" = None
@@ -273,6 +284,8 @@ class Environment:
         * an :class:`Event` — run until it is processed, returning its
           value (or raising its exception).
         """
+        if self._closed:
+            raise SimulationError("the environment is closed")
         stop: Optional[Event] = None
         if until is None:
             pass
@@ -309,6 +322,44 @@ class Environment:
                         "run() ran out of events before the awaited event fired"
                     ) from None
             return None
+
+    def close(self) -> None:
+        """End the simulated world; :meth:`run` refuses to resume it.
+
+        The tracer and the probe are detached first; they keep what
+        they recorded for whoever holds them.  Every live process then
+        has its generator closed where it waits, in creation order, so
+        each ``finally`` block runs exactly once; a receive it waits on
+        is withdrawn from its store.  Last, every pending timed receive
+        is withdrawn and unlinked from its deadline, every queued
+        event drops its callbacks, and the queue is dropped.
+        Suspended processes, queued timers and observers each point
+        back at the environment; once those links are gone a dropped
+        world is freed by reference counting, without the cycle
+        collector.  Idempotent; closing from inside a process is an
+        error.
+        """
+        if self._closed:
+            return
+        if self._active_process is not None:
+            raise SimulationError("a process cannot close its environment")
+        self._closed = True
+        # Observers keep what they recorded and hear nothing of the end.
+        self.tracer = NULL_TRACER
+        self.probe = None
+        # A finally block may start a process; it is closed in turn.
+        while self._processes:
+            processes, self._processes = self._processes, {}
+            for process in processes:
+                process._close()
+        for entry in self._heap:
+            event = entry[3]
+            if type(event) is _Deadline and event.request is not None:
+                event.request.resource._withdraw(event.request)
+            # A timer's callback is often a method of whatever holds
+            # the timer: a cycle the dropped queue would not break.
+            event.callbacks = None
+        self._heap = []
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

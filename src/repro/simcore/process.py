@@ -11,6 +11,11 @@ conditions.
 Processes support :meth:`Process.interrupt`, which raises
 :class:`Interrupt` inside the generator at its current yield point —
 the mechanism DUROC-style timeouts and kill operations are built on.
+
+Every process is listed in its environment's live-process table from
+creation until its generator finishes, so
+:meth:`~repro.simcore.environment.Environment.close` can end the ones
+still suspended.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.errors import SimulationError, StopProcess
 from repro.simcore.events import PENDING, Event, URGENT
+from repro.simcore.resources import StoreGet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -96,6 +102,7 @@ class Process(Event):
         #: about to resume or has finished).
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        env._processes[self] = None
         Initialize(env, self)
 
     @property
@@ -128,14 +135,39 @@ class Process(Event):
             # The process finished between scheduling and delivery of the
             # interrupt; silently drop it, as there is no yield point left.
             return
-        # Detach from whatever the process was waiting on so that the
-        # original event no longer resumes it.
-        if self._target is not None and not self._target.processed:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+        self._detach()
         self._resume(event)
+
+    def _detach(self) -> None:
+        """Stop waiting on the target event.
+
+        A receive still queued at its store is withdrawn, as an expired
+        deadline withdraws it, so the next matching item goes to the
+        next waiter instead of to a request nobody resumes from.  A
+        receive already granted keeps its item: the process can still
+        read it by yielding the same request again.
+        """
+        target = self._target
+        if target is None:
+            return
+        self._target = None
+        callbacks = target.callbacks
+        if callbacks is None:
+            return
+        callbacks.remove(self._resume)
+        if (
+            not callbacks
+            and target._value is PENDING
+            and isinstance(target, StoreGet)
+        ):
+            target.resource._withdraw(target)
+
+    def _close(self) -> None:
+        """End the generator where it waits (its ``finally`` blocks run)
+        and drop everything the process still references."""
+        self._detach()
+        self._generator.close()
+        self.callbacks = None
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the event's outcome."""
@@ -164,36 +196,32 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                schedule(self, URGENT, 0.0)
-                break
             except StopProcess as stop:
                 generator.close()
                 self._ok = True
                 self._value = stop.args[0] if stop.args else None
-                schedule(self, URGENT, 0.0)
-                break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                schedule(self, URGENT, 0.0)
-                break
-
-            if not isinstance(next_event, Event):
-                error = f"yielded a non-event: {next_event!r}"
-            elif next_event.env is not env:
-                error = "yielded an event from another environment"
             else:
-                callbacks = next_event.callbacks
-                if callbacks is not None:
-                    # Event not yet processed: suspend on it.
-                    self._target = next_event
-                    callbacks.append(resume)
-                    break
-                # Event already processed: loop and feed its value immediately.
-                event = next_event
-                continue
-            self._ok = False
-            self._value = SimulationError(f"process {self.name!r} {error}")
+                if not isinstance(next_event, Event):
+                    error = f"yielded a non-event: {next_event!r}"
+                elif next_event.env is not env:
+                    error = "yielded an event from another environment"
+                else:
+                    callbacks = next_event.callbacks
+                    if callbacks is not None:
+                        # Event not yet processed: suspend on it.
+                        self._target = next_event
+                        callbacks.append(resume)
+                        break
+                    # Event already processed: loop and feed its value immediately.
+                    event = next_event
+                    continue
+                self._ok = False
+                self._value = SimulationError(f"process {self.name!r} {error}")
+            # Terminated: the process leaves the live table and fires.
+            del env._processes[self]
             schedule(self, URGENT, 0.0)
             break
 

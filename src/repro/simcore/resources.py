@@ -150,9 +150,16 @@ class Store:
         return request
 
     def _withdraw(self, request: StoreGet) -> None:
-        """Drop an expired waiter (its deadline is armed only while it waits)."""
+        """Drop a waiter that expired or whose process stopped waiting
+        (its deadline is armed only while it waits)."""
         self._waiters.remove(request)
         _retire(request)
+
+    def withdraw_waiters(self) -> None:
+        """Drop every queued ``get``; none of them will ever fire."""
+        waiters, self._waiters = self._waiters, []
+        for request in waiters:
+            _retire(request)
 
     def _try_grant(self, request: StoreGet) -> bool:
         """Hand ``request`` the first queued item it accepts, if any."""

@@ -105,6 +105,16 @@ class TestFcfsScheduler:
         pending = sched.submit(NodeRequest(count=1))
         assert pending.cancel() is False
 
+    def test_close_forgets_leases_and_queue(self, env):
+        """Each lease and queued request points back at its scheduler."""
+        sched = FcfsScheduler(env, nodes=2)
+        sched.submit(NodeRequest(count=2))
+        sched.submit(NodeRequest(count=1))
+        env.run()
+        assert len(sched.leases) == 1 and sched.queue_length() == 1
+        sched.close()
+        assert not sched.leases and sched.queue_length() == 0
+
     def test_conservation_invariant(self, env):
         sched = FcfsScheduler(env, nodes=8)
         starts = {}

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from repro.errors import SimulationError
-from repro.simcore import Environment, Process, Store
+from repro.simcore import Environment, Interrupt, Process, Store
 from repro.simcore.resources import TIMED_OUT, StoreGet, _Deadline
 
 
@@ -160,6 +160,60 @@ def test_fifo_order_among_timed_and_untimed_waiters():
     env.run()
     assert (second.value, third.value) == ("x", "y")
     assert env.now == 1.5
+
+
+class TestAnInterruptedReceiveIsWithdrawn:
+    """An interrupt lands on a process waiting in ``get``: the request
+    leaves the store, so the next matching item goes to whoever asks
+    next instead of to a request nobody resumes from."""
+
+    @staticmethod
+    def interrupted_receiver(env, store, log, first_timeout):
+        try:
+            yield store.get(timeout=first_timeout)
+        except Interrupt:
+            log.append((env.now, "interrupted"))
+        item = yield store.get(timeout=10.0)
+        log.append((env.now, item))
+
+    @pytest.mark.parametrize("first_timeout", [None, 50.0])
+    def test_the_next_item_reaches_the_next_get(self, first_timeout):
+        env = Environment()
+        store = Store(env)
+        log = []
+        proc = env.process(self.interrupted_receiver(env, store, log, first_timeout))
+        env.run(until=1.0)
+        proc.interrupt("stop")
+        env.run(until=2.0)
+        store.put("hello")
+        env.run()
+        assert log == [(1.0, "interrupted"), (2.0, "hello")]
+        assert not store.items and not store._waiters
+        # A withdrawn timed get's deadline is retired, not fired.
+        assert env.now == 2.0
+
+    def test_a_get_granted_in_the_interrupts_instant_keeps_its_item(self):
+        """The grant is not undone: the item stays with the request (not
+        in the store), and yielding that request again returns it."""
+        env = Environment()
+        store = Store(env)
+        log = []
+
+        def receiver(env):
+            request = store.get(timeout=50.0)
+            try:
+                yield request
+            except Interrupt:
+                log.append("interrupted")
+            log.append((yield request))
+
+        proc = env.process(receiver(env))
+        env.run(until=1.0)
+        proc.interrupt("stop")  # URGENT: delivered before the grant
+        store.put("hello")
+        env.run()
+        assert log == ["interrupted", "hello"]
+        assert not store.items and not store._waiters and env.now == 1.0
 
 
 def alive(cls):
