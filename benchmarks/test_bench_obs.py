@@ -1,6 +1,7 @@
 """Benchmark: observability of one co-allocation, end to end.
 
-Runs an instrumented three-subjob DUROC request, then derives the
+Runs the scenario table's traced three-subjob DUROC request
+(``repro.workloads.scenarios.TRACED_COALLOCATION``), then derives the
 paper's two observability artifacts straight from the trace: the Fig. 5
 style timeline (as an ASCII Gantt over the causal spans) and a Fig. 3
 style per-phase cost summary (p50/p95/max per span name).  Shape
@@ -13,12 +14,12 @@ import pytest
 
 from repro.obs.query import build_forest, critical_path, parentage, summarize
 from repro.obs.render import render_gantt, render_summary, render_tree
-from tests.obs.test_integration import run_coallocation
+from repro.workloads.scenarios import TRACED_COALLOCATION, run
 
 
 def test_bench_obs(benchmark, publish):
-    grid, job, result = benchmark.pedantic(
-        lambda: run_coallocation(subjobs=3),
+    grid, (job, result) = benchmark.pedantic(
+        lambda: run(TRACED_COALLOCATION, 7),
         rounds=1,
         iterations=1,
     )

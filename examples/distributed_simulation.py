@@ -19,50 +19,36 @@ and drops the straggler.
 Run:  python examples/distributed_simulation.py
 """
 
-from repro.broker import InteractiveAgent
 from repro.core import DurocEvent
-from repro.workloads import motivating_scenario
+from repro.faults import HostCrash
+from repro.workloads.scenarios import motivating_scenario, run
 
 
 def main() -> None:
-    scenario = motivating_scenario(seed=7)
-    grid = scenario.grid
+    scenario = motivating_scenario()
+    faults = {spec.host: spec for spec in scenario.faults}
     print("Grid:")
-    for name in sorted(grid.sites):
-        machine = grid.machine(name)
+    for name, nodes in scenario.sites:
+        fault = faults.get(name)
         status = (
-            "CRASHED" if machine.crashed
-            else f"overloaded x{machine.load_factor:g}" if machine.load_factor > 1
-            else "healthy"
+            "healthy" if fault is None
+            else "CRASHED" if isinstance(fault, HostCrash)
+            else f"overloaded x{fault.factor:g}"
         )
-        print(f"  {name}: {machine.nodes} nodes, {status}")
-    print(f"\nRequest: {scenario.request.total_processes()} processors "
-          f"over {len(scenario.request)} machines "
-          f"(interactive, 90 s startup deadline)\n")
+        print(f"  {name}: {nodes} nodes, {status}")
+    print("\nRequest: 400 processors over 5 machines "
+          "(interactive, 90 s startup deadline)\n")
 
-    duroc = grid.duroc(submit_timeout=10.0)
-    agent = InteractiveAgent(duroc, spares=[grid.site("sim6").contact])
+    grid, outcome = run(scenario, seed=7)
 
-    def run(env):
-        outcome = yield from agent.allocate(scenario.request)
-        return outcome
-
-    # Narrate the co-allocation as it happens.
-    def attach_narration():
-        # The agent creates the job on first run step; poll until it exists.
-        def narrate(env):
-            while not duroc.jobs:
-                yield env.timeout(0.01)
-            duroc.jobs[0].on(None, lambda n: print(
-                f"  t={n.time:7.2f}s  {n.event.value}"
-                + (f" subjob={n.subjob}" if n.subjob is not None else "")
-                + (f"  [{n.detail}]" if n.detail else "")
-            ))
-
-        grid.process(narrate(grid.env))
-
-    attach_narration()
-    outcome = grid.run(grid.process(run(grid.env)))
+    # Narrate the co-allocation from the request's monitoring log (§3.4).
+    job = outcome.result.job
+    for n in job.callbacks.log:
+        print(
+            f"  t={n.time:7.2f}s  {n.event.value}"
+            + (f" subjob={n.subjob}" if n.subjob is not None else "")
+            + (f"  [{n.detail}]" if n.detail else "")
+        )
 
     print("\nOutcome:")
     print(f"  success:       {outcome.success}")
@@ -74,7 +60,6 @@ def main() -> None:
     for line in outcome.log:
         print(f"  log: {line}")
 
-    job = duroc.jobs[0]
     timeouts = job.callbacks.events(DurocEvent.SUBJOB_TIMEOUT)
     print(f"\n{len(timeouts)} subjob(s) missed the startup deadline and "
           "were dropped — the computation proceeded anyway.")

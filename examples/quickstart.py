@@ -5,8 +5,8 @@ This is the paper's Figure 1 example end to end:
 
 * a required ``master`` subjob on RM1,
 * interactive ``worker`` subjobs on RM2 and RM3,
-* written in actual RSL text, submitted through DUROC, and released via
-  the two-phase-commit barrier.
+* expressed in RSL, submitted through DUROC, and released via the
+  two-phase-commit barrier.
 
 Run:  python examples/quickstart.py
 
@@ -17,14 +17,15 @@ for inspection with ``python -m repro.obs``, and its cost profile to
 ``.collapsed`` for flamegraph tools) for ``python -m repro.prof``.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
-from repro.core import CoAllocationRequest, DurocEvent, make_program
-from repro.gridenv import GridBuilder
+from repro.core import DurocEvent, make_program
 from repro.obs.export import write_jsonl, write_metrics
 from repro.prof import profile_grid, write_collapsed
 from repro.rsl import pretty
 from repro.verify import EventLog, RunContext, all_monitors, evaluate
+from repro.workloads.scenarios import FIGURE1, figure1_request, run
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -41,35 +42,9 @@ def body(ctx, port, config):
     return config.global_rank()
 
 
-def main() -> None:
-    # 1. Build a simulated grid: three independently administered sites,
-    #    with the runtime-verification recorder attached so this run is
-    #    also a checked execution (see ``python -m repro.verify``).
-    grid = (
-        GridBuilder(seed=42)
-        .add_machine("RM1", nodes=16)
-        .add_machine("RM2", nodes=64)
-        .add_machine("RM3", nodes=64)
-        .program("master", make_program(startup=0.5, body=body))
-        .program("worker", make_program(startup=0.5, body=body))
-        .with_monitors()
-        .with_profiling()
-        .build()
-    )
-
-    # 2. Express the co-allocation in RSL (the paper's Figure 1).
-    rsl_text = """
-    +(&(resourceManagerContact=RM1:gatekeeper)
-       (count=1)(executable=master)
-       (subjobStartType=required))
-     (&(resourceManagerContact=RM2:gatekeeper)
-       (count=4)(executable=worker)
-       (subjobStartType=interactive))
-     (&(resourceManagerContact=RM3:gatekeeper)
-       (count=4)(executable=worker)
-       (subjobStartType=interactive))
-    """
-    request = CoAllocationRequest.from_rsl(rsl_text)
+def drive(grid):
+    # 2. Express the co-allocation (the paper's Figure 1) and print its RSL.
+    request = figure1_request(grid, master="master", worker="worker")
     print("Submitting RSL request:")
     print(pretty(request.to_rsl()))
     print()
@@ -92,12 +67,23 @@ def main() -> None:
         )
         yield from job.wait_done()
         print(f"Computation finished at t={env.now:.2f}s")
-        return result
+        return job
 
-    grid.run(grid.process(agent(grid.env)))
+    return agent(grid.env)
+
+
+def main() -> None:
+    # 1. The Figure-1 testbed: three independently administered sites,
+    #    running our master/worker program, with the runtime-verification
+    #    recorder attached so this run is also a checked execution (see
+    #    ``python -m repro.verify``) and the op counters for its profile.
+    program = make_program(startup=0.5, body=body)
+    scenario = replace(
+        FIGURE1, programs={"master": program, "worker": program}, drive=drive
+    )
+    grid, job = run(scenario, seed=42, observe={"monitors", "profile"})
 
     # 4. Inspect the monitoring log (§3.4).
-    job = duroc.jobs[0]
     checkins = job.callbacks.events(DurocEvent.SUBJOB_CHECKIN)
     print(f"\n{len(checkins)} subjobs checked into the barrier; "
           f"request ended in state {job.state.value!r}")

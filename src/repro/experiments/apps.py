@@ -27,26 +27,21 @@ The paper's application claims, made quantitative:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.broker.atomic_agent import AtomicAgent
-from repro.broker.base import AgentOutcome
-from repro.broker.interactive_agent import InteractiveAgent
 from repro.core.request import SubjobType
 from repro.core.states import SubjobState
 from repro.experiments.report import format_table
+from repro.faults import Overload
 from repro.machine.faults import FailureModel
-from repro.mds.directory import Directory
 from repro.workloads.scenarios import (
     SF_EXPRESS_COUNTS,
     microtomography,
     motivating_scenario,
+    run,
     sf_express,
 )
-
-#: Submission-phase timeout for dead sites (s).
-SUBMIT_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -62,39 +57,6 @@ class AppRow:
     started_processes: int
 
 
-def _run_strategy(strategy: str, scenario, max_attempts: int = 5) -> AgentOutcome:
-    """Drive one strategy over a built scenario; returns the outcome."""
-    grid = scenario.grid
-    directory = Directory(grid.env, refresh_interval=5.0)
-    for site in grid.sites.values():
-        directory.register(site)
-
-    if strategy == "atomic":
-        agent = AtomicAgent(
-            grid.grab(submit_timeout=SUBMIT_TIMEOUT),
-            max_attempts=max_attempts,
-            directory=directory,
-        )
-
-        def run(env):
-            outcome = yield from agent.allocate(scenario.request)
-            return outcome
-
-    elif strategy == "interactive":
-        agent = InteractiveAgent(
-            grid.duroc(submit_timeout=SUBMIT_TIMEOUT), directory=directory
-        )
-
-        def run(env):
-            outcome = yield from agent.allocate(scenario.request)
-            return outcome
-
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    return grid.run(grid.process(run(grid.env)))
-
-
 def sweep_failure_rate(
     probabilities: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
     strategies: Sequence[str] = ("atomic", "interactive"),
@@ -107,13 +69,15 @@ def sweep_failure_rate(
     for p in probabilities:
         for strategy in strategies:
             for seed in seeds:
-                scenario = sf_express(
-                    failure_model=FailureModel(p_unavailable=p),
-                    seed=seed,
-                    startup=startup,
-                    subjob_timeout=subjob_timeout,
+                grid, outcome = run(
+                    sf_express(
+                        failure_model=FailureModel(p_unavailable=p),
+                        strategy=strategy,
+                        startup=startup,
+                        subjob_timeout=subjob_timeout,
+                    ),
+                    seed,
                 )
-                outcome = _run_strategy(strategy, scenario)
                 rows.append(
                     AppRow(
                         strategy=strategy,
@@ -127,7 +91,7 @@ def sweep_failure_rate(
                         started_processes=outcome.started_processes,
                     )
                 )
-                scenario.grid.close()
+                grid.close()
     return rows
 
 
@@ -240,20 +204,21 @@ def sweep_startup_cost(
         for seed in seeds:
             for strategy in ("atomic", "interactive"):
                 scenario = sf_express(
-                    failure_model=None,
-                    seed=seed,
+                    strategy=strategy,
                     startup=startup,
                     subjob_timeout=startup * 2,
+                    max_attempts=len(slow_machines) + 2,
                 )
-                for name in slow_machines:
-                    scenario.grid.machine(name).overload(50.0)
-                outcome = _run_strategy(
-                    strategy, scenario, max_attempts=len(slow_machines) + 2
+                grid, outcome = run(
+                    replace(scenario, faults=tuple(
+                        Overload(name, 50.0) for name in slow_machines
+                    )),
+                    seed,
                 )
                 if outcome.success:
                     times[strategy].append(outcome.elapsed)
-                waste[strategy].append(wasted_node_seconds(scenario.grid))
-                scenario.grid.close()
+                waste[strategy].append(wasted_node_seconds(grid))
+                grid.close()
 
         def mean(values: list[float]) -> Optional[float]:
             return sum(values) / len(values) if values else None
@@ -312,18 +277,7 @@ class MotivatingResult:
 
 def run_motivating(seed: int = 0) -> MotivatingResult:
     """The §2 story, end to end."""
-    scenario = motivating_scenario(seed=seed)
-    grid = scenario.grid
-    agent = InteractiveAgent(
-        grid.duroc(submit_timeout=SUBMIT_TIMEOUT),
-        spares=[grid.site("sim6").contact],
-    )
-
-    def run(env):
-        outcome = yield from agent.allocate(scenario.request)
-        return outcome
-
-    outcome = grid.run(grid.process(run(grid.env)))
+    grid, outcome = run(motivating_scenario(), seed)
     grid.close()
     return MotivatingResult(
         success=outcome.success,
@@ -344,20 +298,7 @@ class TomoResult:
 
 def run_microtomography(seed: int = 0) -> TomoResult:
     """Instrument + computers + optional displays (paper [27])."""
-    scenario = microtomography(seed=seed)
-    grid = scenario.grid
-    # Make the display subjobs late so they join after release.
-    grid.machine("display1").overload(30.0)
-    grid.machine("display2").overload(30.0)
-    duroc = grid.duroc(submit_timeout=SUBMIT_TIMEOUT)
-
-    def run(env):
-        job = duroc.submit(scenario.request)
-        result = yield from job.commit()
-        return (job, result)
-
-    job, result = grid.run(grid.process(run(grid.env)))
-    grid.run()  # let latecomers arrive
+    grid, (job, result) = run(microtomography(), seed)
     late = sum(
         1
         for slot in job.slots

@@ -22,14 +22,10 @@ Reported shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.coallocator import DurocResult
-from repro.gram.costs import CostModel
-from repro.gridenv import DEFAULT_EXECUTABLE, Grid, GridBuilder
-from repro.core.request import CoAllocationRequest, SubjobSpec
 from repro.experiments.report import format_table, linear_fit
-from repro.workloads.synthetic import split_processes
+from repro.workloads.scenarios import run, split_coallocation
 
 
 @dataclass(frozen=True)
@@ -47,40 +43,11 @@ class Fig4Row:
     avg_barrier_wait: float
 
 
-def _grid_for(subjobs: int, seed: int, costs: Optional[CostModel]) -> Grid:
-    builder = GridBuilder(seed=seed, costs=costs or CostModel())
-    for idx in range(1, subjobs + 1):
-        builder.add_machine(f"RM{idx}", nodes=64)
-    return builder.build()
-
-
 def measure_duroc(
-    subjobs: int,
-    total_processes: int = 64,
-    seed: int = 0,
-    costs: Optional[CostModel] = None,
+    subjobs: int, total_processes: int = 64, seed: int = 0
 ) -> tuple[float, float]:
     """(total time, avg barrier wait) for one M-subjob co-allocation."""
-    grid = _grid_for(subjobs, seed, costs)
-    duroc = grid.duroc(heartbeat_interval=0.0)  # pure protocol timing
-    counts = split_processes(total_processes, subjobs)
-    request = CoAllocationRequest(
-        [
-            SubjobSpec(
-                contact=grid.site(f"RM{idx + 1}").contact,
-                count=counts[idx],
-                executable=DEFAULT_EXECUTABLE,
-            )
-            for idx in range(subjobs)
-        ]
-    )
-
-    def agent(env):
-        job = duroc.submit(request)
-        result: DurocResult = yield from job.commit()
-        return result
-
-    result = grid.run(grid.process(agent(grid.env)))
+    grid, (_, result) = run(split_coallocation(subjobs, total_processes), seed)
     waits = [wait for (_slot, _rank, wait) in result.barrier_waits()]
     grid.close()
     avg_wait = sum(waits) / len(waits)
@@ -91,14 +58,11 @@ def run_fig4(
     subjob_counts: Sequence[int] = (1, 2, 4, 6, 8, 10, 12, 16, 20, 25),
     total_processes: int = 64,
     seed: int = 0,
-    costs: Optional[CostModel] = None,
 ) -> list[Fig4Row]:
     """Regenerate the Figure 4 series."""
     measured: dict[int, tuple[float, float]] = {}
     for subjobs in subjob_counts:
-        measured[subjobs] = measure_duroc(
-            subjobs, total_processes, seed, costs
-        )
+        measured[subjobs] = measure_duroc(subjobs, total_processes, seed)
     t_single = measured[min(subjob_counts)][0] / min(subjob_counts)
     slope, intercept, _ = linear_fit(
         list(measured), [t for t, _ in measured.values()]

@@ -18,13 +18,10 @@ same lanes from the trace:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.gram.costs import CostModel
-from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
-from repro.core.request import CoAllocationRequest, SubjobSpec
 from repro.experiments.report import format_timeline
-from repro.workloads.synthetic import split_processes
+from repro.workloads.scenarios import run, split_coallocation
 
 
 @dataclass(frozen=True)
@@ -39,32 +36,9 @@ def run_fig5(
     subjobs: int = 3,
     total_processes: int = 12,
     seed: int = 0,
-    costs: Optional[CostModel] = None,
 ) -> list[TimelineEntry]:
     """Regenerate the Figure 5 timeline for one DUROC submission."""
-    builder = GridBuilder(seed=seed, costs=costs or CostModel())
-    for idx in range(1, subjobs + 1):
-        builder.add_machine(f"RM{idx}", nodes=64)
-    grid = builder.build()
-    duroc = grid.duroc(heartbeat_interval=0.0)
-    counts = split_processes(total_processes, subjobs)
-    request = CoAllocationRequest(
-        [
-            SubjobSpec(
-                contact=grid.site(f"RM{idx + 1}").contact,
-                count=counts[idx],
-                executable=DEFAULT_EXECUTABLE,
-            )
-            for idx in range(subjobs)
-        ]
-    )
-
-    def agent(env):
-        job = duroc.submit(request)
-        result = yield from job.commit()
-        return (job, result)
-
-    job, result = grid.run(grid.process(agent(grid.env)))
+    grid, (job, result) = run(split_coallocation(subjobs, total_processes), seed)
 
     entries: list[TimelineEntry] = []
     tracer = grid.tracer

@@ -17,14 +17,10 @@ with total job latency k·M.  Three verifiable predictions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.fig4 import measure_duroc
 from repro.experiments.report import format_table
-from repro.gram.costs import CostModel
-from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
-from repro.core.request import CoAllocationRequest, SubjobSpec
-from repro.workloads.synthetic import split_processes
+from repro.workloads.scenarios import run, split_coallocation
 
 
 @dataclass(frozen=True)
@@ -40,35 +36,10 @@ class ModelRow:
 
 
 def barrier_wait_profile(
-    subjobs: int,
-    total_processes: int = 64,
-    seed: int = 0,
-    costs: Optional[CostModel] = None,
+    subjobs: int, total_processes: int = 64, seed: int = 0
 ) -> tuple[float, list[tuple[int, int, float]]]:
     """(total time, per-process (slot, rank, wait) list) for one run."""
-    builder = GridBuilder(seed=seed, costs=costs or CostModel())
-    for idx in range(1, subjobs + 1):
-        builder.add_machine(f"RM{idx}", nodes=64)
-    grid = builder.build()
-    duroc = grid.duroc(heartbeat_interval=0.0)
-    counts = split_processes(total_processes, subjobs)
-    request = CoAllocationRequest(
-        [
-            SubjobSpec(
-                contact=grid.site(f"RM{idx + 1}").contact,
-                count=counts[idx],
-                executable=DEFAULT_EXECUTABLE,
-            )
-            for idx in range(subjobs)
-        ]
-    )
-
-    def agent(env):
-        job = duroc.submit(request)
-        result = yield from job.commit()
-        return result
-
-    result = grid.run(grid.process(agent(grid.env)))
+    grid, (_, result) = run(split_coallocation(subjobs, total_processes), seed)
     waits = result.barrier_waits()
     grid.close()
     return result.released_at, waits
@@ -99,14 +70,11 @@ def run_model(
     subjob_counts: Sequence[int] = (2, 4, 8, 16, 25),
     total_processes: int = 64,
     seed: int = 0,
-    costs: Optional[CostModel] = None,
 ) -> list[ModelRow]:
     """Validate the analytic model across subjob counts."""
     rows = []
     for subjobs in subjob_counts:
-        total, waits = barrier_wait_profile(
-            subjobs, total_processes, seed, costs
-        )
+        total, waits = barrier_wait_profile(subjobs, total_processes, seed)
         wait_values = [w for _, _, w in waits]
         rows.append(
             ModelRow(

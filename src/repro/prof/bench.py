@@ -1,8 +1,10 @@
 """The seeded benchmark suite behind the CI perf gate.
 
-Each scenario below runs a deterministic simulated workload with
-tracing and op counters attached and reduces it to a
-:class:`~repro.prof.profile.Profile`.  The checked-in baselines under
+Each entry of :data:`SCENARIOS` is a
+:class:`~repro.workloads.scenarios.Scenario`, run under
+``observe={"profile"}`` and reduced to a
+:class:`~repro.prof.profile.Profile` by
+:func:`~repro.prof.profile.profile_grid`.  The checked-in baselines under
 ``benchmarks/baselines/`` are regenerated with ``python -m repro.prof
 bench --update``; a plain ``bench`` run re-profiles every scenario,
 diffs against its baseline, and fails on regression — that, run twice
@@ -15,15 +17,18 @@ lives in the ``BENCH_*.json`` files that harness records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Generator, Optional, Sequence
 
+from repro.core.request import CoAllocationRequest, SubjobType
 from repro.errors import ReproError
 from repro.gram.states import JobState
-from repro.gridenv import DEFAULT_EXECUTABLE, Grid, GridBuilder
+from repro.gridenv import DEFAULT_EXECUTABLE, Grid
 from repro.prof.diff import ProfileDiff, diff_profiles
 from repro.prof.profile import Profile, profile_grid
+from repro.resilience.campaign import CAMPAIGNS
+from repro.workloads.scenarios import FIGURE1, Scenario, coallocate, request_on, run
 
 #: Default root seed for the suite (matches the chaos harness).
 DEFAULT_SEED = 42
@@ -32,29 +37,7 @@ DEFAULT_SEED = 42
 BASELINE_DIR = Path("benchmarks") / "baselines"
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One named, seeded workload producing a profile."""
-
-    name: str
-    description: str
-    build: Callable[[int], Profile]
-
-    def run(self, seed: int) -> Profile:
-        return self.build(seed)
-
-
-def _meta(name: str, seed: int) -> dict[str, Any]:
-    return {"source": "repro.prof.bench", "scenario": name, "seed": seed}
-
-
-def _profiled_builder(seed: int) -> GridBuilder:
-    return GridBuilder(seed=seed).with_profiling()
-
-
-def _run_fig3_gram(seed: int) -> Profile:
-    """Fig. 3 shape: one single-process GRAM submission, to ACTIVE."""
-    grid = _profiled_builder(seed).add_machine("origin", nodes=64).build()
+def _fig3_gram(grid: Grid) -> Generator[Any, Any, None]:
     client = grid.gram_client()
     contact = grid.site("origin").contact
     rsl = (
@@ -62,112 +45,56 @@ def _run_fig3_gram(seed: int) -> Profile:
         f"(count=1)(executable={DEFAULT_EXECUTABLE})"
     )
 
-    def scenario(env):
+    def scenario(env: Any) -> Generator[Any, Any, None]:
         handle = yield from client.submit(contact, rsl)
         yield from client.wait_for_state(handle, JobState.ACTIVE, poll=0.005)
 
-    grid.run(grid.process(scenario(grid.env)))
-    return profile_grid(grid, meta=_meta("fig3_gram", seed))
+    return scenario(grid.env)
 
 
-def _coallocate(grid: Grid, request) -> None:
-    duroc = grid.duroc()
-
-    def agent(env):
-        job = duroc.submit(request)
-        yield from job.commit()
-        yield from job.wait_done()
-
-    grid.run(grid.process(agent(grid.env)))
+def _six_sites(grid: Grid) -> CoAllocationRequest:
+    return request_on(grid, *(
+        (site, 2, DEFAULT_EXECUTABLE, SubjobType.REQUIRED, None)
+        for site, _ in DUROC_SCALING.sites
+    ))
 
 
-def _figure1_request(grid: Grid):
-    from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
+DUROC_SCALING = Scenario(
+    "duroc_scaling",
+    "six-subjob required co-allocation (the Fig. 4 shape)",
+    sites=tuple((f"RM{i}", 16) for i in range(1, 7)),
+    drive=coallocate(_six_sites),
+)
 
-    def spec(site: str, count: int, start_type: SubjobType) -> SubjobSpec:
-        return SubjobSpec(
-            contact=grid.site(site).contact,
-            count=count,
-            executable=DEFAULT_EXECUTABLE,
-            start_type=start_type,
-        )
-
-    return CoAllocationRequest([
-        spec("RM1", 1, SubjobType.REQUIRED),
-        spec("RM2", 4, SubjobType.INTERACTIVE),
-        spec("RM3", 4, SubjobType.INTERACTIVE),
-    ])
-
-
-def _run_figure1(seed: int) -> Profile:
-    """The quickstart shape: a three-subjob DUROC co-allocation."""
-    grid = (
-        _profiled_builder(seed)
-        .add_machine("RM1", nodes=16)
-        .add_machine("RM2", nodes=64)
-        .add_machine("RM3", nodes=64)
-        .build()
-    )
-    _coallocate(grid, _figure1_request(grid))
-    return profile_grid(grid, meta=_meta("figure1", seed))
-
-
-def _run_duroc_scaling(seed: int) -> Profile:
-    """Fig. 4 shape: co-allocation across six sites (cost vs. fan-out)."""
-    from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
-
-    builder = _profiled_builder(seed)
-    sites = [f"RM{i}" for i in range(1, 7)]
-    for site in sites:
-        builder.add_machine(site, nodes=16)
-    grid = builder.build()
-    request = CoAllocationRequest([
-        SubjobSpec(
-            contact=grid.site(site).contact,
-            count=2,
-            executable=DEFAULT_EXECUTABLE,
-            start_type=SubjobType.REQUIRED,
-        )
-        for site in sites
-    ])
-    _coallocate(grid, request)
-    return profile_grid(grid, meta=_meta("duroc_scaling", seed))
-
-
-def _run_campaign_baseline(seed: int) -> Profile:
-    """The chaos harness's clean Figure-1 trial, profiled."""
-    from repro.resilience.campaign import CAMPAIGNS, profile_trial
-
-    profile = profile_trial(CAMPAIGNS["baseline"], seed)
-    profile.meta.update(_meta("campaign_baseline", seed))
-    return profile
-
-
+#: The suite, by name.  ``campaign_baseline`` is the chaos harness's
+#: clean trial; its profile records which campaign it replays.
 SCENARIOS: dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
         Scenario(
             "fig3_gram",
             "single-process GRAM submission (the Fig. 3 cost breakdown)",
-            _run_fig3_gram,
+            sites=(("origin", 64),),
+            drive=_fig3_gram,
         ),
-        Scenario(
-            "figure1",
-            "three-subjob DUROC co-allocation (the quickstart shape)",
-            _run_figure1,
-        ),
-        Scenario(
-            "duroc_scaling",
-            "six-subjob required co-allocation (the Fig. 4 shape)",
-            _run_duroc_scaling,
-        ),
-        Scenario(
-            "campaign_baseline",
-            "clean fault-campaign trial under the retrying agent",
-            _run_campaign_baseline,
+        FIGURE1,
+        DUROC_SCALING,
+        replace(
+            CAMPAIGNS["baseline"].scenario(),
+            name="campaign_baseline",
+            description="clean fault-campaign trial under the retrying agent",
         ),
     )
 }
+
+
+def profile_scenario(scenario: Scenario, seed: int) -> Profile:
+    """Run ``scenario`` with op counters attached; reduce it to a profile."""
+    grid, _ = run(scenario, seed, {"profile"})
+    meta = {"source": "repro.prof.bench", "scenario": scenario.name, "seed": seed}
+    if scenario.name == "campaign_baseline":
+        meta["campaign"] = "baseline"
+    return profile_grid(grid, meta=meta)
 
 
 def select_scenarios(names: Optional[Sequence[str]] = None) -> list[Scenario]:
@@ -218,7 +145,7 @@ def run_bench(
     """Run the selected scenarios and diff each against its baseline."""
     results = []
     for scenario in select_scenarios(names):
-        profile = scenario.run(seed)
+        profile = profile_scenario(scenario, seed)
         baseline = _load_baseline(Path(baseline_dir) / f"{scenario.name}.json")
         diff = (
             diff_profiles(baseline, profile, threshold_pct=threshold_pct)
@@ -236,6 +163,6 @@ def update_baselines(
 ) -> list[Path]:
     """Regenerate the checked-in baselines; returns the paths written."""
     return [
-        scenario.run(seed).write(Path(baseline_dir) / f"{scenario.name}.json")
+        profile_scenario(scenario, seed).write(Path(baseline_dir) / f"{scenario.name}.json")
         for scenario in select_scenarios(names)
     ]

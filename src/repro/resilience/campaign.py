@@ -1,11 +1,12 @@
 """Deterministic fault campaigns: declarative chaos for the simulator.
 
-A :class:`Campaign` names a co-allocation scenario and the set of
-:class:`~repro.faults.FaultSpec` s to unleash on it.  The harness runs
-each campaign as a seeded sweep — one fresh grid per trial, the
-paper's Figure-1-style request (two required subjobs, one interactive,
-one optional, plus a spare site for substitution) driven through DUROC
-by an :class:`~repro.broker.InteractiveAgent` under a
+A :class:`Campaign` is a name, a description and the set of
+:class:`~repro.faults.FaultSpec` s to unleash.  The harness runs each
+campaign as a seeded sweep of its :meth:`~Campaign.scenario` — one
+fresh grid per trial, the paper's Figure-1-style request (two required
+subjobs, one interactive, one optional, plus a spare site for
+substitution) driven through DUROC by an
+:class:`~repro.broker.InteractiveAgent` under a
 :class:`~repro.resilience.RetryPolicy` — and reduces the outcomes to a
 JSON report (success rate, degradation mode, retries used, time to
 commit).
@@ -20,20 +21,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Collection, Optional, Sequence
 
 from repro.broker.interactive_agent import InteractiveAgent
-from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
+from repro.core.request import SubjobType
 from repro.errors import ReproError
 from repro.faults import FaultSpec, HostCrash, MessageLoss, Overload, Partition, SlowLink
-from repro.gridenv import DEFAULT_EXECUTABLE, Grid, GridBuilder
+from repro.gridenv import DEFAULT_EXECUTABLE, Grid
 from repro.resilience.policy import RetryPolicy
+from repro.workloads.scenarios import Scenario, request_on, run
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.coallocator import Duroc
-    from repro.obs.flightrec import FlightRecorder
     from repro.prof.profile import Profile
-    from repro.verify.recorder import Recorder
 
 #: Sites of the Figure-1-style testbed.  RM1/RM2 anchor the
 #: computation (required), RM3 degrades gracefully (interactive, may be
@@ -41,19 +40,35 @@ if TYPE_CHECKING:  # pragma: no cover
 #: substitution pool.
 SITES = ("RM1", "RM2", "RM3", "RM4", "SPARE")
 
-#: How long each trial may run after the agent settles (drains late
+#: The trials' request (see :func:`~repro.workloads.scenarios.request_on`):
+#: two required subjobs, one interactive and one optional (the shape of
+#: the paper's Fig. 1).
+REQUEST = (
+    ("RM1", 4, DEFAULT_EXECUTABLE, SubjobType.REQUIRED, None),
+    ("RM2", 4, DEFAULT_EXECUTABLE, SubjobType.REQUIRED, None),
+    ("RM3", 4, DEFAULT_EXECUTABLE, SubjobType.INTERACTIVE, None),
+    ("RM4", 2, DEFAULT_EXECUTABLE, SubjobType.OPTIONAL, None),
+)
+
+#: How long each trial runs on after the agent settles (drains late
 #: optional joins and cancellations).
 DRAIN_TIME = 30.0
 
-#: Hard cap on a single trial's simulated duration.
-TRIAL_HORIZON = 600.0
-
-#: The harness's default retry policy: four attempts, jittered
-#: exponential backoff, capped per-episode.
+#: The harness's retry policy: four attempts, jittered exponential
+#: backoff, capped per-episode.
 DEFAULT_POLICY = RetryPolicy(
     max_attempts=4, base_delay=0.5, multiplier=2.0, max_delay=8.0,
     jitter=0.1, deadline=60.0,
 )
+
+#: The co-allocator settings every trial runs under: how long a
+#: submission may go unanswered, how long a subjob may take to check
+#: in, and the liveness watch (a poll per second, two misses fail a
+#: site).
+SUBMIT_TIMEOUT = 3.0
+SUBJOB_TIMEOUT = 120.0
+HEARTBEAT_INTERVAL = 1.0
+HEARTBEAT_MISSES = 2
 
 
 @dataclass(frozen=True)
@@ -63,11 +78,6 @@ class Campaign:
     name: str
     description: str
     faults: tuple[FaultSpec, ...] = ()
-    retry: RetryPolicy = DEFAULT_POLICY
-    submit_timeout: float = 3.0
-    subjob_timeout: float = 120.0
-    heartbeat_interval: float = 1.0
-    heartbeat_misses: int = 2
 
     def describe(self) -> dict[str, Any]:
         return {
@@ -75,14 +85,26 @@ class Campaign:
             "description": self.description,
             "faults": [spec.describe() for spec in self.faults],
             "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "base_delay": self.retry.base_delay,
-                "multiplier": self.retry.multiplier,
-                "max_delay": self.retry.max_delay,
-                "jitter": self.retry.jitter,
-                "deadline": self.retry.deadline,
+                "max_attempts": DEFAULT_POLICY.max_attempts,
+                "base_delay": DEFAULT_POLICY.base_delay,
+                "multiplier": DEFAULT_POLICY.multiplier,
+                "max_delay": DEFAULT_POLICY.max_delay,
+                "jitter": DEFAULT_POLICY.jitter,
+                "deadline": DEFAULT_POLICY.deadline,
             },
         }
+
+    def scenario(self) -> Scenario:
+        """One trial: the four-site request under these faults, allocated
+        by the interactive agent; the outcome is ``(agent outcome, job)``."""
+        return Scenario(
+            self.name,
+            self.description,
+            sites=tuple((site, 16) for site in SITES),
+            drive=_drive,
+            faults=self.faults,
+            drain=DRAIN_TIME,
+        )
 
 
 #: The built-in campaign catalogue, keyed by name.
@@ -122,68 +144,43 @@ CAMPAIGNS: dict[str, Campaign] = {
 }
 
 
-def figure1_request(grid: Grid) -> CoAllocationRequest:
-    """The motivating scenario's request shape (paper Fig. 1)."""
-    def spec(site: str, count: int, start_type: SubjobType) -> SubjobSpec:
-        return SubjobSpec(
-            contact=grid.site(site).contact,
-            count=count,
-            executable=DEFAULT_EXECUTABLE,
-            start_type=start_type,
+def select_campaigns(names: Optional[Sequence[str]], trials: int) -> list[Campaign]:
+    """The named campaigns (the whole catalogue, sorted, if none are
+    named) for ``trials`` trials each; a typed error for a bad choice."""
+    if trials < 1:
+        raise ReproError(f"trials must be >= 1, got {trials!r}")
+    selected = list(names) if names else sorted(CAMPAIGNS)
+    unknown = [name for name in selected if name not in CAMPAIGNS]
+    if unknown:
+        raise ReproError(
+            f"unknown campaign(s) {unknown}; pick from {sorted(CAMPAIGNS)}"
         )
-
-    return CoAllocationRequest([
-        spec("RM1", 4, SubjobType.REQUIRED),
-        spec("RM2", 4, SubjobType.REQUIRED),
-        spec("RM3", 4, SubjobType.INTERACTIVE),
-        spec("RM4", 2, SubjobType.OPTIONAL),
-    ])
+    return [CAMPAIGNS[name] for name in selected]
 
 
-def _drive_trial(campaign: Campaign, grid: Grid) -> tuple["Duroc", Any, int]:
-    """Drive the Figure-1 request through ``grid`` under ``campaign``."""
+def _drive(grid: Grid):
     duroc = grid.duroc(
-        retry=campaign.retry,
-        submit_timeout=campaign.submit_timeout,
-        default_subjob_timeout=campaign.subjob_timeout,
-        heartbeat_interval=campaign.heartbeat_interval,
-        heartbeat_misses=campaign.heartbeat_misses,
+        retry=DEFAULT_POLICY,
+        submit_timeout=SUBMIT_TIMEOUT,
+        default_subjob_timeout=SUBJOB_TIMEOUT,
+        heartbeat_interval=HEARTBEAT_INTERVAL,
+        heartbeat_misses=HEARTBEAT_MISSES,
     )
     agent = InteractiveAgent(duroc, spares=[grid.site("SPARE").contact])
-    request = figure1_request(grid)
-    requested = len(request)
+    request = request_on(grid, *REQUEST)
 
     def scenario(env):
         outcome = yield from agent.allocate(request)
-        return outcome
+        return (outcome, duroc.jobs[0] if duroc.jobs else None)
 
-    outcome = grid.run(grid.process(scenario(grid.env)))
-    grid.run(until=min(grid.now + DRAIN_TIME, TRIAL_HORIZON))
-    return duroc, outcome, requested
+    return scenario(grid.env)
 
 
-def run_trial(
-    campaign: Campaign,
-    seed: int,
-    recorder: "Optional[Recorder]" = None,
-    flightrec: "Optional[FlightRecorder]" = None,
-) -> dict[str, Any]:
-    """One seeded trial of ``campaign``; returns its record.
-
-    Pass a fresh :class:`~repro.verify.Recorder` to observe the trial
-    under the runtime-verification monitors (``repro.verify`` does);
-    recording never perturbs the trial, so the returned record is
-    byte-identical either way (tested).  Pass a fresh
-    :class:`~repro.obs.flightrec.FlightRecorder` to fly the black box:
-    the record gains a ``flight_dump`` field summarizing the first
-    triggered dump (trigger, reason, simulated time, canonical digest),
-    and the dumps themselves stay on ``flightrec.dumps``.
-    """
-    grid = _build_grid(campaign, seed, recorder=recorder, flightrec=flightrec)
-    duroc, outcome, requested = _drive_trial(campaign, grid)
-
+def _record(seed: int, grid: Grid, trial: tuple[Any, Any]) -> dict[str, Any]:
+    """One trial's ``(grid, outcome)`` reduced to its report record."""
+    outcome, job = trial
     metrics = grid.tracer.metrics
-    job = duroc.jobs[0] if duroc.jobs else None
+    requested = len(REQUEST)
     released = len(job.released_slots()) if job is not None else 0
     record = {
         "seed": seed,
@@ -204,57 +201,46 @@ def run_trial(
         "failure": outcome.failure,
         "degradation": _classify(outcome, requested, released),
     }
-    if flightrec is not None:
+    if grid.flightrec is not None:
         from repro.obs.flightrec import dump_digest
 
-        if flightrec.dumps:
-            dump = flightrec.dumps[0]
-            record["flight_dump"] = {
-                "trigger": dump["trigger"]["trigger"],
-                "reason": dump["trigger"]["reason"],
-                "time": dump["trigger"]["time"],
-                "digest": dump_digest(dump),
-                "dumps": len(flightrec.dumps),
-            }
-        else:
-            record["flight_dump"] = None
+        dumps = grid.flightrec.dumps
+        record["flight_dump"] = {
+            "trigger": dumps[0]["trigger"]["trigger"],
+            "reason": dumps[0]["trigger"]["reason"],
+            "time": dumps[0]["trigger"]["time"],
+            "digest": dump_digest(dumps[0]),
+            "dumps": len(dumps),
+        } if dumps else None
     return record
 
 
-def _build_grid(
-    campaign: Campaign,
-    seed: int,
-    recorder: "Optional[Recorder]" = None,
-    profiling: bool = False,
-    flightrec: "Optional[FlightRecorder]" = None,
-) -> Grid:
-    builder = GridBuilder(seed=seed)
-    for site in SITES:
-        builder.add_machine(site, nodes=16)
-    builder.with_faults(*campaign.faults)
-    if recorder is not None:
-        builder.with_monitors(recorder)
-    if profiling:
-        builder.with_profiling()
-    if flightrec is not None:
-        builder.with_probe(flightrec)
-    return builder.build()
+def run_trial(
+    campaign: Campaign, seed: int, observe: Collection[str] = ()
+) -> dict[str, Any]:
+    """One seeded trial of ``campaign``; returns its record.
+
+    ``observe`` attaches observers by name (see
+    :func:`repro.workloads.scenarios.run`); they never change the
+    record (tested).  Under ``"flightrec"`` the record gains a
+    ``flight_dump`` field summarizing the first triggered dump
+    (trigger, reason, simulated time, canonical digest).
+    """
+    return _record(seed, *run(campaign.scenario(), seed, observe))
 
 
 def profile_trial(campaign: Campaign, seed: int) -> "Profile":
     """Profile one seeded trial of ``campaign``.
 
-    Replays the exact trial :func:`run_trial` would run (same seed,
-    same grid, same agent) with op counters attached, and reduces the
-    trace to a :class:`~repro.prof.profile.Profile` — the *where did
+    The exact trial :func:`run_trial` runs, with op counters attached,
+    reduced to a :class:`~repro.prof.profile.Profile` — the *where did
     the extra seconds go* artifact for a fault campaign.  Differencing
     a campaign's profile against ``baseline``'s attributes the cost of
     the injected faults to span paths (see ``python -m repro.prof``).
     """
     from repro.prof.profile import profile_grid
 
-    grid = _build_grid(campaign, seed, profiling=True)
-    _drive_trial(campaign, grid)
+    grid, _ = run(campaign.scenario(), seed, {"profile"})
     return profile_grid(
         grid,
         meta={
@@ -299,16 +285,9 @@ def run_campaigns(
     to ``DIR/<campaign>_<seed>.json`` and the record carries that file
     name — the *name* only, so the report stays machine-independent.
     """
-    if trials < 1:
-        raise ReproError(f"trials must be >= 1, got {trials!r}")
     if dump_dir is not None and not flightrec:
         raise ReproError("dump_dir requires flightrec=True")
-    selected = list(names) if names else sorted(CAMPAIGNS)
-    unknown = [name for name in selected if name not in CAMPAIGNS]
-    if unknown:
-        raise ReproError(
-            f"unknown campaign(s) {unknown}; pick from {sorted(CAMPAIGNS)}"
-        )
+    selected = select_campaigns(names, trials)
 
     report: dict[str, Any] = {
         "harness": "repro.resilience",
@@ -317,26 +296,19 @@ def run_campaigns(
         "trials": trials,
         "campaigns": [],
     }
-    for name in selected:
-        campaign = CAMPAIGNS[name]
+    for campaign in selected:
         records = []
         for index in range(trials):
-            recorder = None
-            if flightrec:
-                from repro.obs.flightrec import FlightRecorder
-
-                recorder = FlightRecorder()
-            record = run_trial(campaign, seed + index, flightrec=recorder)
-            if (
-                dump_dir is not None
-                and recorder is not None
-                and recorder.dumps
-            ):
+            grid, outcome = run(
+                campaign.scenario(), seed + index, {"flightrec"} if flightrec else ()
+            )
+            record = _record(seed + index, grid, outcome)
+            flightrec = grid.flightrec
+            if dump_dir is not None and flightrec is not None and flightrec.dumps:
                 from repro.obs.flightrec import write_dump
 
-                filename = f"{name}_{seed + index}.json"
-                write_dump(recorder.dumps[0], Path(dump_dir) / filename)
-                assert record["flight_dump"] is not None
+                filename = f"{campaign.name}_{seed + index}.json"
+                write_dump(flightrec.dumps[0], Path(dump_dir) / filename)
                 record["flight_dump"]["file"] = filename
             records.append(record)
         successes = [r for r in records if r["success"]]

@@ -41,11 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--example", choices=EXAMPLES, default=None,
-        help="verify the quickstart/Figure-1 example instead",
+        help="verify the quickstart/Figure-1 example instead (one run: "
+        "takes no --campaign, and --trials only as 1)",
     )
     parser.add_argument("--seed", type=int, default=42, help="root seed")
     parser.add_argument(
-        "--trials", type=int, default=3, help="trials per campaign",
+        "--trials", type=int, default=None, help="trials per campaign (default: 3)",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -113,6 +114,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{', '.join(unknown)} (see --list-rules)"
             )
     suppress = args.suppress.split(",") if args.suppress else None
+    if args.example is not None and args.campaign:
+        parser.error("--example and --campaign are exclusive")
+    if args.example is not None and args.trials not in (None, 1):
+        parser.error("--example is one run: --trials must be 1")
 
     try:
         if args.example is not None:
@@ -124,7 +129,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             campaigns = args.campaign or ["all"]
             names = None if "all" in campaigns else campaigns
             report = verify_campaigns(
-                seed=args.seed, trials=args.trials, names=names,
+                seed=args.seed, trials=3 if args.trials is None else args.trials,
+                names=names,
                 select=select, suppress=suppress,
             )
     except ReproError as exc:

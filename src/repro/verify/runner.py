@@ -1,10 +1,10 @@
 """Drive monitored runs and reduce them to verification reports.
 
 :func:`verify_campaigns` replays the resilience fault campaigns
-(:mod:`repro.resilience.campaign`) with a fresh
-:class:`~repro.verify.recorder.Recorder` per trial and evaluates the
-full monitor suite over every run; :func:`verify_example` does the same
-for the quickstart/Figure-1 scenario.  Reports are canonical JSON
+(:mod:`repro.resilience.campaign`) under ``observe={"monitors"}`` and
+evaluates the full monitor suite over every run; :func:`verify_example`
+does the same for the quickstart/Figure-1 scenario
+(:data:`repro.workloads.scenarios.FIGURE1`).  Reports are canonical JSON
 (sorted keys, 2-space indent, trailing newline), so a verification
 sweep is byte-identical across repeated runs of the same seed — the CI
 ``verify`` job asserts exactly that.
@@ -23,6 +23,7 @@ from repro.verify.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.flightrec import FlightRecorder
+    from repro.workloads.scenarios import Scenario
 
 #: Example scenarios verifiable by name (quickstart *is* Figure 1).
 EXAMPLES = ("quickstart", "figure1")
@@ -77,40 +78,13 @@ def verify_campaigns(
     suppress: Optional[Iterable[str]] = None,
 ) -> dict[str, Any]:
     """Run the fault campaigns under monitors; returns the report."""
-    from repro.errors import ReproError
-    from repro.resilience.campaign import CAMPAIGNS, run_trial
+    from repro.resilience.campaign import select_campaigns
 
-    if trials < 1:
-        raise ReproError(f"trials must be >= 1, got {trials!r}")
-    selected = list(names) if names else sorted(CAMPAIGNS)
-    unknown = [name for name in selected if name not in CAMPAIGNS]
-    if unknown:
-        raise ReproError(
-            f"unknown campaign(s) {unknown}; pick from {sorted(CAMPAIGNS)}"
-        )
-
-    report: dict[str, Any] = {
-        "harness": "repro.verify",
-        "scenario": "figure1",
-        "seed": seed,
-        "trials": trials,
-        "monitors": [monitor.name for monitor in all_monitors()],
-        "runs": [],
-    }
-    total = 0
-    for name in selected:
-        campaign = CAMPAIGNS[name]
-        for index in range(trials):
-            recorder = Recorder()
-            run_trial(campaign, seed + index, recorder=recorder)
-            entry, findings = verify_recorder(
-                recorder, f"{name}/seed{seed + index}",
-                select=select, suppress=suppress,
-            )
-            report["runs"].append(entry)
-            total += len(findings)
-    report["findings_total"] = total
-    return report
+    return _report("figure1", seed, trials, [
+        (f"{campaign.name}/seed{seed + index}", campaign.scenario(), seed + index)
+        for campaign in select_campaigns(names, trials)
+        for index in range(trials)
+    ], select, suppress)
 
 
 def verify_example(
@@ -120,58 +94,48 @@ def verify_example(
     suppress: Optional[Iterable[str]] = None,
 ) -> dict[str, Any]:
     """Run the Figure-1 quickstart scenario under monitors."""
-    from repro.core import CoAllocationRequest
     from repro.errors import ReproError
-    from repro.gridenv import GridBuilder
+    from repro.workloads.scenarios import FIGURE1
 
     if name not in EXAMPLES:
         raise ReproError(
             f"unknown example {name!r}; pick from {list(EXAMPLES)}"
         )
-
-    recorder = Recorder()
-    grid = (
-        GridBuilder(seed=seed)
-        .add_machine("RM1", nodes=16)
-        .add_machine("RM2", nodes=64)
-        .add_machine("RM3", nodes=64)
-        .with_monitors(recorder)
-        .build()
+    return _report(
+        name, seed, 1, [(f"{name}/seed{seed}", FIGURE1, seed)], select, suppress
     )
-    request = CoAllocationRequest.from_rsl(
-        """
-        +(&(resourceManagerContact=RM1:gatekeeper)
-           (count=1)(executable=duroc_app)
-           (subjobStartType=required))
-         (&(resourceManagerContact=RM2:gatekeeper)
-           (count=4)(executable=duroc_app)
-           (subjobStartType=interactive))
-         (&(resourceManagerContact=RM3:gatekeeper)
-           (count=4)(executable=duroc_app)
-           (subjobStartType=interactive))
-        """
-    )
-    duroc = grid.duroc()
 
-    def agent(env):
-        job = duroc.submit(request)
-        result = yield from job.commit()
-        yield from job.wait_done()
-        return result
 
-    grid.run(grid.process(agent(grid.env)))
-    entry, findings = verify_recorder(
-        recorder, f"{name}/seed{seed}", select=select, suppress=suppress
-    )
-    return {
+def _report(
+    scenario: str,
+    seed: int,
+    trials: int,
+    runs: "Sequence[tuple[str, Scenario, int]]",
+    select: Optional[Iterable[str]],
+    suppress: Optional[Iterable[str]],
+) -> dict[str, Any]:
+    """Run each ``(run id, scenario, seed)`` under the monitors."""
+    from repro.workloads.scenarios import run
+
+    report: dict[str, Any] = {
         "harness": "repro.verify",
-        "scenario": name,
+        "scenario": scenario,
         "seed": seed,
-        "trials": 1,
+        "trials": trials,
         "monitors": [monitor.name for monitor in all_monitors()],
-        "runs": [entry],
-        "findings_total": len(findings),
+        "runs": [],
     }
+    total = 0
+    for run_id, entry, entry_seed in runs:
+        grid, _ = run(entry, entry_seed, {"monitors"})
+        assert grid.recorder is not None  # what observe={"monitors"} attaches
+        payload, findings = verify_recorder(
+            grid.recorder, run_id, select=select, suppress=suppress
+        )
+        report["runs"].append(payload)
+        total += len(findings)
+    report["findings_total"] = total
+    return report
 
 
 def render_verification_json(report: dict[str, Any]) -> str:

@@ -12,7 +12,7 @@ import gc
 import pytest
 
 from repro.core.request import CoAllocationRequest, SubjobSpec
-from repro.experiments.apps import _run_strategy, sweep_failure_rate
+from repro.experiments.apps import sweep_failure_rate
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.machine.faults import FailureModel
 from repro.machine.host import ProcessRecord
@@ -20,7 +20,7 @@ from repro.net.address import Endpoint
 from repro.net.transport import Port
 from repro.simcore import Process, Span, Store
 from repro.simcore.resources import StoreGet, _Deadline
-from repro.workloads.scenarios import sf_express
+from repro.workloads.scenarios import run, sf_express
 
 KINDS = (Process, Store, StoreGet, _Deadline, ProcessRecord, Span)
 
@@ -31,12 +31,15 @@ def alive(cls):
     return sum(1 for obj in gc.get_objects() if type(obj) is cls)
 
 
-def scenario():
-    return sf_express(
-        failure_model=FailureModel(p_unavailable=0.3),
-        seed=0,
-        startup=30.0,
-        subjob_timeout=120.0,
+def run_scenario(strategy):
+    return run(
+        sf_express(
+            failure_model=FailureModel(p_unavailable=0.3),
+            strategy=strategy,
+            startup=30.0,
+            subjob_timeout=120.0,
+        ),
+        0,
     )
 
 
@@ -60,21 +63,19 @@ def extra(baseline):
 # (collective kills), the interactive one substitutes spares.
 @pytest.mark.parametrize("strategy", ["atomic", "interactive"])
 def test_a_closed_scenario_leaves_nothing_behind(collector_off, strategy):
-    built = scenario()
-    outcome = _run_strategy(strategy, built)
+    grid, outcome = run_scenario(strategy)
     assert outcome.success and outcome.attempts + outcome.substitutions > 1
     assert extra(collector_off)["Process"] > 1_000
-    built.grid.close()
-    del built, outcome
+    grid.close()
+    del grid, outcome
     assert set(extra(collector_off).values()) == {0}
     assert gc.collect() == 0
 
 
 def test_an_unclosed_scenario_waits_for_the_collector(collector_off):
     """Why the sweeps close: a dropped grid is one big cycle."""
-    built = scenario()
-    _run_strategy("interactive", built)
-    del built
+    grid, outcome = run_scenario("interactive")
+    del grid, outcome
     assert extra(collector_off)["Process"] > 1_000
     assert gc.collect() > 10_000
 

@@ -10,36 +10,22 @@ off must not change the simulation.
 
 import pytest
 
-from repro.core.request import CoAllocationRequest, SubjobSpec
-from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.obs.export import export_jsonl, metrics_json
 from repro.obs.query import build_forest, parentage, trace_ids
 from repro.simcore.tracing import NullTracer
+from repro.workloads.scenarios import TRACED_COALLOCATION, run
+
+SEED = 7
 
 
-def run_coallocation(trace: bool = True, subjobs: int = 3):
-    builder = GridBuilder(seed=7, trace=trace)
-    for idx in range(1, subjobs + 1):
-        builder.add_machine(f"RM{idx}", nodes=16)
-    grid = builder.build()
-    duroc = grid.duroc(heartbeat_interval=0.0)
-    request = CoAllocationRequest(
-        [
-            SubjobSpec(
-                contact=grid.site(f"RM{idx}").contact,
-                count=2,
-                executable=DEFAULT_EXECUTABLE,
-            )
-            for idx in range(1, subjobs + 1)
-        ]
-    )
-
-    def agent(env):
-        job = duroc.submit(request)
-        result = yield from job.commit()
-        return (job, result)
-
-    job, result = grid.run(grid.process(agent(grid.env)))
+def run_coallocation(trace: bool = True):
+    """The traced three-subjob run of the observability tables;
+    ``trace=False`` runs it with the null tracer instead."""
+    if trace:
+        grid, (job, result) = run(TRACED_COALLOCATION, SEED)
+    else:
+        grid = TRACED_COALLOCATION.builder(seed=SEED, trace=False).build()
+        job, result = grid.run(grid.process(TRACED_COALLOCATION.drive(grid)))
     return grid, job, result
 
 

@@ -10,6 +10,7 @@ from repro.prof.bench import (
     BASELINE_DIR,
     DEFAULT_SEED,
     SCENARIOS,
+    profile_scenario,
     run_bench,
     select_scenarios,
     update_baselines,
@@ -24,7 +25,7 @@ def first_run():
     run on first request and shared by every test of the module — the
     shape tests read it, ``TestDeterminism`` compares a second run
     against it."""
-    return functools.cache(lambda name: SCENARIOS[name].run(DEFAULT_SEED))
+    return functools.cache(lambda name: profile_scenario(SCENARIOS[name], DEFAULT_SEED))
 
 
 class TestFig3Acceptance:
@@ -46,10 +47,10 @@ class TestFig3Acceptance:
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_profiles_byte_identical_across_runs(self, name, first_run):
-        assert first_run(name).dumps() == SCENARIOS[name].run(DEFAULT_SEED).dumps()
+        assert first_run(name).dumps() == profile_scenario(SCENARIOS[name], DEFAULT_SEED).dumps()
 
     def test_different_seed_still_builds(self):
-        profile = SCENARIOS["fig3_gram"].run(7)
+        profile = profile_scenario(SCENARIOS["fig3_gram"], 7)
         assert profile.meta["seed"] == 7
         assert profile.paths
 

@@ -236,20 +236,17 @@ class TestPulledEqualsTallied:
 
     def test_figure1_with_every_observer_attached(self):
         from repro.obs.flightrec import FlightRecorder
-        from repro.prof.bench import _coallocate, _figure1_request
+        from repro.workloads.scenarios import FIGURE1
 
         tally = TallyProbe()
         grid = (
-            GridBuilder(seed=42)
-            .add_machine("RM1", nodes=16)
-            .add_machine("RM2", nodes=64)
-            .add_machine("RM3", nodes=64)
+            FIGURE1.builder(seed=42)
             .with_monitors()
             .with_profiling()
             .with_probe(FlightRecorder(), tally)
             .build()
         )
-        _coallocate(grid, _figure1_request(grid))
+        grid.run(grid.process(FIGURE1.drive(grid)))
         snap = grid.counters.snapshot()
         assert snap == tally.snapshot()
         assert snap["sim.messages_sent"] > 0

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.broker.interactive_agent import InteractiveAgent
 from repro.core import SubjobState, SubjobType
 from repro.errors import ReproError
 from repro.resilience.campaign import (
     CAMPAIGNS,
-    _build_grid,
-    figure1_request,
     render_report,
     run_campaigns,
     run_trial,
 )
+from repro.workloads.scenarios import run
 
 
 class TestDeterminism:
@@ -62,24 +60,8 @@ class TestScenarios:
     def test_partition_slot_states(self):
         """Same scenario, inspected at the slot level: both required
         subjobs release; the partitioned optional does not."""
-        campaign = CAMPAIGNS["partition"]
-        grid = _build_grid(campaign, 42)
-        duroc = grid.duroc(
-            retry=campaign.retry,
-            submit_timeout=campaign.submit_timeout,
-            default_subjob_timeout=campaign.subjob_timeout,
-            heartbeat_interval=campaign.heartbeat_interval,
-            heartbeat_misses=campaign.heartbeat_misses,
-        )
-        agent = InteractiveAgent(duroc, spares=[grid.site("SPARE").contact])
-
-        def scenario(env):
-            outcome = yield from agent.allocate(figure1_request(grid))
-            return outcome
-
-        outcome = grid.run(grid.process(scenario(grid.env)))
+        _, (outcome, job) = run(CAMPAIGNS["partition"].scenario(), 42)
         assert outcome.success
-        job = duroc.jobs[0]
         by_type = {}
         for slot in job.slots:
             by_type.setdefault(slot.spec.start_type, []).append(slot)

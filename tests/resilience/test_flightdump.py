@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
-from repro.obs.flightrec import FlightRecorder
 from repro.resilience.campaign import CAMPAIGNS, run_campaigns, run_trial
 from repro.resilience.cli import main
 
@@ -25,8 +24,7 @@ def _campaign(name):
 
 class TestFlightDumpField:
     def test_crash_campaign_names_the_injected_fault(self):
-        flightrec = FlightRecorder()
-        record = run_trial(_campaign("crash"), seed=42, flightrec=flightrec)
+        record = run_trial(_campaign("crash"), seed=42, observe={"flightrec"})
         dump_info = record["flight_dump"]
         assert dump_info is not None
         assert dump_info["trigger"] == "fault"
@@ -35,9 +33,8 @@ class TestFlightDumpField:
         assert len(dump_info["digest"]) == 64
 
     def test_message_loss_campaign_names_the_injected_fault(self):
-        flightrec = FlightRecorder()
         record = run_trial(
-            _campaign("message_loss"), seed=42, flightrec=flightrec
+            _campaign("message_loss"), seed=42, observe={"flightrec"}
         )
         dump_info = record["flight_dump"]
         assert dump_info is not None
@@ -50,9 +47,7 @@ class TestFlightDumpField:
 
     def test_recorder_does_not_perturb_the_campaign_record(self):
         bare = run_trial(_campaign("crash"), seed=42)
-        recorded = run_trial(
-            _campaign("crash"), seed=42, flightrec=FlightRecorder()
-        )
+        recorded = run_trial(_campaign("crash"), seed=42, observe={"flightrec"})
         recorded.pop("flight_dump")
         assert recorded == bare
 

@@ -64,10 +64,12 @@ class TestDeterminism:
         from repro.machine import FailureModel
         from repro.workloads import sf_express
 
-        faults = [
-            sf_express(FailureModel(p_unavailable=0.25), seed=11).faults
-            for _ in range(2)
-        ]
+        scenario = sf_express(FailureModel(p_unavailable=0.25))
+        faults = []
+        for _ in range(2):
+            grid = scenario.builder(seed=11).build()
+            scenario.drive(grid)  # draws the faults, before the clock starts
+            faults.append([site.machine.crashed for site in grid.sites.values()])
         assert faults[0] == faults[1]
 
     def test_experiment_harness_deterministic(self):

@@ -3,7 +3,9 @@ only instrumentation handle its components take.
 
 Everything a bare ``import repro.gridenv`` reaches, in a fresh
 interpreter, loads no ``repro.obs``, ``repro.prof``, ``repro.verify`` or
-``repro.analysis`` module."""
+``repro.analysis`` module; nor does ``import repro.workloads.scenarios``,
+where a run is declared: :func:`~repro.workloads.scenarios.run` loads
+an observer only when it is asked for one."""
 
 import subprocess
 import sys
@@ -29,13 +31,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 TOOLING = ("repro.obs", "repro.prof", "repro.verify", "repro.analysis")
 
 
-def test_building_a_grid_imports_no_tooling():
+def tooling_loaded_by(module):
     # A fresh interpreter: this process has long since imported it all.
     script = (
-        "import repro.gridenv, sys; "
+        f"import {module}, sys; "
         f"print(*sorted(m for m in sys.modules if m.startswith({TOOLING!r})))"
     )
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script],
         env={"PYTHONPATH": str(SRC)},
         capture_output=True,
@@ -43,7 +45,14 @@ def test_building_a_grid_imports_no_tooling():
         check=True,
         timeout=120,
     ).stdout.split()
-    assert loaded == []
+
+
+def test_building_a_grid_imports_no_tooling():
+    assert tooling_loaded_by("repro.gridenv") == []
+
+
+def test_declaring_a_run_imports_no_tooling():
+    assert tooling_loaded_by("repro.workloads.scenarios") == []
 
 
 @pytest.mark.parametrize(

@@ -6,16 +6,28 @@ combination must produce the same per-request records, the same final
 clock, the same kernel tallies and the same message count.  One more
 agent drives GRAM job control — status, (un)register, cancel, and a
 cancel the gatekeeper must refuse — against the same gatekeepers.
+
+Every cheap entry of the scenario table — Figure 1, the ``repro.prof
+bench`` suite, the six fault campaigns and the traced request — run
+bare and under all of :data:`~repro.workloads.scenarios.OBSERVERS` must
+agree the same way, faults included.
 """
+
+from dataclasses import replace
 
 import pytest
 
+from repro.broker.base import AgentOutcome
+from repro.core.coallocator import DurocJob, DurocResult
 from repro.core.request import CoAllocationRequest
 from repro.errors import GramError
 from repro.gram import JobHandle, JobState
 from repro.gridenv import CLIENT_HOST, DEFAULT_EXECUTABLE, GridBuilder
 from repro.net import Endpoint, Port
 from repro.obs.flightrec import FlightRecorder
+from repro.prof.bench import SCENARIOS as BENCH
+from repro.resilience.campaign import CAMPAIGNS
+from repro.workloads.scenarios import FIGURE1, OBSERVERS, TRACED_COALLOCATION, run
 
 SITES = 8
 REQUESTS = 20
@@ -112,3 +124,43 @@ def test_observed_run_equals_bare_run(observe, bare):
     if grid.flightrec is not None:
         # Spans reach the recorder through the probe seam.
         assert grid.flightrec.rings["span"].pushed > 0
+
+
+ENTRIES = {
+    scenario.name: scenario
+    for scenario in (
+        FIGURE1,
+        *BENCH.values(),
+        *(campaign.scenario() for campaign in CAMPAIGNS.values()),
+        TRACED_COALLOCATION,
+    )
+}
+
+
+def settled(value):
+    """``value`` with every live request read down to what it decided."""
+    if isinstance(value, tuple):
+        return tuple(map(settled, value))
+    if isinstance(value, DurocJob):
+        return value.state, [(slot.spec, slot.state) for slot in value.slots]
+    if isinstance(value, DurocResult):
+        return settled(value.job), value.sizes, value.released_at, value.elapsed
+    if isinstance(value, AgentOutcome):
+        return replace(value, result=None), settled(value.result)
+    return value
+
+
+def _observed(name, observe):
+    grid, outcome = run(ENTRIES[name], 42, observe)
+    return grid, (
+        settled(outcome), grid.env.now, grid.env.queue.stats(), grid.network.sent_count
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_every_observer_leaves_a_table_entry_unchanged(name):
+    _, bare = _observed(name, ())
+    grid, observed = _observed(name, OBSERVERS)
+    assert observed == bare
+    assert grid.counters.snapshot()["sim.messages_sent"] == bare[3]
+    assert grid.recorder.events and grid.flightrec.rings["span"].pushed > 0

@@ -59,3 +59,17 @@ def test_unknown_campaign_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--campaign", "meteor-strike"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra", [["--campaign", "crash"], ["--trials", "3"]], ids=["campaign", "trials"]
+)
+def test_example_takes_no_campaign_and_one_trial(extra, capsys):
+    # The example is one run: a flag that selects more is refused, not dropped.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--example", "quickstart", *extra])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and extra[0] in errors[0]

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ReproError
 from repro.resilience.campaign import CAMPAIGNS, run_trial
 from repro.verify import (
-    Recorder,
     render_verification_json,
     verify_campaigns,
     verify_example,
@@ -38,7 +37,7 @@ def test_reports_are_byte_identical_across_runs():
 def test_monitoring_does_not_perturb_the_simulation():
     campaign = CAMPAIGNS["message_loss"]
     bare = run_trial(campaign, seed=42)
-    monitored = run_trial(campaign, seed=42, recorder=Recorder())
+    monitored = run_trial(campaign, seed=42, observe={"monitors"})
     assert bare == monitored
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import SubjobType
+from repro.errors import ReproError
 from repro.machine import FailureModel
+from repro.workloads.scenarios import FIGURE1, run
 from repro.workloads import (
     LoadSpec,
     SF_EXPRESS_COUNTS,
@@ -35,54 +37,75 @@ class TestSplitProcesses:
             split_processes(3, 0)
 
 
+@pytest.fixture(scope="module")
+def sf_express_run():
+    """One fault-free SF-Express run; no spec is substituted, so the
+    request's slots carry the specs as requested."""
+    return run(sf_express(), 0)
+
+
+def faulted(scenario, seed):
+    """Which machines are down before the clock starts (the failure
+    model is drawn as the run is set up)."""
+    grid = scenario.builder(seed=seed).build()
+    scenario.drive(grid)
+    return {name: site.machine.crashed for name, site in grid.sites.items()}
+
+
 class TestScenarios:
-    def test_sf_express_shape(self):
-        scenario = sf_express()
-        grid = scenario.grid
+    def test_sf_express_shape(self, sf_express_run):
+        grid, outcome = sf_express_run
+        specs = [slot.spec for slot in outcome.result.job.slots]
         assert len(SF_EXPRESS_SIZES) == 13
         assert sum(SF_EXPRESS_COUNTS) == 1386
-        assert len(scenario.request) == 13
-        assert scenario.request.total_processes() == 1386
+        assert len(specs) == 13
+        assert outcome.started_processes == 1386
         # 13 request machines + 3 spares.
         assert len(grid.sites) == 16
         # Every subjob fits on its machine.
-        for spec in scenario.request:
+        for spec in specs:
             name = spec.contact.split(":")[0]
             assert spec.count <= grid.site(name).nodes
 
-    def test_sf_express_anchor_is_required(self):
-        scenario = sf_express()
-        assert scenario.request[0].start_type is SubjobType.REQUIRED
-        assert all(
-            s.start_type is SubjobType.INTERACTIVE
-            for s in list(scenario.request)[1:]
-        )
+    def test_sf_express_anchor_is_required(self, sf_express_run):
+        _, outcome = sf_express_run
+        specs = [slot.spec for slot in outcome.result.job.slots]
+        assert specs[0].start_type is SubjobType.REQUIRED
+        assert all(s.start_type is SubjobType.INTERACTIVE for s in specs[1:])
 
     def test_sf_express_fault_injection_is_seeded(self):
-        a = sf_express(failure_model=FailureModel(p_unavailable=0.3), seed=7)
-        b = sf_express(failure_model=FailureModel(p_unavailable=0.3), seed=7)
-        assert a.faults == b.faults
-        assert any(kind == "crashed" for kind in a.faults.values())
+        scenario = sf_express(failure_model=FailureModel(p_unavailable=0.3))
+        a, b = faulted(scenario, 7), faulted(scenario, 7)
+        assert a == b
+        assert any(a.values())
 
     def test_sf_express_spares_never_fault(self):
-        scenario = sf_express(
-            failure_model=FailureModel(p_unavailable=1.0), seed=0
-        )
-        assert all(not name.startswith("spare") for name in scenario.faults)
-        assert not scenario.grid.machine("spare1").crashed
+        down = faulted(sf_express(failure_model=FailureModel(p_unavailable=1.0)), 0)
+        assert not down["RM1"]  # the anchor
+        assert all(down[f"RM{idx}"] for idx in range(2, 14))
+        assert not any(down[f"spare{idx}"] for idx in (1, 2, 3))
 
     def test_motivating_scenario_faults(self):
-        scenario = motivating_scenario()
-        assert scenario.grid.machine("sim2").crashed
-        assert scenario.grid.machine("sim5").load_factor > 1
-        assert scenario.request.total_processes() == 400
+        grid, outcome = run(motivating_scenario(), 0)
+        assert grid.machine("sim2").crashed
+        assert grid.machine("sim5").load_factor > 1
+        # 400 requested; the crashed machine's subjob moved to the spare.
+        requested, substitute = outcome.result.job.slots[:5], outcome.result.job.slots[5:]
+        assert sum(slot.spec.count for slot in requested) == 400
+        assert [slot.spec.contact for slot in substitute] == ["sim6:gatekeeper"]
 
     def test_microtomography_structure(self):
-        scenario = microtomography()
-        types = [s.start_type for s in scenario.request]
+        _, (job, _) = run(microtomography(), 0)
+        types = [slot.spec.start_type for slot in job.slots]
         assert types[0] is SubjobType.REQUIRED
         assert types[1:6] == [SubjobType.INTERACTIVE] * 5
         assert types[6:] == [SubjobType.OPTIONAL] * 2
+
+    def test_unknown_strategy_and_observer_are_refused(self):
+        with pytest.raises(ValueError, match="strategy"):
+            sf_express(strategy="optimistic")
+        with pytest.raises(ReproError, match="observer"):
+            run(FIGURE1, 0, observe={"tracer"})
 
 
 class TestBackgroundLoad:
