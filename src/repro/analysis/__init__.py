@@ -13,7 +13,7 @@ the simulator can only test probabilistically:
 * **rsl-schema** (``rsl-*``) — RSL attribute keys at construction sites
   exist in the canonical registry;
 * **resilience** (``res-*``) — no bare ``except`` around RPC calls, no
-  literal-seeded RNGs feeding retry jitter or breaker timing.
+  literal-seeded RNGs feeding retry jitter.
 
 Run ``python -m repro.analysis [paths]``; see ``docs/ANALYSIS.md``.
 The *dynamic* counterpart — protocol monitors over recorded runs,

@@ -1,11 +1,11 @@
 """Resilience-layer lints (``res-*``).
 
-The retry/breaker layer (PR 3) introduced two recurring hazards:
+The retry layer brings two recurring hazards:
 
 * a bare ``except:`` wrapped around an RPC call swallows the simulator's
   control-flow exceptions (``StopProcess``, ``Interrupt``) along with
   the fault it meant to tolerate, silently killing processes;
-* a retry/breaker RNG seeded with a hard-coded literal
+* a retry RNG seeded with a hard-coded literal
   (``np.random.default_rng(0)``, ``RngRegistry(0)``) detaches backoff
   jitter from the experiment's root seed, so "reproducible" sweeps stop
   being a function of ``seed`` alone.  Streams must come from the
@@ -51,8 +51,8 @@ class ResilienceChecker(Checker):
         ),
         Rule(
             "res-literal-seed",
-            "RNG seeded with a literal detaches retry jitter / breaker "
-            "timing from the root seed; use an RngRegistry stream",
+            "RNG seeded with a literal detaches retry jitter from the "
+            "root seed; use an RngRegistry stream",
             Severity.ERROR,
         ),
     )

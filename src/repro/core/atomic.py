@@ -27,7 +27,7 @@ from repro.errors import AllocationAborted
 from repro.gsi.auth import AuthConfig
 from repro.gsi.credentials import Credential
 from repro.net.network import Network
-from repro.resilience import BreakerBoard, RetryPolicy
+from repro.resilience import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -47,7 +47,6 @@ class Grab:
         submit_timeout: float = 60.0,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
-        breakers: Optional[BreakerBoard] = None,
     ) -> None:
         self._duroc = Duroc(
             network,
@@ -58,7 +57,6 @@ class Grab:
             submit_timeout=submit_timeout,
             retry=retry,
             rng=rng,
-            breakers=breakers,
         )
 
     @property

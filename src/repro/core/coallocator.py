@@ -45,7 +45,6 @@ from repro.core.applib import PARAM_CONTACT, PARAM_SLOT
 from repro.errors import (
     AllocationAborted,
     AuthenticationError,
-    CircuitOpen,
     GramError,
     HostDown,
     RPCTimeout,
@@ -60,7 +59,7 @@ from repro.gsi.credentials import Credential
 from repro.net.network import Network
 from repro.net.address import Endpoint
 from repro.net.transport import Port, ephemeral_endpoint
-from repro.resilience import BreakerBoard, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.simcore.events import NORMAL, Event
 from repro.simcore.probe import emit, register_locus
 from repro.simcore.process import ProcessGenerator
@@ -502,7 +501,6 @@ class DurocJob:
             AuthenticationError,
             HostDown,
             RetryExhausted,
-            CircuitOpen,
         ) as exc:
             span.finish(ok=False)
             if slot.state is SubjobState.SUBMITTING:
@@ -749,7 +747,7 @@ class DurocJob:
         def canceller(env: "Environment") -> ProcessGenerator:
             try:
                 yield from self.duroc.gram.cancel(handle, timeout=30.0)
-            except (RPCTimeout, GramError, HostDown, RetryExhausted, CircuitOpen):
+            except (RPCTimeout, GramError, HostDown, RetryExhausted):
                 pass  # the site may be dead; nothing more we can do
 
         self.env.process(canceller(self.env), name=f"{self.job_id}:cancel")
@@ -857,7 +855,6 @@ class Duroc:
         sequential_submission: bool = True,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
-        breakers: Optional[BreakerBoard] = None,
     ) -> None:
         self.network = network
         self.env: "Environment" = network.env
@@ -867,13 +864,7 @@ class Duroc:
         #: Backoff jitter draws from ``rng`` — pass a seeded registry
         #: stream (``Grid.duroc()`` does) for reproducible retries.
         self.retry = retry
-        if retry is not None and breakers is None:
-            breakers = BreakerBoard(network.env)
-        self.breakers = breakers
-        self.gram = GramClient(
-            network, host, credential, auth,
-            retry=retry, rng=rng, breakers=breakers,
-        )
+        self.gram = GramClient(network, host, credential, auth, retry=retry, rng=rng)
         self.default_subjob_timeout = default_subjob_timeout
         self.submit_timeout = submit_timeout
         #: The paper's DUROC submits subjobs strictly sequentially
@@ -979,7 +970,7 @@ class Duroc:
                 states = yield from self.gram.site_status(
                     site, handles, timeout=interval, retry=self.retry
                 )
-            except (RPCTimeout, HostDown, RetryExhausted, CircuitOpen):
+            except (RPCTimeout, HostDown, RetryExhausted):
                 misses += 1
                 if misses >= self.heartbeat_misses:
                     for job, slot in watched.values():

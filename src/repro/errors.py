@@ -42,7 +42,7 @@ class NetworkError(ReproError):
 class RPCTimeout(NetworkError):
     """An RPC did not receive a reply within its timeout.
 
-    Carries the call's coordinates so retry/breaker logic can act on
+    Carries the call's coordinates so retry logic can act on
     them without string parsing: ``endpoint`` (the remote), ``kind``
     (the operation), ``timeout`` (the budget that elapsed), and
     ``attempts`` (how many tries a retrying caller made; 1 for a bare
@@ -173,25 +173,6 @@ class DeadlineExceeded(ResilienceError):
         super().__init__(message)
         self.deadline = deadline
         self.elapsed = elapsed
-
-
-class CircuitOpen(ResilienceError):
-    """A call was refused because the endpoint's circuit breaker is open.
-
-    ``endpoint`` identifies the breaker; ``retry_at`` is the simulated
-    time at which the breaker will next admit a probe.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        endpoint: Any = None,
-        retry_at: Optional[float] = None,
-    ) -> None:
-        super().__init__(message)
-        self.endpoint = endpoint
-        self.retry_at = retry_at
 
 
 class FaultSpecError(ReproError):

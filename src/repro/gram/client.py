@@ -24,7 +24,7 @@ from repro.net.address import Endpoint
 from repro.net.network import Network
 from repro.net.rpc import RPCError, call
 from repro.net.transport import Port, ephemeral_endpoint
-from repro.resilience import BreakerBoard, CircuitBreaker, RetryPolicy, retrying
+from repro.resilience import RetryPolicy, retrying
 from repro.rsl.ast import Specification
 from repro.rsl.printer import unparse
 from repro.simcore.tracing import TraceContext
@@ -138,7 +138,6 @@ class GramClient:
         auth: Optional[AuthConfig] = None,
         retry: Optional[RetryPolicy] = None,
         rng: Optional[np.random.Generator] = None,
-        breakers: Optional[BreakerBoard] = None,
     ) -> None:
         self.network = network
         self.env: "Environment" = network.env
@@ -151,8 +150,6 @@ class GramClient:
         #: ``rng`` — pass a seeded registry stream for reproducibility.
         self.retry = retry
         self.rng = rng
-        #: Per-gatekeeper circuit breakers (None = no fail-fast).
-        self.breakers = breakers
 
     def _fresh_port(self) -> Port:
         """An ephemeral reply port; the caller closes it when its call
@@ -182,11 +179,6 @@ class GramClient:
             ) from None
         handle.update(payload["state"], payload.get("reason"), self.env.now)
         return handle.state
-
-    def _breaker(self, endpoint: Endpoint) -> Optional[CircuitBreaker]:
-        if self.breakers is None:
-            return None
-        return self.breakers.breaker(endpoint)
 
     # -- API --------------------------------------------------------------
 
@@ -254,18 +246,17 @@ class GramClient:
                 port.close()
 
         try:
-            if policy is None and self.breakers is None:
+            if policy is None:
                 payload = yield from attempt()
             else:
                 payload = yield from retrying(
                     self.env,
-                    policy if policy is not None else RetryPolicy.none(),
+                    policy,
                     attempt,
                     rng=self.rng,
                     retry_on=SUBMIT_RETRY_ON,
                     operation="gram.submit",
                     endpoint=dst,
-                    breaker=self._breaker(dst),
                 )
         except BaseException:
             span.finish(ok=False)

@@ -24,7 +24,6 @@ from repro.obs.flightrec import (
     FlightRecorder,
     FlightRing,
     OnAbort,
-    OnBreakerOpen,
     OnFault,
     OnPredicate,
     OnProcessFailure,
@@ -58,7 +57,6 @@ __all__ = [
     "NULL_METRICS",
     "NullMetricsRegistry",
     "OnAbort",
-    "OnBreakerOpen",
     "OnFault",
     "OnPredicate",
     "OnProcessFailure",

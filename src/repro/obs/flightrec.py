@@ -13,7 +13,7 @@ and builds the record objects only when a dump reads them: in a
 healthy run no trigger trips, and every observation is evicted unread.
 
 Declarative :class:`Trigger` rules watch the observed stream: fault
-activation (:mod:`repro.faults`), breaker-open / retry-exhaustion
+activation (:mod:`repro.faults`), retry exhaustion
 (:mod:`repro.resilience`), a co-allocation abort decision, an
 unhandled process failure surfacing through the kernel, or a user
 predicate.  When one matches, the recorder freezes its buffers and
@@ -325,19 +325,6 @@ class OnFault(Trigger):
         return f"fault.apply:{fault}:{site}" if site else f"fault.apply:{fault}"
 
 
-class OnBreakerOpen(Trigger):
-    """A circuit breaker tripped OPEN (:mod:`repro.resilience`)."""
-
-    name = "breaker_open"
-
-    def match_event(
-        self, node: str, name: str, attrs: dict[str, Any]
-    ) -> Optional[str]:
-        if name != "resilience.breaker_open":
-            return None
-        return f"breaker_open:{attrs.get('endpoint', node)}"
-
-
 class OnRetryExhausted(Trigger):
     """A retry episode gave up (``RetryExhausted`` raised)."""
 
@@ -421,7 +408,6 @@ class OnPredicate(Trigger):
 #: The default rule set: every failure signal the platform emits.
 DEFAULT_TRIGGERS: tuple[Trigger, ...] = (
     OnFault(),
-    OnBreakerOpen(),
     OnRetryExhausted(),
     OnAbort(),
     OnProcessFailure(),

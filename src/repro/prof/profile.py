@@ -49,7 +49,6 @@ METRIC_COUNTERS: tuple[tuple[str, str], ...] = (
     ("net.messages_dropped_total", "net.messages_dropped"),
     ("resilience.retries_total", "resilience.retries"),
     ("resilience.exhausted_total", "resilience.exhausted"),
-    ("resilience.breaker_trips_total", "resilience.breaker_trips"),
 )
 
 

@@ -194,9 +194,6 @@ def _record(seed: int, grid: Grid, trial: tuple[Any, Any]) -> dict[str, Any]:
         "exhausted_episodes": int(
             metrics.counter("resilience.exhausted_total").total()
         ),
-        "breaker_trips": int(
-            metrics.counter("resilience.breaker_trips_total").total()
-        ),
         "time_to_commit": round(outcome.elapsed, 6) if outcome.success else None,
         "failure": outcome.failure,
         "degradation": _classify(outcome, requested, released),
@@ -320,7 +317,6 @@ def run_campaigns(
         entry["summary"] = {
             "success_rate": round(len(successes) / trials, 6),
             "retries_used": sum(r["retries_used"] for r in records),
-            "breaker_trips": sum(r["breaker_trips"] for r in records),
             "degradation_modes": modes,
             "mean_time_to_commit": (
                 round(

@@ -1,4 +1,4 @@
-"""Retry policies, deadlines, and timeout wrappers on the simulated clock.
+"""Retry policies and deadlines on the simulated clock.
 
 A :class:`RetryPolicy` is pure data: attempt cap, backoff shape, jitter
 fraction, and an optional per-episode deadline.  Delays are drawn from a
@@ -9,13 +9,13 @@ and the repository's determinism tests rely on.
 
 :func:`retrying` is the executor: it drives a *factory of attempts*
 (each attempt is a fresh generator) under a policy, sleeping out the
-backoff delays on the simulated clock, optionally consulting a
-:class:`~repro.resilience.breaker.CircuitBreaker`, and raising a typed
+backoff delays on the simulated clock and raising a typed
 :class:`~repro.errors.RetryExhausted` when the policy gives up.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -29,18 +29,11 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import (
-    CircuitOpen,
-    DeadlineExceeded,
-    HostDown,
-    RetryExhausted,
-    RPCTimeout,
-)
+from repro.errors import DeadlineExceeded, HostDown, RetryExhausted, RPCTimeout
 from repro.resilience.states import AttemptPhase, check_attempt_transition
 from repro.simcore.probe import emit
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.resilience.breaker import CircuitBreaker
     from repro.simcore.environment import Environment
 
 #: Failures that are transient by default: a lost reply or a dead peer
@@ -56,8 +49,9 @@ class RetryPolicy:
     ``delay(n)`` is the sleep *after* failed attempt ``n``:
     ``min(max_delay, base_delay * multiplier**(n-1))``, scaled by a
     uniform factor in ``[1-jitter, 1+jitter]`` drawn from the caller's
-    seeded RNG.  ``deadline`` (seconds, relative to episode start)
-    bounds the whole episode: no new attempt starts past it.
+    seeded RNG, so no delay exceeds ``max_delay * (1 + jitter)``.
+    ``deadline`` (seconds, relative to episode start) bounds the whole
+    episode: no new attempt starts past it.
     """
 
     max_attempts: int = 4
@@ -70,6 +64,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
+        for name in ("base_delay", "multiplier", "max_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.base_delay < 0:
             raise ValueError(f"negative base_delay {self.base_delay!r}")
         if self.multiplier < 1.0:
@@ -78,13 +76,8 @@ class RetryPolicy:
             raise ValueError(f"negative max_delay {self.max_delay!r}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter {self.jitter!r} outside [0, 1)")
-        if self.deadline is not None and self.deadline <= 0:
+        if self.deadline is not None and not self.deadline > 0:
             raise ValueError(f"deadline must be positive, got {self.deadline!r}")
-
-    @classmethod
-    def none(cls) -> "RetryPolicy":
-        """A single attempt, no backoff: the pre-resilience behaviour."""
-        return cls(max_attempts=1, base_delay=0.0, jitter=0.0)
 
     def delay(
         self, attempt: int, rng: Optional[np.random.Generator] = None
@@ -92,7 +85,12 @@ class RetryPolicy:
         """Backoff to sleep after failed attempt ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError(f"attempt numbers are 1-based, got {attempt!r}")
-        nominal = min(self.max_delay, self.base_delay * self.multiplier ** (attempt - 1))
+        try:
+            nominal = min(
+                self.max_delay, self.base_delay * self.multiplier ** (attempt - 1)
+            )
+        except OverflowError:  # the growth passed max_delay long before
+            nominal = self.max_delay if self.base_delay > 0 else 0.0
         if rng is None or self.jitter <= 0.0 or nominal == 0.0:
             return nominal
         factor = 1.0 - self.jitter + 2.0 * self.jitter * float(rng.random())
@@ -119,7 +117,7 @@ class Deadline:
     """
 
     def __init__(self, env: "Environment", budget: Optional[float] = None) -> None:
-        if budget is not None and budget < 0:
+        if budget is not None and not budget >= 0:
             raise ValueError(f"negative deadline budget {budget!r}")
         self.env = env
         self.started_at = env.now
@@ -160,37 +158,6 @@ class Deadline:
     def __repr__(self) -> str:
         bound = "unbounded" if self.at is None else f"at={self.at:g}"
         return f"<Deadline {bound} remaining={self.remaining:g}>"
-
-
-def with_timeout(
-    env: "Environment",
-    gen: Generator,
-    timeout: float,
-    operation: str = "operation",
-) -> Generator:
-    """Race generator ``gen`` against ``timeout`` simulated seconds.
-
-    Returns the generator's value if it finishes in time; otherwise
-    interrupts it and raises :class:`~repro.errors.DeadlineExceeded`.
-    Use for composite operations; plain RPCs should pass their
-    ``timeout=`` parameter instead.
-    """
-    if timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout!r}")
-    proc = env.process(gen, name=f"timeout:{operation}")
-    timer = env.timeout(timeout)
-    yield proc | timer
-    if proc.triggered:
-        timer.cancelled = True
-        return proc.value
-    proc.defused = True  # its eventual outcome no longer matters
-    if proc.is_alive:
-        proc.interrupt(cause=f"{operation} timed out")
-    raise DeadlineExceeded(
-        f"{operation} did not finish within {timeout:g}s",
-        deadline=env.now,
-        elapsed=timeout,
-    )
 
 
 class RetryEpisode:
@@ -297,32 +264,19 @@ def retrying(
     retry_on: Tuple[Type[BaseException], ...] = DEFAULT_RETRY_ON,
     operation: str = "operation",
     endpoint: Any = None,
-    breaker: "Optional[CircuitBreaker]" = None,
 ) -> Generator:
     """Generator: run ``factory()`` attempts under ``policy``.
 
     ``factory`` must build a *fresh* generator per call (attempts are
     not resumable).  Failures matching ``retry_on`` trigger backoff and
-    another attempt; anything else propagates immediately.  A
-    ``breaker``, when given, is consulted before every attempt —
-    :class:`~repro.errors.CircuitOpen` refusals are themselves backed
-    off, so an episode can outwait a breaker's recovery window.
+    another attempt; anything else propagates immediately.
     """
     episode = RetryEpisode(env, policy, rng, operation=operation, endpoint=endpoint)
     while True:
         try:
-            if breaker is not None:
-                breaker.admit()
             result = yield from factory()
-        except CircuitOpen as exc:
-            yield from episode.backoff(exc)
-            continue
         except retry_on as exc:
-            if breaker is not None:
-                breaker.record_failure()
             yield from episode.backoff(exc)
             continue
-        if breaker is not None:
-            breaker.record_success()
         episode.succeeded()
         return result

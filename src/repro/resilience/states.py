@@ -1,19 +1,12 @@
-"""Lifecycle tables for the resilience layer.
+"""The lifecycle table of the resilience layer.
 
-Two small state machines, both declared as literal transition tables so
-the ``sm-*`` static checker (:mod:`repro.analysis.statemachine`) can
-verify every mutation site:
-
-* :class:`AttemptPhase` — one *retry episode* (a logical operation and
-  all its attempts).  The episode is RUNNING while an attempt is in
-  flight, BACKING_OFF between attempts, and ends exactly once:
-  SUCCEEDED when an attempt returns, EXHAUSTED when the policy's
-  attempt cap or deadline cuts it off.
-
-* :class:`BreakerPhase` — the classic circuit-breaker lifecycle:
-  CLOSED (calls flow) → OPEN (calls refused after repeated failures) →
-  HALF_OPEN (one probe admitted after the recovery time) → CLOSED or
-  back to OPEN.
+:class:`AttemptPhase` is one *retry episode* (a logical operation and
+all its attempts), declared as a literal transition table so the
+``sm-*`` static checker (:mod:`repro.analysis.statemachine`) can verify
+every mutation site.  The episode is RUNNING while an attempt is in
+flight, BACKING_OFF between attempts, and ends exactly once: SUCCEEDED
+when an attempt returns, EXHAUSTED when the policy's attempt cap or
+deadline cuts it off.
 """
 
 from __future__ import annotations
@@ -56,29 +49,4 @@ def check_attempt_transition(current: AttemptPhase, new: AttemptPhase) -> None:
     if new not in ATTEMPT_TRANSITIONS[current]:
         raise ResilienceError(
             f"illegal retry-episode transition {current.value} -> {new.value}"
-        )
-
-
-class BreakerPhase(str, Enum):
-    """Lifecycle of one circuit breaker."""
-
-    #: Calls flow; failures are counted.
-    CLOSED = "closed"
-    #: Calls are refused until the recovery time elapses.
-    OPEN = "open"
-    #: One probe call is admitted; its outcome decides the next phase.
-    HALF_OPEN = "half_open"
-
-
-BREAKER_TRANSITIONS: dict[BreakerPhase, frozenset[BreakerPhase]] = {
-    BreakerPhase.CLOSED: frozenset({BreakerPhase.OPEN}),
-    BreakerPhase.OPEN: frozenset({BreakerPhase.HALF_OPEN}),
-    BreakerPhase.HALF_OPEN: frozenset({BreakerPhase.CLOSED, BreakerPhase.OPEN}),
-}
-
-
-def check_breaker_transition(current: BreakerPhase, new: BreakerPhase) -> None:
-    if new not in BREAKER_TRANSITIONS[current]:
-        raise ResilienceError(
-            f"illegal breaker transition {current.value} -> {new.value}"
         )

@@ -12,17 +12,22 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import SimulationError
+
 
 class RngRegistry:
     """Factory of independent, named ``numpy.random.Generator`` streams.
 
     Streams are derived with ``SeedSequence.spawn``-style keying: the
     stream named ``"gram.hostA"`` is a function of (root seed, name)
-    only.
+    only.  The root seed is a non-negative integer (``SeedSequence``
+    entropy); a negative one is a :class:`~repro.errors.SimulationError`.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
+        if self.seed < 0:
+            raise SimulationError(f"seed must be non-negative, got {self.seed}")
         self._streams: dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:

@@ -14,7 +14,7 @@ def test_tables_parse_from_real_sources():
     checker = StateMachineChecker()
     assert set(checker.tables) == {
         "JobState", "SubjobState", "RequestState", "QueuePhase",
-        "AttemptPhase", "BreakerPhase",
+        "AttemptPhase",
     }
     job = checker.tables["JobState"]
     assert "PENDING" in job.transitions["UNSUBMITTED"]

@@ -267,19 +267,9 @@ class TestTriggers:
     def test_default_catalogue(self):
         names = {trigger.name for trigger in DEFAULT_TRIGGERS}
         assert names == {
-            "fault", "breaker_open", "retry_exhausted",
+            "fault", "retry_exhausted",
             "coallocation_abort", "process_failure",
         }
-
-    def test_breaker_open(self):
-        recorder = FlightRecorder()
-        self._event(
-            recorder, "resilience.breaker_open",
-            {"endpoint": "RM1:gatekeeper", "failures": 3},
-        )
-        assert recorder.dumps[0]["trigger"]["reason"] == (
-            "breaker_open:RM1:gatekeeper"
-        )
 
     def test_retry_exhausted(self):
         recorder = FlightRecorder()

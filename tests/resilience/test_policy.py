@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DeadlineExceeded, GramError, RetryExhausted, RPCTimeout
-from repro.resilience import Deadline, RetryEpisode, RetryPolicy, retrying, with_timeout
+from repro.resilience import Deadline, RetryEpisode, RetryPolicy, retrying
 from repro.simcore import Environment
 
 policies = st.builds(
@@ -51,9 +51,14 @@ class TestPolicy:
         policy = RetryPolicy(max_attempts=4, base_delay=1.0, jitter=0.25)
         assert policy.schedule(None) == [1.0, 2.0, 4.0]
 
-    def test_none_is_single_attempt(self):
-        assert RetryPolicy.none().max_attempts == 1
-        assert RetryPolicy.none().schedule() == []
+    def test_growth_is_capped_past_float_overflow(self):
+        """``multiplier ** n`` overflows long before attempt 1100; the
+        delay stays at the cap, within the jitter band."""
+        policy = RetryPolicy(max_attempts=1100)
+        assert policy.schedule()[-1] == policy.max_delay
+        delays = policy.schedule(np.random.default_rng(0))
+        assert max(delays) <= policy.max_delay * (1 + policy.jitter)
+        assert RetryPolicy(max_attempts=1100, base_delay=0.0).schedule()[-1] == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -65,6 +70,13 @@ class TestPolicy:
             {"jitter": 1.0},
             {"jitter": -0.1},
             {"deadline": 0.0},
+            {"base_delay": float("nan")},
+            {"base_delay": float("inf")},
+            {"multiplier": float("nan")},
+            {"multiplier": float("inf")},
+            {"max_delay": float("nan")},
+            {"max_delay": float("inf")},
+            {"deadline": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
@@ -116,6 +128,11 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded) as err:
             deadline.check("handshake")
         assert err.value.deadline == 5.0
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_validation(self, budget):
+        with pytest.raises(ValueError):
+            Deadline(Environment(), budget)
 
     def test_clamp_takes_the_tighter_bound(self):
         env = Environment()
@@ -206,27 +223,3 @@ class TestRetrying:
         env.run(env.process(driver(env)))
         assert episode.attempt == 2
         assert episode.retries == 1
-
-
-class TestWithTimeout:
-    def test_returns_value_in_time(self):
-        env = Environment()
-
-        def op(env):
-            yield env.timeout(1.0)
-            return 42
-
-        proc = env.process(with_timeout(env, op(env), timeout=5.0))
-        assert env.run(proc) == 42
-
-    def test_raises_on_timeout(self):
-        env = Environment()
-
-        def op(env):
-            yield env.timeout(10.0)
-            return 42
-
-        proc = env.process(with_timeout(env, op(env), timeout=2.0, operation="slow"))
-        with pytest.raises(DeadlineExceeded, match="slow"):
-            env.run(proc)
-        assert env.now == 2.0

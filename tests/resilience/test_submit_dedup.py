@@ -4,7 +4,11 @@ A retry whose predecessor lost only the *reply* must get the original
 job back (gatekeeper dedup by submission id), never a duplicate job.
 """
 
+import pytest
+
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
+from repro.errors import AllocationAborted
+from repro.faults import HostCrash
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.resilience import RetryPolicy
 
@@ -55,3 +59,45 @@ def test_lost_reply_resubmission_reuses_the_job():
     assert submits.value(site="RM1", outcome="accepted") == 1
     assert submits.value(site="RM1", outcome="duplicate") == 1
     assert metrics.counter("resilience.retries_total").total() >= 1
+
+
+def test_max_attempts_counts_contacts_with_a_dead_site():
+    """Every one of ``max_attempts`` submissions reaches the site.
+
+    RM1 is down from t=0, so each attempt waits out ``submit_timeout``
+    and then the next backoff delay; the request aborts once the last
+    attempt times out, naming the attempt count.
+    """
+    policy = RetryPolicy(max_attempts=8, base_delay=0.5, jitter=0.0)
+    grid = (
+        GridBuilder(seed=5)
+        .add_machine("RM1", nodes=8)
+        .with_faults(HostCrash("RM1"))
+        .build()
+    )
+    contacts = []
+
+    def count_contacts(message):
+        if message.dst.host == "RM1":
+            contacts.append(grid.env.now)
+        return False
+
+    grid.network.add_drop_rule(count_contacts)
+    duroc = grid.duroc(retry=policy, submit_timeout=3.0)
+    request = CoAllocationRequest([
+        SubjobSpec(
+            contact=grid.site("RM1").contact,
+            count=2,
+            executable=DEFAULT_EXECUTABLE,
+            start_type=SubjobType.REQUIRED,
+        )
+    ])
+
+    def agent(env):
+        with pytest.raises(AllocationAborted, match="after 8 attempt"):
+            yield from duroc.run(request)
+        return env.now
+
+    aborted_at = grid.run(grid.process(agent(grid.env)))
+    assert len(contacts) == 8
+    assert aborted_at == 8 * 3.0 + sum(policy.schedule())

@@ -23,7 +23,7 @@ from repro.gram.site import Site
 from repro.machine.host import Machine
 from repro.mpi.comm import MiniComm
 from repro.net.network import Network
-from repro.resilience import BreakerBoard, CircuitBreaker, RetryEpisode, retrying
+from repro.resilience import RetryEpisode, retrying
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -70,8 +70,6 @@ def test_declaring_a_run_imports_no_tooling():
         (MiniComm, "metrics"),
         (RetryEpisode, "metrics"),
         (retrying, "metrics"),
-        (CircuitBreaker, "metrics"),
-        (BreakerBoard, "metrics"),
     ],
 )
 def test_components_take_no_tracer_or_metrics(component, keyword):
