@@ -73,6 +73,15 @@ class SubjobSpec:
     reservation_id: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # What gram.client.contact_endpoint resolves: ``host`` (the
+        # conventional gatekeeper port) or ``host:port``.  Refused here,
+        # a malformed contact cannot surface mid-run as a bare error.
+        host, sep, port = self.contact.partition(":")
+        if not host or (sep and not port):
+            raise RSLValidationError(
+                f"resourceManagerContact must be 'host' or 'host:port', "
+                f"got {self.contact!r}"
+            )
         if self.count <= 0:
             raise RSLValidationError(f"count must be positive, got {self.count!r}")
         for name in ("timeout", "max_time", "min_memory"):

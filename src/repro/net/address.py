@@ -52,11 +52,12 @@ class Endpoint:
     """A (host, port) address on the simulated network.
 
     Immutable and totally ordered by ``(host, port)``, with the hash
-    cached at construction — equality and ordering match the frozen
-    dataclass this class replaced.
+    cached at construction and the ``host:port`` text on first
+    :func:`str` — equality and ordering match the frozen dataclass this
+    class replaced.
     """
 
-    __slots__ = ("host", "port", "_hash")
+    __slots__ = ("host", "port", "_hash", "_text")
 
     #: Canonical instances, keyed by ``(host, port)``.  Entries live
     #: for the process lifetime, so only well-known service addresses
@@ -121,7 +122,15 @@ class Endpoint:
         return f"Endpoint(host={self.host!r}, port={self.port!r})"
 
     def __str__(self) -> str:
-        return f"{self.host}:{self.port}"
+        # Formatted on the first call and kept: every later str() of
+        # this endpoint returns the same string object, so the loci and
+        # log entries that name it share one copy.
+        try:
+            return self._text
+        except AttributeError:
+            text = f"{self.host}:{self.port}"
+            object.__setattr__(self, "_text", text)
+            return text
 
     def __reduce__(self) -> tuple:
         return (Endpoint, (self.host, self.port))

@@ -14,9 +14,10 @@ embed in their findings as the violation witness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 from repro.verify.vclock import VClock
 
@@ -29,6 +30,41 @@ ACCESS = "access"
 
 #: The clock of a locus nothing has been observed on yet.
 _ZERO = VClock()
+
+
+class AttrRow(Mapping[str, Any]):
+    """A recorded event's attributes as a compact row: a key tuple that
+    every observation with the same layout shares, and a tuple of
+    values.  Read-only; it iterates its keys in recording order and
+    compares equal to the dict it was built from."""
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: tuple[str, ...], values: tuple[Any, ...]) -> None:
+        self._keys = keys
+        self._values = values
+
+    def __getitem__(self, key: str) -> Any:
+        keys = self._keys
+        if key in keys:
+            return self._values[keys.index(key)]
+        raise KeyError(key)
+
+    def get(self, key: str, default: Any = None) -> Any:
+        keys = self._keys
+        return self._values[keys.index(key)] if key in keys else default
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._keys
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __repr__(self) -> str:
+        return f"AttrRow({dict(self)!r})"
 
 
 class ProtoEvent(NamedTuple):

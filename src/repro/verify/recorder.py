@@ -11,6 +11,9 @@ recorder builds no clock while the run executes, and
 :class:`~repro.verify.events.EventLog` derives vector clocks from the
 edges only when a monitor asks a cross-locus question
 (tests/verify/test_happens_before.py holds them to reachability).
+An event's attributes are stored as an
+:class:`~repro.verify.events.AttrRow`: the values, and a key tuple
+shared by every event with the same layout.
 
 Loci: components register their endpoints with
 :meth:`Recorder.register_locus` (the DUROC job registers its one port,
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
+from repro.net.address import Endpoint
 from repro.simcore.probe import Probe
 from repro.verify.events import (
     ACCESS,
@@ -38,6 +42,7 @@ from repro.verify.events import (
     DROP,
     EVENT,
     SEND,
+    AttrRow,
     ProtoEvent,
 )
 
@@ -48,17 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover
 _SCALAR_TYPES = (str, int, float, bool)
 
 
-def _payload_summary(payload: Any) -> dict[str, Any]:
-    """Scalar fields of a dict payload, endpoints rendered as strings."""
+def _add_payload(attrs: dict[str, Any], payload: Any) -> None:
+    """Add a dict payload's scalar fields to ``attrs``, endpoints as
+    their ``host:port`` text."""
     if not isinstance(payload, dict):
-        return {}
-    out: dict[str, Any] = {}
+        return
     for key, value in payload.items():
         if isinstance(value, _SCALAR_TYPES) or value is None:
-            out[key] = value
-        elif hasattr(value, "host") and hasattr(value, "service"):
-            out[key] = str(value)
-    return out
+            attrs[key] = value
+        elif isinstance(value, Endpoint):
+            attrs[key] = str(value)
 
 
 class Recorder(Probe):
@@ -70,6 +74,8 @@ class Recorder(Probe):
         self._last_on_node: dict[str, int] = {}
         self._send_seq: dict[int, int] = {}
         self._deliveries: dict[int, int] = {}
+        #: key tuple -> itself: one shared key tuple per attrs layout.
+        self._layouts: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     def register_locus(self, endpoint: str, locus: str) -> None:
         self._locus[endpoint] = locus
@@ -90,16 +96,19 @@ class Recorder(Probe):
         link: Optional[int] = None,
         advances_node: bool = True,
     ) -> int:
-        """Log one event; returns its sequence number."""
+        """Log one event, its attrs stored as a compact row; returns its
+        sequence number."""
         env = self.env
         seq = len(self.events) + 1
         prev = None
         if advances_node:
             prev = self._last_on_node.get(node)
             self._last_on_node[node] = seq
+        keys = tuple(attrs)
+        row = AttrRow(self._layouts.setdefault(keys, keys), tuple(attrs.values()))
         self.events.append(ProtoEvent(
             seq, env.now if env is not None else 0.0,
-            node, kind, name, attrs, prev, link,
+            node, kind, name, row, prev, link,
         ))
         return seq
 
@@ -110,7 +119,7 @@ class Recorder(Probe):
         attrs: dict[str, Any] = {"msg_id": message.msg_id, "src": src, "dst": dst}
         if message.corr_id is not None:
             attrs["corr_id"] = message.corr_id
-        attrs.update(_payload_summary(message.payload))
+        _add_payload(attrs, message.payload)
         self._send_seq[message.msg_id] = self._append(
             self._locus.get(src, src), SEND, message.kind, attrs
         )
@@ -119,7 +128,7 @@ class Recorder(Probe):
         src, dst, msg_id = str(message.src), str(message.dst), message.msg_id
         copy = self._deliveries[msg_id] = self._deliveries.get(msg_id, 0) + 1
         attrs: dict[str, Any] = {"msg_id": msg_id, "src": src, "dst": dst, "copy": copy}
-        attrs.update(_payload_summary(message.payload))
+        _add_payload(attrs, message.payload)
         self._append(
             self._locus.get(dst, dst), DELIVER, message.kind, attrs,
             link=self._send_seq.get(msg_id),
@@ -144,7 +153,7 @@ class Recorder(Probe):
         )
 
     def event(self, node: str, name: str, attrs: dict[str, Any]) -> None:
-        self._append(self._locus.get(node, node), EVENT, name, dict(attrs))
+        self._append(self._locus.get(node, node), EVENT, name, attrs)
 
     def access(
         self, node: str, resource: str, mode: str, attrs: dict[str, Any]

@@ -40,6 +40,15 @@ class TestSubjobSpec:
             with pytest.raises(RSLValidationError, match=field):
                 SubjobSpec(contact="RM1", count=1, executable="w", **{field: value})
 
+    @pytest.mark.parametrize("contact", ["RM1:", ":gk", ":", ""])
+    def test_malformed_contact_refused_when_built(self, contact):
+        # The co-allocator would otherwise meet it mid-run, resolving
+        # the gatekeeper, and the error would end the simulation.
+        with pytest.raises(RSLValidationError, match="resourceManagerContact"):
+            CoAllocationRequest.from_rsl(
+                f'+(&(resourceManagerContact="{contact}")(count=1)(executable=w))'
+            )
+
     def test_start_type_coercion_from_string(self):
         spec = SubjobSpec(contact="RM1", count=1, executable="w",
                           start_type="interactive")

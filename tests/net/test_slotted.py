@@ -4,6 +4,9 @@
 deleted in PR 13; the name is kept so the test ids stay stable.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from repro.net import Endpoint
@@ -34,3 +37,26 @@ class TestEndpointInterning:
             endpoint.host = "other"
         with pytest.raises(AttributeError):
             del endpoint.port
+
+
+class TestEndpointText:
+    def test_text_is_formatted_once(self):
+        endpoint = Endpoint("host9", "svc")
+        assert str(endpoint) == "host9:svc" == f"{endpoint}"
+        assert str(endpoint) is str(endpoint)
+        with pytest.raises(AttributeError):
+            endpoint._text = "other:svc"
+
+    def test_kept_text_leaves_value_semantics_alone(self):
+        texted, fresh = Endpoint("host9", "svc"), Endpoint("host9", "svc")
+        str(texted)
+        assert texted == fresh and not texted != fresh
+        assert hash(texted) == hash(fresh) == hash(("host9", "svc"))
+        assert pickle.dumps(texted) == pickle.dumps(fresh)
+        for clone in (pickle.loads(pickle.dumps(texted)), copy.copy(texted)):
+            assert clone == texted and hash(clone) == hash(texted)
+            assert str(clone) == "host9:svc"
+        lower, higher = Endpoint("host8", "svc"), Endpoint("host9", "svd")
+        assert lower < texted < higher and lower <= texted <= fresh
+        assert higher > texted > lower and fresh >= texted >= lower
+        assert sorted([higher, texted, lower]) == [lower, fresh, higher]

@@ -11,9 +11,12 @@ the recorded edges when a monitor asks.  These are counts, not timings
 concurrent co-allocations under both observers, and what each does per
 message and per event must stay where the budget puts it: no vector
 clock built during the run and none carried on a message, no flight
-record built before a dump, and at most five endpoints stringified per
-message.
+record built before a dump, an endpoint's text formatted once rather
+than on every str(), and the log kept in compact rows.
 """
+
+import gc
+import sys
 
 from repro.core.request import CoAllocationRequest
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
@@ -37,10 +40,38 @@ def _counting(patch, owner, name, calls, key):
     patch.setattr(owner, name, counted)
 
 
+def _counting_formats(patch, calls):
+    """Count the str() calls that build an endpoint's text, not the ones
+    that return the text an earlier call kept."""
+    real = Endpoint.__str__
+
+    def counted(self):
+        if not hasattr(self, "_text"):
+            calls["format"] += 1
+        return real(self)
+
+    patch.setattr(Endpoint, "__str__", counted)
+
+
+def _bytes_per_observation(events):
+    """sys.getsizeof over the log: the list, each event, and every
+    distinct object the events hold (attrs and the containers they are
+    stored in, keys, values, loci and names)."""
+    seen, total, stack = set(), 0, [events]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total / len(events)
+
+
 def test_observers_defer_rendering(monkeypatch):
-    calls = dict.fromkeys(("str", "base_match", "vclock", "record"), 0)
+    calls = dict.fromkeys(("format", "base_match", "vclock", "record"), 0)
     with monkeypatch.context() as patch:
-        _counting(patch, Endpoint, "__str__", calls, "str")
+        _counting_formats(patch, calls)
         _counting(patch, flightrec.Trigger, "match_message", calls, "base_match")
         _counting(patch, flightrec.Trigger, "match_event", calls, "base_match")
         _counting(patch, VClock, "__init__", calls, "vclock")
@@ -79,10 +110,13 @@ def test_observers_defer_rendering(monkeypatch):
     sent, events = grid.network.sent_count, len(grid.recorder.events)
     assert sorted(done) == list(range(REQUESTS)) and recorder.dumps == [dump]
     assert sent > 1000 and events > 2 * sent and recorder.records_observed > 10 * sent
-    # Each endpoint of a message is stringified once per monitor hook
-    # (send, deliver) and never by the flight recorder: 4, plus the
-    # endpoint-valued payload fields and the loci registered.
-    assert observed["str"] / sent <= 5
+    # The monitor hooks ask for a message's endpoints and its
+    # endpoint-valued payload fields as text, 5.10 str() calls per
+    # message; an endpoint formats only on its first str().  0.31 here.
+    assert observed["format"] / sent <= 0.5
+    # Before the log stored compact rows and shared endpoint text, this
+    # load kept 516 bytes per observation; 334 now.
+    assert _bytes_per_observation(grid.recorder.events) <= 360  # 30 % below 516
     # No default rule overrides match_message, and every one overrides
     # match_event: the base no-ops are never reached.
     assert observed["base_match"] == 0

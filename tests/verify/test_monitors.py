@@ -203,6 +203,33 @@ def test_answered_checkin_clean():
     assert "tpc-unanswered-checkin" not in rules_of(findings)
 
 
+def test_uncommitted_request_reports_each_unanswered_process():
+    # The agent submits and never commits: every process checks in,
+    # hears nothing, and gives up at the barrier's horizon.  The
+    # monitor reads the check-in's ``endpoint`` and names each one.
+    grid = (
+        GridBuilder(seed=7)
+        .add_machine("RM1", nodes=8)
+        .add_machine("RM2", nodes=8)
+        .with_monitors()
+        .build()
+    )
+    request = CoAllocationRequest([
+        SubjobSpec("RM1:gatekeeper", 2, DEFAULT_EXECUTABLE),
+        SubjobSpec("RM2:gatekeeper", 1, DEFAULT_EXECUTABLE),
+    ])
+    grid.duroc().submit(request)
+    grid.run()
+    log = EventLog(grid.recorder.events)
+    ctx = RunContext(run_id="uncommitted", queue_exhausted=grid.recorder.queue_exhausted)
+    findings = evaluate(all_monitors(), log, ctx)
+    unanswered = [f for f in findings if f.rule == "tpc-unanswered-checkin"]
+    abandoned = [f for f in findings if f.rule == "dl-barrier-abandoned"]
+    checkins = {e.attrs["endpoint"] for e in log.named("duroc.checkin", kind=DELIVER)}
+    assert len(checkins) == 3 and len(unanswered) == 3 and len(abandoned) == 3
+    assert all(any(ep in f.message for ep in checkins) for f in unanswered)
+
+
 # -- tpc-dup-checkin ----------------------------------------------------------
 
 def test_double_applied_checkin_flagged():

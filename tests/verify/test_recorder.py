@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
+import pytest
+
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.verify import EventLog, Recorder
 from repro.verify.events import DELIVER, SEND
+from repro.workloads.scenarios import FIGURE1, run
 
 
 def run_simple(seed: int = 7):
@@ -128,3 +133,24 @@ def test_indexed_queries_match_a_scan_of_the_log():
         e for e in log
         if e.name == "duroc.state" and e.attrs.get("state") == "released"
     ] != []
+
+
+def test_checkin_records_the_senders_endpoint():
+    grid, _ = run(FIGURE1, seed=42, observe={"monitors"})
+    checkins = [
+        e for e in grid.recorder.events
+        if e.kind == DELIVER and e.name == "duroc.checkin"
+    ]
+    assert checkins
+    for deliver in checkins:
+        assert deliver.attrs["endpoint"] == deliver.attrs["src"]
+
+
+def test_attrs_are_read_only_mappings_equal_to_a_dict():
+    _, _, recorder = run_simple()
+    for event in recorder.events:
+        attrs = event.attrs
+        assert isinstance(attrs, Mapping) and not isinstance(attrs, dict)
+        assert attrs == dict(attrs) and attrs.get("no such key") is None
+        with pytest.raises(TypeError):
+            attrs["msg_id"] = 0
