@@ -15,7 +15,7 @@ executables, which is how every example and benchmark launches work.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from repro.core.barrier import ABORT, CHECKIN, RELEASE, config_from_release
 from repro.core.config import DurocConfig
@@ -26,6 +26,9 @@ from repro.resilience import Deadline, RetryPolicy
 from repro.simcore.probe import emit
 from repro.simcore.resources import TIMED_OUT
 from repro.simcore.tracing import OBS_CONTEXT_PARAM, TraceContext
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simcore.environment import Environment
 
 #: Context parameter keys injected by the DUROC co-allocator at submit.
 PARAM_CONTACT = "duroc.contact"
@@ -63,6 +66,13 @@ def _verdict(message: Any) -> bool:
     return message.kind in (RELEASE, ABORT)
 
 
+def _report(env: "Environment", port: Port, name: str, **attrs: Any) -> None:
+    """Report a barrier event under the port's address, formatted only
+    for an observer: most processes never need the text."""
+    if env.probe is not None:
+        emit(env, str(port.endpoint), name, **attrs)
+
+
 def barrier(
     ctx: ProcessContext,
     port: Port,
@@ -94,10 +104,9 @@ def barrier(
         "reason": reason,
         "endpoint": port.endpoint,
     }
-    node = str(port.endpoint)
-    emit(ctx.env, node, "barrier.enter", slot=slot_id, rank=ctx.rank, ok=ok)
-    port.send(contact, CHECKIN, payload=payload, ctx=trace)
     env = ctx.env
+    _report(env, port, "barrier.enter", slot=slot_id, rank=ctx.rank, ok=ok)
+    port.send(contact, CHECKIN, payload=payload, ctx=trace)
     deadline = Deadline(env, CHECKIN_RESEND.deadline)
     # One timed receive per round; a wait the deadline cut short is the last.
     for delay in _ROUNDS:
@@ -106,21 +115,15 @@ def barrier(
         if message is not TIMED_OUT:
             break
         if wait < delay:
-            emit(ctx.env, node, "barrier.abandoned", slot=slot_id, rank=ctx.rank)
+            _report(env, port, "barrier.abandoned", slot=slot_id, rank=ctx.rank)
             raise StopProcess(("failed", "no barrier verdict arrived"))
         port.send(contact, CHECKIN, payload=payload, ctx=trace)
     if message.kind == ABORT:
-        emit(
-            ctx.env, node, "barrier.exit",
-            slot=slot_id, rank=ctx.rank, verdict="abort",
-        )
+        _report(env, port, "barrier.exit", slot=slot_id, rank=ctx.rank, verdict="abort")
         raise StopProcess(("aborted", message.payload.get("reason")))
     if not ok:  # pragma: no cover - the co-allocator never releases failures
         raise StopProcess(("failed", reason))
-    emit(
-        ctx.env, node, "barrier.exit",
-        slot=slot_id, rank=ctx.rank, verdict="release",
-    )
+    _report(env, port, "barrier.exit", slot=slot_id, rank=ctx.rank, verdict="release")
     return config_from_release(message.payload)
 
 
@@ -159,10 +162,13 @@ def make_program(
             yield ctx.env.timeout(ctx.machine.startup_delay(startup))
         ok, reason = (True, None) if startup_ok is None else startup_ok(ctx)
         span.finish(ok=ok)
+        # Waiting at the barrier needs only the span's context.
+        trace = span.context
+        del span
         if coallocated:
             assert port is not None
             config = yield from barrier(
-                ctx, port, ok=ok, reason=reason, trace=span.context
+                ctx, port, ok=ok, reason=reason, trace=trace
             )
         else:
             # Started by plain GRAM (no co-allocator): run standalone.

@@ -39,9 +39,10 @@ ABORT = "duroc.abort"
 RELEASE_BASE_MAX = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Checkin:
-    """One process's arrival at the barrier."""
+    """One process's arrival at the barrier (one per waiting process,
+    so slotted)."""
 
     slot_id: int
     rank: int

@@ -55,8 +55,14 @@ class FaultSpec:
 
     def validate(self, target: "_Target") -> None:
         """Raise :class:`~repro.errors.FaultSpecError` if inapplicable."""
-        if self.at < 0:
+        # Written as `not x >= 0`: NaN fails every comparison.
+        if not self.at >= 0:
             raise FaultSpecError(f"{type(self).__name__}.at must be >= 0")
+        duration = getattr(self, "duration", None)
+        if duration is not None and not duration >= 0:
+            raise FaultSpecError(
+                f"{type(self).__name__}.duration must be >= 0, got {duration!r}"
+            )
 
     def describe(self) -> dict[str, Any]:
         """A JSON-able, deterministic description of this fault."""
@@ -141,7 +147,7 @@ class Overload(FaultSpec):
 
     def validate(self, target: "_Target") -> None:
         super().validate(target)
-        if self.factor <= 0:
+        if not self.factor > 0:  # also refuses NaN
             raise FaultSpecError(f"Overload.factor must be positive, got {self.factor!r}")
         if self.host not in target.machines:
             raise FaultSpecError(
@@ -308,7 +314,7 @@ class SlowLink(FaultSpec):
 
     def validate(self, target: "_Target") -> None:
         super().validate(target)
-        if self.latency < 0:
+        if not self.latency >= 0:  # also refuses NaN
             raise FaultSpecError(f"SlowLink.latency must be >= 0, got {self.latency!r}")
         target.require_host(self.src)
         target.require_host(self.dst)

@@ -11,6 +11,7 @@ so a job that has ended owns no process and no mailbox.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import HostDown, SchedulerError
@@ -138,22 +139,23 @@ class JobManager:
             self._fail("machine crashed")
             return
 
-        records = []
+        # One read-only mapping, shared by every rank of the job.
+        params = MappingProxyType(dict(job.params, **{
+            "gram.job_id": job.job_id,
+            "gram.contact": str(self.contact),
+            OBS_CONTEXT_PARAM: self.ctx,
+        }))
+        contexts = []
         for rank in range(job.count):
-            record = self.machine.spawn(
+            contexts.append(self.machine.spawn(
                 self.program,
                 executable=job.executable,
                 rank=rank,
                 count=job.count,
                 arguments=job.arguments,
-                params=dict(job.params, **{
-                    "gram.job_id": job.job_id,
-                    "gram.contact": str(self.contact),
-                    OBS_CONTEXT_PARAM: self.ctx,
-                }),
-            )
-            records.append(record)
-        job.pids = [r.pid for r in records]
+                params=params,
+            ))
+        job.pids = [context.pid for context in contexts]
 
         job.transition(JobState.ACTIVE, env.now)
         self._count_transition()
@@ -162,7 +164,7 @@ class JobManager:
         # Wait for every process to exit.  If any process dies abnormally
         # (kill, crash, application error), the whole job fails and the
         # remaining processes are terminated.
-        self._exits = env.all_of([r.process for r in records])
+        self._exits = env.all_of([context.process for context in contexts])
         try:
             yield self._exits
         except Interrupt as intr:
@@ -182,7 +184,7 @@ class JobManager:
             # Nor may this frame: an exit that failed the wait is a dead
             # process's value, and its traceback now holds this frame.
             self._exits = None
-            del records
+            del contexts
 
         self._release()
         if job.state.terminal:

@@ -220,6 +220,8 @@ class GridBuilder:
             raise ReproError(
                 f"unknown scheduler {scheduler!r}; pick from {sorted(SCHEDULERS)}"
             )
+        if any(spec["name"] == name for spec in self._machines):
+            raise ReproError(f"a machine named {name!r} is already declared")
         self._machines.append(
             dict(name=name, nodes=nodes, scheduler=scheduler, speed=speed,
                  costs=costs, memory=memory)

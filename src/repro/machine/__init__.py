@@ -1,12 +1,11 @@
 """Compute resource model: machines, processes, fault injection."""
 
 from repro.machine.faults import FailureModel
-from repro.machine.host import Machine, ProcessContext, ProcessRecord, Program
+from repro.machine.host import Machine, ProcessContext, Program
 
 __all__ = [
     "FailureModel",
     "Machine",
     "ProcessContext",
-    "ProcessRecord",
     "Program",
 ]

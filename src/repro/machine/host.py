@@ -15,13 +15,16 @@ them, and dying wholesale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
 
 from repro.errors import SimulationError
 from repro.net.address import Endpoint
 from repro.net.network import Network
 from repro.net.transport import Port
+from repro.simcore.events import Event
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.tracing import Tracer
 
@@ -30,18 +33,36 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _pids = itertools.count(1000)
 
+
+def _is_count(value: Any) -> bool:
+    """True for a whole number of any numeric type (``2.0`` too)."""
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 #: A program is a callable taking a ProcessContext and returning a
 #: generator to be driven as a simulated process.
 Program = Callable[["ProcessContext"], Generator]
 
 
-@dataclass(slots=True)
+#: The params of a process spawned without any: one shared empty mapping.
+_NO_PARAMS: Mapping[str, Any] = MappingProxyType({})
+
+
+@dataclass(slots=True, eq=False)
 class ProcessContext:
-    """Everything a spawned program instance can see.
+    """One running program instance: everything it can see, and the
+    machine's bookkeeping for it.
 
     ``params`` plays the role of environment variables: the GRAM job
     manager injects job/subjob identity here, exactly as DUROC passes
-    subjob context to real processes via the environment.
+    subjob context to real processes via the environment.  It is a
+    read-only mapping, which every rank of a job shares.
+
+    The context is also its process's exit callback, so the machine
+    builds no closure per process to reap it.
     """
 
     env: "Environment"
@@ -50,8 +71,12 @@ class ProcessContext:
     rank: int
     count: int
     executable: str
-    arguments: tuple[Any, ...] = ()
-    params: dict[str, Any] = field(default_factory=dict)
+    arguments: tuple[Any, ...]
+    params: Mapping[str, Any]
+    #: Simulated time of the spawn.
+    started_at: float
+    #: The kernel process running the program, set once it is created.
+    process: Process = field(init=False, repr=False)
     #: Ports this process bound; the machine closes them when it exits.
     ports: tuple[Port, ...] = field(default=(), init=False, repr=False)
 
@@ -73,16 +98,9 @@ class ProcessContext:
         """The run's tracer."""
         return self.env.tracer
 
-
-@dataclass(slots=True)
-class ProcessRecord:
-    """Bookkeeping for one running program instance."""
-
-    pid: int
-    executable: str
-    process: Process
-    context: ProcessContext
-    started_at: float
+    def __call__(self, event: Event) -> None:
+        """The process exited: the machine reaps it."""
+        self.machine._reap(self, event)
 
 
 class Machine:
@@ -96,8 +114,12 @@ class Machine:
         nodes: int,
         speed: float = 1.0,
     ) -> None:
-        if nodes <= 0:
-            raise SimulationError(f"machine needs at least one node, got {nodes}")
+        if not _is_count(nodes) or nodes <= 0:
+            raise SimulationError(
+                f"machine needs a whole, positive node count, got {nodes!r}"
+            )
+        if not 0 < speed < math.inf:  # also refuses NaN
+            raise SimulationError(f"machine speed must be positive, got {speed!r}")
         self.env = env
         self.network = network
         self.name = name
@@ -106,7 +128,7 @@ class Machine:
         #: Multiplies startup work; >1 models an overloaded system.
         self.load_factor = 1.0
         self.crashed = False
-        self.processes: dict[int, ProcessRecord] = {}
+        self.processes: dict[int, ProcessContext] = {}
         network.add_host(name)
 
     # -- execution ------------------------------------------------------------
@@ -118,11 +140,19 @@ class Machine:
         rank: int,
         count: int,
         arguments: tuple[Any, ...] = (),
-        params: Optional[dict[str, Any]] = None,
-    ) -> ProcessRecord:
-        """Start one instance of ``program`` on this machine."""
+        params: Optional[Mapping[str, Any]] = None,
+    ) -> ProcessContext:
+        """Start one instance of ``program`` on this machine.
+
+        A read-only ``params`` mapping is kept as given, so a job's
+        ranks can share one; anything else is copied into one.
+        """
         if self.crashed:
             raise SimulationError(f"machine {self.name!r} is down")
+        if params is None:
+            params = _NO_PARAMS
+        elif type(params) is not MappingProxyType:
+            params = MappingProxyType(dict(params))
         pid = next(_pids)
         context = ProcessContext(
             env=self.env,
@@ -132,24 +162,18 @@ class Machine:
             count=count,
             executable=executable,
             arguments=tuple(arguments),
-            params=dict(params or {}),
+            params=params,
+            started_at=self.env.now,
         )
-        process = self.env.process(
+        context.process = process = self.env.process(
             program(context),
             name=f"{self.name}/{executable}[{rank}]",
         )
-        process.callbacks.append(lambda event: self._reap(context, event))
-        record = ProcessRecord(
-            pid=pid,
-            executable=executable,
-            process=process,
-            context=context,
-            started_at=self.env.now,
-        )
-        self.processes[pid] = record
-        return record
+        process.callbacks.append(context)
+        self.processes[pid] = context
+        return context
 
-    def _reap(self, context: ProcessContext, event) -> None:
+    def _reap(self, context: ProcessContext, event: Event) -> None:
         """Remove an exited process and its mailboxes; swallow
         kill-induced interrupts."""
         self.processes.pop(context.pid, None)
@@ -170,11 +194,11 @@ class Machine:
 
     def kill(self, pid: int) -> bool:
         """Terminate one process (no-op if it already exited)."""
-        record = self.processes.pop(pid, None)
-        if record is None:
+        context = self.processes.pop(pid, None)
+        if context is None:
             return False
-        if record.process.is_alive:
-            record.process.interrupt(cause="killed")
+        if context.process.is_alive:
+            context.process.interrupt(cause="killed")
         return True
 
     # -- failure modes -------------------------------------------------------
@@ -195,7 +219,7 @@ class Machine:
 
     def overload(self, factor: float) -> None:
         """Set the load factor (1.0 = unloaded)."""
-        if factor <= 0:
+        if not factor > 0:  # also refuses NaN
             raise SimulationError(f"load factor must be positive, got {factor!r}")
         self.load_factor = float(factor)
 

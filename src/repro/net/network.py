@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.simcore.events import Timeout
+from repro.simcore.events import NORMAL, Timeout
 from repro.simcore.metrics import NULL_METRICS
 from repro.simcore.resources import Store
 from repro.simcore.rng import jittered
@@ -60,7 +60,11 @@ class LatencyModel:
         rng: Optional[np.random.Generator] = None,
         bandwidth: Optional[float] = None,
     ) -> None:
-        if bandwidth is not None and bandwidth <= 0:
+        # Written as `not x >= 0`: NaN fails every comparison.
+        for name, value in (("base", base), ("local", local), ("jitter_cv", jitter_cv)):
+            if not value >= 0:
+                raise SimulationError(f"{name} must be >= 0, got {value!r}")
+        if bandwidth is not None and not bandwidth > 0:
             raise SimulationError(f"bandwidth must be positive, got {bandwidth!r}")
         self.base = float(base)
         self.local = float(local)
@@ -71,7 +75,7 @@ class LatencyModel:
 
     def set_latency(self, host_a: str, host_b: str, latency: float) -> None:
         """Install a symmetric per-pair latency override."""
-        if latency < 0:
+        if not latency >= 0:  # also refuses NaN
             raise SimulationError(f"negative latency {latency!r}")
         self._overrides[(host_a, host_b)] = latency
         self._overrides[(host_b, host_a)] = latency
@@ -112,6 +116,37 @@ class KindSeries:
         self.rpc_calls = metrics.bind("counter", "rpc.calls_total", kind=kind)
         self.rpc_timeouts = metrics.bind("counter", "rpc.timeouts_total", kind=kind)
         self.rpc_latency = metrics.bind("histogram", "rpc.latency_seconds", kind=kind)
+
+
+class _Delivery(Timeout):
+    """Kernel timer of one message in flight; its value is the message.
+
+    No caller ever waits on one, so every delivery shares one callbacks
+    tuple, and the network rides in a slot rather than in a bound
+    method per message.  The kernel's ``schedule`` refuses a negative
+    or NaN delay.
+    """
+
+    __slots__ = ("network",)
+
+    def __init__(self, network: "Network", delay: float, message: Message) -> None:
+        self.env = env = network.env
+        self.callbacks = _DELIVER  # type: ignore[assignment]  # never appended to
+        self._value = message
+        self._ok = True
+        self._defused = False
+        self.cancelled = False
+        self.delay = delay = float(delay)
+        self.network = network
+        env.schedule(self, NORMAL, delay)
+
+
+def _deliver(event: _Delivery) -> None:
+    event.network._deliver_message(event._value)
+
+
+#: The callbacks of every :class:`_Delivery`.
+_DELIVER = (_deliver,)
 
 
 class Network:
@@ -292,11 +327,7 @@ class Network:
             return
 
         delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
-        Timeout(env, delay, message).callbacks.append(self._deliver)
-
-    def _deliver(self, event) -> None:
-        """The delivery event's value is the message."""
-        self._deliver_message(event._value)
+        _Delivery(self, delay, message)
 
     def _deliver_message(self, message: Message) -> None:
         # Reachability is evaluated at delivery time so that a partition

@@ -56,14 +56,15 @@ class _Deadline(Event):
     :data:`TIMED_OUT`.  It loses every tie — scheduled after NORMAL, as
     ``run(until=)``'s stop event is — so an item put in its own instant
     is still received.  Whichever side decides unlinks request and
-    deadline, so neither is left to the cycle collector.
+    deadline, so neither is left to the cycle collector.  No caller
+    ever waits on one, so every deadline shares one callbacks tuple.
     """
 
     __slots__ = ("request",)
 
     def __init__(self, request: StoreGet, delay: float) -> None:
         self.env = env = request.env
-        self.callbacks = [_expire]
+        self.callbacks = _EXPIRE  # type: ignore[assignment]  # never appended to
         self._value = None
         self._ok = True
         self._defused = False
@@ -77,6 +78,10 @@ def _expire(deadline: Event) -> None:
     request = deadline.request
     request.resource._withdraw(request)
     request.succeed(TIMED_OUT)
+
+
+#: The callbacks of every :class:`_Deadline`.
+_EXPIRE = (_expire,)
 
 
 def _retire(request: StoreGet) -> None:

@@ -147,7 +147,9 @@ class _OpenSpan:
                 self.name,
                 self.start,
                 self.tracer.env.now,
-                dict(self.attrs),
+                # A closed span's attrs are never written again: the
+                # finished Span takes the dict over.
+                self.attrs,
                 trace_id=self.trace_id,
                 span_id=self.span_id,
                 parent_id=self.parent_id,

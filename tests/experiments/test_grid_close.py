@@ -3,7 +3,7 @@
 The SF-Express sweep builds a 13-machine, 1 386-process grid per
 (strategy, seed) pair.  Once its row is read, ``Grid.close()`` ends the
 world; dropping it must then free every process, mailbox, receive,
-timer, process record and span at once.  The collector is switched off
+timer, process context and span at once.  The collector is switched off
 here, so only reference counts can free anything.
 """
 
@@ -15,14 +15,14 @@ from repro.core.request import CoAllocationRequest, SubjobSpec
 from repro.experiments.apps import sweep_failure_rate
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.machine.faults import FailureModel
-from repro.machine.host import ProcessRecord
+from repro.machine.host import ProcessContext
 from repro.net.address import Endpoint
 from repro.net.transport import Port
 from repro.simcore import Process, Span, Store
 from repro.simcore.resources import StoreGet, _Deadline
 from repro.workloads.scenarios import run, sf_express
 
-KINDS = (Process, Store, StoreGet, _Deadline, ProcessRecord, Span)
+KINDS = (Process, Store, StoreGet, _Deadline, ProcessContext, Span)
 
 
 def alive(cls):

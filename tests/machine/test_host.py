@@ -79,11 +79,11 @@ class TestMachine:
             except Interrupt as intr:
                 outcome.append(intr.cause)
 
-        record = machine.spawn(program, executable="app", rank=0, count=1)
+        context = machine.spawn(program, executable="app", rank=0, count=1)
 
         def killer(env):
             yield env.timeout(1)
-            machine.kill(record.pid)
+            machine.kill(context.pid)
 
         env.process(killer(env))
         env.run()
@@ -106,15 +106,15 @@ class TestMachine:
         gc.disable()
         try:
             before = live_processes()
-            record = machine.spawn(program, executable="app", rank=0, count=1)
-            process = record.process
+            context = machine.spawn(program, executable="app", rank=0, count=1)
+            process = context.process
             env.run(until=1)
-            machine.kill(record.pid)
+            machine.kill(context.pid)
             env.run()
             assert not process.ok and isinstance(process.value, Interrupt)
             assert process.value.cause == "killed"
             assert process.value.__traceback__ is None
-            del record, process
+            del context, process
             assert live_processes() == before
         finally:
             gc.enable()
@@ -168,6 +168,31 @@ class TestMachine:
     def test_bad_load_factor_rejected(self, machine):
         with pytest.raises(SimulationError):
             machine.overload(0.0)
+
+    def test_nan_load_factor_rejected(self, machine):
+        with pytest.raises(SimulationError):
+            machine.overload(float("nan"))
+        assert machine.load_factor == 1.0
+
+    @pytest.mark.parametrize(
+        "nodes", [2.7, float("nan"), float("inf"), "8"], ids=repr
+    )
+    def test_fractional_or_non_numeric_nodes_rejected(self, env, net, nodes):
+        with pytest.raises(SimulationError, match="node count"):
+            Machine(env, net, "bad", nodes=nodes)
+
+    def test_whole_float_node_count_accepted(self, env, net):
+        assert Machine(env, net, "whole", nodes=4.0).nodes == 4
+
+    @pytest.mark.parametrize(
+        "speed", [0.0, -1.0, float("nan"), float("inf")], ids=repr
+    )
+    def test_bad_speed_rejected(self, env, net, speed):
+        """``speed`` divides every startup delay: zero was a
+        ZeroDivisionError mid-run, negative or NaN a negative or NaN
+        delay."""
+        with pytest.raises(SimulationError, match="speed"):
+            Machine(env, net, "bad", nodes=4, speed=speed)
 
     def test_context_port_binds_on_machine(self, env, machine):
         ports = []

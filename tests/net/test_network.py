@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import HostDown, NetworkError
+from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net import Endpoint, LatencyModel, Message, Network, Port
 from repro.simcore import Environment
 
@@ -56,6 +56,29 @@ class TestLatencyModel:
     def test_negative_override_rejected(self):
         with pytest.raises(Exception):
             LatencyModel().set_latency("a", "b", -1)
+
+    def test_nan_override_rejected(self):
+        with pytest.raises(SimulationError):
+            LatencyModel().set_latency("a", "b", float("nan"))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base": -0.001},
+            {"base": float("nan")},
+            {"local": -1e-5},
+            {"local": float("nan")},
+            {"jitter_cv": -0.5},
+            {"jitter_cv": float("nan")},
+            {"bandwidth": float("nan")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_number_rejected_when_built(self, kwargs):
+        """Each of these used to pass its check and fail at the first
+        send, inside the kernel or numpy."""
+        with pytest.raises(SimulationError):
+            LatencyModel(**kwargs)
 
 
 class TestDelivery:

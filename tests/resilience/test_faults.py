@@ -55,6 +55,13 @@ class TestSpecs:
             (MessageLoss(1.5), "probability"),
             (SlowLink("RM1", "RM2", latency=-1.0), "latency"),
             (HostCrash("RM1", at=-1.0), "at must be"),
+            # NaN fails every comparison, so each check is written to
+            # refuse it rather than let the fault's window meet it.
+            (HostCrash("RM1", at=float("nan")), "at must be"),
+            (Overload("RM1", factor=float("nan")), "factor"),
+            (SlowLink("RM1", "RM2", latency=float("nan")), "latency"),
+            (HostCrash("RM1", duration=float("nan")), "duration"),
+            (Partition((("RM1",), ("RM2",)), duration=-1.0), "duration"),
         ],
     )
     def test_validation_is_atomic(self, spec, match):

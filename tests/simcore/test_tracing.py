@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.machine.host import ProcessContext, ProcessRecord
+from repro.machine.host import ProcessContext
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.net.network import KindSeries
+from repro.net.network import KindSeries, _Delivery
 from repro.net.transport import Port
 from repro.obs.flightrec import KernelRecord, MessageRecord, ProtoRecord, SpanRecord
 from repro.simcore import (
@@ -37,7 +37,7 @@ PER_EVENT_CLASSES = (
     Event, Timeout, Condition, AllOf, AnyOf,
     Initialize, _InterruptEvent, Process,
     BaseRequest, StoreGet, _Deadline,
-    Message, Endpoint, KindSeries,
+    Message, Endpoint, KindSeries, _Delivery,
     Span, Mark, TraceContext, _OpenSpan, _NullSpan,
     BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
     KernelRecord, MessageRecord, ProtoRecord, SpanRecord,
@@ -45,7 +45,7 @@ PER_EVENT_CLASSES = (
 
 #: Classes instantiated per bound port or spawned process: thousands
 #: live at once in a wide co-allocation.
-PER_PROCESS_CLASSES = (Store, Port, ProcessContext, ProcessRecord)
+PER_PROCESS_CLASSES = (Store, Port, ProcessContext)
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 
 
@@ -14,6 +14,33 @@ class TestGridBuilder:
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ReproError, match="unknown scheduler"):
             GridBuilder().add_machine("m", nodes=4, scheduler="magic")
+
+    def test_repeated_machine_name_rejected(self):
+        """The second site used to replace the first in ``grid.sites``
+        while the first site's gatekeeper kept serving."""
+        builder = GridBuilder().add_machine("m", nodes=4)
+        with pytest.raises(ReproError, match="already declared"):
+            builder.add_machine("m", nodes=8)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"nodes": 2.7},
+            {"nodes": float("nan")},
+            {"speed": 0.0},
+            {"speed": -1.0},
+            {"speed": float("nan")},
+        ],
+        ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_site_refused_when_built(self, kwargs):
+        """Refused by build(), not by the first startup delay mid-run
+        (``speed=0`` was a ZeroDivisionError there; ``nodes=2.7``
+        silently became 2 nodes)."""
+        spec = {"nodes": 4, **kwargs}
+        builder = GridBuilder().add_machine("m", **spec)
+        with pytest.raises((ReproError, SimulationError)):
+            builder.build()
 
     def test_add_machines_prefix(self):
         grid = GridBuilder().add_machines("node", 3, nodes=8).build()
