@@ -50,7 +50,10 @@ def main(argv: list[str]) -> int:
     wanted = argv or list(artifacts)
     unknown = [name for name in wanted if name not in artifacts]
     if unknown:
-        print(f"unknown artifacts {unknown}; choose from {sorted(artifacts)}")
+        print(
+            f"error: unknown artifacts {unknown}; choose from {sorted(artifacts)}",
+            file=sys.stderr,
+        )
         return 2
     results = pathlib.Path("results")
     results.mkdir(exist_ok=True)

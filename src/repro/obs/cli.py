@@ -32,7 +32,7 @@ from repro.obs.blackbox import (
     render_diff,
     render_timeline,
 )
-from repro.obs.export import TraceDump, load_jsonl, span_record
+from repro.obs.export import TraceDump, load_jsonl, load_metrics, span_record
 from repro.obs.query import (
     critical_path,
     parentage,
@@ -206,21 +206,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not path.is_file():
             parser.error(f"no such file: {path}")
         try:
-            snapshot = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"cannot parse {path}: {exc}")
-        metrics_map = (
-            snapshot.get("metrics", {}) if isinstance(snapshot, dict) else None
-        )
-        if not isinstance(metrics_map, dict) or not all(
-            isinstance(entry, dict) for entry in metrics_map.values()
-        ):
-            parser.error(f"{path}: not a metrics snapshot")
+            snapshot = load_metrics(path)
+        except ValueError as exc:
+            parser.error(str(exc))
         if args.format == "json":
             _emit(json.dumps(_with_summaries(snapshot), sort_keys=True, indent=2))
         else:
             _emit(render_metrics(snapshot))
-        return 0 if snapshot.get("metrics") else 1
+        return 0 if snapshot["metrics"] else 1
 
     dump = _load(parser, args.trace)
 

@@ -11,7 +11,8 @@ Two trace formats:
   events, marks become instants ("i"); simulated seconds map to
   microseconds.
 
-Metrics snapshots are written as sorted-key JSON.
+Metrics snapshots are written as sorted-key JSON, and read back by
+:func:`load_metrics`, which refuses a file of any other shape.
 """
 
 from __future__ import annotations
@@ -256,6 +257,71 @@ def write_metrics(snapshot: dict[str, Any], path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(metrics_json(snapshot))
     return path
+
+
+#: Numeric fields of one snapshot value, by instrument type.
+_VALUE_FIELDS: dict[str, tuple[str, ...]] = {
+    "counter": ("value",),
+    "gauge": ("value", "high_water"),
+    "histogram": ("count", "sum", "min", "max"),
+    "rate": ("window", "in_window", "rate", "total"),
+}
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_bucket(bucket: Any) -> bool:
+    return (
+        isinstance(bucket, dict)
+        and (bucket.get("le") == "+Inf" or _is_number(bucket.get("le")))
+        and _is_number(bucket.get("count"))
+    )
+
+
+def _is_value(value: Any, kind: str) -> bool:
+    if not (
+        isinstance(value, dict)
+        and isinstance(value.get("labels", {}), dict)
+        and all(_is_number(value.get(field)) for field in _VALUE_FIELDS[kind])
+    ):
+        return False
+    buckets = value.get("buckets")
+    return kind != "histogram" or (
+        isinstance(buckets, list) and all(map(_is_bucket, buckets))
+    )
+
+
+def _is_entry(entry: Any) -> bool:
+    """One instrument's snapshot: a known type and its list of values."""
+    return (
+        isinstance(entry, dict)
+        and entry.get("type") in _VALUE_FIELDS
+        and isinstance(entry.get("values"), list)
+        and all(_is_value(value, entry["type"]) for value in entry["values"])
+    )
+
+
+def load_metrics(path: Union[str, Path]) -> dict[str, Any]:
+    """Load a snapshot written by :func:`write_metrics`.
+
+    Raises :class:`ValueError` naming ``path`` when the file is not JSON
+    or is not shaped like :meth:`MetricsRegistry.snapshot
+    <repro.simcore.metrics.MetricsRegistry.snapshot>`, so a reader can
+    trust every field it formats or sums.
+    """
+    try:
+        snapshot = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
+    metrics = snapshot.get("metrics") if isinstance(snapshot, dict) else None
+    if not isinstance(metrics, dict) or not _is_number(snapshot.get("time", 0.0)):
+        raise ValueError(f"{path}: not a metrics snapshot")
+    for name, entry in metrics.items():
+        if not _is_entry(entry):
+            raise ValueError(f"{path}: not a metrics snapshot: {name!r} is malformed")
+    return snapshot
 
 
 def iter_records(trace: TraceSource) -> Iterable[dict[str, Any]]:

@@ -139,7 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _cmd_profile(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from repro.obs.export import load_jsonl
+    from repro.obs.export import load_jsonl, load_metrics
 
     trace_path = Path(args.trace)
     if not trace_path.is_file():
@@ -155,10 +155,9 @@ def _cmd_profile(parser: argparse.ArgumentParser, args: argparse.Namespace) -> i
         if not metrics_path.is_file():
             parser.error(f"no such file: {metrics_path}")
         try:
-            snapshot = json.loads(metrics_path.read_text())
-        except json.JSONDecodeError as exc:
-            parser.error(f"cannot parse {metrics_path}: {exc}")
-        counters = counters_from_metrics(snapshot)
+            counters = counters_from_metrics(load_metrics(metrics_path))
+        except ValueError as exc:
+            parser.error(str(exc))
 
     profile = profile_spans(
         dump.spans,

@@ -1,26 +1,28 @@
 """Deterministic simulated-time metrics.
 
-A :class:`MetricsRegistry` hands out named instruments — counters,
-gauges, histograms with fixed bucket boundaries, and windowed rates —
-keyed by (name, sorted label items).  All timestamps come from the
-simulated clock, never from the wall clock, so two identical runs
-produce byte-identical snapshots.
+A :class:`MetricsRegistry` holds named instruments — counters, gauges,
+histograms over :data:`DEFAULT_BUCKETS`, and rates over the last
+:data:`RATE_WINDOW` seconds — each with one series per label set.  All
+timestamps come from the simulated clock, never from the wall clock, so
+two identical runs produce byte-identical snapshots.
 
-Code that meters at message rate does not pay the name lookup and the
-label sort per write: ``registry.bind(kind, name, **labels)`` (or
-``instrument.bind(**labels)`` with the instrument in hand) computes the
-label key once and returns a handle whose writes take no labels.  The
-labelled writers (``inc(amount, **labels)``, …) are ``bind`` plus that
-one write.  A handle asks for its instrument and creates its series on
-its first write, not when it is bound, so binding in a constructor adds
-nothing to the export of a run that never reaches the site.
+A metric is written one way: ``registry.bind(kind, name, **labels)``
+computes the label key once and returns a handle for that one series,
+whose writers (``inc``; ``set``/``inc``/``dec``; ``observe``; ``tick``)
+take no labels.  A handle asks for its instrument and creates its
+series on its first write, not when it is bound, so binding in a
+constructor adds nothing to the export of a run that never reaches the
+site.  It is read one way: :meth:`MetricsRegistry.snapshot`, the
+JSON-ready state every export writes; ``registry.counter(name).total()``
+and ``registry.histogram(name).count()`` give one number each, summed
+over the label sets, to a caller that reports it after the run.
 
 This is the emit side: it imports only the standard library and sits
 beside :mod:`~repro.simcore.tracing` and :mod:`~repro.simcore.probe`,
 so every layer can meter itself without importing the tooling in
 ``repro.obs``.  Instrumented code reaches the run's registry as
 ``env.tracer.metrics``.  Runs that are not being measured get
-:data:`NULL_METRICS`, whose instruments are shared no-op singletons.
+:data:`NULL_METRICS`, whose handles are one shared no-op.
 """
 
 from __future__ import annotations
@@ -34,12 +36,15 @@ from typing import Any, Callable, Deque, Dict, Optional, Protocol
 #: Sorted (label, value) pairs — the identity of one labeled series.
 LabelKey = tuple[tuple[str, str], ...]
 
-#: Default histogram bucket upper bounds (seconds): spans from a fast
-#: loopback RPC (~10 us) to a multi-minute queue wait.
+#: Histogram bucket upper bounds (seconds): spans from a fast loopback
+#: RPC (~10 us) to a multi-minute queue wait.
 DEFAULT_BUCKETS: tuple[float, ...] = (
     0.0001, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
+
+#: Sliding window of every rate (simulated seconds).
+RATE_WINDOW = 10.0
 
 
 _NEG_INF = float("-inf")
@@ -66,19 +71,9 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._values: Dict[LabelKey, float] = {}
-
-    def bind(self, **labels: Any) -> "BoundCounter":
-        return BoundCounter(lambda: self, _label_key(labels))
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        self.bind(**labels).inc(amount)
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum across all label sets."""
@@ -87,7 +82,7 @@ class Counter:
     def snapshot(self) -> dict[str, Any]:
         return {
             "type": self.kind,
-            "help": self.help,
+            "help": "",
             "values": [
                 {"labels": _label_dict(key), "value": self._values[key]}
                 for key in sorted(self._values)
@@ -136,34 +131,15 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
         self._values: Dict[LabelKey, float] = {}
         self._high: Dict[LabelKey, float] = {}
-
-    def bind(self, **labels: Any) -> "BoundGauge":
-        return BoundGauge(lambda: self, _label_key(labels))
-
-    def set(self, value: float, **labels: Any) -> None:
-        self.bind(**labels).set(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        self.bind(**labels).inc(amount)
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.bind(**labels).dec(amount)
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(labels), 0.0)
-
-    def high_water(self, **labels: Any) -> float:
-        return self._high.get(_label_key(labels), 0.0)
 
     def snapshot(self) -> dict[str, Any]:
         return {
             "type": self.kind,
-            "help": self.help,
+            "help": "",
             "values": [
                 {
                     "labels": _label_dict(key),
@@ -203,11 +179,10 @@ class BoundGauge(_Bound):
 
 
 class _HistogramSeries:
-    __slots__ = ("buckets", "counts", "count", "sum", "min", "max")
+    __slots__ = ("counts", "count", "sum", "min", "max")
 
-    def __init__(self, buckets: tuple[float, ...]) -> None:
-        self.buckets = buckets
-        self.counts = [0] * (len(buckets) + 1)  # +1 for the +Inf bucket
+    def __init__(self) -> None:
+        self.counts = [0] * (len(DEFAULT_BUCKETS) + 1)  # +1 for the +Inf bucket
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
@@ -215,55 +190,17 @@ class _HistogramSeries:
 
 
 class Histogram:
-    """Distribution with fixed bucket upper bounds, one per label set."""
+    """Distribution over :data:`DEFAULT_BUCKETS`, one per label set."""
 
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> None:
-        if list(buckets) != sorted(buckets) or len(set(buckets)) != len(buckets):
-            raise ValueError(f"histogram {name!r} buckets must be strictly increasing")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.help = help
-        self.buckets = tuple(float(b) for b in buckets)
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
-    def bind(self, **labels: Any) -> "BoundHistogram":
-        return BoundHistogram(lambda: self, _label_key(labels))
-
-    def observe(self, value: float, **labels: Any) -> None:
-        self.bind(**labels).observe(value)
-
-    def count(self, **labels: Any) -> int:
-        series = self._series.get(_label_key(labels))
-        return series.count if series is not None else 0
-
-    def sum(self, **labels: Any) -> float:
-        series = self._series.get(_label_key(labels))
-        return series.sum if series is not None else 0.0
-
-    def quantile(self, q: float, **labels: Any) -> float:
-        """Upper bound of the bucket holding the q-quantile observation.
-
-        Returns the recorded max for observations beyond the last
-        finite bucket, and 0.0 for an empty series.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q!r}")
-        series = self._series.get(_label_key(labels))
-        if series is None or series.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(series.count * q))
-        cumulative = 0
-        for i, upper in enumerate(self.buckets):
-            cumulative += series.counts[i]
-            if cumulative >= rank:
-                return upper
-        return series.max
+    def count(self) -> int:
+        """Observations across all label sets."""
+        return sum(series.count for series in self._series.values())
 
     def snapshot(self) -> dict[str, Any]:
         values = []
@@ -271,7 +208,7 @@ class Histogram:
             series = self._series[key]
             cumulative = 0
             bucket_counts = []
-            for i, upper in enumerate(self.buckets):
+            for i, upper in enumerate(DEFAULT_BUCKETS):
                 cumulative += series.counts[i]
                 bucket_counts.append({"le": upper, "count": cumulative})
             bucket_counts.append({"le": "+Inf", "count": series.count})
@@ -285,7 +222,7 @@ class Histogram:
                     "buckets": bucket_counts,
                 }
             )
-        return {"type": self.kind, "help": self.help, "values": values}
+        return {"type": self.kind, "help": "", "values": values}
 
 
 class BoundHistogram(_Bound):
@@ -299,11 +236,9 @@ class BoundHistogram(_Bound):
             histogram = self._resolve()
             series = histogram._series.get(self._key)
             if series is None:
-                series = histogram._series[self._key] = _HistogramSeries(
-                    histogram.buckets
-                )
+                series = histogram._series[self._key] = _HistogramSeries()
             self._target = series
-        series.counts[bisect_left(series.buckets, value)] += 1
+        series.counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
         series.count += 1
         series.sum += value
         if value < series.min:
@@ -312,61 +247,38 @@ class BoundHistogram(_Bound):
             series.max = value
 
 
+def _prune(events: Deque[float], now: float) -> None:
+    horizon = now - RATE_WINDOW
+    while events and events[0] <= horizon:
+        events.popleft()
+
+
 class WindowedRate:
-    """Events per second over a sliding window of simulated time."""
+    """Events per second over the last :data:`RATE_WINDOW` simulated seconds."""
 
     kind = "rate"
 
-    def __init__(
-        self,
-        name: str,
-        clock: _Clock,
-        window: float = 10.0,
-        help: str = "",
-    ) -> None:
-        if window <= 0:
-            raise ValueError(f"rate {name!r} window must be positive")
+    def __init__(self, name: str, clock: _Clock) -> None:
         self.name = name
-        self.help = help
-        self.window = float(window)
         self._clock = clock
         self._events: Dict[LabelKey, Deque[float]] = {}
         self._totals: Dict[LabelKey, int] = {}
-
-    def bind(self, **labels: Any) -> "BoundRate":
-        return BoundRate(lambda: self, _label_key(labels))
-
-    def tick(self, **labels: Any) -> None:
-        self.bind(**labels).tick()
-
-    def _prune(self, events: Deque[float], now: float) -> None:
-        horizon = now - self.window
-        while events and events[0] <= horizon:
-            events.popleft()
-
-    def rate(self, **labels: Any) -> float:
-        key = _label_key(labels)
-        events = self._events.get(key)
-        if not events:
-            return 0.0
-        self._prune(events, self._clock.now)
-        return len(events) / self.window
 
     def snapshot(self) -> dict[str, Any]:
         values = []
         for key in sorted(self._events):
             events = self._events[key]
-            self._prune(events, self._clock.now)
+            _prune(events, self._clock.now)
             values.append(
                 {
                     "labels": _label_dict(key),
-                    "window": self.window,
+                    "window": RATE_WINDOW,
                     "in_window": len(events),
-                    "rate": len(events) / self.window,
+                    "rate": len(events) / RATE_WINDOW,
                     "total": self._totals.get(key, 0),
                 }
             )
-        return {"type": self.kind, "help": self.help, "values": values}
+        return {"type": self.kind, "help": "", "values": values}
 
 
 class BoundRate(_Bound):
@@ -385,8 +297,8 @@ class BoundRate(_Bound):
         now = rate._clock.now
         events.append(now)
         rate._totals[key] = rate._totals.get(key, 0) + 1
-        if events[0] <= now - rate.window:
-            rate._prune(events, now)
+        if events[0] <= now - RATE_WINDOW:
+            _prune(events, now)
 
 
 #: Bound-series class of each registry accessor, for :meth:`MetricsRegistry.bind`.
@@ -408,10 +320,9 @@ def histogram_summary(
 ) -> Dict[str, float]:
     """p50/p90/p99 (upper bucket bounds) from one snapshot value entry.
 
-    Mirrors :meth:`Histogram.quantile` — nearest rank over the
-    cumulative bucket counts, the recorded max beyond the last finite
-    bucket — but works on the serialized snapshot, so exported metrics
-    files can be summarized without the live registry.
+    Nearest rank over the cumulative bucket counts, the recorded max
+    beyond the last finite bucket.  It reads the serialized snapshot,
+    so an exported metrics file is summarized without a registry.
     """
     count = int(value.get("count", 0))
     buckets = value.get("buckets", [])
@@ -440,19 +351,14 @@ Instrument = Any  # Counter | Gauge | Histogram | WindowedRate
 class MetricsRegistry:
     """Named instruments against a simulated clock.
 
-    Accessors are get-or-create: ``registry.counter("x").inc()`` works
-    whether or not ``"x"`` was declared before.  Asking for an existing
-    name with a different instrument type is an error — a name means
-    one thing for the life of a run.
+    Accessors are get-or-create.  Asking for an existing name with a
+    different instrument type is an error — a name means one thing for
+    the life of a run.
     """
 
     def __init__(self, clock: Optional[_Clock] = None) -> None:
         self._clock: _Clock = clock if clock is not None else _ZeroClock()
         self._instruments: Dict[str, Instrument] = {}
-
-    @property
-    def clock(self) -> _Clock:
-        return self._clock
 
     def _get(
         self, cls: type, name: str, factory: Callable[[], Instrument]
@@ -470,43 +376,29 @@ class MetricsRegistry:
             )
         return instrument
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(Counter, name, lambda: Counter(name, help))
+    def counter(self, name: str) -> Counter:
+        return self._get(Counter, name, lambda: Counter(name))
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(Gauge, name, lambda: Gauge(name, help))
+    def gauge(self, name: str) -> Gauge:
+        return self._get(Gauge, name, lambda: Gauge(name))
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get(Histogram, name, lambda: Histogram(name, help, buckets))
+    def histogram(self, name: str) -> Histogram:
+        return self._get(Histogram, name, lambda: Histogram(name))
 
-    def rate(self, name: str, window: float = 10.0, help: str = "") -> WindowedRate:
-        return self._get(
-            WindowedRate, name, lambda: WindowedRate(name, self._clock, window, help)
-        )
+    def rate(self, name: str) -> WindowedRate:
+        return self._get(WindowedRate, name, lambda: WindowedRate(name, self._clock))
 
-    def bind(self, kind: str, name: str, /, *args: Any, **labels: Any) -> Any:
+    def bind(self, kind: str, name: str, /, **labels: Any) -> Any:
         """One series of the ``kind`` instrument ``name``, for repeated writes.
 
-        ``registry.bind("counter", "x", site="RM1").inc()`` counts what
-        ``registry.counter("x").inc(site="RM1")`` counts, but the
-        accessor (``kind``: ``counter``/``gauge``/``histogram``/``rate``,
-        ``args``: its ``help`` etc.) is first called by the handle's
-        first write.  A component binds its series in its constructor
-        and writes them per message; one it never writes is never asked
+        ``kind`` is ``counter``/``gauge``/``histogram``/``rate``; the
+        accessor of that name is first called by the handle's first
+        write.  A component binds its series in its constructor and
+        writes them per message; one it never writes is never asked
         for, so the run's export does not depend on what was merely
         built.
         """
-        return _BOUND[kind](
-            partial(getattr(self, kind), name, *args), _label_key(labels)
-        )
-
-    def names(self) -> list[str]:
-        return sorted(self._instruments)
+        return _BOUND[kind](partial(getattr(self, kind), name), _label_key(labels))
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready state of every instrument, stably ordered."""
@@ -520,89 +412,46 @@ class MetricsRegistry:
 
 
 class _NullInstrument:
-    """Shared no-op stand-in for every instrument type."""
+    """Shared no-op stand-in for every instrument and every handle."""
 
-    kind = "null"
-    name = "null"
-    help = ""
-
-    def bind(self, **labels: Any) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+    def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
+    def dec(self, amount: float = 1.0) -> None:
         pass
 
-    def set(self, value: float, **labels: Any) -> None:
+    def set(self, value: float) -> None:
         pass
 
-    def observe(self, value: float, **labels: Any) -> None:
+    def observe(self, value: float) -> None:
         pass
 
-    def tick(self, **labels: Any) -> None:
+    def tick(self) -> None:
         pass
-
-    def value(self, **labels: Any) -> float:
-        return 0.0
 
     def total(self) -> float:
         return 0.0
 
-    def high_water(self, **labels: Any) -> float:
-        return 0.0
-
-    def count(self, **labels: Any) -> int:
+    def count(self) -> int:
         return 0
-
-    def sum(self, **labels: Any) -> float:
-        return 0.0
-
-    def quantile(self, q: float, **labels: Any) -> float:
-        return 0.0
-
-    def rate(self, **labels: Any) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"type": self.kind, "help": "", "values": []}
 
 
 _NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullMetricsRegistry(MetricsRegistry):
-    """Registry whose instruments do nothing — for untraced hot paths."""
+    """Registry whose instruments do nothing — for untraced hot paths.
 
-    def __init__(self) -> None:
-        super().__init__(clock=None)
+    It never stores an instrument, so its snapshot is always empty.
+    """
 
-    def counter(self, name: str, help: str = "") -> Counter:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def rate(self, name: str, window: float = 10.0, help: str = "") -> WindowedRate:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def bind(self, kind: str, name: str, /, *args: Any, **labels: Any) -> Any:
+    def _get(
+        self, cls: type, name: str, factory: Callable[[], Instrument]
+    ) -> Instrument:
         return _NULL_INSTRUMENT
 
-    def names(self) -> list[str]:
-        return []
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"time": 0.0, "metrics": {}}
+    def bind(self, kind: str, name: str, /, **labels: Any) -> Any:
+        return _NULL_INSTRUMENT
 
 
 #: Shared no-op registry; safe to call from any hot path.

@@ -12,6 +12,7 @@ from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.errors import ReservationError
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.mds import Directory
+from tests.metric_reads import value
 
 
 @pytest.fixture
@@ -112,11 +113,11 @@ class TestAtomicAgent:
         assert not outcome.success
         assert outcome.attempts == resubmissions + 1
         metrics = grid.tracer.metrics
-        assert metrics.counter("resilience.retries_total").value(
-            operation="grab.allocate"
+        assert value(
+            metrics, "resilience.retries_total", operation="grab.allocate"
         ) == resubmissions
-        assert metrics.counter("resilience.exhausted_total").value(
-            operation="grab.allocate"
+        assert value(
+            metrics, "resilience.exhausted_total", operation="grab.allocate"
         ) == 1
 
     def test_restart_pays_full_price(self, grid, directory):

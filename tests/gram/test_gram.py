@@ -8,6 +8,7 @@ from repro.gram.costs import CostModel
 from repro.gsi import initiate
 from repro.net import Endpoint, Network, Port
 from repro.simcore import Environment, Tracer
+from tests.metric_reads import value
 
 from .conftest import rsl_for
 
@@ -233,15 +234,23 @@ class TestGatekeeperDeadlines:
         site.authorize("alice")
         port = Port(net, Endpoint("workstation", "mute"))
         env.process(initiate(port, site.gatekeeper.endpoint, ca.issue("alice")))
-        timed_out = env.tracer.metrics.counter("gram.submits_total")
-        inflight = env.tracer.metrics.gauge("gram.gatekeeper_inflight")
+        metrics = env.tracer.metrics
+
+        def timed_out():
+            return value(
+                metrics, "gram.submits_total", site="origin", outcome="request_timeout"
+            )
+
+        def inflight():
+            return value(metrics, "gram.gatekeeper_inflight", site="origin")
+
         # The server's side of the handshake ends at 0.506 s.
         env.run(until=30.5059)
-        assert timed_out.value(site="origin", outcome="request_timeout") == 0
-        assert inflight.value(site="origin") == 1
+        assert timed_out() == 0
+        assert inflight() == 1
         env.run(until=30.5061)
-        assert timed_out.value(site="origin", outcome="request_timeout") == 1
-        assert inflight.value(site="origin") == 0
+        assert timed_out() == 1
+        assert inflight() == 0
         assert len(site.gatekeeper.port.mailbox._waiters) == 1  # the listener
 
 

@@ -20,6 +20,7 @@ from repro.net import Endpoint, Network, Port
 from repro.net.rpc import RPCError, call
 from repro.rsl import parse
 from repro.simcore import Environment, Tracer
+from tests.metric_reads import value
 
 from .conftest import client_mailboxes, drive, rsl_for
 
@@ -146,7 +147,7 @@ def test_the_front_door_takes_rsl_text_only(ca, programs, rsl):
             )
 
     drive(env, scenario(env))
-    submits = env.tracer.metrics.counter("gram.submits_total")
-    assert submits.value(site="origin", outcome="bad_rsl") == 1
-    assert submits.value(site="origin", outcome="accepted") == 0
+    metrics = env.tracer.metrics
+    assert value(metrics, "gram.submits_total", site="origin", outcome="bad_rsl") == 1
+    assert value(metrics, "gram.submits_total", site="origin", outcome="accepted") == 0
     assert not site.gatekeeper.job_managers and len(site.gatekeeper._specs) == 0

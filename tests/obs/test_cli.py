@@ -16,8 +16,8 @@ def trace_file(tmp_path):
     submit = tracer.record("duroc.submit", 0.0, 4.0, parent=root, slot=0)
     tracer.record("gram.submit", 0.5, 3.5, parent=submit)
     tracer.mark("duroc.commit", parent=root)
-    tracer.metrics.counter("gram.submits_total").inc(site="RM1", outcome="accepted")
-    tracer.metrics.histogram("duroc.barrier_wait_seconds").observe(1.5)
+    tracer.metrics.bind("counter", "gram.submits_total", site="RM1", outcome="accepted").inc()
+    tracer.metrics.bind("histogram", "duroc.barrier_wait_seconds").observe(1.5)
     trace = write_jsonl(tracer, tmp_path / "trace.jsonl")
     metrics = write_metrics(tracer.metrics.snapshot(), tmp_path / "metrics.json")
     return trace, metrics

@@ -96,7 +96,14 @@ class TestMalformedFiles:
         assert "cannot parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "payload", ["[1, 2, 3]", '{"metrics": "nope"}', '{"metrics": {"x": 5}}']
+        "payload",
+        [
+            "[1, 2, 3]",
+            '{"metrics": "nope"}',
+            '{"metrics": {"x": 5}}',
+            '{"metrics": {"x": {"type": "counter", "values": 5}}}',
+            '{"metrics": {"h": {"type": "histogram", "values": [{"count": "a"}]}}}',
+        ],
     )
     def test_metrics_wrong_shape(self, payload, tmp_path, capsys):
         snapshot = tmp_path / "shape.json"

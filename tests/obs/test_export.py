@@ -101,7 +101,7 @@ class TestChromeTrace:
 
 class TestMetricsExport:
     def test_write_and_reload(self, tracer, tmp_path):
-        tracer.metrics.counter("x").inc(site="RM1")
+        tracer.metrics.bind("counter", "x", site="RM1").inc()
         snapshot = tracer.metrics.snapshot()
         path = write_metrics(snapshot, tmp_path / "metrics.json")
         assert json.loads(path.read_text()) == snapshot

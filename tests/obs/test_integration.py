@@ -14,6 +14,7 @@ from repro.obs.export import export_jsonl, metrics_json
 from repro.obs.query import build_forest, parentage, trace_ids
 from repro.simcore.tracing import NullTracer
 from repro.workloads.scenarios import TRACED_COALLOCATION, run
+from tests.metric_reads import series, value
 
 SEED = 7
 
@@ -92,17 +93,13 @@ class TestTraceTree:
         grid, _, _ = traced_run
         metrics = grid.tracer.metrics
         assert metrics.counter("gram.submits_total").total() == 3
-        assert metrics.counter("duroc.requests_total").value(outcome="released") == 1
+        assert value(metrics, "duroc.requests_total", outcome="released") == 1
         assert metrics.histogram("duroc.barrier_wait_seconds").count() == 6
-        assert metrics.gauge("duroc.barrier_waiting").value() == 0
-        assert metrics.gauge("duroc.barrier_waiting").high_water() == 6
+        waiting = series(metrics, "duroc.barrier_waiting")
+        assert (waiting["value"], waiting["high_water"]) == (0, 6)
         assert metrics.counter("net.messages_sent_total").total() > 0
-        assert (
-            metrics.histogram("sched.queue_wait_seconds").count(
-                site="RM1", policy="fork"
-            )
-            == 1
-        )
+        queue_wait = series(metrics, "sched.queue_wait_seconds", site="RM1", policy="fork")
+        assert queue_wait["count"] == 1
 
 
 class TestDeterminism:

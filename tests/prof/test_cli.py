@@ -75,6 +75,21 @@ class TestProfileCommand:
         path = write_jsonl(TraceDump(spans=[]), tmp_path / "empty.jsonl")
         assert main(["profile", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "payload", ['{"metrics": 3}', "[1]"], ids=["int-metrics", "list-document"]
+    )
+    def test_malformed_metrics_is_one_error_line(
+        self, trace_path, tmp_path, capsys, payload
+    ):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(payload)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", str(trace_path), "--metrics", str(metrics)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a metrics snapshot" in err
+        assert "Traceback" not in err
+
     def test_missing_trace_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["profile", "no-such.jsonl"])

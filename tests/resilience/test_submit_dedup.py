@@ -11,6 +11,7 @@ from repro.errors import AllocationAborted
 from repro.faults import HostCrash
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.resilience import RetryPolicy
+from tests.metric_reads import value
 
 
 def drop_first_submit_reply(network):
@@ -55,9 +56,8 @@ def test_lost_reply_resubmission_reuses_the_job():
     gatekeeper = grid.site("RM1").gatekeeper
     assert len(gatekeeper.job_managers) == 1
     metrics = grid.tracer.metrics
-    submits = metrics.counter("gram.submits_total")
-    assert submits.value(site="RM1", outcome="accepted") == 1
-    assert submits.value(site="RM1", outcome="duplicate") == 1
+    assert value(metrics, "gram.submits_total", site="RM1", outcome="accepted") == 1
+    assert value(metrics, "gram.submits_total", site="RM1", outcome="duplicate") == 1
     assert metrics.counter("resilience.retries_total").total() >= 1
 
 

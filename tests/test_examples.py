@@ -83,3 +83,6 @@ def test_cli_runner_rejects_unknown():
         timeout=60,
     )
     assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: unknown artifacts ['nonesuch']")
+    assert len(result.stderr.splitlines()) == 1

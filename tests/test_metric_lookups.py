@@ -2,7 +2,7 @@
 
 A traced run used to pay a registry lookup and a label sort for every
 metric write — four of each per message.  Components now bind their
-series once (``instrument.bind``), so the number of lookups depends on
+series once (``registry.bind``), so the number of lookups depends on
 what was built, never on how long it ran.  This is a count, not a
 timing: the same request is run twice, the second time with sixteen times
 the processes in its two wide subjobs — each one checks in, re-sends
@@ -14,6 +14,7 @@ from repro.core.applib import make_program
 from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.simcore import metrics
+from tests.metric_reads import value
 
 
 def _counted_run(monkeypatch, width: int) -> dict[str, int]:
@@ -72,7 +73,7 @@ def _counted_run(monkeypatch, width: int) -> dict[str, int]:
     assert grid.tracer.metrics is not metrics.NULL_METRICS
     calls["sent"] = grid.network.sent_count
     calls["checkins"] = int(
-        grid.tracer.metrics.counter("net.messages_sent_total").value(kind="duroc.checkin")
+        value(grid.tracer.metrics, "net.messages_sent_total", kind="duroc.checkin")
     )
     return calls
 
