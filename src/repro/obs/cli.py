@@ -25,6 +25,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.argtypes import count
 from repro.obs.blackbox import (
     diff_dumps,
     load_dump,
@@ -75,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-id", default=None, help="restrict to one trace tree"
     )
     timeline.add_argument(
-        "--width", type=int, default=64, help="chart width in columns"
+        "--width", type=count(1), default=64, help="chart width in columns"
     )
     timeline.add_argument(
-        "--max-rows", type=int, default=DEFAULT_MAX_ROWS,
+        "--max-rows", type=count(0), default=DEFAULT_MAX_ROWS,
         help="span rows before same-name lanes are collapsed "
         f"(default: {DEFAULT_MAX_ROWS}; 0 = never collapse)",
     )

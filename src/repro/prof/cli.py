@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.argtypes import count, finite
 from repro.errors import ReproError
 from repro.prof.collapse import write_collapsed
 from repro.prof.diff import (
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a collapsed-stack (flamegraph) export to PATH",
     )
     profile.add_argument(
-        "--top", type=int, default=15,
+        "--top", type=count(1), default=15,
         help="paths shown in text output (default: 15)",
     )
 
@@ -72,11 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("base", help="baseline profile JSON")
     diff.add_argument("new", help="candidate profile JSON")
     diff.add_argument(
-        "--threshold-pct", type=float, default=DEFAULT_PCT,
+        "--threshold-pct", type=finite(0), default=DEFAULT_PCT,
         help=f"regression threshold in percent (default: {DEFAULT_PCT:g})",
     )
     diff.add_argument(
-        "--threshold-abs", type=float, default=DEFAULT_ABS,
+        "--threshold-abs", type=finite(0), default=DEFAULT_ABS,
         help="absolute floor in seconds below which growth never "
         f"regresses (default: {DEFAULT_ABS:g})",
     )
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
         "under DIR",
     )
     bench.add_argument(
-        "--threshold-pct", type=float, default=DEFAULT_PCT,
+        "--threshold-pct", type=finite(0), default=DEFAULT_PCT,
         help=f"regression threshold in percent (default: {DEFAULT_PCT:g})",
     )
     return parser
@@ -216,9 +217,9 @@ def _parse_overrides(
         if not sep or not path:
             parser.error(f"--threshold expects PATH=PCT, got {spec!r}")
         try:
-            overrides[path] = float(pct)
-        except ValueError:
-            parser.error(f"--threshold {spec!r}: {pct!r} is not a number")
+            overrides[path] = finite(0)(pct)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"--threshold {spec!r}: {exc}")
     return overrides
 
 

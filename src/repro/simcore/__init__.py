@@ -18,7 +18,7 @@ the :class:`Store` mailbox, and seeded RNG streams.
 """
 
 from repro.simcore.environment import Environment, FOREVER
-from repro.simcore.events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from repro.simcore.events import AllOf, Event, Timeout
 from repro.simcore.probe import FanoutProbe, Probe, attach
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.resources import TIMED_OUT, Store
@@ -35,9 +35,6 @@ from repro.simcore.tracing import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "Environment",
     "Event",
     "FOREVER",

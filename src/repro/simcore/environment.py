@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from repro.errors import SimulationError
 from repro.simcore.events import (
     AllOf,
-    AnyOf,
     Event,
     NORMAL,
     Timeout,
@@ -386,10 +385,6 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Event that fires once all of ``events`` have fired."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event that fires once any of ``events`` has fired."""
-        return AnyOf(self, events)
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now!r} queued={self.queue_size}>"

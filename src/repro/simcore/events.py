@@ -8,7 +8,7 @@ they fire.
 
 Events are deliberately tiny objects; the kernel schedules *events*, and
 processes are themselves events (they fire when the generator returns),
-which makes ``yield proc`` a join and allows :class:`Condition` trees.
+which makes ``yield proc`` a join; :class:`AllOf` joins several.
 """
 
 from __future__ import annotations
@@ -121,22 +121,6 @@ class Event:
         self.env.schedule(self, NORMAL, 0.0)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self, NORMAL, 0.0)
-
-    # -- composition -----------------------------------------------------
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed" if self.processed
@@ -169,83 +153,28 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
-class ConditionValue:
-    """Ordered mapping of the events a condition has collected.
+class AllOf(Event):
+    """Fires with ``None`` once every event in ``events`` has fired.
 
-    Behaves like a read-only dict keyed by the original event objects so
-    callers can write ``result[ev_a]``; iteration order is trigger-set
-    construction order.
+    A countdown over its constituents: callers read each constituent's
+    own ``value``.  The first constituent to fail fails the join with
+    its exception and is defused.  Constituents already processed count
+    at construction, so ``all_of([])`` fires at once.
     """
 
-    __slots__ = ("events",)
+    __slots__ = ("_events", "_pending")
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def todict(self) -> dict[Event, Any]:
-        return {event: event.value for event in self.events}
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-
-class Condition(Event):
-    """Waits for a boolean combination of events (``&`` / ``|``).
-
-    The condition fires as soon as ``evaluate(events, n_triggered)``
-    returns true, with a :class:`ConditionValue` of all events triggered
-    *so far*.  If any constituent fails, the condition fails with that
-    exception.
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(
-        self,
-        env: "Environment",
-        evaluate: Callable[[list[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        # One per RPC wait: the slots are set here rather than through
-        # Event.__init__.
-        self.env = env
-        self.callbacks = []
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.cancelled = False
-        self._evaluate = evaluate
+    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
+        super().__init__(env)
         self._events = events = list(events)
-        self._count = 0
+        self._pending = len(events)
 
         for event in events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
 
-        # Evaluate with zero triggered first (e.g. all_of([]) is true).
-        if evaluate(events, 0):
-            self.succeed(ConditionValue())
+        if not events:
+            self.succeed()
             return
 
         check = self._check
@@ -254,70 +183,26 @@ class Condition(Event):
             if callbacks is None:
                 check(event)
                 if self._value is not PENDING:
-                    # Decided by an event that had already fired: the
-                    # rest could only call a check that ignores them.
+                    # Failed by an event that had already fired.
                     break
             else:
                 callbacks.append(check)
 
-    def _populate_value(self, value: ConditionValue) -> None:
-        collected = value.events
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None and event not in collected:
-                collected.append(event)
-
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:
             return
-        self._count = count = self._count + 1
-        if not event._ok:
-            # Any failure fails the whole condition.
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, count):
-            value = ConditionValue()
-            self._populate_value(value)
-            self.succeed(value)
-        else:
+        if event._ok:
+            self._pending -= 1
+            if not self._pending:
+                self.succeed()
             return
-        # Decided: stop listening.  A constituent that has not fired (an
-        # RPC deadline about to be retired, say) would otherwise keep
-        # this condition, its value and everything that holds alive in a
+        event._defused = True
+        self.fail(event._value)
+        # Failed: stop listening.  A constituent still pending would
+        # otherwise keep this join and every event in it alive in a
         # reference cycle only the collector can free.
         check = self._check
         for other in self._events:
             callbacks = other.callbacks
             if callbacks is not None and check in callbacks:
                 callbacks.remove(check)
-
-    @staticmethod
-    def all_events(events: list[Event], count: int) -> bool:
-        """True when *all* events have triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: list[Event], count: int) -> bool:
-        """True when *any* event has triggered (vacuously true if none)."""
-        return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Fires when every event in ``events`` has fired."""
-
-    # Without its own __slots__ a subclass of a slotted base regains a
-    # per-instance __dict__ — one dict per fan-in event.
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Fires when the first event in ``events`` fires."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.any_events, events)

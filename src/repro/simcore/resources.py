@@ -17,28 +17,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
 
 
-class BaseRequest(Event):
-    """An event representing a pending request against a resource."""
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Store") -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-
 #: What a ``get(timeout=...)`` fires with when its deadline passes first.
 TIMED_OUT = object()
 
 
-class StoreGet(BaseRequest):
+class StoreGet(Event):
     """Pending ``get`` against a :class:`Store`, optionally filtered."""
 
-    __slots__ = ("filter", "deadline")
+    __slots__ = ("resource", "filter", "deadline")
 
     def __init__(self, store: "Store", filter: Optional[Callable[[Any], bool]]) -> None:
         # One per receive: the slots are set here rather than through
-        # the chained BaseRequest/Event initialisers.
+        # Event.__init__.
         self.env = store.env
         self.callbacks = []
         self._value = PENDING

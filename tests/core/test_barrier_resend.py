@@ -9,7 +9,7 @@ from the probe seam.
 
 Two budgets are counts, not timings: 64 processes held at the barrier
 for 100 s send at most 8 check-ins per recorded process, and a released
-waiter is resumed by its receive's own event, with no ``Condition``
+waiter is resumed by its receive's own event, with no composite event
 between them.
 """
 

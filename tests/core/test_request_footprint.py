@@ -50,13 +50,13 @@ def counted(generator, resumes):
 
 def run_footprint(monkeypatch):
     built = []
-    init = events.Condition.__init__
+    init = events.AllOf.__init__
 
-    def condition_init(self, *args, **kwargs):
+    def join_init(self, *args, **kwargs):
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(events.Condition, "__init__", condition_init)
+    monkeypatch.setattr(events.AllOf, "__init__", join_init)
 
     grid = GridBuilder(seed=42).add_machines("RM", SITES, nodes=64).build()
     env, network = grid.env, grid.network
@@ -122,11 +122,9 @@ def test_a_request_costs_two_processes_one_port_and_nothing_per_subjob(monkeypat
         endpoint for endpoint in grid.network._mailboxes if endpoint.host == duroc.host
     } == ports
 
-    # No event is composed: the only Conditions are the GRAM job
-    # managers' joins over their processes' exits, one per GRAM job.
-    assert built.count("Condition") == 0
-    assert built.count("AllOf") == REQUESTS * len(COUNTS)
-    assert set(built) <= {"AllOf"}
+    # No event is composed: the only joins are the GRAM job managers'
+    # over their processes' exits, one per GRAM job.
+    assert built == ["AllOf"] * (REQUESTS * len(COUNTS))
 
     # A waiter is woken when its condition holds: once for the commit,
     # once for wait_done.

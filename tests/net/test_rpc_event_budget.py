@@ -4,7 +4,7 @@ An ``rpc.call`` with a deadline is four processed events — the request
 delivered, the server's receive, the reply delivered, the caller's
 receive — and five scheduled: the deadline is armed, retired by the
 ``put`` that grants the reply, and discarded unprocessed.  The receive's
-own event resumes the caller; no ``Condition`` stands between them
+own event resumes the caller; no ``AllOf`` join stands between them
 (DESIGN.md §7, "a receive with a deadline is one event").
 """
 
@@ -13,20 +13,20 @@ import pytest
 from repro.net import Endpoint, Network, Port, call
 from repro.net.rpc import reply_ok
 from repro.simcore import Environment
-from repro.simcore.events import Condition
+from repro.simcore.events import AllOf
 
 
 @pytest.fixture
 def conditions(monkeypatch):
-    """Counts every ``Condition`` constructed (``|``, ``&``, any_of, ...)."""
+    """Counts every composite event constructed: the kernel's one join."""
     built = []
-    init = Condition.__init__
+    init = AllOf.__init__
 
     def counting(self, *args, **kwargs):
         built.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Condition, "__init__", counting)
+    monkeypatch.setattr(AllOf, "__init__", counting)
     return built
 
 

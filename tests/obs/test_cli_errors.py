@@ -11,7 +11,9 @@ import json
 import pytest
 
 from repro.obs.cli import main
+from repro.obs.export import TraceDump, write_jsonl
 from repro.obs.flightrec import FlightRecorder, dump_json
+from repro.simcore.tracing import Span
 
 TRACE_COMMANDS = ("timeline", "tree", "critical-path", "summary")
 
@@ -163,6 +165,35 @@ class TestMalformedFlightDumps:
         path = self._write(tmp_path, text[: len(text) // 2])
         assert _exit_code(["blackbox", path]) == 2
         assert "cannot load" in capsys.readouterr().err
+
+
+class TestLayoutNumbers:
+    """Chart sizes are counts: one below the option's floor is a usage
+    error, checked before the trace is read."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        spans = [
+            Span("root", 0.0, 10.0, {}, "t1", 1, None),
+            Span("work", 2.0, 8.0, {}, "t1", 2, 1),
+        ]
+        return str(write_jsonl(TraceDump(spans=spans), tmp_path / "trace.jsonl"))
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--width", "-5"), ("--width", "0"), ("--max-rows", "-1")],
+    )
+    def test_below_the_floor_is_one_error_line(self, trace, capsys, option, value):
+        assert _exit_code(["timeline", trace, option, value]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and option in errors[0]
+        assert "Traceback" not in err
+
+    def test_zero_max_rows_never_collapses(self, trace, capsys):
+        assert main(["timeline", trace, "--max-rows", "0", "--width", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "root" in out and "work" in out
 
 
 class TestWellFormedStillWork:

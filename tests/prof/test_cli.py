@@ -96,6 +96,22 @@ class TestProfileCommand:
         assert excinfo.value.code == 2
 
 
+def assert_one_error_line(capsys, naming):
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and naming in errors[0], err
+    assert "Traceback" not in err
+
+
+class TestProfileTop:
+    @pytest.mark.parametrize("top", ["0", "-3"])
+    def test_top_below_one_is_usage_error(self, trace_path, capsys, top):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", str(trace_path), "--top", top])
+        assert excinfo.value.code == 2
+        assert_one_error_line(capsys, "--top")
+
+
 class TestDiffCommand:
     def test_identical_profiles_exit_zero(self, tmp_path, capsys):
         a = write_profile(tmp_path / "a.json", {"x": 1.0})
@@ -132,6 +148,30 @@ class TestDiffCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["diff", str(a), str(a), "--threshold", "nonsense"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--threshold-pct", "nan"),
+            ("--threshold-pct", "inf"),
+            ("--threshold-pct", "-1"),
+            ("--threshold-abs", "nan"),
+            ("--threshold-abs", "inf"),
+            ("--threshold-abs", "-0.5"),
+            ("--threshold", "x=nan"),
+            ("--threshold", "x=inf"),
+            ("--threshold", "x=-5"),
+        ],
+    )
+    def test_uncomparable_threshold_is_usage_error(self, tmp_path, capsys, option, value):
+        # A NaN threshold compares false against every growth, so the
+        # gate would pass whatever regressed.
+        a = write_profile(tmp_path / "a.json", {"x": 1.0})
+        b = write_profile(tmp_path / "b.json", {"x": 2.0})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["diff", str(a), str(b), option, value])
+        assert excinfo.value.code == 2
+        assert_one_error_line(capsys, "--threshold")
 
     def test_json_diff_output(self, tmp_path, capsys):
         a = write_profile(tmp_path / "a.json", {"x": 1.0})
@@ -233,6 +273,15 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert f"error: cannot load baseline {baseline}: " in err
         assert "Traceback" not in err
+
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "bench", "--scenario", "fig3_gram",
+                "--baseline-dir", str(tmp_path), "--threshold-pct", "nan",
+            ])
+        assert excinfo.value.code == 2
+        assert_one_error_line(capsys, "--threshold-pct")
 
     def test_unknown_scenario_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -47,20 +47,6 @@ class TestCancelledEvents:
         assert order == ["keep", "late"]
         assert env.now == 3.0
 
-    def test_condition_on_cancelled_event_resolves_via_other_arm(self, env):
-        """The `deadline | kick` pattern: once the kick wins, cancelling
-        the deadline must leave the resolved condition intact."""
-
-        def proc(env):
-            deadline = env.timeout(100)
-            kick = env.timeout(1, value="kick")
-            result = yield deadline | kick
-            deadline.cancelled = True
-            return kick in result
-
-        assert env.run(env.process(proc(env))) is True
-        assert env.now == 1.0
-
     def test_run_until_ignores_cancelled_horizon_events(self, env):
         ghost = env.timeout(50)
         ghost.cancelled = True

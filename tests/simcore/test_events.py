@@ -1,9 +1,11 @@
 """Unit tests for repro.simcore.events."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.simcore import AllOf, AnyOf, Environment, Event
+from repro.simcore import AllOf, Environment
 
 
 @pytest.fixture
@@ -77,13 +79,6 @@ class TestEvent:
         ev.defused = True
         env.run()  # no raise
 
-    def test_trigger_copies_state(self, env):
-        src = env.event()
-        dst = env.event()
-        src.succeed("v")
-        dst.trigger(src)
-        assert dst.triggered and dst.ok and dst.value == "v"
-
 
 class TestTimeout:
     def test_fires_at_delay(self, env):
@@ -119,37 +114,21 @@ class TestTimeout:
 
 
 class TestConditions:
+    """``env.all_of``, the kernel's one join: a countdown that fires with
+    ``None``; each constituent keeps its own value."""
+
     def test_all_of_waits_for_all(self, env):
         a, b = env.timeout(1, "a"), env.timeout(2, "b")
         result = env.run(env.all_of([a, b]))
         assert env.now == 2
-        assert result.todict() == {a: "a", b: "b"}
-
-    def test_any_of_fires_on_first(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(2, "b")
-        result = env.run(env.any_of([a, b]))
-        assert env.now == 1
-        assert a in result and b not in result
+        assert result is None
+        assert (a.value, b.value) == ("a", "b")
 
     def test_empty_all_of_is_immediate(self, env):
-        result = env.run(env.all_of([]))
-        assert len(result) == 0
-
-    def test_empty_any_of_is_immediate(self, env):
-        result = env.run(env.any_of([]))
-        assert len(result) == 0
-
-    def test_operator_forms(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(2, "b")
-        both = a & b
-        env.run(both)
-        assert env.now == 2
-
-    def test_or_operator(self, env):
-        a, b = env.timeout(1, "a"), env.timeout(2, "b")
-        either = a | b
-        env.run(either)
-        assert env.now == 1
+        join = env.all_of([])
+        assert join.triggered
+        assert env.run(join) is None
+        assert env.now == 0
 
     def test_condition_failure_propagates(self, env):
         a = env.event()
@@ -158,12 +137,7 @@ class TestConditions:
         a.fail(RuntimeError("sub-event failed"))
         with pytest.raises(RuntimeError, match="sub-event failed"):
             env.run(cond)
-
-    def test_nested_condition_value_flattens(self, env):
-        a, b, c = env.timeout(1, 1), env.timeout(2, 2), env.timeout(3, 3)
-        cond = (a & b) & c
-        result = env.run(cond)
-        assert result.todict() == {a: 1, b: 2, c: 3}
+        assert a.defused
 
     def test_cross_environment_mix_rejected(self, env):
         other = Environment()
@@ -175,42 +149,124 @@ class TestConditions:
     def test_already_processed_events_accepted(self, env):
         a = env.timeout(1, "a")
         env.run()
-        cond = AnyOf(env, [a])
+        b = env.timeout(2, "b")
+        cond = AllOf(env, [a, b])
+        assert not cond.triggered
         env.run(cond)
-        assert cond.value.todict() == {a: "a"}
+        assert env.now == 3
+        assert cond.value is None and a.value == "a"
 
-    def test_decided_condition_stops_listening(self, env):
-        # A pending constituent that kept the decided condition's check
-        # would hold the condition, its value and every event in it in
-        # a reference cycle (event -> callbacks -> check -> condition ->
-        # events) that only the cycle collector can free — one per RPC
-        # whose deadline is retired.
-        fast = env.timeout(1)
+    def test_condition_decided_at_construction_never_listens(self, env):
+        # A constituent that had already failed decides the join before
+        # it listens to anything else.
+        done = env.event()
+        done.fail(KeyError("x"))
+        done.defused = True
+        env.run()
+        pending = env.timeout(5)
+        cond = env.all_of([done, pending])
+        cond.defused = True
+        assert cond.triggered and not cond.ok
+        assert pending.callbacks == []
+
+    def test_failed_condition_stops_listening(self, env):
+        # A pending constituent that kept the failed join's check would
+        # hold the join and every event in it in a reference cycle
+        # (event -> callbacks -> check -> join -> events) that only the
+        # cycle collector can free.
+        bad = env.event()
         slow = env.timeout(10)
         other_listener = []
         slow.callbacks.append(other_listener.append)
-        cond = fast | slow
+        cond = env.all_of([bad, slow])
+        cond.defused = True
         assert len(slow.callbacks) == 2
-        env.run(until=2)
-        assert cond.processed and list(cond.value) == [fast]
+        bad.fail(KeyError("x"))
+        env.run(until=1)
+        assert not cond.ok
         assert slow.callbacks == [other_listener.append]
         env.run()
         assert other_listener == [slow]
 
-    def test_condition_decided_at_construction_never_listens(self, env):
-        done = env.timeout(1)
-        env.run()
-        pending = env.timeout(5)
-        cond = env.any_of([done, pending])
-        assert cond.triggered
-        assert pending.callbacks == []
 
-    def test_failed_condition_stops_listening(self, env):
-        bad = env.event()
-        slow = env.timeout(10)
-        cond = bad & slow
-        cond.defused = True
-        bad.fail(KeyError("x"))
-        env.run(until=1)
-        assert not cond.ok
-        assert slow.callbacks == []
+#: How a drawn constituent behaves: it succeeds or fails at its time,
+#: and it may already have been processed when the join is built.
+CONSTITUENTS = st.lists(
+    st.tuples(
+        st.sampled_from(("timeout", "succeed", "fail")),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(CONSTITUENTS)
+def test_all_of_fires_at_the_latest_or_fails_at_the_first_failure(drawn):
+    env = Environment()
+
+    def make(index, kind, at):
+        if kind == "timeout":
+            return env.timeout(at, index)
+        event = env.event()
+
+        def fire(_):
+            if kind == "succeed":
+                event.succeed(index)
+            else:
+                event.fail(ValueError(index))
+                # A failure after the join has failed reaches no waiter.
+                event.defused = True
+
+        env.timeout(at).callbacks.append(fire)
+        return event
+
+    # Constituents drawn as done are processed before the join is built
+    # at ``start``; the others fire ``at`` seconds after it (delays are
+    # relative to the clock).
+    events = {
+        i: make(i, kind, at) for i, (kind, at, done) in enumerate(drawn) if done
+    }
+    env.run(until=7)
+    start = env.now
+    for i, (kind, at, done) in enumerate(drawn):
+        if not done:
+            events[i] = make(i, kind, at)
+    constituents = [events[i] for i in range(len(drawn))]
+
+    join = env.all_of(constituents)
+    join.defused = True
+    decided = []
+
+    def on_join(_):
+        check = join._check
+        decided.append((
+            env.now,
+            [e for e in constituents if e.callbacks and check in e.callbacks],
+        ))
+
+    join.callbacks.append(on_join)
+    env.run()
+
+    early_failures = [
+        i for i, (kind, _, done) in enumerate(drawn) if kind == "fail" and done
+    ]
+    late_failures = [
+        (at, i) for i, (kind, at, done) in enumerate(drawn)
+        if kind == "fail" and not done
+    ]
+    if early_failures:
+        # Decided at construction by the first failed one it counts.
+        at, first = 0, early_failures[0]
+    elif late_failures:
+        # The kernel fires same-instant failures in scheduling order.
+        at, first = min(late_failures)
+    if early_failures or late_failures:
+        assert not join.ok
+        assert join.value is constituents[first].value
+        assert decided == [(start + at, [])]
+    else:
+        latest = max((at for _, at, done in drawn if not done), default=0)
+        assert join.ok and join.value is None
+        assert decided == [(start + latest, [])]

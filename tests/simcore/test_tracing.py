@@ -20,7 +20,7 @@ from repro.simcore import (
     attach,
     jittered,
 )
-from repro.simcore.events import AllOf, AnyOf, Condition, Event, Timeout
+from repro.simcore.events import AllOf, Event, Timeout
 from repro.simcore.metrics import (
     BoundCounter,
     BoundGauge,
@@ -29,14 +29,14 @@ from repro.simcore.metrics import (
     _HistogramSeries,
 )
 from repro.simcore.process import Initialize, Process, _InterruptEvent
-from repro.simcore.resources import BaseRequest, Store, StoreGet, _Deadline
+from repro.simcore.resources import Store, StoreGet, _Deadline
 from repro.simcore.tracing import Span, _NullSpan, _OpenSpan
 
 #: Classes instantiated per kernel event, message, span or metric write.
 PER_EVENT_CLASSES = (
-    Event, Timeout, Condition, AllOf, AnyOf,
+    Event, Timeout, AllOf,
     Initialize, _InterruptEvent, Process,
-    BaseRequest, StoreGet, _Deadline,
+    StoreGet, _Deadline,
     Message, Endpoint, KindSeries, _Delivery,
     Span, Mark, TraceContext, _OpenSpan, _NullSpan,
     BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
