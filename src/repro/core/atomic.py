@@ -19,17 +19,16 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-import numpy as np
-
 from repro.core.coallocator import Duroc, DurocJob, DurocResult
 from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
-from repro.errors import AllocationAborted
 from repro.gsi.auth import AuthConfig
 from repro.gsi.credentials import Credential
 from repro.net.network import Network
 from repro.resilience import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simcore.environment import Environment
     from repro.simcore.events import Event
 

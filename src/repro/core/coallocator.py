@@ -30,8 +30,6 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-import numpy as np
-
 from repro.core.barrier import ABORT, BarrierManager, Checkin
 from repro.core.callbacks import CallbackDispatcher, DurocEvent, Handler, Notification
 from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
@@ -67,6 +65,8 @@ from repro.simcore.resources import Store
 from repro.simcore.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simcore.environment import Environment
 
 _slot_ids = itertools.count(1)

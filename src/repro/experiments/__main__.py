@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.experiments            # everything (few minutes)
     python -m repro.experiments fig4 fig5  # a subset
+    python -m repro.experiments --help     # the artifact names
 
 Artifacts are printed and written to ``results/``.
 """
@@ -47,6 +48,9 @@ def _artifacts() -> dict[str, callable]:
 
 def main(argv: list[str]) -> int:
     artifacts = _artifacts()
+    if "-h" in argv or "--help" in argv:
+        print(f"usage: python -m repro.experiments [{{{','.join(artifacts)}}} ...]")
+        return 0
     wanted = argv or list(artifacts)
     unknown = [name for name in wanted if name not in artifacts]
     if unknown:

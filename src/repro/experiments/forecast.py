@@ -17,9 +17,7 @@ information ages, selection quality decays toward random.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.core.applib import make_program
 from repro.core.request import CoAllocationRequest, SubjobSpec

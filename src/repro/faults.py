@@ -30,12 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import FaultSpecError
 from repro.simcore.probe import emit
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.machine.host import Machine
     from repro.net.message import Message
     from repro.net.network import Network

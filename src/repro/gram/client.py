@@ -9,10 +9,8 @@ simulated processes (``yield from client.submit(...)``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
-
-import numpy as np
 
 from repro.errors import AuthTimeout, GramError, HostDown, RPCTimeout
 from repro.gram.gatekeeper import GATEKEEPER_PORT, SUBMIT
@@ -30,6 +28,8 @@ from repro.rsl.printer import unparse
 from repro.simcore.tracing import TraceContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simcore.environment import Environment
 
 _client_seq = itertools.count(1)

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-import numpy as np
-
 from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net.address import Endpoint
 from repro.net.message import Message
@@ -26,6 +24,8 @@ from repro.simcore.resources import Store
 from repro.simcore.rng import jittered
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simcore.environment import Environment
     from repro.simcore.metrics import MetricsRegistry
 

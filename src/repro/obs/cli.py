@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from repro.argtypes import count
+from repro.argtypes import count, finite
 from repro.obs.blackbox import (
     diff_dumps,
     load_dump,
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 1 when they differ)",
     )
     blackbox.add_argument(
-        "--window", type=float, default=None,
+        "--window", type=finite(0), default=None,
         help="only records within this many simulated seconds "
         "before the trigger",
     )
@@ -135,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="only records naming this node (protocol events at it, "
         "messages to or from it)",
     )
-
+    # Errors after parsing go through the subcommand's own parser, so
+    # they carry its usage line and prefix.
+    for command in sub.choices.values():
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -179,6 +182,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command is None:
         parser.error("a command is required (see --help)")
+    parser = args.subparser
 
     if args.command == "blackbox":
         flight = _load_flight(parser, args.dump)

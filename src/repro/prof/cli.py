@@ -121,6 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold-pct", type=finite(0), default=DEFAULT_PCT,
         help=f"regression threshold in percent (default: {DEFAULT_PCT:g})",
     )
+    # Errors after parsing go through the subcommand's own parser, so
+    # they carry its usage line and prefix.
+    for command in sub.choices.values():
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -130,10 +134,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.error("a command is required (see --help)")
     if args.command == "profile":
-        return _cmd_profile(parser, args)
+        return _cmd_profile(args.subparser, args)
     if args.command == "diff":
-        return _cmd_diff(parser, args)
-    return _cmd_bench(parser, args)
+        return _cmd_diff(args.subparser, args)
+    return _cmd_bench(args.subparser, args)
 
 
 # -- profile -----------------------------------------------------------------

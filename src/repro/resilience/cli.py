@@ -75,6 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --flightrec, write each trial's first dump to "
         "DIR/<campaign>_<seed>.json in canonical form",
     )
+    # Errors after parsing go through the subcommand's own parser, so
+    # they carry its usage line and prefix.
+    for command in sub.choices.values():
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -90,6 +94,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:<{width}}  {CAMPAIGNS[name].description}")
         return 0
 
+    parser = args.subparser
     if args.dump_dir is not None and not args.flightrec:
         parser.error("--dump-dir requires --flightrec")
     try:

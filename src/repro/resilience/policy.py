@@ -27,13 +27,13 @@ from typing import (
     Type,
 )
 
-import numpy as np
-
 from repro.errors import DeadlineExceeded, HostDown, RetryExhausted, RPCTimeout
 from repro.resilience.states import AttemptPhase, check_attempt_transition
 from repro.simcore.probe import emit
 
 if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
     from repro.simcore.environment import Environment
 
 #: Failures that are transient by default: a lost reply or a dead peer

@@ -9,11 +9,13 @@ bypassing GRAM (local users do not authenticate through the grid).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.gram.site import Site
 from repro.schedulers.base import NodeRequest
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 @dataclass(frozen=True)

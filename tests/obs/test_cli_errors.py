@@ -216,3 +216,41 @@ class TestWellFormedStillWork:
         snapshot = tmp_path / "empty.json"
         snapshot.write_text('{"metrics": {}}')
         assert main(["metrics", str(snapshot)]) == 1
+
+
+class TestSubcommandPrefix:
+    """An error found after parsing carries the subcommand's own usage
+    line and prefix, not the root parser's."""
+
+    @pytest.mark.parametrize(
+        "command", TRACE_COMMANDS + ("metrics", "blackbox")
+    )
+    def test_missing_file(self, command, tmp_path, capsys):
+        assert _exit_code([command, str(tmp_path / "absent.jsonl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: python -m repro.obs {command} "), err
+        assert err[-1].startswith(f"python -m repro.obs {command}: error: "), err
+
+
+class TestBlackboxWindow:
+    """``--window`` is a finite, non-negative number of simulated seconds:
+    NaN and ±inf would switch the filter off, a negative one empties it."""
+
+    @pytest.fixture
+    def dump(self, tmp_path):
+        path = tmp_path / "dump.json"
+        path.write_text(dump_json(_flight_dump_dict()))
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "soon"])
+    def test_bad_window_is_one_error_line(self, dump, capsys, value):
+        assert _exit_code(["blackbox", dump, f"--window={value}"]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--window" in errors[0], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "2.5"])
+    def test_finite_window_still_filters(self, dump, capsys, value):
+        assert main(["blackbox", dump, "--window", value]) == 0
+        assert "fault.apply:HostCrash" in capsys.readouterr().out

@@ -294,3 +294,51 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+
+class TestSubcommandErrors:
+    """An error a handler finds after parsing names its subcommand: the
+    subcommand's usage line and prefix, not the root parser's."""
+
+    @pytest.fixture
+    def profiles(self, tmp_path):
+        return (
+            str(write_profile(tmp_path / "a.json", {"x": 1.0})),
+            str(write_profile(tmp_path / "b.json", {"x": 2.0})),
+        )
+
+    def assert_subcommand_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        command = argv[0]
+        assert err[0].startswith(f"usage: python -m repro.prof {command} "), err
+        assert err[-1].startswith(f"python -m repro.prof {command}: error: "), err
+
+    @pytest.mark.parametrize("spec", ["x=nan", "nonsense"])
+    def test_diff_bad_override(self, capsys, profiles, spec):
+        self.assert_subcommand_error(capsys, ["diff", *profiles, "--threshold", spec])
+
+    def test_diff_nan_threshold_pct(self, capsys, profiles):
+        self.assert_subcommand_error(
+            capsys, ["diff", *profiles, "--threshold-pct", "nan"]
+        )
+
+    def test_diff_missing_profile(self, capsys, profiles, tmp_path):
+        self.assert_subcommand_error(
+            capsys, ["diff", str(tmp_path / "missing.json"), profiles[1]]
+        )
+
+    def test_profile_missing_trace(self, capsys, tmp_path):
+        self.assert_subcommand_error(capsys, ["profile", str(tmp_path / "missing.jsonl")])
+
+    def test_profile_malformed_metrics(self, capsys, trace_path, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text("[1]")
+        self.assert_subcommand_error(
+            capsys, ["profile", str(trace_path), "--metrics", str(metrics)]
+        )
+
+    def test_bench_unknown_scenario(self, capsys):
+        self.assert_subcommand_error(capsys, ["bench", "--scenario", "nonesuch"])

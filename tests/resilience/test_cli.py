@@ -49,3 +49,15 @@ class TestRun:
         with pytest.raises(SystemExit) as err:
             main(["run", "--campaign", "no_such_thing"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--campaign", "no_such_thing"], ["run", "--dump-dir", "dumps"]],
+    )
+    def test_run_usage_error_names_the_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: python -m repro.resilience run "), lines
+        assert lines[-1].startswith("python -m repro.resilience run: error: "), lines

@@ -86,3 +86,22 @@ def test_cli_runner_rejects_unknown():
     assert result.stdout == ""
     assert result.stderr.startswith("error: unknown artifacts ['nonesuch']")
     assert len(result.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_cli_runner_help_lists_every_artifact(flag):
+    from repro.experiments.__main__ import _artifacts
+
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", flag],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    lines = result.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage: python -m repro.experiments")
+    names = list(_artifacts())
+    assert len(names) == 12
+    assert all(name in lines[0] for name in names)
