@@ -13,8 +13,6 @@
    shorter time-to-commit on grids with stragglers.
 """
 
-import pytest
-
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType, make_program
 from repro.core.applib import barrier as duroc_barrier
 from repro.broker import OverAllocatingAgent

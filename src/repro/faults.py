@@ -358,8 +358,8 @@ def _window(
     Activation and reversal are reported to the installed probe
     (``fault.apply`` / ``fault.revert`` on the ``faults`` locus) so
     observers — the verification recorder, the flight recorder's
-    :class:`~repro.obs.flightrec.OnFault` trigger — see exactly when
-    each declared fault took effect.  Emission is observation-only and
+    ``fault.apply`` rule in :data:`~repro.obs.flightrec.RULES` — see
+    exactly when each declared fault took effect.  Emission is observation-only and
     changes nothing without a probe.
     """
     if at > env.now:

@@ -32,7 +32,6 @@ from repro.net.transport import Port
 from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.simcore.environment import Environment
     from repro.simcore.tracing import TraceContext
 
 _session_ids = itertools.count(1)

@@ -12,23 +12,15 @@ Three pillars (see docs/OBSERVABILITY.md):
   analysis (:mod:`repro.obs.query`), renderers (:mod:`repro.obs.render`)
   and the ``python -m repro.obs`` CLI.
 - **Post-mortem** — :mod:`repro.obs.flightrec` is a probe flown as an
-  always-on black box: bounded ring buffers,
-  declarative failure triggers, canonical JSON dumps; rendered by
+  always-on black box: one bounded deque per record category, one
+  rule table of failure signals, canonical JSON dumps; rendered by
   :mod:`repro.obs.blackbox` (``python -m repro.obs blackbox``).
 """
 
 from repro.obs.blackbox import diff_dumps, load_dump, merge_timeline
 from repro.obs.flightrec import (
-    DEFAULT_TRIGGERS,
     FLIGHT_FORMAT,
     FlightRecorder,
-    FlightRing,
-    OnAbort,
-    OnFault,
-    OnPredicate,
-    OnProcessFailure,
-    OnRetryExhausted,
-    Trigger,
     dump_digest,
     dump_json,
     write_dump,
@@ -47,21 +39,13 @@ from repro.simcore.metrics import (
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_TRIGGERS",
     "FLIGHT_FORMAT",
     "FlightRecorder",
-    "FlightRing",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",
     "NullMetricsRegistry",
-    "OnAbort",
-    "OnFault",
-    "OnPredicate",
-    "OnProcessFailure",
-    "OnRetryExhausted",
-    "Trigger",
     "WindowedRate",
     "diff_dumps",
     "dump_digest",

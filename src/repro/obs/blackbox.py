@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.obs.flightrec import CATEGORIES, FLIGHT_FORMAT
+from repro.obs.flightrec import FIELDS, FLIGHT_FORMAT
 
 #: Category name -> single-letter tag used in the text timeline.
 _TAGS = {"kernel": "K", "message": "M", "proto": "P", "span": "S"}
@@ -47,12 +47,48 @@ def load_dump(path: Union[str, Path]) -> dict[str, Any]:
     records = data.get("records")
     if not isinstance(trigger, dict) or not isinstance(records, dict):
         raise ValueError("truncated flight dump: missing trigger/records")
-    for category in CATEGORIES:
+    if not (
+        isinstance(trigger.get("trigger"), str)
+        and isinstance(trigger.get("reason"), str)
+        and _is_number(trigger.get("time"))
+        and _is_int(trigger.get("seq"))
+    ):
+        raise ValueError(
+            "malformed flight dump: trigger needs trigger/reason strings, "
+            "a numeric time and an int seq"
+        )
+    counts = data.get("counts", {})
+    if not isinstance(counts, dict) or not all(
+        isinstance(counts.get(category, {}), dict) for category in FIELDS
+    ):
+        raise ValueError(
+            "malformed flight dump: counts must map each category to an object"
+        )
+    for category, fields in FIELDS.items():
         if not isinstance(records.get(category), list):
             raise ValueError(
                 f"truncated flight dump: missing {category!r} records"
             )
+        for index, record in enumerate(records[category]):
+            if not (
+                isinstance(record, dict)
+                and all(field in record for field in fields)
+                and _is_int(record["seq"])
+                and _is_number(record["time"])
+            ):
+                raise ValueError(
+                    f"malformed flight dump: {category} record {index} is not "
+                    f"an object with {', '.join(fields)} (int seq, numeric time)"
+                )
     return data
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _names_node(value: Optional[str], node: str) -> bool:
@@ -101,7 +137,7 @@ def merge_timeline(
         float(trigger["time"]) - window if window is not None else None
     )
     entries: list[dict[str, Any]] = []
-    for category in CATEGORIES:
+    for category in FIELDS:
         for record in dump["records"][category]:
             if horizon is not None and float(record["time"]) < horizon:
                 continue
@@ -162,7 +198,7 @@ def render_timeline(
     ]
     counts = dump.get("counts", {})
     parts = []
-    for category in CATEGORIES:
+    for category in FIELDS:
         entry = counts.get(category, {})
         parts.append(
             f"{category} {entry.get('live', '?')}/{entry.get('pushed', '?')}"
@@ -206,7 +242,7 @@ def diff_dumps(
         out["trigger"] = {"a": a.get("trigger"), "b": b.get("trigger")}
     counts: dict[str, Any] = {}
     records: dict[str, Any] = {}
-    for category in CATEGORIES:
+    for category in FIELDS:
         ca = (a.get("counts") or {}).get(category)
         cb = (b.get("counts") or {}).get(category)
         if ca != cb:

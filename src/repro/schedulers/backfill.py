@@ -14,7 +14,6 @@ backfill baselines.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
 
 from repro.schedulers.fcfs import DEFAULT_RUNTIME_GUESS, FcfsScheduler
 

@@ -10,13 +10,10 @@ oversubscription rather than enforcing a limit.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.schedulers.base import Lease, LocalScheduler, NodeRequest, PendingAllocation
 from repro.schedulers.states import QueuePhase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.simcore.environment import Environment
 
 
 class ForkScheduler(LocalScheduler):

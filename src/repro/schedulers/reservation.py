@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ReservationError
-from repro.schedulers.base import NodeRequest, PendingAllocation
+from repro.schedulers.base import NodeRequest
 from repro.schedulers.fcfs import DEFAULT_RUNTIME_GUESS, FcfsScheduler
 from repro.schedulers.states import QueuePhase
 

@@ -35,7 +35,7 @@ from repro.analysis.framework import (
     normalize_select,
     rule_selected,
 )
-from repro.verify.events import ACCESS, DELIVER, EVENT, SEND, EventLog, ProtoEvent, RunContext
+from repro.verify.events import DELIVER, EVENT, SEND, EventLog, ProtoEvent, RunContext
 
 #: Barrier verdict message kinds (mirrors repro.core.barrier; kept as
 #: literals so the monitor layer never imports protocol modules).

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gram import CostModel, GramClient, Site
+from repro.gram import GramClient, Site
 from repro.gsi import CertificateAuthority
 from repro.net import Network
 from repro.simcore import Environment

@@ -1,7 +1,5 @@
 """Tests for runtime callback (un)registration on GRAM jobs."""
 
-import pytest
-
 from repro.gram import CallbackListener, JobState
 
 from .conftest import rsl_for

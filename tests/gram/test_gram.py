@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import GramError
 from repro.gram import CallbackListener, JobState, Site
-from repro.gram.costs import CostModel
 from repro.gsi import initiate
 from repro.net import Endpoint, Network, Port
 from repro.simcore import Environment, Tracer

@@ -160,6 +160,31 @@ class TestMalformedFlightDumps:
         assert _exit_code(["blackbox", path]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, extra",
+        [
+            (lambda dump: dump.update(trigger={}), []),
+            (lambda dump: dump.update(trigger={}), ["--window", "1"]),
+            (lambda dump: dump["records"].update(kernel=[1]), []),
+            (lambda dump: dump["records"].update(kernel=[{"op": "step"}]), []),
+            (lambda dump: dump.update(counts=[]), []),
+            (lambda dump: dump["counts"].update(kernel=5), []),
+        ],
+        ids=[
+            "empty-trigger", "empty-trigger-window", "scalar-record", "record-without-seq",
+            "counts-list", "scalar-count",
+        ],
+    )
+    def test_malformed_content(self, tmp_path, capsys, damage, extra):
+        dump = _flight_dump_dict()
+        damage(dump)
+        path = self._write(tmp_path, json.dumps(dump))
+        assert _exit_code(["blackbox", path, *extra]) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "malformed flight dump" in errors[0], err
+        assert "Traceback" not in err
+
     def test_truncated_bytes(self, tmp_path, capsys):
         text = dump_json(_flight_dump_dict())
         path = self._write(tmp_path, text[: len(text) // 2])

@@ -2,10 +2,10 @@
 
 The contract gated here:
 
-* rings evict deterministically, oldest first, in O(capacity) memory;
+* rings evict deterministically, oldest first, in O(CAPACITY) memory;
 * the recorder observes every category, spans included, as a plain
   probe attached via ``GridBuilder.with_probe``;
-* triggers freeze-and-dump on the platform's failure signals, and the
+* the rule table dumps on the platform's failure signals, and the
   dump bytes are a pure function of the observed stream;
 * recording never perturbs the run (observation-only).
 """
@@ -24,12 +24,11 @@ from repro.errors import ReproError
 from repro.faults import HostCrash
 from repro.gridenv import GridBuilder
 from repro.obs.flightrec import (
-    DEFAULT_TRIGGERS,
+    CAPACITY,
     FLIGHT_FORMAT,
+    MAX_DUMPS,
+    RULES,
     FlightRecorder,
-    FlightRing,
-    OnFault,
-    OnPredicate,
     dump_digest,
     dump_json,
     write_dump,
@@ -78,37 +77,29 @@ class EventStreamDigest(Probe):
 
 
 class TestFlightRing:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRing(0)
+    """Each category's ring keeps its last ``CAPACITY`` records."""
+
+    @staticmethod
+    def _proto_after(count):
+        recorder = FlightRecorder()
+        for i in range(count):
+            recorder.event("unit", f"ev.{i}", {})
+        return recorder, recorder.trip("unit")
 
     def test_push_and_snapshot_oldest_first(self):
-        ring = FlightRing(4)
-        for i in range(3):
-            ring.push(i)
-        assert len(ring) == 3
-        assert ring.evicted == 0
-        assert ring.snapshot() == [0, 1, 2]
+        recorder, dump = self._proto_after(3)
+        assert len(recorder.rings["proto"]) == recorder.pushed["proto"] == 3
+        assert dump["counts"]["proto"] == {"pushed": 3, "live": 3, "evicted": 0}
+        assert [r["name"] for r in dump["records"]["proto"]] == ["ev.0", "ev.1", "ev.2"]
 
     def test_wraparound_evicts_oldest(self):
-        ring = FlightRing(4)
-        for i in range(10):
-            ring.push(i)
-        assert len(ring) == 4
-        assert ring.pushed == 10
-        assert ring.evicted == 6
-        assert ring.snapshot() == [6, 7, 8, 9]
-
-    def test_clear_preserves_lifetime_count(self):
-        ring = FlightRing(2)
-        for i in range(5):
-            ring.push(i)
-        ring.clear()
-        assert len(ring) == 0
-        assert ring.pushed == 5
-        assert ring.snapshot() == []
-        ring.push("x")
-        assert ring.snapshot() == ["x"]
+        recorder, dump = self._proto_after(CAPACITY + 6)
+        assert len(recorder.rings["proto"]) == CAPACITY
+        assert dump["counts"]["proto"] == {
+            "pushed": CAPACITY + 6, "live": CAPACITY, "evicted": 6,
+        }
+        names = [r["name"] for r in dump["records"]["proto"]]
+        assert names == [f"ev.{i}" for i in range(6, CAPACITY + 6)]
 
 
 def _crash_grid(recorder):
@@ -130,7 +121,7 @@ class TestRecorderOnGrid:
         assert recorder.env is grid.env
 
     def test_fault_trigger_dumps(self):
-        recorder = FlightRecorder(capacity=64)
+        recorder = FlightRecorder()
         grid = _crash_grid(recorder)
         grid.run(until=3.0)
         assert len(recorder.dumps) == 1
@@ -140,7 +131,7 @@ class TestRecorderOnGrid:
         assert trigger["time"] == 0.5
 
     def test_dump_carries_all_categories(self):
-        recorder = FlightRecorder(capacity=64)
+        recorder = FlightRecorder()
         grid = _crash_grid(recorder)
         duroc = grid.duroc()  # noqa: F841 — opens spans via the tracer
         grid.run(until=3.0)
@@ -153,7 +144,7 @@ class TestRecorderOnGrid:
         assert proto["attrs"]["fault"] == "HostCrash"
 
     def test_dual_role_records_spans(self):
-        recorder = FlightRecorder(capacity=64)
+        recorder = FlightRecorder()
         grid = (
             GridBuilder(seed=7)
             .add_machine("RM1", nodes=8)
@@ -161,7 +152,7 @@ class TestRecorderOnGrid:
             .build()
         )
         grid.tracer.record("unit.span", 0.0, 1.0)
-        ops = [r.op for r in recorder.rings["span"].snapshot()]
+        ops = [r["op"] for r in recorder.trip("unit")["records"]["span"]]
         assert "close" in ops
 
     def test_observation_only(self):
@@ -183,7 +174,7 @@ class TestRecorderOnGrid:
     def test_same_seed_same_dump_bytes(self):
         texts = []
         for _ in range(2):
-            recorder = FlightRecorder(capacity=64)
+            recorder = FlightRecorder()
             grid = _crash_grid(recorder)
             grid.run(until=3.0)
             texts.append(dump_json(recorder.dumps[0]))
@@ -191,43 +182,41 @@ class TestRecorderOnGrid:
 
 
 class TestRetainedHighWater:
-    """The O(1) derived peak against a per-record count of the same tables."""
+    """The dump's peak against a per-record count of the same tables.
+
+    Each op repeats up to past ``CAPACITY`` (and the message-id table's
+    ``4 * CAPACITY``), so every table fills and then evicts.
+    """
 
     OPS = st.lists(
-        st.one_of(
-            st.tuples(st.just("step"), st.floats(0, 10, allow_nan=False)),
-            st.tuples(st.just("schedule"), st.floats(0, 10, allow_nan=False)),
-            st.tuples(st.just("send"), st.integers(0, 40)),
-            st.tuples(st.just("deliver"), st.integers(0, 40)),
-            st.tuples(st.just("event"), st.sampled_from(["quiet", "fault.apply"])),
-            st.tuples(st.just("access"), st.just(None)),
-            st.tuples(st.just("span"), st.just(None)),
-            st.tuples(st.just("mark"), st.just(None)),
-            st.tuples(st.just("trip"), st.just(None)),
-            st.tuples(st.just("freeze"), st.booleans()),
-            st.tuples(st.just("reset"), st.just(None)),
+        st.tuples(
+            st.sampled_from(
+                ["step", "schedule", "send", "deliver", "event", "access", "span",
+                 "mark", "trip"]
+            ),
+            st.integers(1, 5 * CAPACITY),
         ),
-        max_size=120,
+        max_size=12,
     )
 
     @staticmethod
-    def _apply(recorder, op, arg):
+    def _apply(recorder, op, index):
         from repro.net.address import Endpoint
         from repro.net.message import Message
         from repro.simcore.tracing import Mark, Span
 
         if op == "step":
-            recorder.on_step(arg)
+            recorder.on_step(float(index))
         elif op == "schedule":
-            recorder.on_schedule(arg, 1)
+            recorder.on_schedule(float(index), 1)
         elif op in ("send", "deliver"):
             message = Message(
                 src=Endpoint("a", "x"), dst=Endpoint("b", "y"), kind="k",
-                msg_id=arg,
+                msg_id=index,
             )
             getattr(recorder, f"on_{op}")(message)
         elif op == "event":
-            recorder.event("n", arg, {"fault": "HostCrash"})
+            recorder.event("n", "fault.apply" if index == 0 else "quiet", {"fault": "HostCrash"})
         elif op == "access":
             recorder.access("n", "table", "w", {})
         elif op == "span":
@@ -235,41 +224,69 @@ class TestRetainedHighWater:
             recorder.on_span_close(Span("s", 0.0, 1.0, trace_id="trace-1", span_id=1))
         elif op == "mark":
             recorder.on_mark(Mark("m", 0.0))
-        elif op == "trip":
+        elif index == 0:
             recorder.trip("manual")
-        elif op == "freeze":
-            recorder.freeze() if arg else recorder.resume()
-        else:
-            recorder.reset()
 
-    @given(ops=OPS, capacity=st.integers(1, 6))
-    @settings(max_examples=200, deadline=None)
-    def test_derived_peak_equals_census_oracle(self, ops, capacity):
-        recorder = FlightRecorder(capacity=capacity, max_dumps=1000)
-        peak = dumped = 0
-        for op, arg in ops:
-            self._apply(recorder, op, arg)
-            retained = sum(map(len, recorder.rings.values())) + len(recorder._msg_local)
-            peak = max(peak, retained)
-            assert recorder.retained() == retained
-            assert recorder.retained_high_water == peak
-            for dump in recorder.dumps[dumped:]:
-                # A dump carries the peak as of its own trip.
-                assert dump["retained_high_water"] == peak
-            dumped = len(recorder.dumps) if op != "reset" else 0
-        assert recorder.retained_high_water <= 8 * capacity
+    @given(ops=OPS)
+    @settings(max_examples=40, deadline=None)
+    def test_derived_peak_equals_census_oracle(self, ops):
+        recorder = FlightRecorder()
+
+        def census():
+            return sum(map(len, recorder.rings.values())) + len(recorder._msg_local)
+
+        peak = 0
+        for op, repeat in ops:
+            for index in range(repeat):
+                dumped = len(recorder.dumps)
+                self._apply(recorder, op, index)
+                for dump in recorder.dumps[dumped:]:
+                    # A dump carries the peak as of its own trip.
+                    assert dump["retained_high_water"] == census()
+            # Nothing is ever dropped but by eviction, so the count
+            # never falls and the current count is the peak.
+            assert recorder.retained() == census() >= peak
+            peak = census()
+        assert peak <= 8 * CAPACITY
 
 
 class TestTriggers:
     def _event(self, recorder, name, attrs):
         recorder.event("unit", name, attrs)
 
-    def test_default_catalogue(self):
-        names = {trigger.name for trigger in DEFAULT_TRIGGERS}
-        assert names == {
-            "fault", "retry_exhausted",
-            "coallocation_abort", "process_failure",
-        }
+    #: (event name, attrs) -> the (trigger, reason) its dump carries.
+    TABLE = [
+        ("fault.apply", {"fault": "HostCrash", "host": "RM2"},
+         ("fault", "fault.apply:HostCrash:RM2")),
+        ("fault.apply", {"fault": "LinkDrop", "src": "RM1"},
+         ("fault", "fault.apply:LinkDrop:RM1")),
+        ("fault.apply", {"fault": "Overload"},
+         ("fault", "fault.apply:Overload")),
+        ("resilience.retry_exhausted", {"operation": "gram.submit", "attempts": 4},
+         ("retry_exhausted", "retry_exhausted:gram.submit:attempts=4")),
+        ("duroc.abort.decision", {"job": "job-1", "reason": "barrier_timeout"},
+         ("coallocation_abort", "coallocation_abort:job=job-1:reason=barrier_timeout")),
+        ("process.unhandled", {"error": "RuntimeError"},
+         ("process_failure", "process_unhandled:RuntimeError")),
+    ]
+
+    def test_rule_table(self):
+        assert {name for name, _, _ in self.TABLE} == set(RULES)
+        for name, attrs, expected in self.TABLE:
+            recorder = FlightRecorder()
+            self._event(recorder, name, attrs)
+            trigger = recorder.dumps[0]["trigger"]
+            assert (trigger["trigger"], trigger["reason"]) == expected, name
+        # An event no rule names records, but does not trip.
+        recorder = FlightRecorder()
+        for name in ("fault.revert", "duroc.state", "boom"):
+            self._event(recorder, name, {"fault": "HostCrash"})
+        assert recorder.dumps == [] and recorder.pushed["proto"] == 3
+        # Every trip past MAX_DUMPS is counted, not kept.
+        for name, attrs, _ in self.TABLE * 2:
+            self._event(recorder, name, attrs)
+        assert len(recorder.dumps) == MAX_DUMPS
+        assert recorder.dumps_suppressed == 2 * len(self.TABLE) - MAX_DUMPS
 
     def test_retry_exhausted(self):
         recorder = FlightRecorder()
@@ -289,26 +306,6 @@ class TestTriggers:
         )
         assert recorder.dumps[0]["trigger"]["trigger"] == "coallocation_abort"
 
-    def test_fault_kind_filter(self):
-        recorder = FlightRecorder(triggers=(OnFault(kinds=("Overload",)),))
-        self._event(recorder, "fault.apply", {"fault": "HostCrash"})
-        assert recorder.dumps == []
-        self._event(recorder, "fault.apply", {"fault": "Overload"})
-        assert len(recorder.dumps) == 1
-
-    def test_predicate_string_reason(self):
-        recorder = FlightRecorder(
-            triggers=(OnPredicate(
-                event=lambda node, name, attrs: (
-                    f"saw:{name}" if name == "boom" else None
-                ),
-            ),)
-        )
-        self._event(recorder, "quiet", {})
-        assert recorder.dumps == []
-        self._event(recorder, "boom", {})
-        assert recorder.dumps[0]["trigger"]["reason"] == "saw:boom"
-
     def test_unhandled_process_failure(self):
         recorder = FlightRecorder()
         env = Environment()
@@ -326,15 +323,15 @@ class TestTriggers:
         )
 
     def test_max_dumps_suppression(self):
-        recorder = FlightRecorder(max_dumps=2)
-        for i in range(5):
+        recorder = FlightRecorder()
+        for i in range(MAX_DUMPS + 3):
             self._event(recorder, "fault.apply", {"fault": "HostCrash"})
-        assert len(recorder.dumps) == 2
+        assert len(recorder.dumps) == MAX_DUMPS
         assert recorder.dumps_suppressed == 3
         # Observation continues after suppressed trips.
-        assert recorder.records_observed == 5
+        assert recorder.pushed["proto"] == MAX_DUMPS + 3
 
-    def test_manual_trip_and_freeze(self):
+    def test_manual_trip(self):
         recorder = FlightRecorder()
         self._event(recorder, "step.one", {})
         dump = recorder.trip("operator request")
@@ -342,13 +339,9 @@ class TestTriggers:
             "trigger": "manual", "reason": "operator request",
             "time": 0.0, "seq": 1,
         }
-        assert not recorder.frozen  # trip resumes recording
-        recorder.freeze()
-        self._event(recorder, "dropped.while.frozen", {})
-        assert recorder.records_observed == 1
-        recorder.resume()
+        # Recording goes on after a trip.
         self._event(recorder, "recorded.again", {})
-        assert recorder.records_observed == 2
+        assert recorder.pushed["proto"] == 2
 
 
 class _StubMonitor(Monitor):

@@ -15,28 +15,19 @@ import pytest
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.core.bounded import BoundedDict
 from repro.errors import AllocationAborted
-from repro.faults import HostCrash
+from repro.faults import HostCrash, SlowLink
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.obs.flightrec import (
-    CATEGORIES,
-    DEFAULT_TRIGGERS,
-    FlightRecorder,
-    OnPredicate,
-    _clean,
-    dump_json,
-)
+from repro.obs.flightrec import CAPACITY, FIELDS, FlightRecorder, _clean, dump_json
 from repro.simcore.probe import Probe
-
-CAPACITY = 64
 
 
 class EagerShadow(Probe):
     """Every observation as its dump dict, rendered when it is heard."""
 
     def __init__(self, capacity: int) -> None:
-        self.rendered = {category: [] for category in CATEGORIES}
+        self.rendered = {category: [] for category in FIELDS}
         self._seq = 0
         self._msg_local = BoundedDict(4 * capacity)
         self._msg_next = 0
@@ -102,16 +93,17 @@ class EagerShadow(Probe):
 
 
 def test_every_dump_equals_the_eager_rendering():
-    on_loss = OnPredicate(
-        message=lambda op, m: f"lost:{m.kind}" if op == "drop" else None, name="loss"
-    )
-    recorder = FlightRecorder(capacity=CAPACITY, triggers=(*DEFAULT_TRIGGERS, on_loss))
+    recorder = FlightRecorder()
     shadow = EagerShadow(CAPACITY)
+    # RM6 crashes; the first message to it is dropped at t≈6.1, and the
+    # link slowed at t=10 trips a dump whose window still holds that drop.
     grid = (
         GridBuilder(seed=7)
-        .add_machine("RM1", nodes=8)
-        .add_machine("RM2", nodes=8)
-        .with_faults(HostCrash("RM2", at=0.5, duration=30.0))
+        .add_machines("RM", 6, nodes=8)
+        .with_faults(
+            HostCrash("RM6", at=0.5, duration=30.0),
+            SlowLink("RM1", "RM6", latency=0.05, at=10.0),
+        )
         .with_monitors()
         .with_probe(recorder, shadow)
         .build()
@@ -120,7 +112,7 @@ def test_every_dump_equals_the_eager_rendering():
     request = CoAllocationRequest([
         SubjobSpec(f"{site}:gatekeeper", 2, DEFAULT_EXECUTABLE,
                    start_type=SubjobType.REQUIRED)
-        for site in ("RM1", "RM2")
+        for site in ("RM1", "RM2", "RM3", "RM4", "RM5", "RM6")
     ])
 
     def agent(env):
@@ -130,15 +122,16 @@ def test_every_dump_equals_the_eager_rendering():
     grid.run(grid.process(agent(grid.env)))
     recorder.trip("end of run")
 
-    # Three trips mid-run (an event rule, a message rule, an event rule
-    # with the rings long since wrapped), then the manual one.
+    # Three trips mid-run (the abort with the rings long since
+    # wrapped), then the manual one.
     assert [d["trigger"]["trigger"] for d in recorder.dumps] == [
-        "fault", "loss", "coallocation_abort", "manual",
+        "fault", "fault", "coallocation_abort", "manual",
     ]
-    assert recorder.rings["kernel"].evicted > CAPACITY
-    assert recorder.rings["message"].pushed > 4 * CAPACITY  # ids were evicted too
+    assert recorder.dumps[1]["trigger"]["reason"] == "fault.apply:SlowLink:RM1"
+    assert recorder.pushed["kernel"] > 2 * CAPACITY
+    assert recorder.pushed["message"] > 4 * CAPACITY  # ids were evicted too
     for dump in recorder.dumps:
-        for category in CATEGORIES:
+        for category in FIELDS:
             counts = dump["counts"][category]
             assert counts["live"] == min(counts["pushed"], CAPACITY)
             eager = shadow.rendered[category][counts["pushed"] - counts["live"]:counts["pushed"]]
@@ -162,16 +155,18 @@ def test_unattached_recorder_stamps_time_zero():
     recorder.access("n", "table", "w", {})
     recorder.on_span_open("trace-1", 1, None, "s")
     dump = recorder.trip("unit")
-    records = [r for category in CATEGORIES for r in dump["records"][category]]
+    records = [r for category in FIELDS for r in dump["records"][category]]
     assert [r["seq"] for r in records] == [1, 2, 3, 4, 5, 6]
     assert [r["time"] for r in records] == [0.0] * 6
     assert dump["trigger"]["time"] == 0.0
 
 
 def test_triggers_are_fixed_at_construction():
-    """The rule set is partitioned by stream once, in ``__init__``."""
+    """The rules are the module's ``RULES`` table: a recorder takes no
+    rule set, capacity or dump cap of its own."""
+    for knob, value in (("triggers", ()), ("capacity", 64), ("max_dumps", 2)):
+        with pytest.raises(TypeError):
+            FlightRecorder(**{knob: value})
     recorder = FlightRecorder()
-    with pytest.raises(AttributeError):
-        recorder.triggers = ()
     recorder.event("unit", "fault.apply", {"fault": "HostCrash"})
     assert len(recorder.dumps) == 1

@@ -8,7 +8,6 @@ from repro.net.address import Endpoint
 from repro.net.message import Message
 from repro.net.network import KindSeries, _Delivery
 from repro.net.transport import Port
-from repro.obs.flightrec import KernelRecord, MessageRecord, ProtoRecord, SpanRecord
 from repro.simcore import (
     Environment,
     Mark,
@@ -40,7 +39,6 @@ PER_EVENT_CLASSES = (
     Message, Endpoint, KindSeries, _Delivery,
     Span, Mark, TraceContext, _OpenSpan, _NullSpan,
     BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
-    KernelRecord, MessageRecord, ProtoRecord, SpanRecord,
 )
 
 #: Classes instantiated per bound port or spawned process: thousands

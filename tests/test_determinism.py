@@ -4,8 +4,6 @@ Reproducibility is a core requirement of the benchmark harness — every
 figure regenerated from the same seed must be bit-identical.
 """
 
-import pytest
-
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 

@@ -11,7 +11,8 @@ the recorded edges when a monitor asks.  These are counts, not timings
 concurrent co-allocations under both observers, and what each does per
 message and per event must stay where the budget puts it: no vector
 clock built during the run and none carried on a message, no flight
-record built before a dump, an endpoint's text formatted once rather
+record dict built before a dump and then one per live ring entry, an
+endpoint's text formatted once rather
 than on every str(), and the log kept in compact rows.
 """
 
@@ -27,7 +28,6 @@ from repro.verify.vclock import VClock
 
 SITES = 8
 REQUESTS = 8
-RECORD_CLASSES = ("KernelRecord", "MessageRecord", "ProtoRecord", "SpanRecord")
 
 
 def _counting(patch, owner, name, calls, key):
@@ -69,14 +69,11 @@ def _bytes_per_observation(events):
 
 
 def test_observers_defer_rendering(monkeypatch):
-    calls = dict.fromkeys(("format", "base_match", "vclock", "record"), 0)
+    calls = dict.fromkeys(("format", "vclock", "record"), 0)
     with monkeypatch.context() as patch:
         _counting_formats(patch, calls)
-        _counting(patch, flightrec.Trigger, "match_message", calls, "base_match")
-        _counting(patch, flightrec.Trigger, "match_event", calls, "base_match")
         _counting(patch, VClock, "__init__", calls, "vclock")
-        for name in RECORD_CLASSES:
-            _counting(patch, getattr(flightrec, name), "__init__", calls, "record")
+        _counting(patch, flightrec, "_record", calls, "record")
 
         recorder = flightrec.FlightRecorder()
         grid = (
@@ -109,7 +106,7 @@ def test_observers_defer_rendering(monkeypatch):
 
     sent, events = grid.network.sent_count, len(grid.recorder.events)
     assert sorted(done) == list(range(REQUESTS)) and recorder.dumps == [dump]
-    assert sent > 1000 and events > 2 * sent and recorder.records_observed > 10 * sent
+    assert sent > 1000 and events > 2 * sent and sum(recorder.pushed.values()) > 10 * sent
     # The monitor hooks ask for a message's endpoints and its
     # endpoint-valued payload fields as text, 5.10 str() calls per
     # message; an endpoint formats only on its first str().  0.31 here.
@@ -117,14 +114,11 @@ def test_observers_defer_rendering(monkeypatch):
     # Before the log stored compact rows and shared endpoint text, this
     # load kept 516 bytes per observation; 334 now.
     assert _bytes_per_observation(grid.recorder.events) <= 360  # 30 % below 516
-    # No default rule overrides match_message, and every one overrides
-    # match_event: the base no-ops are never reached.
-    assert observed["base_match"] == 0
     # The monitors build no vector clock while the run executes, and a
     # message carries none.
     assert observed["vclock"] == 0
     assert "vclock" not in Message.__slots__
-    # Nothing was rendered until something read the rings ...
+    # No record dict was built until something read the rings ...
     assert observed["record"] == 0
-    # ... and then only what was still in them.
+    # ... and then exactly one per entry still in them.
     assert calls["record"] == sum(len(ring) for ring in recorder.rings.values())

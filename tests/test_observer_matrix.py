@@ -123,7 +123,7 @@ def test_observed_run_equals_bare_run(observe, bare):
         assert grid.counters.snapshot()["sim.messages_sent"] == bare[3]
     if grid.flightrec is not None:
         # Spans reach the recorder through the probe seam.
-        assert grid.flightrec.rings["span"].pushed > 0
+        assert grid.flightrec.pushed["span"] > 0
 
 
 ENTRIES = {
@@ -163,4 +163,4 @@ def test_every_observer_leaves_a_table_entry_unchanged(name):
     grid, observed = _observed(name, OBSERVERS)
     assert observed == bare
     assert grid.counters.snapshot()["sim.messages_sent"] == bare[3]
-    assert grid.recorder.events and grid.flightrec.rings["span"].pushed > 0
+    assert grid.recorder.events and grid.flightrec.pushed["span"] > 0
