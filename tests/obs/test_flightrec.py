@@ -270,23 +270,55 @@ class TestTriggers:
          ("process_failure", "process_unhandled:RuntimeError")),
     ]
 
-    def test_rule_table(self):
-        assert {name for name, _, _ in self.TABLE} == set(RULES)
-        for name, attrs, expected in self.TABLE:
-            recorder = FlightRecorder()
-            self._event(recorder, name, attrs)
-            trigger = recorder.dumps[0]["trigger"]
-            assert (trigger["trigger"], trigger["reason"]) == expected, name
-        # An event no rule names records, but does not trip.
+    def _tripped(self, name, attrs):
         recorder = FlightRecorder()
-        for name in ("fault.revert", "duroc.state", "boom"):
-            self._event(recorder, name, {"fault": "HostCrash"})
-        assert recorder.dumps == [] and recorder.pushed["proto"] == 3
+        self._event(recorder, name, attrs)
+        trigger = recorder.dumps[0]["trigger"]
+        return trigger["trigger"], trigger["reason"]
+
+    def test_default_catalogue(self):
+        # The table covers every rule, and each rule's event trips
+        # with exactly the (trigger, reason) the table names.
+        assert {name for name, _, _ in self.TABLE} == set(RULES)
+        assert {trigger for trigger, _ in RULES.values()} == {
+            "fault", "retry_exhausted",
+            "coallocation_abort", "process_failure",
+        }
+        for name, attrs, expected in self.TABLE:
+            assert self._tripped(name, attrs) == expected, name
         # Every trip past MAX_DUMPS is counted, not kept.
+        recorder = FlightRecorder()
         for name, attrs, _ in self.TABLE * 2:
             self._event(recorder, name, attrs)
         assert len(recorder.dumps) == MAX_DUMPS
         assert recorder.dumps_suppressed == 2 * len(self.TABLE) - MAX_DUMPS
+
+    def test_fault_kind_filter(self):
+        # Every fault kind trips; the reason names the kind and, when
+        # the event carries one, the site (``host`` before ``src``).
+        faults = [row for row in self.TABLE if row[0] == "fault.apply"]
+        assert {attrs.get("host", attrs.get("src")) for _, attrs, _ in faults} == {
+            "RM2", "RM1", None,
+        }
+        for name, attrs, expected in faults:
+            assert self._tripped(name, attrs) == expected, attrs
+        # Reverting a fault is not a fault.
+        recorder = FlightRecorder()
+        self._event(recorder, "fault.revert", {"fault": "HostCrash"})
+        assert recorder.dumps == []
+
+    def test_predicate_string_reason(self):
+        # An event no rule names records, but does not trip.
+        recorder = FlightRecorder()
+        for name in ("fault.revert", "duroc.state", "quiet", "boom"):
+            self._event(recorder, name, {"fault": "HostCrash"})
+        assert recorder.dumps == [] and recorder.pushed["proto"] == 4
+        # A listed one trips with the string its rule builds.
+        self._event(recorder, "resilience.retry_exhausted",
+                    {"operation": "gram.submit", "attempts": 4})
+        assert recorder.dumps[0]["trigger"]["reason"] == (
+            "retry_exhausted:gram.submit:attempts=4"
+        )
 
     def test_retry_exhausted(self):
         recorder = FlightRecorder()
