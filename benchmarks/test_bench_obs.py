@@ -19,7 +19,7 @@ from repro.workloads.scenarios import TRACED_COALLOCATION, run
 
 def test_bench_obs(benchmark, publish):
     grid, (job, result) = benchmark.pedantic(
-        lambda: run(TRACED_COALLOCATION, 7),
+        lambda: run(TRACED_COALLOCATION, 7, {"trace"}),
         rounds=1,
         iterations=1,
     )

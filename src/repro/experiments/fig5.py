@@ -38,7 +38,9 @@ def run_fig5(
     seed: int = 0,
 ) -> list[TimelineEntry]:
     """Regenerate the Figure 5 timeline for one DUROC submission."""
-    grid, (job, result) = run(split_coallocation(subjobs, total_processes), seed)
+    grid, (job, result) = run(
+        split_coallocation(subjobs, total_processes), seed, {"trace"}
+    )
 
     entries: list[TimelineEntry] = []
     tracer = grid.tracer

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate the baselines instead of gating against them",
     )
     bench.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=count(0), default=None,
         help="root seed (default: 42)",
     )
     bench.add_argument(

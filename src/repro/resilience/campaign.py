@@ -177,7 +177,11 @@ def _drive(grid: Grid):
 
 
 def _record(seed: int, grid: Grid, trial: tuple[Any, Any]) -> dict[str, Any]:
-    """One trial's ``(grid, outcome)`` reduced to its report record."""
+    """One trial's ``(grid, outcome)`` reduced to its report record.
+
+    The retry counts are read from the trace's metrics, so every trial
+    runs with ``"trace"`` observed.
+    """
     outcome, job = trial
     metrics = grid.tracer.metrics
     requested = len(REQUEST)
@@ -223,7 +227,7 @@ def run_trial(
     ``flight_dump`` field summarizing the first triggered dump
     (trigger, reason, simulated time, canonical digest).
     """
-    return _record(seed, *run(campaign.scenario(), seed, observe))
+    return _record(seed, *run(campaign.scenario(), seed, {"trace", *observe}))
 
 
 def profile_trial(campaign: Campaign, seed: int) -> "Profile":
@@ -297,7 +301,8 @@ def run_campaigns(
         records = []
         for index in range(trials):
             grid, outcome = run(
-                campaign.scenario(), seed + index, {"flightrec"} if flightrec else ()
+                campaign.scenario(), seed + index,
+                {"trace", "flightrec"} if flightrec else {"trace"},
             )
             record = _record(seed + index, grid, outcome)
             flightrec = grid.flightrec

@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from repro.argtypes import count
 from repro.errors import ReproError
 from repro.resilience.campaign import CAMPAIGNS, render_report, run_campaigns
 
@@ -44,11 +45,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run campaigns; print the deterministic JSON report"
     )
     run.add_argument(
-        "--seed", type=int, default=42,
+        "--seed", type=count(0), default=42,
         help="root seed; trial i of every campaign uses seed+i (default: 42)",
     )
     run.add_argument(
-        "--trials", type=int, default=3,
+        "--trials", type=count(1), default=3,
         help="seeded trials per campaign (default: 3)",
     )
     run.add_argument(

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.argtypes import count
 from repro.errors import ReproError
 from repro.verify.monitors import all_monitors
 from repro.verify.runner import (
@@ -44,9 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify the quickstart/Figure-1 example instead (one run: "
         "takes no --campaign, and --trials only as 1)",
     )
-    parser.add_argument("--seed", type=int, default=42, help="root seed")
+    parser.add_argument("--seed", type=count(0), default=42, help="root seed")
     parser.add_argument(
-        "--trials", type=int, default=None, help="trials per campaign (default: 3)",
+        "--trials", type=count(1), default=None, help="trials per campaign (default: 3)",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",

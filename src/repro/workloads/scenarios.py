@@ -40,10 +40,13 @@ from repro.machine.faults import FailureModel
 from repro.machine.host import Program
 from repro.workloads.synthetic import split_processes
 
-#: What :func:`run` can attach: the protocol monitors' recorder
+#: What :func:`run` can attach: the tracer's spans, marks and metrics
+#: (``grid.tracer``), the protocol monitors' recorder
 #: (``grid.recorder``), the op counters (``grid.counters``) and the
-#: black-box flight recorder (``grid.flightrec``).
-OBSERVERS = ("monitors", "profile", "flightrec")
+#: black-box flight recorder (``grid.flightrec``).  Every observer
+#: implies the trace, which the other three read; a bare run records
+#: nothing and its ``grid.tracer`` is the shared null tracer.
+OBSERVERS = ("trace", "monitors", "profile", "flightrec")
 
 #: Submission-phase timeout for dead sites in the §4.3 scenarios (s).
 SUBMIT_TIMEOUT = 10.0
@@ -99,10 +102,15 @@ def run(
     ``observe`` names :data:`OBSERVERS` to attach; what they recorded
     is on the returned grid.  Observers never change the run.
     """
+    if isinstance(observe, str):
+        raise ReproError(
+            f"observe is a collection of OBSERVERS {list(OBSERVERS)}, "
+            f"not the string {observe!r}"
+        )
     unknown = sorted(set(observe) - set(OBSERVERS))
     if unknown:
         raise ReproError(f"unknown observer(s) {unknown}; pick from {list(OBSERVERS)}")
-    builder = scenario.builder(seed=seed)
+    builder = scenario.builder(seed=seed, trace=bool(observe))
     if "monitors" in observe:
         builder.with_monitors()
     if "profile" in observe:

@@ -32,6 +32,7 @@ def alive(cls):
 
 
 def run_scenario(strategy):
+    """One sweep cell, traced so that its spans must be freed too."""
     return run(
         sf_express(
             failure_model=FailureModel(p_unavailable=0.3),
@@ -40,6 +41,7 @@ def run_scenario(strategy):
             subjob_timeout=120.0,
         ),
         0,
+        {"trace"},
     )
 
 
@@ -66,6 +68,7 @@ def test_a_closed_scenario_leaves_nothing_behind(collector_off, strategy):
     grid, outcome = run_scenario(strategy)
     assert outcome.success and outcome.attempts + outcome.substitutions > 1
     assert extra(collector_off)["Process"] > 1_000
+    assert extra(collector_off)["Span"] > 1_000
     grid.close()
     del grid, outcome
     assert set(extra(collector_off).values()) == {0}

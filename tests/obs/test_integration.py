@@ -21,12 +21,8 @@ SEED = 7
 
 def run_coallocation(trace: bool = True):
     """The traced three-subjob run of the observability tables;
-    ``trace=False`` runs it with the null tracer instead."""
-    if trace:
-        grid, (job, result) = run(TRACED_COALLOCATION, SEED)
-    else:
-        grid = TRACED_COALLOCATION.builder(seed=SEED, trace=False).build()
-        job, result = grid.run(grid.process(TRACED_COALLOCATION.drive(grid)))
+    ``trace=False`` runs it bare, with the null tracer instead."""
+    grid, (job, result) = run(TRACED_COALLOCATION, SEED, {"trace"} if trace else ())
     return grid, job, result
 
 

@@ -3,7 +3,7 @@
 Satellite contract: a campaign run with the recorder attached reports
 a ``flight_dump`` whose trigger names the injected fault, the recorder
 never perturbs the campaign's own record, and two independent processes
-produce byte-identical dump files.
+produce byte-identical dump files, equal to the committed one.
 """
 
 import os
@@ -16,6 +16,11 @@ import pytest
 from repro.errors import ReproError
 from repro.resilience.campaign import CAMPAIGNS, run_campaigns, run_trial
 from repro.resilience.cli import main
+
+
+#: The crash campaign's seed-42 dump from a fresh process, as committed
+#: (CI ``cmp``s it too).
+PINNED_DUMP = Path(__file__).resolve().parents[2] / "results" / "flight_crash_42.json"
 
 
 def _campaign(name):
@@ -94,5 +99,8 @@ class TestDeterminism:
         report_a, dump_a = _run_campaign_subprocess(tmp_path, "a")
         report_b, dump_b = _run_campaign_subprocess(tmp_path, "b")
         assert dump_a == dump_b
+        # Two runs of one tree agree even when a change alters every
+        # dump alike; the committed dump pins the bytes themselves.
+        assert dump_a == PINNED_DUMP.read_bytes()
         assert report_a == report_b
         assert b"fault.apply:HostCrash:RM3" in dump_a

@@ -7,10 +7,12 @@ clock, the same kernel tallies and the same message count.  One more
 agent drives GRAM job control — status, (un)register, cancel, and a
 cancel the gatekeeper must refuse — against the same gatekeepers.
 
-Every cheap entry of the scenario table — Figure 1, the ``repro.prof
-bench`` suite, the six fault campaigns and the traced request — run
-bare and under all of :data:`~repro.workloads.scenarios.OBSERVERS` must
-agree the same way, faults included.
+The tracer is one of those observers: the load run untraced equals it
+run with the builder's default tracer.  Every cheap entry of the
+scenario table — Figure 1, the ``repro.prof bench`` suite, the six fault
+campaigns and the traced request — run bare (untraced) and under all of
+:data:`~repro.workloads.scenarios.OBSERVERS` must agree the same way,
+faults included.
 """
 
 from dataclasses import replace
@@ -27,6 +29,7 @@ from repro.net import Endpoint, Port
 from repro.obs.flightrec import FlightRecorder
 from repro.prof.bench import SCENARIOS as BENCH
 from repro.resilience.campaign import CAMPAIGNS
+from repro.simcore.tracing import NULL_TRACER
 from repro.workloads.scenarios import FIGURE1, OBSERVERS, TRACED_COALLOCATION, run
 
 SITES = 8
@@ -53,8 +56,8 @@ def idle(ctx):
     yield ctx.env.timeout(60.0)
 
 
-def _run(observe):
-    builder = GridBuilder(seed=42).add_machines("RM", SITES, nodes=64)
+def _run(observe, trace=True):
+    builder = GridBuilder(seed=42, trace=trace).add_machines("RM", SITES, nodes=64)
     builder.program("idle", idle)
     if observe is not None:
         observe(builder)
@@ -111,6 +114,12 @@ def bare():
     return outcome
 
 
+def test_untraced_run_equals_traced_bare_run(bare):
+    grid, outcome = _run(None, trace=False)
+    assert grid.tracer is NULL_TRACER
+    assert outcome == bare
+
+
 @pytest.mark.parametrize(
     "observe",
     [_monitors, _profiling, _flight_recorder, _all_three],
@@ -159,7 +168,8 @@ def _observed(name, observe):
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_every_observer_leaves_a_table_entry_unchanged(name):
-    _, bare = _observed(name, ())
+    bare_grid, bare = _observed(name, ())
+    assert bare_grid.tracer is NULL_TRACER
     grid, observed = _observed(name, OBSERVERS)
     assert observed == bare
     assert grid.counters.snapshot()["sim.messages_sent"] == bare[3]

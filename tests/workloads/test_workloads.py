@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import SubjobType
 from repro.errors import ReproError
+from repro.experiments.apps import sweep_failure_rate
 from repro.machine import FailureModel
+from repro.simcore.metrics import NULL_METRICS, MetricsRegistry
+from repro.simcore.tracing import NULL_TRACER, Tracer
 from repro.workloads.scenarios import FIGURE1, run
 from repro.workloads import (
     LoadSpec,
@@ -106,6 +109,46 @@ class TestScenarios:
             sf_express(strategy="optimistic")
         with pytest.raises(ReproError, match="observer"):
             run(FIGURE1, 0, observe={"tracer"})
+
+    def test_a_bare_string_is_refused_not_split_into_letters(self):
+        with pytest.raises(ReproError) as refused:
+            run(FIGURE1, 0, "monitors")
+        message = str(refused.value)
+        assert "OBSERVERS" in message and "'monitors'" in message
+        assert "unknown" not in message
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Names every :class:`Tracer` and :class:`MetricsRegistry` built."""
+    built = []
+    for cls in (Tracer, MetricsRegistry):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+class TestBareRunRecordsNothing:
+    def test_a_bare_run_gets_the_null_tracer(self):
+        grid, _ = run(FIGURE1, 0)
+        assert grid.tracer is NULL_TRACER
+        assert grid.tracer.metrics is NULL_METRICS
+
+    def test_trace_records_spans_and_metrics(self, constructed):
+        grid, _ = run(FIGURE1, 0, {"trace"})
+        assert constructed == ["Tracer", "MetricsRegistry"]
+        assert grid.tracer.spans and grid.tracer.marks
+        assert grid.tracer.metrics.snapshot()["metrics"]
+
+    def test_a_sweep_cell_builds_no_tracer_and_no_registry(self, constructed):
+        (row,) = sweep_failure_rate(
+            probabilities=(0.3,), strategies=("atomic",), seeds=(0,)
+        )
+        assert row.attempts >= 1
+        assert constructed == []
 
 
 class TestBackgroundLoad:
