@@ -1,21 +1,12 @@
 """Experiment harnesses regenerating every table and figure of the paper.
 
-========  ====================================================  =================
-id        paper artifact                                        harness
-========  ====================================================  =================
-fig2      GRAM latency vs process count                         :mod:`.fig2`
-fig3      single-request cost breakdown                         :mod:`.fig3`
-fig4      DUROC time vs subjob count                            :mod:`.fig4`
-fig5      DUROC submission timeline                             :mod:`.fig5`
-model     §4.2 analytic barrier-wait model                      :mod:`.model`
-app-sf    §4.3 SF-Express atomic-vs-interactive                 :mod:`.apps`
-app-rst   §4.3 restart cost vs startup time                     :mod:`.apps`
-app-mot   §2 motivating scenario                                :mod:`.apps`
-app-tomo  §4.3 / [27] microtomography                           :mod:`.apps`
-resv      §2.2/§5 advance co-reservation                        :mod:`.reservations`
-forecast  §2.2 forecast staleness vs selection quality          :mod:`.forecast`
-queues    §4.2 barrier cost vs queue/startup delays             :mod:`.queues`
-========  ====================================================  =================
+Each module runs one experiment and renders its table.  Which artifact
+names exist, and which ``results/*.txt`` file or files each writes, is
+one mapping, :data:`repro.experiments.__main__.ARTIFACTS`; ``python -m
+repro.experiments --help`` prints the names.  :mod:`.ablations` and
+:mod:`.mpi_startup` are left out of the imports below: every ``import
+repro.experiments.<module>`` runs them, and those two would add the
+MPI layer and more of the broker to each.
 """
 
 from repro.experiments import (

@@ -289,6 +289,20 @@ def run_motivating(seed: int = 0) -> MotivatingResult:
     )
 
 
+def render_motivating(result: MotivatingResult) -> str:
+    return "\n".join(
+        [
+            "§2 motivating scenario (400 processors on five machines)",
+            f"  success:        {result.success}",
+            f"  substitutions:  {result.substitutions} (crashed machine replaced)",
+            f"  dropped:        {result.dropped} (overloaded machine missed deadline)",
+            f"  processes:      {result.processes} of 400 (reduced fidelity)",
+            f"  time to start:  {result.time_to_start:.1f} s",
+        ]
+        + [f"  log: {line}" for line in result.log]
+    )
+
+
 @dataclass(frozen=True)
 class TomoResult:
     success: bool
@@ -311,4 +325,14 @@ def run_microtomography(seed: int = 0) -> TomoResult:
         success=True,
         released_sizes=result.sizes,
         optional_joined_late=late,
+    )
+
+
+def render_microtomography(result: TomoResult) -> str:
+    return "\n".join(
+        [
+            "Microtomography run (instrument + 5 computers + 2 displays)",
+            f"  released sizes:       {result.released_sizes}",
+            f"  displays joined late: {result.optional_joined_late}",
+        ]
     )

@@ -110,3 +110,20 @@ def render(rows: Sequence[Fig4Row]) -> str:
         f"\npipelining saves {savings:.0%} vs zero concurrency "
         "(paper: 44%)"
     )
+
+
+def run_process_insensitivity(
+    process_counts: Sequence[int] = (16, 32, 64, 128),
+) -> dict[int, float]:
+    """The companion claim: total process count -> DUROC time at 8 subjobs."""
+    return {
+        procs: measure_duroc(subjobs=8, total_processes=procs)[0]
+        for procs in process_counts
+    }
+
+
+def render_process_insensitivity(times: dict[int, float]) -> str:
+    return "\n".join(
+        ["DUROC time at 8 subjobs vs total process count"]
+        + [f"  {procs:>4} processes: {t:.3f} s" for procs, t in times.items()]
+    )

@@ -7,9 +7,8 @@ import pytest
 
 from repro.experiments import apps, reservations
 
-RESTART_TABLE = (
-    Path(__file__).resolve().parents[2] / "results" / "app_restart_cost.txt"
-)
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+RESTART_TABLE = RESULTS / "app_restart_cost.txt"
 
 
 def restart_cells(table: str) -> dict[float, list[float]]:
@@ -107,7 +106,13 @@ class TestRestartCost:
 class TestReservations:
     @pytest.fixture(scope="class")
     def rows(self):
-        return reservations.run_reservation_experiment(seeds=(0, 1))
+        """Per seed, the runs ``results/reservation_vs_best_effort.txt``
+        averages."""
+        return reservations.run_reservation_experiment(seeds=(0, 1, 2))
+
+    def test_rows_make_the_committed_table(self, rows):
+        committed = (RESULTS / "reservation_vs_best_effort.txt").read_text()
+        assert reservations.render(rows) + "\n" == committed
 
     def test_both_strategies_succeed(self, rows):
         assert all(r.success for r in rows)

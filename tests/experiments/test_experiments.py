@@ -1,14 +1,20 @@
 """Shape tests for the experiment harnesses (fast configurations).
 
-The benchmarks regenerate the full figures; these tests assert the
-paper's qualitative claims hold on reduced sweeps, so a regression in
-the protocol implementation is caught in the unit suite.
+``python -m repro.experiments`` regenerates the full figures; these
+tests assert the paper's qualitative claims hold on reduced sweeps, so
+a regression in the protocol implementation is caught in the unit
+suite.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.experiments import fig2, fig3, fig4, fig5, model
+from repro.experiments import ablations, fig2, fig3, fig4, fig5, model
 from repro.experiments.report import format_table, format_timeline, linear_fit
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
+FIG5_TABLE = RESULTS / "fig5_timeline.txt"
 
 
 class TestReport:
@@ -109,7 +115,11 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def entries(self):
-        return fig5.run_fig5(subjobs=3)
+        """The run ``results/fig5_timeline.txt`` draws."""
+        return fig5.run_fig5(subjobs=3, total_processes=12)
+
+    def test_entries_draw_the_committed_timeline(self, entries):
+        assert fig5.render(entries) + "\n" == FIG5_TABLE.read_text()
 
     def test_sequential_submission(self, entries):
         assert fig5.sequential_submission_holds(entries)
@@ -129,7 +139,17 @@ class TestFig5:
         waits = {
             e.lane: e.end - e.start for e in entries if e.phase == "barrier"
         }
-        assert waits["subjob0"] > waits["subjob1"] > waits["subjob2"]
+        assert waits["subjob0"] > waits["subjob1"] > waits["subjob2"] >= 0.0
+
+    def test_startup_overlaps_the_next_submission(self, entries):
+        # Pipelining: subjob 0 starts up while subjob 1 is submitted.
+        submit1 = next(
+            e for e in entries if e.lane == "subjob1" and e.phase == "submit"
+        )
+        startup0 = next(
+            e for e in entries if e.lane == "subjob0" and e.phase == "startup"
+        )
+        assert startup0.start < submit1.end and submit1.start < startup0.end
 
     def test_render(self, entries):
         text = fig5.render(entries)
@@ -152,3 +172,13 @@ class TestModel:
         assert not model.waits_are_block_structured(
             [(1, 0, 5.0), (1, 1, 0.0), (2, 0, 3.0), (2, 1, 3.1)]
         )
+
+
+class TestAblations:
+    def test_every_overallocation_run_commits(self):
+        # The committed table prints only each run's time to release.
+        outcomes = ablations.run_overallocation_ablation()
+        committed = (RESULTS / "ablation_overallocation.txt").read_text()
+        assert ablations.render_overallocation(outcomes) + "\n" == committed
+        for outcome in outcomes.values():
+            assert outcome.success

@@ -1,9 +1,10 @@
 """Figure 4's shape, checked on the committed tables.
 
-``benchmarks/test_bench_fig4.py`` regenerates ``results/fig4_*.txt``
-and CI keeps them equal to git; this reads them (no simulation) and
-asserts the paper's claims for Fig. 4: DUROC time is linear in the
-subjob count, pipelining beats zero concurrency, the average barrier
+``python -m repro.experiments fig4 --write results/`` regenerates
+``results/fig4_*.txt`` and CI keeps them equal to git; this reads them
+(no simulation) and asserts the paper's claims for Fig. 4: DUROC time
+is linear in the subjob count, from about 2 s at one subjob to about
+28 s at 25, pipelining beats zero concurrency, the average barrier
 wait is about half the total, and the process count barely matters.
 """
 
@@ -41,7 +42,13 @@ def test_duroc_time_is_linear_in_subjobs(scaling):
         list(scaling), [row[0] for row in scaling.values()]
     )
     assert 1.15 <= slope <= 1.30
-    assert r_squared >= 0.999
+    assert r_squared > 0.999
+
+
+def test_anchors_near_the_paper(scaling):
+    # 1 subjob ≈ 2 s (paper: 2 s); 25 subjobs ≈ 28 s (paper).
+    assert scaling[1][0] == pytest.approx(2.0, abs=0.3)
+    assert scaling[25][0] == pytest.approx(28.0, rel=0.2)
 
 
 def test_pipelining_saves_a_third_against_zero_concurrency(scaling):

@@ -8,6 +8,7 @@ here, so only reference counts can free anything.
 """
 
 import gc
+import importlib
 
 import pytest
 
@@ -45,8 +46,22 @@ def run_scenario(strategy):
     )
 
 
+#: What a process's first scenario imports on the way: numpy on its
+#: first draw, and the agents and directory ``sf_express`` drives with.
+LAZY_IMPORTS = (
+    "numpy.random",
+    "repro.broker.atomic_agent",
+    "repro.broker.interactive_agent",
+    "repro.mds.directory",
+)
+
+
 @pytest.fixture
 def collector_off():
+    # Imported with the collector on: a module's import-time cycles are
+    # not garbage the scenario left behind.
+    for module in LAZY_IMPORTS:
+        importlib.import_module(module)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()

@@ -1,11 +1,16 @@
 """Integration tests for the mini-MPI layer over DUROC."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import SubjobType
 from repro.errors import AllocationAborted
+from repro.experiments.mpi_startup import render, run_mpi_startup
 from repro.gridenv import GridBuilder
 from repro.mpi import mpiexec
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 @pytest.fixture
@@ -209,3 +214,20 @@ class TestFailureHandling:
         grid.run()
         assert run.world_size == 4  # RM3's pair dropped
         assert set(sizes.values()) == {4}
+
+
+class TestStartupTable:
+    """The launches ``results/app_mpi_startup.txt`` reports."""
+
+    @pytest.fixture(scope="class")
+    def launches(self):
+        return run_mpi_startup()
+
+    def test_launches_make_the_committed_table(self, launches):
+        assert render(launches) + "\n" == (RESULTS / "app_mpi_startup.txt").read_text()
+
+    def test_every_rank_of_each_world_reports(self, launches):
+        (_, ranks_h), (_, ranks_d) = launches
+        assert sorted(r for r, _ in ranks_h) == list(range(32))
+        # Reconfigured around the dead machine: three machines' ranks.
+        assert sorted(r for r, _ in ranks_d) == list(range(24))

@@ -11,7 +11,7 @@ off must not change the simulation.
 import pytest
 
 from repro.obs.export import export_jsonl, metrics_json
-from repro.obs.query import build_forest, parentage, trace_ids
+from repro.obs.query import build_forest, critical_path, parentage, trace_ids
 from repro.simcore.tracing import NullTracer
 from repro.workloads.scenarios import TRACED_COALLOCATION, run
 from tests.metric_reads import series, value
@@ -96,6 +96,42 @@ class TestTraceTree:
         assert metrics.counter("net.messages_sent_total").total() > 0
         queue_wait = series(metrics, "sched.queue_wait_seconds", site="RM1", policy="fork")
         assert queue_wait["count"] == 1
+
+
+class TestObservabilityTables:
+    """What ``results/obs_*.txt``, drawn from this run, must show."""
+
+    def test_every_span_is_linked(self, traced_run):
+        grid, _, _ = traced_run
+        linked, total = parentage(grid.tracer.spans)
+        assert linked == total
+
+    def test_critical_path_runs_from_the_request_to_the_release(self, traced_run):
+        grid, _, result = traced_run
+        (root,) = build_forest(grid.tracer.spans)
+        path = critical_path(root)
+        assert path[0].name == "duroc.request"
+        assert path[-1].name == "duroc.barrier"
+        assert path[-1].span.end == pytest.approx(result.released_at)
+
+    def test_submissions_are_sequential_in_the_trace(self, traced_run):
+        # The paper's Fig. 5 claim, read off the trace.
+        grid, _, _ = traced_run
+        submits = sorted(grid.tracer.spans_named("duroc.submit"), key=lambda s: s.start)
+        assert len(submits) == 3
+        assert all(
+            later.start >= earlier.end - 1e-9
+            for earlier, later in zip(submits, submits[1:])
+        )
+
+    def test_metrics_agree_with_the_trace(self, traced_run):
+        grid, job, _ = traced_run
+        metrics = grid.tracer.metrics
+        submits = grid.tracer.spans_named("duroc.submit")
+        assert metrics.counter("gram.submits_total").total() == len(submits)
+        assert metrics.histogram("duroc.barrier_wait_seconds").count() == sum(
+            table.arrived for table in job.barrier.tables.values()
+        )
 
 
 class TestDeterminism:

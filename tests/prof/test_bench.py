@@ -15,6 +15,8 @@ from repro.prof.bench import (
     select_scenarios,
     update_baselines,
 )
+from repro.prof.diff import diff_profiles
+from repro.prof.profile import Profile
 
 REPO_BASELINES = Path(__file__).resolve().parents[2] / BASELINE_DIR
 
@@ -101,3 +103,12 @@ class TestBaselineDirectory:
         # left behind by a deleted scenario would never be read again.
         stems = sorted(path.stem for path in REPO_BASELINES.glob("*.json"))
         assert stems == sorted(SCENARIOS)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_every_scenario_gates_clean_against_its_committed_baseline(self, name, first_run):
+        # What CI's perf job gates on, at the seed the baselines hold,
+        # with the diff ``run_bench`` applies.
+        path = REPO_BASELINES / f"{name}.json"
+        assert path.is_file(), f"{name}: no baseline; run `python -m repro.prof bench --update`"
+        diff = diff_profiles(Profile.load(path), first_run(name))
+        assert not diff.regressions, f"{name} regressed: {[e.path for e in diff.regressions]}"

@@ -63,16 +63,20 @@ def test_examples_exist():
     assert len(EXAMPLES) >= 3
 
 
-def test_cli_runner_subset():
+def test_cli_runner_subset(tmp_path):
+    root = pathlib.Path(__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-m", "repro.experiments", "fig3"],
+        [sys.executable, "-m", "repro.experiments", "fig3", "--write", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
-        cwd=pathlib.Path(__file__).resolve().parent.parent,
+        cwd=root,
     )
     assert result.returncode == 0, result.stderr
     assert "initgroups" in result.stdout
+    assert [path.name for path in tmp_path.iterdir()] == ["fig3_gram_breakdown.txt"]
+    committed = root / "results" / "fig3_gram_breakdown.txt"
+    assert (tmp_path / "fig3_gram_breakdown.txt").read_bytes() == committed.read_bytes()
 
 
 def test_cli_runner_rejects_unknown():
@@ -88,9 +92,35 @@ def test_cli_runner_rejects_unknown():
     assert len(result.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fig3", "--write"], "error: argument --write: expected a directory"),
+        (["fig3", "--write", ""], "error: argument --write: expected a directory"),
+        (["fig3", "--write", "FILE"], "error: argument --write: cannot make directory"),
+    ],
+    ids=["no-directory", "an-empty-name", "a-regular-file"],
+)
+def test_cli_runner_refuses_a_bad_write_directory(tmp_path, args, message):
+    regular_file = tmp_path / "table.txt"
+    regular_file.write_text("not a directory\n")
+    args = [str(regular_file) if arg == "FILE" else arg for arg in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(message)
+    assert len(result.stderr.splitlines()) == 1
+    assert regular_file.read_text() == "not a directory\n"
+
+
 @pytest.mark.parametrize("flag", ["--help", "-h"])
 def test_cli_runner_help_lists_every_artifact(flag):
-    from repro.experiments.__main__ import _artifacts
+    from repro.experiments.__main__ import ARTIFACTS
 
     result = subprocess.run(
         [sys.executable, "-m", "repro.experiments", flag],
@@ -102,6 +132,6 @@ def test_cli_runner_help_lists_every_artifact(flag):
     assert result.stderr == ""
     lines = result.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage: python -m repro.experiments")
-    names = list(_artifacts())
-    assert len(names) == 12
+    names = list(ARTIFACTS)
+    assert len(names) == 18
     assert all(name in lines[0] for name in names)
