@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 from repro.core.request import SubjobType
 from repro.core.states import SubjobState
+from repro.experiments.cells import map_cells
 from repro.experiments.report import format_table
 from repro.faults import Overload
 from repro.machine.faults import FailureModel
@@ -57,6 +58,36 @@ class AppRow:
     started_processes: int
 
 
+def failure_cell(cell: tuple[float, str, int, float, float]) -> AppRow:
+    """One world of :func:`sweep_failure_rate`: build, run, read, close.
+
+    ``cell`` is ``(p_unavailable, strategy, seed, startup, subjob_timeout)``.
+    """
+    p, strategy, seed, startup, subjob_timeout = cell
+    grid, outcome = run(
+        sf_express(
+            failure_model=FailureModel(p_unavailable=p),
+            strategy=strategy,
+            startup=startup,
+            subjob_timeout=subjob_timeout,
+        ),
+        seed,
+    )
+    row = AppRow(
+        strategy=strategy,
+        p_unavailable=p,
+        seed=seed,
+        success=outcome.success,
+        time_to_start=outcome.elapsed if outcome.success else None,
+        attempts=outcome.attempts,
+        substitutions=outcome.substitutions,
+        dropped=outcome.dropped,
+        started_processes=outcome.started_processes,
+    )
+    grid.close()
+    return row
+
+
 def sweep_failure_rate(
     probabilities: Sequence[float] = (0.0, 0.1, 0.2, 0.3),
     strategies: Sequence[str] = ("atomic", "interactive"),
@@ -65,34 +96,15 @@ def sweep_failure_rate(
     subjob_timeout: float = 120.0,
 ) -> list[AppRow]:
     """SF-Express sweep: machine unavailability vs strategy."""
-    rows: list[AppRow] = []
-    for p in probabilities:
-        for strategy in strategies:
-            for seed in seeds:
-                grid, outcome = run(
-                    sf_express(
-                        failure_model=FailureModel(p_unavailable=p),
-                        strategy=strategy,
-                        startup=startup,
-                        subjob_timeout=subjob_timeout,
-                    ),
-                    seed,
-                )
-                rows.append(
-                    AppRow(
-                        strategy=strategy,
-                        p_unavailable=p,
-                        seed=seed,
-                        success=outcome.success,
-                        time_to_start=outcome.elapsed if outcome.success else None,
-                        attempts=outcome.attempts,
-                        substitutions=outcome.substitutions,
-                        dropped=outcome.dropped,
-                        started_processes=outcome.started_processes,
-                    )
-                )
-                grid.close()
-    return rows
+    return map_cells(
+        failure_cell,
+        [
+            (p, strategy, seed, startup, subjob_timeout)
+            for p in probabilities
+            for strategy in strategies
+            for seed in seeds
+        ],
+    )
 
 
 def summarize_sweep(rows: Sequence[AppRow]) -> list[tuple]:
@@ -182,6 +194,30 @@ def wasted_node_seconds(grid) -> float:
     return total
 
 
+def restart_cell(
+    cell: tuple[float, str, int, tuple[str, ...]],
+) -> tuple[Optional[float], float]:
+    """One world of :func:`sweep_startup_cost`: its time to start (``None``
+    if it never started) and the node-seconds it threw away.
+
+    ``cell`` is ``(startup, strategy, seed, slow_machines)``.
+    """
+    startup, strategy, seed, slow_machines = cell
+    scenario = sf_express(
+        strategy=strategy,
+        startup=startup,
+        subjob_timeout=startup * 2,
+        max_attempts=len(slow_machines) + 2,
+    )
+    grid, outcome = run(
+        replace(scenario, faults=tuple(Overload(name, 50.0) for name in slow_machines)),
+        seed,
+    )
+    result = (outcome.elapsed if outcome.success else None, wasted_node_seconds(grid))
+    grid.close()
+    return result
+
+
 def sweep_startup_cost(
     startup_times: Sequence[float] = (30.0, 120.0, 450.0, 900.0),
     slow_machines: Sequence[str] = ("RM5", "RM7", "RM9"),
@@ -197,32 +233,28 @@ def sweep_startup_cost(
     interactive strategy replaces all late subjobs concurrently in a
     single pass while the healthy subjobs keep waiting in the barrier.
     """
+    strategies = ("atomic", "interactive")
+    cells = [
+        (startup, strategy, seed, tuple(slow_machines))
+        for startup in startup_times
+        for seed in seeds
+        for strategy in strategies
+    ]
+    results = iter(map_cells(restart_cell, cells))
+
+    def mean(values: list[float]) -> Optional[float]:
+        return sum(values) / len(values) if values else None
+
     rows = []
     for startup in startup_times:
         times: dict[str, list[float]] = {"atomic": [], "interactive": []}
         waste: dict[str, list[float]] = {"atomic": [], "interactive": []}
-        for seed in seeds:
-            for strategy in ("atomic", "interactive"):
-                scenario = sf_express(
-                    strategy=strategy,
-                    startup=startup,
-                    subjob_timeout=startup * 2,
-                    max_attempts=len(slow_machines) + 2,
-                )
-                grid, outcome = run(
-                    replace(scenario, faults=tuple(
-                        Overload(name, 50.0) for name in slow_machines
-                    )),
-                    seed,
-                )
-                if outcome.success:
-                    times[strategy].append(outcome.elapsed)
-                waste[strategy].append(wasted_node_seconds(grid))
-                grid.close()
-
-        def mean(values: list[float]) -> Optional[float]:
-            return sum(values) / len(values) if values else None
-
+        for _ in seeds:
+            for strategy in strategies:
+                elapsed, wasted = next(results)
+                if elapsed is not None:
+                    times[strategy].append(elapsed)
+                waste[strategy].append(wasted)
         rows.append(
             RestartRow(
                 startup=startup,

@@ -1,19 +1,21 @@
 """A finished §4.3 scenario is freed by reference counting alone.
 
 The SF-Express sweep builds a 13-machine, 1 386-process grid per
-(strategy, seed) pair.  Once its row is read, ``Grid.close()`` ends the
-world; dropping it must then free every process, mailbox, receive,
-timer, process context and span at once.  The collector is switched off
-here, so only reference counts can free anything.
+(strategy, seed) cell, in a forked worker or, on one CPU, here.  Once
+its row is read, ``Grid.close()`` ends the world; dropping it must then
+free every process, mailbox, receive, timer, process context and span
+at once.  The collector is switched off here, so only reference counts
+can free anything.
 """
 
 import gc
 import importlib
+import os
 
 import pytest
 
 from repro.core.request import CoAllocationRequest, SubjobSpec
-from repro.experiments.apps import sweep_failure_rate
+from repro.experiments.apps import failure_cell, sweep_failure_rate
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.machine.faults import FailureModel
 from repro.machine.host import ProcessContext
@@ -98,9 +100,16 @@ def test_an_unclosed_scenario_waits_for_the_collector(collector_off):
     assert gc.collect() > 10_000
 
 
-def test_the_sweep_frees_each_grid_as_its_row_is_made(collector_off):
+def test_the_sweep_frees_each_grid_as_its_row_is_made(collector_off, monkeypatch):
+    """A sweep's cell closes its world before it returns the row, here
+    and in a worker alike; the inline sweep runs cell after cell."""
+    row = failure_cell((0.3, "atomic", 0, 30.0, 120.0))
+    assert set(extra(collector_off).values()) == {0}
+    # One CPU: map_cells runs the cells in this process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     rows = sweep_failure_rate(probabilities=(0.3,), seeds=(0,))
     assert [row.strategy for row in rows] == ["atomic", "interactive"]
+    assert rows[0] == row
     assert set(extra(collector_off).values()) == {0}
 
 

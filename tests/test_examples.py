@@ -1,46 +1,56 @@
-"""Smoke tests: every example script runs cleanly end to end."""
+"""Smoke tests: every example script runs cleanly end to end.
 
+Each runs from a copy under the test's temporary directory, so what an
+example writes next to itself (``quickstart.py`` writes ``../results/``)
+lands there and never in the checkout.
+"""
+
+import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).resolve().parent.parent / "examples").glob("*.py")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+QUICKSTART_FILES = (
+    "quickstart_trace.jsonl",
+    "quickstart_metrics.json",
+    "quickstart_profile.json",
+    "quickstart_profile.collapsed",
 )
 
 
-@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs(script):
-    result = subprocess.run(
-        [sys.executable, str(script)],
+def run_copy(script, tmp_path):
+    """Run ``script`` from ``tmp_path/examples/``."""
+    shutil.copytree(ROOT / "examples", tmp_path / "examples")
+    return subprocess.run(
+        [sys.executable, str(tmp_path / "examples" / script.name)],
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(script, tmp_path):
+    result = run_copy(script, tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), "example produced no output"
 
 
 def test_quickstart_exports_profile(tmp_path):
-    root = pathlib.Path(__file__).resolve().parent.parent
-    script = root / "examples" / "quickstart.py"
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    result = run_copy(ROOT / "examples" / "quickstart.py", tmp_path)
     assert result.returncode == 0, result.stderr
+    written = tmp_path / "results"
+    assert sorted(path.name for path in written.iterdir()) == sorted(QUICKSTART_FILES)
+    for name in QUICKSTART_FILES:
+        assert (written / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
 
-    profile_path = root / "results" / "quickstart_profile.json"
-    collapsed_path = root / "results" / "quickstart_profile.collapsed"
-    assert profile_path.is_file()
-    assert collapsed_path.is_file()
-
-    import json
-
+    profile_path = written / "quickstart_profile.json"
+    collapsed_path = written / "quickstart_profile.collapsed"
     payload = json.loads(profile_path.read_text())
     assert payload["format"] == "repro.prof/1"
     assert payload["paths"], "profile has no span paths"
@@ -64,18 +74,17 @@ def test_examples_exist():
 
 
 def test_cli_runner_subset(tmp_path):
-    root = pathlib.Path(__file__).resolve().parent.parent
     result = subprocess.run(
         [sys.executable, "-m", "repro.experiments", "fig3", "--write", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
-        cwd=root,
+        cwd=ROOT,
     )
     assert result.returncode == 0, result.stderr
     assert "initgroups" in result.stdout
     assert [path.name for path in tmp_path.iterdir()] == ["fig3_gram_breakdown.txt"]
-    committed = root / "results" / "fig3_gram_breakdown.txt"
+    committed = ROOT / "results" / "fig3_gram_breakdown.txt"
     assert (tmp_path / "fig3_gram_breakdown.txt").read_bytes() == committed.read_bytes()
 
 

@@ -69,6 +69,34 @@ def test_stack_imports_and_runs_with_numpy_blocked():
     assert result.stdout.split()[0] == "DONE"
 
 
+def loaded(modules):
+    """The ``repro.*`` modules, and whether ``multiprocessing`` is among
+    everything loaded, after importing ``modules`` in a fresh interpreter."""
+    script = (
+        "import sys\n"
+        f"import {', '.join(modules)}\n"
+        "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    result = run_fresh(script)
+    assert result.returncode == 0, result.stderr
+    count, forks = result.stdout.split()
+    return int(count), forks == "True"
+
+
+def test_the_app_sweeps_load_only_what_they_need():
+    # apps' own imports need 67 modules; then the package, report, cells
+    # and apps itself.  The package imports no experiment module.
+    count, _ = loaded(["repro.experiments.apps"])
+    assert count <= 71
+
+
+def test_no_workload_import_loads_multiprocessing():
+    # A sweep imports it on its first parallel call, never at import.
+    _, forks = loaded(WORKLOAD_IMPORTS)
+    assert not forks
+
+
 def test_an_undrawn_stream_leaves_numpy_unimported():
     script = (
         "import sys\n"
