@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.bounded import BoundedDict
 from repro.core.config import DurocConfig
 from repro.errors import HostDown
 from repro.net.address import Endpoint
@@ -31,12 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 CHECKIN = "duroc.checkin"
 RELEASE = "duroc.release"
 ABORT = "duroc.abort"
-
-#: Bound on stored release payloads.  A base is only re-read while some
-#: process of its slot may still retransmit a check-in (its RELEASE was
-#: lost) — a window far smaller than this; an evicted slot's straggler
-#: falls back to the GRAM-level cancel path.
-RELEASE_BASE_MAX = 1024
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,11 +100,10 @@ class BarrierManager:
         #: entry, so releases are retained for the job's lifetime.
         self.release_times: dict[tuple[int, int], float] = {}
         #: slot_id -> released base payload, kept so retransmitted
-        #: check-ins (the process's RELEASE was lost) can be answered;
-        #: LRU-bounded and dropped when the slot's table is discarded.
-        self._release_base: BoundedDict[int, dict] = BoundedDict(
-            RELEASE_BASE_MAX
-        )
+        #: check-ins (the process's RELEASE was lost) can be answered.
+        #: Bounded by the request's own slots, like ``release_times``,
+        #: and dropped when a slot's table is discarded.
+        self._release_base: dict[int, dict] = {}
 
     def open_table(self, slot_id: int, count: int) -> BarrierTable:
         table = BarrierTable(slot_id, count)

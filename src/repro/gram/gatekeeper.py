@@ -14,6 +14,8 @@ for every job manager of the site.
 
 from __future__ import annotations
 
+from collections import deque
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import AuthenticationError, HostDown, RSLError
@@ -45,10 +47,6 @@ from repro.schedulers.base import LocalScheduler
 from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
-    # BoundedDict is imported lazily in __init__: repro.core's package
-    # init reaches back into repro.gram via the co-allocator, so a
-    # module-level import here would close that cycle.
-    from repro.core.bounded import BoundedDict
     from repro.simcore.environment import Environment
     from repro.simcore.metrics import BoundCounter
 
@@ -58,11 +56,22 @@ PING = "gram.ping"
 #: The well-known gatekeeper port name.
 GATEKEEPER_PORT = "gatekeeper"
 
-#: Bound on per-gatekeeper retained request state (job-manager handles,
-#: the submission dedup cache and the parsed-RSL table).  LRU eviction:
-#: an entry only matters while its client may still retry, so the bound
-#: need only exceed the in-flight window, not the service lifetime.
-RETAINED_JOBS_MAX = 1024
+#: Simulated seconds a finished job stays in the gatekeeper's tables:
+#: a poller whose DONE callback was lost still reads DONE from
+#: ``gram.status``, and a retried submit is still deduplicated.  Long
+#: against every client poll and retry episode — about 30x a default
+#: ``RetryPolicy`` episode (4 attempts of 30 s calls plus backoff).
+FINISHED_JOB_RETENTION = 3600.0
+
+
+def _validated_spec(rsl: str) -> Conjunction:
+    """RSL text -> its validated subjob spec; raises :class:`RSLError`."""
+    spec = parse(rsl)
+    if isinstance(spec, Conjunction):
+        # Resolve $(NAME) references against the request's own
+        # rslSubstitution bindings before validation.
+        spec = resolve_substitutions(spec)
+    return validate_subjob_spec(spec)
 
 
 class Gatekeeper:
@@ -78,8 +87,6 @@ class Gatekeeper:
         programs: dict[str, Program],
         costs: Optional[CostModel] = None,
     ) -> None:
-        from repro.core.bounded import BoundedDict
-
         self.env = env
         self.machine = machine
         self.scheduler = scheduler
@@ -103,24 +110,25 @@ class Gatekeeper:
         }
         self.port = Port(machine.network, Endpoint(machine.name, GATEKEEPER_PORT))
         self.endpoint = self.port.endpoint
-        #: Job managers created by this gatekeeper, by job id.  The
-        #: handle table is a lookup registry, not ownership: evicting
-        #: an entry never stops the manager's process.
-        self.job_managers: "BoundedDict[str, JobManager]" = BoundedDict(
-            RETAINED_JOBS_MAX
-        )
+        #: Job managers created by this gatekeeper, by job id: every
+        #: live job, and each finished one for FINISHED_JOB_RETENTION.
+        self.job_managers: dict[str, JobManager] = {}
         #: Accepted submissions by client submission id: a retried
         #: submit whose predecessor lost only the reply is answered
-        #: from this cache instead of creating a duplicate job.  LRU —
-        #: retries arrive within the client's resend window, far inside
-        #: the bound; an evicted id would merely resubmit.
-        self._submissions: "BoundedDict[str, dict]" = BoundedDict(
-            RETAINED_JOBS_MAX
-        )
+        #: from this cache instead of creating a duplicate job.  An
+        #: entry goes with its job's, so the job is never duplicated
+        #: while it is known.
+        self._submissions: dict[str, dict] = {}
+        #: Finished jobs in finishing order, so their expiry times
+        #: never decrease; every job manager appends its own, through
+        #: the one bound method.
+        self._finished: deque[Job] = deque()
+        self._job_ended = self._finished.append
         #: Validated subjob specs by RSL text: co-allocators send few
         #: distinct texts many times.  Shared between jobs (every
-        #: ``repro.rsl.ast`` node is frozen); a refused text is not kept.
-        self._specs: "BoundedDict[str, Conjunction]" = BoundedDict(RETAINED_JOBS_MAX)
+        #: ``repro.rsl.ast`` node is frozen); a refused text raises, so
+        #: it is not kept.  Bounded, since the keys are request data.
+        self._specs = lru_cache(maxsize=1024)(_validated_spec)
         self._job_counter = 0
         self.listener = env.process(self._listen(), name=f"gk:{machine.name}")
 
@@ -151,7 +159,8 @@ class Gatekeeper:
         """Answer for every named job still in the table, in one reply.
 
         Same host as the job managers, so the same evidence of life.  A
-        job never issued here, or evicted, is left out: absent = no news.
+        job never issued here, or finished longer ago than
+        FINISHED_JOB_RETENTION, is left out: absent = no news.
         """
         payload = message.payload
         jobs = payload.get("jobs") if isinstance(payload, dict) else None
@@ -159,19 +168,20 @@ class Gatekeeper:
             reply_error(self.port, message, payload="gram.status needs a 'jobs' list")
             return
         states = {}
+        managers = self.job_managers
         for job_id in jobs:
-            # peek: a poll must not reorder the LRU table it reads.
-            manager = self.job_managers.peek(job_id)
+            manager = managers.get(job_id) if isinstance(job_id, str) else None
             if manager is not None:
                 states[job_id] = (manager.job.state, manager.job.failure_reason)
         reply_ok(self.port, message, payload=states)
 
     def _control(self, message) -> None:
         """Cancel a job or edit its callback list, in-process, and answer
-        with its status; a job not in the table is an error, not silence."""
+        with its status; a job not in the table (never issued, or past
+        its retention) is an error, not silence."""
         payload = message.payload
         job_id = payload.get("job_id") if isinstance(payload, dict) else None
-        manager = self.job_managers.peek(job_id) if isinstance(job_id, str) else None
+        manager = self.job_managers.get(job_id) if isinstance(job_id, str) else None
         if manager is None:
             reply_error(self.port, message, payload="unknown job")
             return
@@ -238,11 +248,9 @@ class Gatekeeper:
             return
         ctx = request.trace_ctx or ctx
 
+        self._forget_finished()
         submission_id = request.payload.get("submission_id")
-        if submission_id is not None and submission_id in self._submissions:
-            # Idempotent resubmission: the job already exists.
-            reply_ok(self.port, request, payload=self._submissions[submission_id])
-            self._count_submit("duplicate")
+        if self._answered(request, submission_id):
             return
 
         misc_start = env.now
@@ -277,8 +285,12 @@ class Gatekeeper:
         if self.machine.crashed:
             self._count_submit("crashed")
             return  # we died mid-request; the client's timeout handles it
+        # Another attempt of this submission may have made its job
+        # while this one waited in initgroups.
+        if self._answered(request, submission_id):
+            return
 
-        job = self._make_job(spec, request.payload.get("params") or {})
+        job = self._make_job(spec, request.payload.get("params") or {}, submission_id)
         manager = JobManager(
             env=env,
             machine=self.machine,
@@ -289,6 +301,7 @@ class Gatekeeper:
             transitions=self._m_transitions,
             callback=request.payload.get("callback"),
             ctx=ctx,
+            on_end=self._job_ended,
         )
         self.job_managers[job.job_id] = manager
         self._count_submit("accepted")
@@ -297,20 +310,40 @@ class Gatekeeper:
             self._submissions[submission_id] = payload
         reply_ok(self.port, request, payload=payload)
 
+    def _answered(self, request, submission_id) -> bool:
+        """Idempotent resubmission: if this submission's job already
+        exists, answer with it from the cache."""
+        payload = self._submissions.get(submission_id)
+        if payload is None:
+            return False
+        reply_ok(self.port, request, payload=payload)
+        self._count_submit("duplicate")
+        return True
+
+    def _forget_finished(self) -> None:
+        """Drop the jobs whose retention has run out, oldest first, with
+        their submission ids.  Lazy — read when a submit arrives, the
+        one path that adds entries — so it schedules and sends nothing."""
+        finished = self._finished
+        horizon = self.env.now - FINISHED_JOB_RETENTION
+        while finished:
+            job = finished[0]
+            assert job.finished_at is not None  # set before it was queued
+            if job.finished_at > horizon:
+                return
+            finished.popleft()
+            del self.job_managers[job.job_id]
+            if job.submission_id is not None:
+                del self._submissions[job.submission_id]
+
     def _parse_request(self, rsl) -> Conjunction:
         if not isinstance(rsl, str):
             raise RSLError(f"rsl must be RSL text, got {type(rsl).__name__}")
-        spec = self._specs.get(rsl)
-        if spec is None:
-            spec = parse(rsl)
-            if isinstance(spec, Conjunction):
-                # Resolve $(NAME) references against the request's own
-                # rslSubstitution bindings before validation.
-                spec = resolve_substitutions(spec)
-            spec = self._specs[rsl] = validate_subjob_spec(spec)
-        return spec
+        return self._specs(rsl)
 
-    def _make_job(self, spec: Conjunction, params: dict) -> Job:
+    def _make_job(
+        self, spec: Conjunction, params: dict, submission_id: Optional[str]
+    ) -> Job:
         relations = spec.relations()
         args_rel = relations.get(ARGUMENTS.lower())
         env_params = dict(params)
@@ -334,4 +367,5 @@ class Gatekeeper:
             max_time=float(max_time) if max_time is not None else None,
             min_memory=float(min_memory) if min_memory is not None else None,
             reservation_id=str(reservation_id) if reservation_id is not None else None,
+            submission_id=submission_id,
         )

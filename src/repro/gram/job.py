@@ -36,6 +36,9 @@ class Job:
     active_at: Optional[float] = None
     finished_at: Optional[float] = None
     pids: list[int] = field(default_factory=list)
+    #: The client's submission id, when it sent one: the gatekeeper's
+    #: dedup key, dropped together with the job.
+    submission_id: Optional[str] = None
 
     def transition(self, new: JobState, now: float, reason: Optional[str] = None) -> None:
         """Apply a checked state transition with timestamping."""

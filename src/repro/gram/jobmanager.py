@@ -12,7 +12,7 @@ so a job that has ended owns no process and no mailbox.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import HostDown, SchedulerError
 from repro.gram.costs import CostModel
@@ -51,6 +51,7 @@ class JobManager:
         transitions: "dict[JobState, BoundCounter]",
         callback: Optional[Endpoint] = None,
         ctx: Optional[TraceContext] = None,
+        on_end: Optional[Callable[[Job], None]] = None,
     ) -> None:
         self.env = env
         self.machine = machine
@@ -66,6 +67,8 @@ class JobManager:
         self._m_transitions = transitions
         #: Trace context of the submit request this manager serves.
         self.ctx = ctx
+        #: Called with the job once, when it reaches its terminal state.
+        self._on_end = on_end
         #: This manager's identity and the source address of its
         #: callbacks.  Never bound: control goes to the gatekeeper.
         self.endpoint = Endpoint(machine.name, f"jm.{job.job_id.split('/')[-1]}")
@@ -79,7 +82,10 @@ class JobManager:
     # -- lifecycle ------------------------------------------------------------
 
     def _count_transition(self) -> None:
-        self._m_transitions[self.job.state].inc()
+        state = self.job.state
+        self._m_transitions[state].inc()
+        if state.terminal and self._on_end is not None:
+            self._on_end(self.job)
 
     def _drive(self):
         env = self.env

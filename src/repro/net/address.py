@@ -8,38 +8,30 @@ like ``hostname:port``.
 Endpoints sit on the kernel's hottest dictionary keys: every
 ``Network.send`` hashes the destination into the mailbox table.  The
 class is therefore slotted and value-frozen with its hash computed once
-at construction; :meth:`Endpoint.intern` and the :meth:`Endpoint.parse`
-cache return canonical instances for long-lived, repeatedly parsed
-addresses (a service's well-known contact) so equal endpoints are
-usually also identical.
+at construction; :meth:`Endpoint.intern` keeps canonical instances for
+long-lived, repeatedly parsed addresses (a service's well-known
+contact), and :meth:`Endpoint.parse` returns them, so equal endpoints
+are usually also identical.
 
 Retention policy: the intern table holds *well-known
 service addresses only* — :meth:`Endpoint.intern` rejects ephemeral
 reply ports (``label.N`` names minted by
 :func:`repro.net.transport.ephemeral_endpoint`) and hard-fails at
 :data:`INTERN_MAX` rather than leak, because interned instances live
-for the process lifetime.  :meth:`Endpoint.parse` memoizes through a
-bounded LRU cache instead, so arbitrary request-supplied contact
+for the process lifetime.  :meth:`Endpoint.parse` keeps nothing: any
+other text gets a fresh instance, so arbitrary request-supplied contact
 strings can never pin memory.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    # Imported lazily at runtime: repro.core.config imports Endpoint,
-    # so a module-level import of repro.core here would be circular.
-    from repro.core.bounded import BoundedDict
+from typing import Any
 
 #: Hard cap on interned (process-lifetime) endpoints.  Far above any
 #: sane topology — one entry per *service*, not per request — so
 #: hitting it means ephemeral addresses are being interned; fail loudly
 #: instead of leaking quietly.
 INTERN_MAX = 4096
-
-#: Entries in the bounded :meth:`Endpoint.parse` memo cache.
-PARSE_CACHE_MAX = 512
 
 
 def _is_ephemeral_port(port: str) -> bool:
@@ -64,12 +56,6 @@ class Endpoint:
     #: belong here: :meth:`intern` enforces that by rejecting ephemeral
     #: reply ports and capping the table at INTERN_MAX.
     _interned: dict[tuple[str, str], "Endpoint"] = {}
-
-    #: Bounded parse memo: text -> Endpoint for addresses that are
-    #: re-parsed but not canonical (LRU; equality-only, never identity).
-    #: Built lazily on first parse — the BoundedDict import must not run
-    #: at module load (see the TYPE_CHECKING note above).
-    _parse_cache: Optional["BoundedDict[str, Endpoint]"] = None
 
     def __init__(self, host: str, port: str) -> None:
         object.__setattr__(self, "host", host)
@@ -170,15 +156,12 @@ class Endpoint:
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":
-        """Parse ``"host:port"`` into an Endpoint, via bounded caches.
+        """Parse ``"host:port"`` into an Endpoint.
 
         Contact strings are parsed over and over (every RSL request
-        names its target).  A canonical interned instance is returned
-        when one exists; other addresses are memoized in a bounded LRU
-        cache, so parse never pins request-supplied strings for the
-        process lifetime.  Either way, repeated parses of the same text
-        usually return the same instance — but callers may rely only on
-        *equality*, not identity.
+        names its target).  The canonical interned instance is returned
+        when one exists, else a new one: parse keeps nothing per text.
+        Callers may rely only on *equality*, not identity.
         """
         host, sep, port = text.partition(":")
         if not sep or not host or not port:
@@ -186,14 +169,4 @@ class Endpoint:
         canonical = cls._interned.get((host, port))
         if canonical is not None:
             return canonical
-        cache = cls._parse_cache
-        if cache is None:
-            from repro.core.bounded import BoundedDict
-
-            cache = cls._parse_cache = BoundedDict(PARSE_CACHE_MAX)
-        cached = cache.peek(text)
-        if cached is None:
-            cached = cls(host, port)
-        # Insert (or refresh recency) so hot contact strings stay cached.
-        cache[text] = cached
-        return cached
+        return cls(host, port)

@@ -1,8 +1,8 @@
 """The flight recorder: bounded black-box capture with triggered dumps.
 
-The bounded tables *evict* state, so by the time a fault campaign or
-a ``repro.verify`` monitor fires, the context that explains the
-failure may be gone.  This module is the always-on black box that
+A long-lived world moves on, so by the time a fault campaign or a
+``repro.verify`` monitor fires, the context that explains the failure
+may be gone.  This module is the always-on black box that
 closes that gap: a :class:`FlightRecorder` is a
 :class:`~repro.simcore.probe.Probe` that stores every hook it hears as
 one plain tuple of immutable values, in the field order :data:`FIELDS`
@@ -43,10 +43,6 @@ from repro.simcore.probe import Probe
 from repro.simcore.tracing import Mark, Span
 
 if TYPE_CHECKING:  # pragma: no cover
-    # Imported lazily at construction time: repro.core's package init
-    # reaches repro.net, which imports repro.obs — a module-level
-    # import here would close that cycle.
-    from repro.core.bounded import BoundedDict
     from repro.net.message import Message
 
 #: Dump format tag, bumped on incompatible record changes.
@@ -54,6 +50,10 @@ FLIGHT_FORMAT = "repro.obs.flightrec/1"
 
 #: Records kept per category (older ones are evicted unread).
 CAPACITY = 256
+
+#: Raw message ids remembered for remapping; past it the oldest
+#: inserted id is forgotten (a later sighting gets a fresh local id).
+MSG_IDS_MAX = 4 * CAPACITY
 
 #: Dumps kept per run (later trips are counted, not kept — a rule
 #: matching at event rate must not grow memory).
@@ -148,10 +148,8 @@ class FlightRecorder(Probe):
         #: Trips observed after the dump cap was reached.
         self.dumps_suppressed = 0
         self._seq = 0
-        from repro.core.bounded import BoundedDict
-
         #: raw Message.msg_id -> recorder-local id, first-seen order.
-        self._msg_local: BoundedDict[int, int] = BoundedDict(4 * CAPACITY)
+        self._msg_local: dict[int, int] = {}
         self._msg_next = 0
 
     def retained(self) -> int:
@@ -167,11 +165,13 @@ class FlightRecorder(Probe):
 
     def _local_msg_id(self, raw: int) -> int:
         table = self._msg_local
-        if raw in table:  # a probe; the read below refreshes recency
-            return table[raw]
-        self._msg_next += 1
-        table[raw] = self._msg_next
-        return self._msg_next
+        local = table.get(raw)
+        if local is None:
+            self._msg_next += 1
+            local = table[raw] = self._msg_next
+            if len(table) > MSG_IDS_MAX:
+                del table[next(iter(table))]
+        return local
 
     # -- probe hooks (the hot path) ----------------------------------------
     #

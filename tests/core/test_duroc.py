@@ -536,6 +536,57 @@ class TestControl:
         gram_jobs = grid.site("RM1").gatekeeper.job_managers
         assert all(jm.job.state is JobState.FAILED for jm in gram_jobs.values())
 
+    def test_kill_after_commit_reaches_jobs_behind_1030_newer_ones(self):
+        """A busy site forgets no live job: after the request commits,
+        another client puts 1 030 long jobs on the same site, and the
+        kill still ends every GRAM job and process of the request."""
+        from repro.core import CoAllocationRequest, make_program
+        from repro.gridenv import GridBuilder
+
+        def forever(ctx):
+            yield ctx.env.timeout(1e7)
+
+        grid = (
+            GridBuilder(seed=1)
+            .add_machine("RM1", nodes=1040)
+            .program("longrun", make_program(startup=0.5, runtime=1e7))
+            .program("forever", forever)
+            .build()
+        )
+        site = grid.site("RM1")
+        duroc = grid.duroc()
+        other = grid.gram_client()
+        text = f"&(resourceManagerContact={site.contact})(count=1)(executable=forever)"
+
+        def flood():
+            yield from other.submit(site.contact, text)
+
+        def agent(env):
+            job = duroc.submit(
+                CoAllocationRequest([spec(site.contact, count=4, executable="longrun")])
+            )
+            yield from job.commit()
+            managers = [
+                site.gatekeeper.job_managers[slot.gram_handle.job_id] for slot in job.slots
+            ]
+            processes = [
+                site.machine.processes[pid].process
+                for manager in managers
+                for pid in manager.job.pids
+            ]
+            yield env.all_of([env.process(flood()) for _ in range(1030)])
+            job.kill("user abort")
+            yield env.timeout(60.0)
+            return job, managers, processes
+
+        job, managers, processes = drive(grid, agent(grid.env))
+        assert job.state is RequestState.TERMINATED
+        assert [manager.job.state for manager in managers] == [JobState.FAILED]
+        assert len(processes) == 4
+        assert not any(process.is_alive for process in processes)
+        # The other client's jobs run on.
+        assert site.machine.process_count == 1030
+
     def test_kill_before_commit(self, grid):
         duroc = grid.duroc()
 

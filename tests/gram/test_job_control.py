@@ -3,17 +3,18 @@
 ``gram.cancel`` / ``gram.register_callback`` / ``gram.unregister_callback``
 carry the job id to ``<site>:gatekeeper`` and are answered with the
 job's ``{job_id, state, reason}``, or with ``"unknown job"`` — never
-with silence — when the gatekeeper has not issued that id or has
-evicted it.  The front door takes RSL text and nothing else.
+with silence — when the gatekeeper has not issued that id or the job
+finished longer than ``FINISHED_JOB_RETENTION`` ago.  A live job is
+never forgotten, however many others the site runs.  The front door
+takes RSL text and nothing else.
 """
 
 import pytest
 
-from repro.core.bounded import BoundedDict
 from repro.errors import GramError
-from repro.gram import JobState, Site
+from repro.gram import GramClient, JobState, Site
 from repro.gram.client import JobHandle
-from repro.gram.gatekeeper import SUBMIT
+from repro.gram.gatekeeper import FINISHED_JOB_RETENTION, SUBMIT
 from repro.gram.jobmanager import CANCEL, REGISTER, UNREGISTER
 from repro.gsi import initiate
 from repro.net import Endpoint, Network, Port
@@ -22,20 +23,25 @@ from repro.rsl import parse
 from repro.simcore import Environment, Tracer
 from tests.metric_reads import value
 
-from .conftest import client_mailboxes, drive, rsl_for
+from .conftest import client_mailboxes, drive, rsl_for, sleeper_program
 
 
 def test_control_of_an_evicted_job_is_refused_not_left_hanging(env, net, site, client):
-    """A table smaller than the number of jobs submitted: the oldest is
-    evicted while it runs, and every control RPC for it says so."""
-    site.gatekeeper.job_managers = BoundedDict(2)
+    """A job that finished longer than the retention window ago is
+    dropped by the next submit, and every control RPC for it says so."""
     listener = Endpoint("workstation", "listener")
 
     def scenario(env):
-        handles = []
-        for _ in range(3):
-            handles.append((yield from client.submit(site.contact, rsl_for(site.contact))))
-        evicted, kept = handles[0], handles[1:]
+        evicted = yield from client.submit(
+            site.contact, rsl_for(site.contact, executable="quick")
+        )
+        yield env.timeout(FINISHED_JOB_RETENTION + 1.0)
+        # Lazy: past its window, the job is dropped only by a submit.
+        assert list(site.gatekeeper.job_managers) == [evicted.job_id]
+        kept = []
+        for _ in range(2):
+            kept.append((yield from client.submit(site.contact, rsl_for(site.contact))))
+        handles = [evicted, *kept]
         assert list(site.gatekeeper.job_managers) == [h.job_id for h in kept]
         calls = (
             lambda: client.cancel(evicted),  # timeout=None: would wait for ever
@@ -57,6 +63,36 @@ def test_control_of_an_evicted_job_is_refused_not_left_hanging(env, net, site, c
 
     drive(env, scenario(env))
     assert client_mailboxes(net) == []
+
+
+def test_the_oldest_of_1030_live_jobs_is_still_controlled(env, net, ca):
+    """A busy site forgets no live job: the first of 1 030 concurrent
+    sleepers cancels to FAILED, and cancelling them all leaves no
+    process running."""
+    site = Site(env, net, "origin", nodes=1030, ca=ca,
+                programs={"long": sleeper_program(1e7)})
+    site.authorize("alice")
+    client = GramClient(net, "workstation", ca.issue("alice"))
+    text = rsl_for(site.contact, executable="long")
+    handles = [None] * 1030
+
+    def submit(index):
+        handles[index] = yield from client.submit(site.contact, text)
+
+    def scenario(env):
+        yield env.all_of([env.process(submit(index)) for index in range(1030)])
+        yield env.timeout(1.0)
+        processes = [context.process for context in site.machine.processes.values()]
+        assert len(processes) == 1030 and all(p.is_alive for p in processes)
+        assert (yield from client.cancel(handles[0])) is JobState.FAILED
+        for handle in handles[1:]:
+            assert (yield from client.cancel(handle)) is JobState.FAILED
+        yield env.timeout(1.0)
+        return processes
+
+    processes = drive(env, scenario(env))
+    assert not any(process.is_alive for process in processes)
+    assert site.machine.process_count == 0
 
 
 def test_a_job_the_gatekeeper_never_issued_is_unknown(env, site, client):
@@ -150,4 +186,5 @@ def test_the_front_door_takes_rsl_text_only(ca, programs, rsl):
     metrics = env.tracer.metrics
     assert value(metrics, "gram.submits_total", site="origin", outcome="bad_rsl") == 1
     assert value(metrics, "gram.submits_total", site="origin", outcome="accepted") == 0
-    assert not site.gatekeeper.job_managers and len(site.gatekeeper._specs) == 0
+    assert not site.gatekeeper.job_managers
+    assert site.gatekeeper._specs.cache_info().currsize == 0

@@ -141,3 +141,23 @@ def test_a_malformed_poll_gets_an_error_and_the_listener_survives(
     handle, states = drive(env, scenario(env))
     assert site.gatekeeper.listener.is_alive
     assert list(states) == [handle.job_id]
+
+
+def test_an_id_that_is_no_string_is_no_news_and_the_listener_survives(
+    env, net, site, client
+):
+    """Job ids are request data: an unhashable one is absent like any
+    other id the site never issued, and does not kill ``gk:origin``."""
+    port = Port(net, Endpoint("workstation", "raw"))
+    gatekeeper = site.gatekeeper.endpoint
+
+    def scenario(env):
+        handle = yield from client.submit(site.contact, rsl_for(site.contact))
+        jobs = [[handle.job_id], {"id": 1}, 7, None, handle.job_id]
+        return handle, (yield from call(
+            port, gatekeeper, STATUS, payload={"jobs": jobs}, timeout=5.0
+        ))
+
+    handle, states = drive(env, scenario(env))
+    assert list(states) == [handle.job_id]
+    assert site.gatekeeper.listener.is_alive

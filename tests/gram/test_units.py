@@ -135,23 +135,129 @@ class TestGatekeeperPing:
 
 
 class TestGatekeeperRetention:
-    def test_request_tables_are_bounded(self):
-        from repro.core.bounded import BoundedDict
-        from repro.gram.gatekeeper import RETAINED_JOBS_MAX
+    """A gatekeeper keeps every live job, and a finished one for
+    FINISHED_JOB_RETENTION simulated seconds; the first submit after
+    that drops it, together with its submission id."""
+
+    @staticmethod
+    def world():
+        from repro.gram import GramClient
+
+        from .conftest import sleeper_program
 
         env = Environment()
         net = Network(env)
-        site = Site(env, net, "s", nodes=4,
-                    ca=CertificateAuthority(), programs={})
+        net.add_host("client")
+        ca = CertificateAuthority()
+        programs = {"quick": sleeper_program(0.0), "long": sleeper_program(1e7)}
+        site = Site(env, net, "s", nodes=4, ca=ca, programs=programs)
+        site.authorize("alice")
+        return env, net, site, ca, GramClient(net, "client", ca.issue("alice"))
+
+    def test_request_tables_are_bounded(self):
+        from repro.gram.gatekeeper import FINISHED_JOB_RETENTION
+
+        from .conftest import drive, rsl_for
+
+        env, _, site, _, client = self.world()
         gatekeeper = site.gatekeeper
-        # Per-request state is LRU-bounded: neither handle table can
-        # outgrow the in-flight retry window, whatever the run length.
-        assert isinstance(gatekeeper.job_managers, BoundedDict)
-        assert isinstance(gatekeeper._submissions, BoundedDict)
-        for index in range(RETAINED_JOBS_MAX + 10):
-            gatekeeper._submissions[f"sub{index}"] = {"job_id": index}
-        assert len(gatekeeper._submissions) == RETAINED_JOBS_MAX
-        # The freshest ids (the only ones still in a retry window)
-        # survive; the stalest were evicted.
-        assert "sub0" not in gatekeeper._submissions
-        assert f"sub{RETAINED_JOBS_MAX + 9}" in gatekeeper._submissions
+
+        def submit(executable):
+            text = rsl_for(site.contact, executable=executable)
+            return (yield from client.submit(site.contact, text)).job_id
+
+        def scenario(env):
+            jobs = [(yield from submit("quick")), (yield from submit("long"))]
+            for _ in range(2):
+                yield env.timeout(FINISHED_JOB_RETENTION / 2 + 1.0)
+                jobs.append((yield from submit("quick")))
+            return jobs
+
+        expired, live, *recent = drive(env, scenario(env))
+        # The live job and those inside their window, and nothing else.
+        assert list(gatekeeper.job_managers) == [live, *recent]
+        assert [p["job_id"] for p in gatekeeper._submissions.values()] == [live, *recent]
+        for manager in gatekeeper.job_managers.values():
+            job = manager.job
+            assert not job.state.terminal or job.finished_at + FINISHED_JOB_RETENTION > env.now
+        # A live job is never dropped, however long it runs.
+        env.run(until=env.now + 3 * FINISHED_JOB_RETENTION)
+        last = drive(env, submit("quick"))
+        assert list(gatekeeper.job_managers) == [live, last]
+        assert len(gatekeeper._submissions) == 2
+        assert gatekeeper.job_managers[live].job.state is JobState.ACTIVE
+
+    @staticmethod
+    def submit_as(net, site, credential, submission_id, name="raw"):
+        """One submit over a port of its own, with a chosen submission id."""
+        from repro.gram.gatekeeper import SUBMIT
+        from repro.gsi import initiate
+        from repro.net import Port
+        from repro.net.rpc import call
+
+        from .conftest import rsl_for
+
+        port = Port(net, Endpoint("client", name))
+        gatekeeper = site.gatekeeper.endpoint
+        try:
+            session = yield from initiate(port, gatekeeper, credential)
+            return (yield from call(
+                port, gatekeeper, SUBMIT,
+                payload={
+                    "rsl": rsl_for(site.contact, executable="quick"),
+                    "session": session.session_id,
+                    "submission_id": submission_id,
+                },
+                timeout=5.0,
+            ))
+        finally:
+            port.close()
+
+    def test_a_retried_submit_is_deduplicated_while_its_job_is_known(self):
+        from repro.gram.gatekeeper import FINISHED_JOB_RETENTION
+
+        from .conftest import drive, rsl_for
+
+        env, net, site, ca, client = self.world()
+        gatekeeper = site.gatekeeper
+        credential = ca.issue("alice")
+        text = rsl_for(site.contact, executable="quick")
+
+        def newer():
+            yield from client.submit(site.contact, text)
+
+        def scenario(env):
+            original = yield from self.submit_as(net, site, credential, "client/retried")
+            yield env.all_of([env.process(newer()) for _ in range(1030)])
+            retried = yield from self.submit_as(net, site, credential, "client/retried")
+            jobs = len(gatekeeper.job_managers)
+            yield env.timeout(FINISHED_JOB_RETENTION)
+            fresh = yield from self.submit_as(net, site, credential, "client/retried")
+            return original, retried, jobs, fresh
+
+        original, retried, jobs, fresh = drive(env, scenario(env))
+        # Behind 1 030 newer submissions, the retry is still answered
+        # from the cache: the same job, and no new one.
+        assert retried == original
+        assert jobs == 1031
+        # Past the window the id is forgotten with its job: a new one.
+        assert fresh["job_id"] != original["job_id"]
+        assert list(gatekeeper.job_managers) == [fresh["job_id"]]
+        assert gatekeeper._submissions == {"client/retried": fresh}
+
+    def test_two_attempts_in_flight_at_once_make_one_job(self):
+        """The second attempt passes the first dedup check while the
+        first is still in initgroups; it is answered from the cache
+        once the first has made the job."""
+        env, net, site, ca, _ = self.world()
+        credential = ca.issue("alice")
+        replies = []
+
+        def attempt(name):
+            replies.append((yield from self.submit_as(
+                net, site, credential, "client/sub1", name
+            )))
+
+        env.run(env.all_of([env.process(attempt(name)) for name in ("a", "b")]))
+        assert replies[0] == replies[1]
+        assert list(site.gatekeeper.job_managers) == [replies[0]["job_id"]]

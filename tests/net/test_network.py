@@ -325,12 +325,17 @@ class TestEndpointRetention:
         finally:
             Endpoint._interned.pop(("epsilon", "svc"), None)
 
-    def test_parse_cache_is_bounded_and_equality_only(self):
-        from repro.net.address import PARSE_CACHE_MAX
+    def test_parse_is_equality_only_and_retains_nothing(self):
+        """Parse keeps nothing per text: each result is held by its
+        caller alone."""
+        import sys
 
-        for i in range(PARSE_CACHE_MAX + 64):
+        interned = len(Endpoint._interned)
+        for i in range(600):
             parsed = Endpoint.parse(f"host{i}:svc")
             assert parsed == Endpoint(f"host{i}", "svc")
-        assert len(Endpoint._parse_cache) <= PARSE_CACHE_MAX
+            # This name and getrefcount's argument: nothing else.
+            assert sys.getrefcount(parsed) == 2
+        assert len(Endpoint._interned) == interned
         # Repeat parses agree by equality; identity is not promised.
         assert Endpoint.parse("host0:svc") == Endpoint("host0", "svc")

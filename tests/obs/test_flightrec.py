@@ -491,8 +491,8 @@ def test_cold_import_has_no_cycle(package):
 
     Regression guard: ``repro.resilience`` → ``repro.obs`` (metrics) →
     flightrec → ``repro.core`` → gram → ``repro.resilience`` closed a
-    cycle when flightrec imported ``repro.core.bounded`` at module
-    level; the import is lazy now, and must stay that way.
+    cycle when flightrec imported from ``repro.core`` at module level;
+    flightrec imports nothing from ``repro.core`` now, and must not.
     """
     import subprocess
     import sys

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.core import CoAllocationRequest, SubjobSpec, SubjobType
-from repro.core.bounded import BoundedDict
 from repro.errors import AllocationAborted
 from repro.faults import HostCrash, SlowLink
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
@@ -29,7 +28,8 @@ class EagerShadow(Probe):
     def __init__(self, capacity: int) -> None:
         self.rendered = {category: [] for category in FIELDS}
         self._seq = 0
-        self._msg_local = BoundedDict(4 * capacity)
+        self._msg_local = {}
+        self._msg_ids_max = 4 * capacity
         self._msg_next = 0
 
     def _render(self, category, time, op, **fields):
@@ -43,10 +43,13 @@ class EagerShadow(Probe):
         self._render("kernel", now, "step", when=now, queue_size=0)
 
     def _message_op(self, op, message, reason):
-        local = self._msg_local.get(message.msg_id)
+        table = self._msg_local
+        local = table.get(message.msg_id)
         if local is None:
             self._msg_next += 1
-            local = self._msg_local[message.msg_id] = self._msg_next
+            local = table[message.msg_id] = self._msg_next
+            if len(table) > self._msg_ids_max:  # forget the oldest inserted id
+                del table[next(iter(table))]
         ctx = message.trace_ctx
         self._render(
             "message", self.env.now, op, msg=local, kind=message.kind,
