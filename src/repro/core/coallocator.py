@@ -156,7 +156,7 @@ class DurocJob:
         # be unique per job even across Duroc instances (job ids are only
         # unique per instance), so it gets an ephemeral endpoint.
         self.port = Port(
-            duroc.network, ephemeral_endpoint(duroc.host, f"duroc.{self.job_id}")
+            duroc.network, ephemeral_endpoint(duroc.network, duroc.host, f"duroc.{self.job_id}")
         )
         self.tracer = duroc.tracer
         #: Root span of the request's trace tree: everything this

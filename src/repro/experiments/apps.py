@@ -180,18 +180,11 @@ def wasted_node_seconds(grid) -> float:
 
     This is the paper's "tremendous" cost made measurable: every atomic
     abort discards the startup work of every machine that *had*
-    started, and the restart repeats it.
+    started, and the restart repeats it.  Each gatekeeper bills its
+    jobs as they end, so a job its tables have since forgotten still
+    counts.
     """
-    from repro.gram.states import JobState
-
-    total = 0.0
-    for site in grid.sites.values():
-        for manager in site.gatekeeper.job_managers.values():
-            job = manager.job
-            if job.state is JobState.FAILED and job.active_at is not None:
-                end = job.finished_at if job.finished_at is not None else grid.now
-                total += job.count * max(0.0, end - job.active_at)
-    return total
+    return sum(site.gatekeeper.ledger.wasted_node_seconds for site in grid.sites.values())
 
 
 def restart_cell(

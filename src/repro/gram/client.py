@@ -85,7 +85,7 @@ class CallbackListener:
     """
 
     def __init__(self, network: Network, host: str) -> None:
-        self.port = Port(network, ephemeral_endpoint(host, "gram-cb"))
+        self.port = Port(network, ephemeral_endpoint(network, host, "gram-cb"))
         self.endpoint = self.port.endpoint
         self._handlers: dict[Optional[str], list[Callable]] = {}
         self.process = network.env.process(self._listen(), name="gram-cb-listener")
@@ -154,7 +154,7 @@ class GramClient:
     def _fresh_port(self) -> Port:
         """An ephemeral reply port; the caller closes it when its call
         concludes, so a reply that arrives later is an "unbound" drop."""
-        return Port(self.network, ephemeral_endpoint(self.host, "gram"))
+        return Port(self.network, ephemeral_endpoint(self.network, self.host, "gram"))
 
     def _call(self, gatekeeper: Endpoint, kind: str, payload: Any, timeout: Optional[float]):
         """One RPC to a gatekeeper over a reply port of its own."""

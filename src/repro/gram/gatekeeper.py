@@ -64,6 +64,31 @@ GATEKEEPER_PORT = "gatekeeper"
 FINISHED_JOB_RETENTION = 3600.0
 
 
+class JobLedger:
+    """What a site's jobs did once they ended.
+
+    ``finished`` holds the finished jobs in finishing order, so their
+    expiry times never decrease; the gatekeeper drops them from there
+    after FINISHED_JOB_RETENTION.  ``wasted_node_seconds`` bills every
+    job that started and then failed (killed or cancelled) as it ends,
+    for the site's whole history.  Every job manager reports its end
+    through :meth:`ended`; the ledger holds nothing of the gatekeeper,
+    so the hook makes no reference cycle.
+    """
+
+    __slots__ = ("finished", "wasted_node_seconds")
+
+    def __init__(self) -> None:
+        self.finished: deque[Job] = deque()
+        self.wasted_node_seconds = 0.0
+
+    def ended(self, job: Job) -> None:
+        self.finished.append(job)
+        if job.state is JobState.FAILED and job.active_at is not None:
+            assert job.finished_at is not None  # set with the terminal state
+            self.wasted_node_seconds += job.count * (job.finished_at - job.active_at)
+
+
 def _validated_spec(rsl: str) -> Conjunction:
     """RSL text -> its validated subjob spec; raises :class:`RSLError`."""
     spec = parse(rsl)
@@ -119,11 +144,7 @@ class Gatekeeper:
         #: entry goes with its job's, so the job is never duplicated
         #: while it is known.
         self._submissions: dict[str, dict] = {}
-        #: Finished jobs in finishing order, so their expiry times
-        #: never decrease; every job manager appends its own, through
-        #: the one bound method.
-        self._finished: deque[Job] = deque()
-        self._job_ended = self._finished.append
+        self.ledger = JobLedger()
         #: Validated subjob specs by RSL text: co-allocators send few
         #: distinct texts many times.  Shared between jobs (every
         #: ``repro.rsl.ast`` node is frozen); a refused text raises, so
@@ -301,7 +322,7 @@ class Gatekeeper:
             transitions=self._m_transitions,
             callback=request.payload.get("callback"),
             ctx=ctx,
-            on_end=self._job_ended,
+            on_end=self.ledger.ended,
         )
         self.job_managers[job.job_id] = manager
         self._count_submit("accepted")
@@ -324,7 +345,7 @@ class Gatekeeper:
         """Drop the jobs whose retention has run out, oldest first, with
         their submission ids.  Lazy — read when a submit arrives, the
         one path that adds entries — so it schedules and sends nothing."""
-        finished = self._finished
+        finished = self.ledger.finished
         horizon = self.env.now - FINISHED_JOB_RETENTION
         while finished:
             job = finished[0]

@@ -19,7 +19,6 @@ Server side (inside a service loop that received ``hello``)::
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator, Optional
 
@@ -33,8 +32,6 @@ from repro.simcore.resources import TIMED_OUT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.tracing import TraceContext
-
-_session_ids = itertools.count(1)
 
 #: Handshake message kinds.
 HELLO = "gsi.hello"
@@ -85,7 +82,7 @@ def initiate(
     """
     config = config or AuthConfig()
     env = port.env
-    corr = next(_session_ids)
+    corr = next(port.network.session_ids)
     port.send(dst, HELLO, payload={"credential": credential},
               reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
@@ -165,7 +162,7 @@ def accept(
             f"subject {credential.identity!r} not authorized"
         )
 
-    nonce = next(_session_ids)
+    nonce = next(port.network.session_ids)
     port.send(client, CHALLENGE, corr_id=corr, payload={"nonce": nonce})
 
     response = yield from _await(port, corr, RESPONSE, timeout)

@@ -43,11 +43,7 @@ class Message:
         if self.reply_to is None:
             raise ValueError(f"message {self.kind!r} has no reply_to endpoint")
         return Message(
-            src=self.dst,
-            dst=self.reply_to,
-            kind=kind,
-            payload=payload,
-            corr_id=self.corr_id,
+            self.dst, self.reply_to, kind, payload, None, self.corr_id,
             trace_ctx=self.trace_ctx,
         )
 

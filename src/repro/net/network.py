@@ -13,6 +13,7 @@ uniform latency here.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.errors import HostDown, NetworkError, SimulationError
@@ -77,6 +78,7 @@ class LatencyModel:
         """Install a symmetric per-pair latency override."""
         if not latency >= 0:  # also refuses NaN
             raise SimulationError(f"negative latency {latency!r}")
+        latency = float(latency)
         self._overrides[(host_a, host_b)] = latency
         self._overrides[(host_b, host_a)] = latency
 
@@ -93,8 +95,13 @@ class LatencyModel:
         """One-way delay for a ``size_bytes`` message from src to dst."""
         if src == dst:
             return self.local
-        mean = self._overrides.get((src, dst), self.base)
-        delay = jittered(self.rng, mean, self.jitter_cv)
+        # Runs once per message: no pair probe without an override and
+        # no draw without an rng.  Every mean was checked >= 0 where it
+        # was set, so skipping ``jittered`` returns the same float.
+        overrides = self._overrides
+        delay = overrides.get((src, dst), self.base) if overrides else self.base
+        if self.rng is not None:
+            delay = jittered(self.rng, delay, self.jitter_cv)
         if self.bandwidth is not None and size_bytes > 0:
             delay += size_bytes / self.bandwidth
         return delay
@@ -123,26 +130,56 @@ class _Delivery(Timeout):
 
     No caller ever waits on one, so every delivery shares one callbacks
     tuple, and the network rides in a slot rather than in a bound
-    method per message.  The kernel's ``schedule`` refuses a negative
-    or NaN delay.
+    method per message.  :meth:`Network.send` schedules it; the
+    kernel's ``schedule`` refuses a negative or NaN delay.
     """
 
     __slots__ = ("network",)
 
     def __init__(self, network: "Network", delay: float, message: Message) -> None:
-        self.env = env = network.env
+        self.env = network.env
         self.callbacks = _DELIVER  # type: ignore[assignment]  # never appended to
         self._value = message
         self._ok = True
         self._defused = False
         self.cancelled = False
-        self.delay = delay = float(delay)
+        self.delay = delay
         self.network = network
-        env.schedule(self, NORMAL, delay)
 
 
-def _deliver(event: _Delivery) -> None:
-    event.network._deliver_message(event._value)
+def _deliver(delivery: _Delivery) -> None:
+    """The message reaches its mailbox, or is dropped.
+
+    Reachability is evaluated at delivery time so that a partition or
+    crash occurring mid-flight loses the message.  This is the only
+    delivery: the kernel calls it when the timer fires, and
+    :meth:`Network._deliver_message` calls it at once.
+    """
+    network = delivery.network
+    message = delivery._value
+    if (network._down or network._partitions) and not network._reachable(
+        message.src.host, message.dst.host
+    ):
+        network._drop(message, "unreachable")
+        return
+    box = network._mailboxes.get(message.dst)
+    if box is None:
+        network._drop(message, "unbound")
+        return
+    env = network.env
+    message.delivered_at = now = env._now
+    network.delivered_count += 1
+    if network.metrics is not NULL_METRICS:
+        series = network._m_kinds.get(message.kind)
+        if series is None:
+            series = network.kind_series(message.kind)
+        series.delivered.inc()
+        if message.sent_at is not None:
+            network._m_latency.observe(now - message.sent_at)
+    probe = env.probe
+    if probe is not None:
+        probe.on_deliver(message)
+    box.put(message)
 
 
 #: The callbacks of every :class:`_Delivery`.
@@ -181,6 +218,12 @@ class Network:
         self._partitions: dict[str, int] = {}
         #: Drop rules: callables deciding whether to drop a message.
         self._drop_rules: list[Callable[[Message], bool]] = []
+        #: Per-world numbering of ephemeral reply ports
+        #: (:func:`repro.net.transport.ephemeral_endpoint`) and of GSI
+        #: sessions (:mod:`repro.gsi.auth`): a run names them alike
+        #: whatever ran earlier in its process.
+        self.port_ids = itertools.count(1)
+        self.session_ids = itertools.count(1)
         #: Counters for observability.
         self.sent_count = 0
         self.delivered_count = 0
@@ -300,16 +343,16 @@ class Network:
         src_host = message.src.host
         dst_host = message.dst.host
         hosts = self._hosts
-        if src_host not in hosts:
-            raise NetworkError(f"unknown host {src_host!r}")
-        if dst_host not in hosts:
-            raise NetworkError(f"unknown host {dst_host!r}")
-        if src_host in self._down:
+        if src_host not in hosts or dst_host not in hosts:
+            unknown = src_host if src_host not in hosts else dst_host
+            raise NetworkError(f"unknown host {unknown!r}")
+        down = self._down
+        if down and src_host in down:
             raise HostDown(f"source host {src_host!r} is down")
 
         env = self.env
         self.sent_count += 1
-        message.sent_at = env.now
+        message.sent_at = env._now
         # Unobserved runs (NULL_METRICS, no probe) make no metering
         # calls: this runs once per message.
         if self.metrics is not NULL_METRICS:
@@ -327,34 +370,11 @@ class Network:
             return
 
         delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
-        _Delivery(self, delay, message)
+        env.schedule(_Delivery(self, delay, message), NORMAL, delay)
 
     def _deliver_message(self, message: Message) -> None:
-        # Reachability is evaluated at delivery time so that a partition
-        # or crash occurring mid-flight loses the message.
-        if (self._down or self._partitions) and not self._reachable(
-            message.src.host, message.dst.host
-        ):
-            self._drop(message, "unreachable")
-            return
-        box = self._mailboxes.get(message.dst)
-        if box is None:
-            self._drop(message, "unbound")
-            return
-        env = self.env
-        message.delivered_at = now = env.now
-        self.delivered_count += 1
-        if self.metrics is not NULL_METRICS:
-            series = self._m_kinds.get(message.kind)
-            if series is None:
-                series = self.kind_series(message.kind)
-            series.delivered.inc()
-            if message.sent_at is not None:
-                self._m_latency.observe(now - message.sent_at)
-        probe = env.probe
-        if probe is not None:
-            probe.on_deliver(message)
-        box.put(message)
+        """Deliver ``message`` now, exactly as its delivery timer does."""
+        _deliver(_Delivery(self, 0.0, message))
 
     def kind_series(self, kind: str) -> "KindSeries":
         """The metering handles of one message kind, bound at first sight."""

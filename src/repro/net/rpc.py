@@ -61,7 +61,7 @@ def call(
         series.rpc_calls.inc()
     port.send(dst, kind, payload, reply_to=port.endpoint, corr_id=corr, ctx=ctx)
 
-    message: Message = yield port.recv(lambda m: m.corr_id == corr, timeout)
+    message: Message = yield port.mailbox.get(lambda m: m.corr_id == corr, timeout)
     if message is TIMED_OUT:
         if metered:
             series.rpc_timeouts.inc()

@@ -10,7 +10,6 @@ A :class:`Port` wraps a bound endpoint with convenient ``send``/
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.net.address import Endpoint
@@ -21,12 +20,11 @@ from repro.simcore.resources import StoreGet
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.tracing import TraceContext
 
-_port_ids = itertools.count(1)
-
-
-def ephemeral_endpoint(host: str, label: str = "tmp") -> Endpoint:
-    """A unique client-side endpoint, like an OS-assigned ephemeral port."""
-    return Endpoint(host, f"{label}.{next(_port_ids)}")
+def ephemeral_endpoint(network: Network, host: str, label: str = "tmp") -> Endpoint:
+    """A client-side endpoint unique in ``network``'s world, like an
+    OS-assigned ephemeral port.  Numbered per world, so a run names its
+    ports alike whatever ran earlier in the same process."""
+    return Endpoint(host, f"{label}.{next(network.port_ids)}")
 
 
 class Port:
@@ -63,22 +61,15 @@ class Port:
         ctx: "Optional[TraceContext]" = None,
     ) -> Message:
         """Send a message from this port."""
-        message = Message(
-            src=self.endpoint,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            reply_to=reply_to,
-            corr_id=corr_id,
-            trace_ctx=ctx,
-        )
+        message = Message(self.endpoint, dst, kind, payload, reply_to, corr_id, trace_ctx=ctx)
         self.network.send(message)
         return message
 
     def send_message(self, message: Message) -> None:
         """Send a pre-built message (source must be this endpoint)."""
-        if message.src != self.endpoint:
-            message.src = self.endpoint
+        endpoint = self.endpoint
+        if message.src is not endpoint and message.src != endpoint:
+            message.src = endpoint
         self.network.send(message)
 
     def recv(

@@ -234,8 +234,9 @@ class Environment:
             size = len(self._heap)
         if size > self._high_water:
             self._high_water = size
-        if self.probe is not None:
-            self.probe.on_schedule(when, size)
+        probe = self.probe
+        if probe is not None:
+            probe.on_schedule(when, size)
 
     def step(self) -> None:
         """Process the single next event, advancing the clock to it.
@@ -253,8 +254,9 @@ class Environment:
         except IndexError:
             raise EmptySchedule("event queue is empty") from None
         self._now = when
-        if self.probe is not None:
-            self.probe.on_step(when)
+        probe = self.probe
+        if probe is not None:
+            probe.on_step(when)
 
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:  # pragma: no cover - defensive

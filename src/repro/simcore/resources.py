@@ -125,7 +125,11 @@ class Store:
             accepts = request.filter
             if accepts is None or accepts(item):
                 del waiters[idx]
-                _retire(request)
+                # _retire, inline: this runs once per delivered message.
+                deadline = request.deadline
+                if deadline is not None:
+                    request.deadline = deadline.request = None
+                    deadline.cancelled = True
                 request.succeed(item)
                 return
         items.append(item)

@@ -103,6 +103,37 @@ class TestRestartCost:
             assert cells == pytest.approx(committed[startup], rel=1e-6)
 
 
+def test_a_killed_job_is_billed_after_its_site_forgets_it():
+    """A job that started and was cancelled stays in the waste sum after
+    its gatekeeper's retention window drops it from ``job_managers``."""
+    from repro.gram.gatekeeper import FINISHED_JOB_RETENTION
+    from repro.gram.states import JobState
+    from repro.gridenv import GridBuilder
+
+    def sleeper(ctx):
+        yield ctx.env.timeout(1e7)
+
+    grid = GridBuilder(seed=42).add_machine("RM1", nodes=4).program("sleeper", sleeper).build()
+    site = grid.site("RM1")
+    client = grid.gram_client()
+    text = f"&(resourceManagerContact={site.contact})(count=3)(executable=sleeper)"
+
+    def scenario(env):
+        handle = yield from client.submit(site.contact, text)
+        yield env.timeout(100.0)
+        yield from client.cancel(handle)
+        job = site.gatekeeper.job_managers[handle.job_id].job
+        yield env.timeout(FINISHED_JOB_RETENTION + 1.0)
+        yield from client.submit(site.contact, text)
+        return job
+
+    job = grid.run(grid.process(scenario(grid.env)))
+    assert job.job_id not in site.gatekeeper.job_managers  # forgotten
+    assert job.state is JobState.FAILED and job.active_at is not None
+    assert apps.wasted_node_seconds(grid) == 3 * (job.finished_at - job.active_at) > 0
+    grid.close()
+
+
 class TestReservations:
     @pytest.fixture(scope="class")
     def rows(self):

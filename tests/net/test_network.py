@@ -97,15 +97,19 @@ class TestDelivery:
         assert payload == {"n": 1}
         assert at == pytest.approx(0.002)
 
-    def test_send_to_unknown_host_raises(self, net):
-        port = _port(net, "alpha", "x")
-        with pytest.raises(NetworkError):
-            port.send(Endpoint("nowhere", "y"), "k")
+    def test_send_to_unknown_host_raises(self, env, net):
+        # The first unknown one is named, source before destination.
+        for src, dst, unknown in (("alpha", "nowhere", "nowhere"),
+                                  ("nowhere", "beta", "nowhere"), ("x", "y", "x")):
+            message = Message(Endpoint(src, "x"), Endpoint(dst, "y"), "k")
+            with pytest.raises(NetworkError, match=rf"^unknown host '{unknown}'$"):
+                net.send(message)
+        assert net.sent_count == 0 and len(env.queue) == 0
 
     def test_send_from_dead_host_raises(self, net):
         port = _port(net, "alpha", "x")
         net.crash_host("alpha")
-        with pytest.raises(HostDown):
+        with pytest.raises(HostDown, match=r"^source host 'alpha' is down$"):
             port.send(Endpoint("beta", "y"), "k")
 
     def test_send_to_dead_host_is_silently_lost(self, env, net):
@@ -288,7 +292,7 @@ class TestEndpointRetention:
         from repro.net.transport import ephemeral_endpoint
 
         with pytest.raises(ValueError):
-            ephemeral_endpoint("alpha").intern()
+            ephemeral_endpoint(Network(Environment()), "alpha").intern()
         with pytest.raises(ValueError):
             Endpoint("alpha", "tmp.7").intern()
 

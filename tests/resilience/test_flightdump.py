@@ -104,3 +104,11 @@ class TestDeterminism:
         assert dump_a == PINNED_DUMP.read_bytes()
         assert report_a == report_b
         assert b"fault.apply:HostCrash:RM3" in dump_a
+
+    def test_a_dump_does_not_depend_on_what_ran_earlier(self, tmp_path):
+        """Reply ports and GSI sessions are numbered per world, so the
+        pinned dump comes out of a process that already ran a world."""
+        run_trial(_campaign("message_loss"), 7)
+        run_campaigns(seed=42, trials=1, names=["crash"], flightrec=True,
+                      dump_dir=str(tmp_path))
+        assert (tmp_path / "crash_42.json").read_bytes() == PINNED_DUMP.read_bytes()
