@@ -8,6 +8,7 @@ budget below pins its length exactly; the other tests pin what the
 path must still do: the same delays, and the same errors and drops.
 """
 
+import gc
 import sys
 
 import pytest
@@ -59,11 +60,20 @@ def test_the_echo_load_makes_a_fixed_number_of_calls():
         if event in counts:
             counts[event] += 1
 
+    # A cycle collection during the run would call whatever Python
+    # callbacks earlier code left in ``gc.callbacks`` (hypothesis leaves
+    # one that times each collection), and whether one falls inside the
+    # run depends on what allocated before it.  The load makes no
+    # cycles, so it runs with the collector paused.
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         network.env.run()
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     assert replies == [list(range(CALLS))] * CLIENTS
     assert network.sent_count == 2 * CLIENTS * CALLS
     # Python frames (generator resumes included) and builtin calls for
