@@ -8,7 +8,6 @@ simulated processes (``yield from client.submit(...)``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
@@ -31,8 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
 
     from repro.simcore.environment import Environment
-
-_client_seq = itertools.count(1)
 
 #: Transient submit failures: a lost reply, a dead peer that may come
 #: back, or a GSI handshake that never completed.
@@ -210,7 +207,7 @@ class GramClient:
         """
         dst = contact_endpoint(contact)
         rsl_text = rsl if isinstance(rsl, str) else unparse(rsl)
-        submission_id = f"{self.host}/sub{next(_client_seq)}"
+        submission_id = f"{self.host}/sub{next(self.network.submission_ids)}"
         policy = retry if retry is not None else self.retry
         span = self.tracer.span("gram.submit", parent=ctx, contact=contact)
 

@@ -2,19 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.gram.states import JobState, check_transition
 from repro.net.address import Endpoint
-
-_job_seq = itertools.count(1)
-
-
-def new_job_id(site: str) -> str:
-    """Globally unique job identifier, prefixed by the site name."""
-    return f"{site}/job{next(_job_seq)}"
 
 
 @dataclass

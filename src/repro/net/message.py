@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from repro.net.address import Endpoint
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import Network
     from repro.simcore.tracing import TraceContext
 
 _msg_ids = itertools.count(1)
@@ -24,7 +25,20 @@ class Message:
     ``corr_id`` support request/response correlation in the RPC layer.
     ``trace_ctx`` carries the sender's trace context so the receiver can
     parent its spans causally (see ``repro.simcore.tracing``).
+
+    A message in flight is its own kernel event: :meth:`Network.send
+    <repro.net.network.Network.send>` sets ``network`` and
+    ``callbacks`` and schedules the envelope, and the kernel hands it
+    to the delivery callback, which clears ``network`` again.  Nothing
+    waits on a delivery, so the event flags are constants of the
+    class; ``callbacks`` is None except while the message is in flight.
     """
+
+    #: The kernel's event flags: a delivery is never cancelled and
+    #: never fails.
+    cancelled: ClassVar[bool] = False
+    _ok: ClassVar[bool] = True
+    _defused: ClassVar[bool] = False
 
     src: Endpoint
     dst: Endpoint
@@ -37,6 +51,12 @@ class Message:
     sent_at: float | None = None
     delivered_at: float | None = None
     trace_ctx: "TraceContext | None" = None
+    #: The delivery callbacks while in flight (else None).
+    callbacks: "tuple[Callable[[Message], None], ...] | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: The network delivering the message while in flight (else None).
+    network: "Network | None" = field(default=None, init=False, repr=False, compare=False)
 
     def reply(self, kind: str, payload: Any = None) -> "Message":
         """Build a response message correlated with this request."""

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.errors import HostDown, NetworkError, SimulationError
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.simcore.events import NORMAL, Timeout
+from repro.simcore.events import NORMAL
 from repro.simcore.metrics import NULL_METRICS
 from repro.simcore.resources import Store
 from repro.simcore.rng import jittered
@@ -110,7 +110,7 @@ class LatencyModel:
 class KindSeries:
     """Every series labelled with one message kind, resolved once.
 
-    ``send``/``_deliver_message`` write the first two per message and
+    ``send``/``_deliver`` write the first two per message and
     :func:`repro.net.rpc.call` the rest per call; a kind that is never
     an RPC never asks for the ``rpc.*`` instruments.
     """
@@ -125,38 +125,18 @@ class KindSeries:
         self.rpc_latency = metrics.bind("histogram", "rpc.latency_seconds", kind=kind)
 
 
-class _Delivery(Timeout):
-    """Kernel timer of one message in flight; its value is the message.
-
-    No caller ever waits on one, so every delivery shares one callbacks
-    tuple, and the network rides in a slot rather than in a bound
-    method per message.  :meth:`Network.send` schedules it; the
-    kernel's ``schedule`` refuses a negative or NaN delay.
-    """
-
-    __slots__ = ("network",)
-
-    def __init__(self, network: "Network", delay: float, message: Message) -> None:
-        self.env = network.env
-        self.callbacks = _DELIVER  # type: ignore[assignment]  # never appended to
-        self._value = message
-        self._ok = True
-        self._defused = False
-        self.cancelled = False
-        self.delay = delay
-        self.network = network
-
-
-def _deliver(delivery: _Delivery) -> None:
+def _deliver(message: Message) -> None:
     """The message reaches its mailbox, or is dropped.
 
     Reachability is evaluated at delivery time so that a partition or
     crash occurring mid-flight loses the message.  This is the only
-    delivery: the kernel calls it when the timer fires, and
-    :meth:`Network._deliver_message` calls it at once.
+    delivery: the kernel calls it when the message's own event comes
+    due, and :meth:`Network._deliver_message` calls it at once.  The
+    message lets go of its network first, so one that was delivered,
+    dropped or left in a mailbox forms no reference cycle.
     """
-    network = delivery.network
-    message = delivery._value
+    network: Network = message.network  # type: ignore[assignment]  # set by send
+    message.network = None
     if (network._down or network._partitions) and not network._reachable(
         message.src.host, message.dst.host
     ):
@@ -182,15 +162,15 @@ def _deliver(delivery: _Delivery) -> None:
     box.put(message)
 
 
-#: The callbacks of every :class:`_Delivery`.
+#: The callbacks of every message in flight.
 _DELIVER = (_deliver,)
 
 
 class Network:
     """Hosts, mailboxes, and message delivery.
 
-    Every ``send()`` schedules its own kernel event: exactly one event
-    per in-flight message.
+    Every ``send()`` schedules the message itself as a kernel event:
+    exactly one event per in-flight message.
     """
 
     def __init__(
@@ -219,11 +199,13 @@ class Network:
         #: Drop rules: callables deciding whether to drop a message.
         self._drop_rules: list[Callable[[Message], bool]] = []
         #: Per-world numbering of ephemeral reply ports
-        #: (:func:`repro.net.transport.ephemeral_endpoint`) and of GSI
-        #: sessions (:mod:`repro.gsi.auth`): a run names them alike
-        #: whatever ran earlier in its process.
+        #: (:func:`repro.net.transport.ephemeral_endpoint`), of GSI
+        #: sessions (:mod:`repro.gsi.auth`) and of GRAM submissions
+        #: (:meth:`repro.gram.client.GramClient.submit`): a run names
+        #: them alike whatever ran earlier in its process.
         self.port_ids = itertools.count(1)
         self.session_ids = itertools.count(1)
+        self.submission_ids = itertools.count(1)
         #: Counters for observability.
         self.sent_count = 0
         self.delivered_count = 0
@@ -338,8 +320,11 @@ class Network:
         cannot act); sending *to* a dead/partitioned/unbound endpoint
         silently loses the message, exactly as a real datagram would.
         Reliability on top of this (timeouts, retries) is the RPC
-        layer's job.
+        layer's job.  A message still in flight is its own pending
+        kernel event, so sending it again raises :class:`NetworkError`.
         """
+        if message.callbacks is not None:
+            raise NetworkError(f"{message!r} is already in flight")
         src_host = message.src.host
         dst_host = message.dst.host
         hosts = self._hosts
@@ -370,11 +355,16 @@ class Network:
             return
 
         delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
-        env.schedule(_Delivery(self, delay, message), NORMAL, delay)
+        message.network = self
+        message.callbacks = _DELIVER  # never appended to
+        env.schedule(message, NORMAL, delay)  # type: ignore[arg-type]  # an event in all but name
 
     def _deliver_message(self, message: Message) -> None:
-        """Deliver ``message`` now, exactly as its delivery timer does."""
-        _deliver(_Delivery(self, 0.0, message))
+        """Deliver ``message`` now, exactly as its own event does."""
+        if message.callbacks is not None:
+            raise NetworkError(f"{message!r} is already in flight")
+        message.network = self
+        _deliver(message)
 
     def kind_series(self, kind: str) -> "KindSeries":
         """The metering handles of one message kind, bound at first sight."""

@@ -59,7 +59,8 @@ def call(
         started = env.now
         series = network.kind_series(kind)
         series.rpc_calls.inc()
-    port.send(dst, kind, payload, reply_to=port.endpoint, corr_id=corr, ctx=ctx)
+    endpoint = port.endpoint
+    network.send(Message(endpoint, dst, kind, payload, endpoint, corr, trace_ctx=ctx))
 
     message: Message = yield port.mailbox.get(lambda m: m.corr_id == corr, timeout)
     if message is TIMED_OUT:
@@ -81,9 +82,18 @@ def call(
 
 def reply_ok(port: Port, request: Message, payload: Any = None) -> None:
     """Send the success reply for ``request``."""
-    port.send_message(request.reply(request.kind + REPLY_SUFFIX, payload))
+    reply = request.reply(request.kind + REPLY_SUFFIX, payload)
+    # A request received on this port already names it as the source.
+    if reply.src is port.endpoint:
+        port.network.send(reply)
+    else:
+        port.send_message(reply)
 
 
 def reply_error(port: Port, request: Message, payload: Any = None) -> None:
     """Send the failure reply for ``request``."""
-    port.send_message(request.reply(request.kind + ".error", payload))
+    reply = request.reply(request.kind + ".error", payload)
+    if reply.src is port.endpoint:
+        port.network.send(reply)
+    else:
+        port.send_message(reply)

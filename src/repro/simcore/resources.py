@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.errors import SimulationError
 from repro.simcore.events import NORMAL, PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,36 +102,38 @@ class Store:
     it saves (DESIGN.md §7, "A mailbox is two lists").
     """
 
-    __slots__ = ("env", "capacity", "items", "_waiters")
+    __slots__ = ("env", "items", "_waiters")
 
-    def __init__(self, env: "Environment", capacity: float = float("inf")) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
         self.items: list[Any] = []
         self._waiters: list[StoreGet] = []
 
     def put(self, item: Any) -> None:
-        """Add an item (never blocks; overflow is an error).
+        """Add an item (never blocks; a store is unbounded).
 
         The first waiter in FIFO order that accepts the item gets it;
         it is queued only if none does.
         """
-        items = self.items
-        if len(items) >= self.capacity:
-            raise SimulationError("store overflow")
         waiters = self._waiters
-        for idx, request in enumerate(waiters):
+        # Indexed by hand: most mailboxes hold one waiter or none, and
+        # there an enumerate object per put costs more than the scan.
+        idx = 0
+        for request in waiters:
             accepts = request.filter
             if accepts is None or accepts(item):
                 del waiters[idx]
-                # _retire, inline: this runs once per delivered message.
+                # _retire and Event.succeed, inline: this runs once per
+                # delivered message, and a queued request is pending.
                 deadline = request.deadline
                 if deadline is not None:
                     request.deadline = deadline.request = None
                     deadline.cancelled = True
-                request.succeed(item)
+                request._value = item
+                self.env.schedule(request, NORMAL, 0.0)
                 return
-        items.append(item)
+            idx += 1
+        self.items.append(item)
 
     def get(
         self,
@@ -165,16 +166,20 @@ class Store:
         items = self.items
         accepts = request.filter
         if accepts is None:
-            if items:
-                request.succeed(items.pop(0))
-                return True
-            return False
-        for idx, item in enumerate(items):
-            if accepts(item):
-                del items[idx]
-                request.succeed(item)
-                return True
-        return False
+            if not items:
+                return False
+            item = items.pop(0)
+        else:
+            for idx, item in enumerate(items):
+                if accepts(item):
+                    del items[idx]
+                    break
+            else:
+                return False
+        # Event.succeed, inline: the request ``get`` just made is pending.
+        request._value = item
+        self.env.schedule(request, NORMAL, 0.0)
+        return True
 
     def __len__(self) -> int:
         return len(self.items)

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.errors import GramError
-from repro.gram import CallbackListener, JobState, Site
-from repro.gsi import initiate
+from repro.gram import CallbackListener, GramClient, JobState, Site
+from repro.gsi import CertificateAuthority, initiate
 from repro.net import Endpoint, Network, Port
 from repro.simcore import Environment, Tracer
 from tests.metric_reads import value
 
-from .conftest import rsl_for
+from .conftest import rsl_for, sleeper_program
 
 
 def drive(env, gen):
@@ -26,6 +26,26 @@ class TestSubmit:
         handle = drive(env, scenario(env))
         assert handle.job_id.startswith("origin/")
         assert handle.manager.host == "origin"
+
+    def test_submissions_are_numbered_per_world(self):
+        """Two identical worlds built in one process give their first
+        submits the same ``submission_id``, whatever ran before."""
+
+        def first_submission_id():
+            env = Environment()
+            net = Network(env)
+            net.add_host("workstation")
+            ca = CertificateAuthority()
+            site = Site(env, net, "origin", nodes=4, ca=ca,
+                        programs={"quick": sleeper_program(0.0)})
+            site.authorize("alice")
+            client = GramClient(net, "workstation", ca.issue("alice"))
+            handle = drive(env, client.submit(
+                site.contact, rsl_for(site.contact, executable="quick")
+            ))
+            return site.gatekeeper.job_managers[handle.job_id].job.submission_id
+
+        assert first_submission_id() == first_submission_id() == "workstation/sub1"
 
     def test_submit_latency_matches_cost_model(self, env, site, client):
         """Submit spans auth (0.5) + misc (0.01) + initgroups (0.7)."""

@@ -28,6 +28,7 @@ from repro.core import CoAllocationRequest
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.machine.host import Machine, ProcessContext
 from repro.net import network as network_module
+from repro.net.message import Message
 from repro.simcore import Tracer, resources
 from repro.simcore.tracing import Span
 
@@ -148,10 +149,11 @@ def test_every_message_in_flight_shares_the_delivery_callbacks():
     deliveries = [
         entry[3]
         for entry in grid.env._heap
-        if type(entry[3]) is network_module._Delivery
+        if type(entry[3]) is Message
     ]
     assert deliveries
-    assert all(t.callbacks is network_module._DELIVER for t in deliveries)
+    assert all(m.callbacks is network_module._DELIVER for m in deliveries)
+    assert all(m.network is grid.network for m in deliveries)
     grid.close()
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.simcore import Environment, Store
 
 
@@ -79,12 +78,6 @@ class TestStore:
         env.run()
         assert ("easy", "other", 1.0) in got
         assert ("picky", "wanted", 2.0) in got
-
-    def test_capacity_overflow(self, env):
-        store = Store(env, capacity=1)
-        store.put(1)
-        with pytest.raises(SimulationError):
-            store.put(2)
 
     def test_len(self, env):
         store = Store(env)

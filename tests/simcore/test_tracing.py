@@ -6,7 +6,7 @@ import pytest
 from repro.machine.host import ProcessContext
 from repro.net.address import Endpoint
 from repro.net.message import Message
-from repro.net.network import KindSeries, _Delivery
+from repro.net.network import KindSeries
 from repro.net.transport import Port
 from repro.simcore import (
     Environment,
@@ -36,7 +36,7 @@ PER_EVENT_CLASSES = (
     Event, Timeout, AllOf,
     Initialize, _InterruptEvent, Process,
     StoreGet, _Deadline,
-    Message, Endpoint, KindSeries, _Delivery,
+    Message, Endpoint, KindSeries,
     Span, Mark, TraceContext, _OpenSpan, _NullSpan,
     BoundCounter, BoundGauge, BoundHistogram, BoundRate, _HistogramSeries,
 )
