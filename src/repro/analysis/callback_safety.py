@@ -37,7 +37,7 @@ GENERATOR_BLOCKERS = frozenset({"wait", "wait_done", "commit"})
 REGISTRATION_ATTRS = {"on": 1, "set_interactive_handler": 0}
 
 #: Attributes that count as an unregistration path.
-UNREGISTER_ATTRS = frozenset({"off", "remove", "unregister", "unregister_callback"})
+UNREGISTER_ATTRS = frozenset({"off", "remove", "unregister"})
 
 HandlerNode = Union[ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef]
 _MAX_DEPTH = 5

@@ -20,20 +20,6 @@ from repro.analysis.framework import Checker, Finding, Module, Rule, Severity, d
 EXEMPT_SUFFIXES = ("repro/simcore/rng.py",)
 
 
-def is_deprecation_shim(module: Module) -> bool:
-    """True for deprecated re-export shims kept only for compatibility.
-
-    A shim declares itself deprecated in its module docstring and emits
-    ``DeprecationWarning`` at use; its imports exist purely to forward
-    old names to their new home, so the determinism lints would only
-    flag code that is already scheduled for deletion and unreachable
-    without a warning.  (The tree currently ships no such shims — the
-    last ones, the pre-facade fault helpers, finished their cycle —
-    but the exemption stays for the next deprecation.)
-    """
-    doc = ast.get_docstring(module.tree) or ""
-    return "deprecated" in doc.lower() and "DeprecationWarning" in module.source
-
 #: Two-segment dotted suffixes that read the wall clock or OS entropy.
 WALLCLOCK_CALLS = {
     "time.time",
@@ -121,8 +107,6 @@ class DeterminismChecker(Checker):
     def check(self, module: Module) -> Iterator[Finding]:
         posix = module.path.replace("\\", "/")
         if any(posix.endswith(suffix) for suffix in EXEMPT_SUFFIXES):
-            return
-        if is_deprecation_shim(module):
             return
         aliases = import_aliases(module.tree)
         for node in ast.walk(module.tree):

@@ -92,7 +92,7 @@ class AtomicAgent:
         site_name = spec.contact.split(":")[0]
         blamed.add(site_name)
         candidates = self.directory.select(
-            spec.count, k=1, max_time=spec.max_time,
+            spec.count, k=1,
             exclude=blamed | {s.contact.split(":")[0] for s in request},
         )
         if not candidates:

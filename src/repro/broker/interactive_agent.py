@@ -94,8 +94,7 @@ class InteractiveAgent:
         if self.directory is not None:
             used_sites = {c.split(":")[0] for c in used}
             names = self.directory.select(
-                slot.spec.count, k=1, max_time=slot.spec.max_time,
-                exclude=used_sites,
+                slot.spec.count, k=1, exclude=used_sites
             )
             if names:
                 return self.directory.lookup(names[0]).contact

@@ -69,8 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.simcore.environment import Environment
 
-_slot_ids = itertools.count(1)
-
 #: How a request's root span closes: the ``outcome`` label of
 #: ``duroc.requests_total``.
 REQUEST_OUTCOMES = ("released", "aborted", "killed")
@@ -86,10 +84,11 @@ WAITING = (SubjobState.PENDING, SubjobState.SUBMITTING, SubjobState.SUBMITTED)
 class SubjobSlot:
     """One live entry of the co-allocation's subjob table."""
 
-    def __init__(self, index: int, spec: SubjobSpec, now: float) -> None:
+    def __init__(self, index: int, slot_id: int, spec: SubjobSpec, now: float) -> None:
         self.index = index
         self.spec = spec
-        self.slot_id = next(_slot_ids)
+        #: Numbered per world (:attr:`repro.net.network.Network.slot_ids`).
+        self.slot_id = slot_id
         self.state = SubjobState.PENDING
         self.created_at = now
         self.submit_started_at: Optional[float] = None
@@ -213,7 +212,9 @@ class DurocJob:
             raise RequestStateError(
                 f"cannot edit request in state {self.state.value}"
             )
-        slot = SubjobSlot(len(self.slots), spec, self.env.now)
+        slot = SubjobSlot(
+            len(self.slots), next(self.duroc.network.slot_ids), spec, self.env.now
+        )
         self.slots.append(slot)
         self._slot_by_id[slot.slot_id] = slot
         self.barrier.open_table(slot.slot_id, spec.count)

@@ -21,7 +21,7 @@ layer (:mod:`repro.mpi`) is built purely on this interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.net.address import Endpoint
@@ -121,22 +121,3 @@ class DurocConfig:
             raise ConfigurationError(
                 f"subjob {subjob} out of range 0..{self.n_subjobs - 1}"
             )
-
-    # -- wire format -----------------------------------------------------------
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "sizes": self.sizes,
-            "my_subjob": self.my_subjob,
-            "my_rank": self.my_rank,
-            "addresses": dict(self.addresses),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "DurocConfig":
-        return cls(
-            sizes=tuple(payload["sizes"]),
-            my_subjob=int(payload["my_subjob"]),
-            my_rank=int(payload["my_rank"]),
-            addresses=dict(payload["addresses"]),
-        )

@@ -174,23 +174,15 @@ class SubjobSpec:
 
 
 class CoAllocationRequest:
-    """An ordered, incrementally constructed set of subjob specs."""
+    """An ordered set of subjob specs."""
 
     def __init__(self, subjobs: Optional[list[SubjobSpec]] = None) -> None:
         self.subjobs: list[SubjobSpec] = list(subjobs or [])
 
-    # -- incremental construction (pre-submission) ---------------------------
-
-    def add(self, spec: SubjobSpec) -> int:
-        """Append a subjob; returns its index."""
-        self.subjobs.append(spec)
-        return len(self.subjobs) - 1
-
-    def delete(self, index: int) -> SubjobSpec:
-        self._check(index)
-        return self.subjobs.pop(index)
+    # -- edits before submission ----------------------------------------------
 
     def substitute(self, index: int, spec: SubjobSpec) -> SubjobSpec:
+        """Replace the subjob at ``index``; returns the old spec."""
         self._check(index)
         old, self.subjobs[index] = self.subjobs[index], spec
         return old

@@ -141,9 +141,7 @@ def run_forecast_experiment(
             directory = Directory(grid.env, refresh_interval=refresh)
             for site in grid.sites.values():
                 directory.register(site)
-            return lambda: directory.select(
-                count=JOB_NODES, k=2, max_time=JOB_DURATION * 2
-            )
+            return lambda: directory.select(count=JOB_NODES, k=2)
 
         rows.append(averaged(f"refresh={refresh:g}s", make_pick))
 

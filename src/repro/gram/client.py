@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from repro.errors import AuthTimeout, GramError, HostDown, RPCTimeout
 from repro.gram.gatekeeper import GATEKEEPER_PORT, SUBMIT
-from repro.gram.jobmanager import CALLBACK, CANCEL, REGISTER, STATUS, UNREGISTER
+from repro.gram.jobmanager import CALLBACK, CANCEL, STATUS
 from repro.gram.states import JobState
 from repro.gsi.auth import AuthConfig, initiate
 from repro.gsi.credentials import Credential
@@ -44,7 +44,7 @@ class JobHandle:
     #: The job manager's identity and callback source; nothing listens there.
     manager: Endpoint
     #: The gatekeeper that issued the job, as ``submit`` resolved it:
-    #: where every status/cancel/(un)register for the job is sent.
+    #: where every status and cancel for the job is sent.
     gatekeeper: Endpoint
     state: JobState = JobState.PENDING
     failure_reason: Optional[str] = None
@@ -160,22 +160,6 @@ class GramClient:
             return (yield from call(port, gatekeeper, kind, payload=payload, timeout=timeout))
         finally:
             port.close()
-
-    def _control(self, handle: JobHandle, kind: str, timeout: Optional[float], **fields: Any):
-        """A job-control RPC to the job's gatekeeper: updates and returns the
-        handle's state; :class:`GramError` if the gatekeeper refuses it."""
-        try:
-            payload = yield from self._call(
-                handle.gatekeeper, kind, {"job_id": handle.job_id, **fields}, timeout
-            )
-        except RPCError as exc:
-            raise GramError(
-                f"{kind} for {handle.job_id} refused: {exc.payload}",
-                contact=str(handle.gatekeeper),
-                payload=exc.payload,
-            ) from None
-        handle.update(payload["state"], payload.get("reason"), self.env.now)
-        return handle.state
 
     # -- API --------------------------------------------------------------
 
@@ -320,35 +304,27 @@ class GramClient:
         return states
 
     def cancel(self, handle: JobHandle, timeout: Optional[float] = None):
-        """Cancel the job (idempotent); returns the resulting state."""
+        """Cancel the job (idempotent); returns the resulting state.
+
+        The job's gatekeeper answers with the job's status; a job it
+        does not know is a :class:`GramError`.
+        """
         try:
-            return (yield from self._control(handle, CANCEL, timeout))
+            payload = yield from self._call(
+                handle.gatekeeper, CANCEL, {"job_id": handle.job_id}, timeout
+            )
         except RPCTimeout:
             # The site may be dead; locally mark what we know.
             handle.update(JobState.FAILED, "cancel timed out", self.env.now)
             raise
-
-    def register_callback(
-        self,
-        handle: JobHandle,
-        endpoint: Endpoint,
-        timeout: Optional[float] = None,
-    ):
-        """Register a(nother) callback listener on a running job.
-
-        Mirrors GRAM's callback-register operation: monitoring can be
-        attached after submission (e.g. by a second tool).
-        """
-        return self._control(handle, REGISTER, timeout, endpoint=endpoint)
-
-    def unregister_callback(
-        self,
-        handle: JobHandle,
-        endpoint: Endpoint,
-        timeout: Optional[float] = None,
-    ):
-        """Remove a previously registered callback listener."""
-        return self._control(handle, UNREGISTER, timeout, endpoint=endpoint)
+        except RPCError as exc:
+            raise GramError(
+                f"{CANCEL} for {handle.job_id} refused: {exc.payload}",
+                contact=str(handle.gatekeeper),
+                payload=exc.payload,
+            ) from None
+        handle.update(payload["state"], payload.get("reason"), self.env.now)
+        return handle.state
 
     def wait_for_state(
         self,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import AuthenticationError, HostDown, RSLError
 from repro.gram.costs import CostModel
 from repro.gram.job import Job
-from repro.gram.jobmanager import CANCEL, REGISTER, STATUS, UNREGISTER, JobManager
+from repro.gram.jobmanager import CANCEL, STATUS, JobManager
 from repro.gram.states import JobState
 from repro.gsi.auth import HELLO, accept
 from repro.gsi.credentials import CertificateAuthority
@@ -159,7 +159,7 @@ class Gatekeeper:
         return str(self.endpoint)
 
     def _listen(self):
-        served = (HELLO, PING, STATUS, CANCEL, REGISTER, UNREGISTER)
+        served = (HELLO, PING, STATUS, CANCEL)
         while True:
             message = yield self.port.recv(filter=lambda m: m.kind in served)
             try:
@@ -172,7 +172,7 @@ class Gatekeeper:
                 elif message.kind == STATUS:
                     self._reply_status(message)
                 else:
-                    self._control(message)
+                    self._cancel(message)
             except HostDown:
                 pass  # we died in this very instant; nothing more to say
 
@@ -196,28 +196,17 @@ class Gatekeeper:
                 states[job_id] = (manager.job.state, manager.job.failure_reason)
         reply_ok(self.port, message, payload=states)
 
-    def _control(self, message) -> None:
-        """Cancel a job or edit its callback list, in-process, and answer
-        with its status; a job not in the table (never issued, or past
-        its retention) is an error, not silence."""
+    def _cancel(self, message) -> None:
+        """Cancel a job in-process and answer with its status; a job not
+        in the table (never issued, or past its retention) is an error,
+        not silence."""
         payload = message.payload
         job_id = payload.get("job_id") if isinstance(payload, dict) else None
         manager = self.job_managers.get(job_id) if isinstance(job_id, str) else None
         if manager is None:
             reply_error(self.port, message, payload="unknown job")
             return
-        if message.kind == CANCEL:
-            manager.cancel("canceled by request")
-        else:
-            endpoint = payload.get("endpoint")
-            if not isinstance(endpoint, Endpoint):
-                reply_error(self.port, message, payload=f"{message.kind} needs an 'endpoint'")
-                return
-            listening = endpoint in manager.callbacks
-            if message.kind == REGISTER and not listening:
-                manager.callbacks.append(endpoint)
-            elif message.kind == UNREGISTER and listening:
-                manager.callbacks.remove(endpoint)
+        manager.cancel("canceled by request")
         reply_ok(self.port, message, payload=manager.status())
 
     def _handle(self, hello):

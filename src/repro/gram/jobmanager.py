@@ -4,9 +4,9 @@ One job manager is created per accepted request.  It owns the job's
 state machine: it obtains nodes from the local scheduler, forks the
 application processes on the machine and publishes state-change
 callbacks to the client.  It is an object, not a server: the site's
-gatekeeper answers status/cancel/(un)register messages and calls
-:meth:`JobManager.cancel` or edits :attr:`JobManager.callbacks` directly,
-so a job that has ended owns no process and no mailbox.
+gatekeeper answers status and cancel messages and calls
+:meth:`JobManager.cancel` directly, so a job that has ended owns no
+process and no mailbox.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 STATUS = "gram.status"
 CANCEL = "gram.cancel"
 CALLBACK = "gram.callback"
-REGISTER = "gram.register_callback"
-UNREGISTER = "gram.unregister_callback"
 
 
 class JobManager:
@@ -59,8 +57,8 @@ class JobManager:
         self.job = job
         self.program = program
         self.costs = costs
-        #: Callback listeners; more can be (un)registered at runtime.
-        self.callbacks: list[Endpoint] = [callback] if callback is not None else []
+        #: The one callback listener the submit named, or None.
+        self.callback = callback
         self.tracer = env.tracer
         #: The site's ``gram.job_transitions_total`` series by state:
         #: the gatekeeper resolves them once for all its job managers.
@@ -213,13 +211,15 @@ class JobManager:
             self._notify()
 
     def _notify(self) -> None:
-        """Send a state callback to every registered listener."""
-        send = self.machine.network.send
-        for endpoint in self.callbacks:
-            try:
-                send(Message(self.endpoint, endpoint, CALLBACK, self.status()))
-            except HostDown:
-                return  # our own machine died; nothing more to say
+        """Send a state callback to the listener the submit named."""
+        if self.callback is None:
+            return
+        try:
+            self.machine.network.send(
+                Message(self.endpoint, self.callback, CALLBACK, self.status())
+            )
+        except HostDown:
+            pass  # our own machine died; nothing more to say
 
     # -- control API (what the gatekeeper answers control messages with) --------
 

@@ -14,6 +14,7 @@ benchmark builds its world through this module.
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.applib import make_program
@@ -96,6 +97,9 @@ class Grid:
         #: Co-allocators built by :meth:`duroc`/:meth:`grab`, which
         #: :meth:`close` closes.
         self._coallocators: list["Duroc | Grab"] = []
+        #: Per-world numbering of the programs :func:`repro.mpi.mpiexec`
+        #: registers (``mpi_app1``, ``mpi_app2``, ...).
+        self.mpi_apps = itertools.count(1)
 
     # -- accessors -------------------------------------------------------------
 
@@ -181,7 +185,6 @@ class GridBuilder:
         self,
         seed: int = 0,
         latency: float = 0.002,
-        latency_jitter_cv: float = 0.0,
         costs: Optional[CostModel] = None,
         user: str = "alice",
         client_host: str = CLIENT_HOST,
@@ -189,7 +192,6 @@ class GridBuilder:
     ) -> None:
         self.seed = seed
         self.latency = latency
-        self.latency_jitter_cv = latency_jitter_cv
         self.costs = costs or CostModel()
         self.user = user
         self.client_host = client_host
@@ -309,11 +311,7 @@ class GridBuilder:
                 (p for p in probes if isinstance(p, FlightRecorder)), None
             )
         rngs = RngRegistry(self.seed)
-        latency_model = LatencyModel(
-            base=self.latency,
-            jitter_cv=self.latency_jitter_cv,
-            rng=rngs.stream("net.latency") if self.latency_jitter_cv else None,
-        )
+        latency_model = LatencyModel(base=self.latency)
         # Before any component is built: each reads env.tracer once.
         if self.trace:
             env.tracer = Tracer(env)

@@ -10,10 +10,8 @@ verifies it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-_serials = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -28,7 +26,9 @@ class Credential:
     subject: str
     issuer: str
     not_after: Optional[float] = None
-    serial: int = field(default_factory=lambda: next(_serials))
+    #: Numbered by the issuing :class:`CertificateAuthority`; a proxy
+    #: carries the serial of the credential it was delegated from.
+    serial: int = 0
     #: Chain depth: 0 = end-entity certificate, >0 = proxy levels.
     depth: int = 0
 
@@ -46,6 +46,7 @@ class Credential:
             subject=f"{self.subject}/proxy",
             issuer=self.subject,
             not_after=not_after,
+            serial=self.serial,
             depth=self.depth + 1,
         )
 
@@ -62,12 +63,16 @@ class CertificateAuthority:
         self.name = name
         self._issued: dict[str, Credential] = {}
         self._revoked: set[int] = set()
+        self._serials = itertools.count(1)
 
     def issue(self, subject: str, lifetime: Optional[float] = None,
               now: float = 0.0) -> Credential:
         """Issue (or re-issue) a credential for ``subject``."""
         not_after = None if lifetime is None else now + lifetime
-        cred = Credential(subject=subject, issuer=self.name, not_after=not_after)
+        cred = Credential(
+            subject=subject, issuer=self.name, not_after=not_after,
+            serial=next(self._serials),
+        )
         self._issued[subject] = cred
         return cred
 

@@ -14,7 +14,6 @@ them, and dying wholesale.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -30,8 +29,6 @@ from repro.simcore.tracing import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
-
-_pids = itertools.count(1000)
 
 
 def _is_count(value: Any) -> bool:
@@ -153,7 +150,7 @@ class Machine:
             params = _NO_PARAMS
         elif type(params) is not MappingProxyType:
             params = MappingProxyType(dict(params))
-        pid = next(_pids)
+        pid = next(self.network.pids)
         context = ProcessContext(
             env=self.env,
             machine=self,

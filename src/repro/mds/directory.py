@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ReproError
 from repro.gram.site import Site
-from repro.schedulers.prediction import PlanBasedPredictor, WaitPredictor
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
@@ -51,7 +50,6 @@ class Directory:
         self.env = env
         self.refresh_interval = refresh_interval
         self._sites: dict[str, Site] = {}
-        self._predictors: dict[str, WaitPredictor] = {}
         self._snapshots: dict[str, ResourceInfo] = {}
         #: (site, count) -> (forecast, computed_at); forecasts go stale
         #: on the same refresh schedule as snapshots.
@@ -59,9 +57,8 @@ class Directory:
 
     # -- registration --------------------------------------------------------
 
-    def register(self, site: Site, predictor: Optional[WaitPredictor] = None) -> None:
+    def register(self, site: Site) -> None:
         self._sites[site.name] = site
-        self._predictors[site.name] = predictor or PlanBasedPredictor(site.scheduler)
 
     def names(self) -> list[str]:
         return sorted(self._sites)
@@ -92,40 +89,33 @@ class Directory:
         self._snapshots[name] = info
         return info
 
-    def predicted_wait(
-        self,
-        name: str,
-        count: int,
-        max_time: Optional[float] = None,
-        fresh: bool = False,
-    ) -> float:
+    def predicted_wait(self, name: str, count: int) -> float:
         """Forecast queue wait at a site for a hypothetical request.
 
+        The forecast is the site scheduler's own ``estimate_wait``.
         Published forecasts age like snapshots: a cached value is served
         until ``refresh_interval`` elapses — the §2.2 point that such
         strategies only work "if there is a minimum period of time over
-        which load information remains valid".  Pass ``fresh=True`` to
-        bypass the cache (an oracle, for experiments).
+        which load information remains valid".  ``refresh_interval=0``
+        is the oracle that always asks the scheduler.
         """
-        if name not in self._predictors:
+        site = self._sites.get(name)
+        if site is None:
             raise ReproError(f"site {name!r} not registered")
-        if fresh or self.refresh_interval == 0:
-            return self._predictors[name].predict(count, max_time)
+        if self.refresh_interval == 0:
+            return site.scheduler.estimate_wait(count)
         key = (name, count)
         cached = self._wait_cache.get(key)
         if cached is not None and self.env.now - cached[1] < self.refresh_interval:
             return cached[0]
-        value = self._predictors[name].predict(count, max_time)
+        value = site.scheduler.estimate_wait(count)
         self._wait_cache[key] = (value, self.env.now)
         return value
 
     # -- selection (broker support) -------------------------------------------
 
     def candidates(
-        self,
-        count: int,
-        max_time: Optional[float] = None,
-        exclude: Optional[set[str]] = None,
+        self, count: int, exclude: Optional[set[str]] = None
     ) -> list[tuple[str, float]]:
         """Sites able to hold ``count`` nodes, best predicted wait first.
 
@@ -140,16 +130,12 @@ class Directory:
             info = self.lookup(name)
             if info.nodes < count:
                 continue
-            ranked.append((name, self.predicted_wait(name, count, max_time)))
+            ranked.append((name, self.predicted_wait(name, count)))
         ranked.sort(key=lambda pair: (pair[1], pair[0]))
         return ranked
 
     def select(
-        self,
-        count: int,
-        k: int = 1,
-        max_time: Optional[float] = None,
-        exclude: Optional[set[str]] = None,
+        self, count: int, k: int = 1, exclude: Optional[set[str]] = None
     ) -> list[str]:
         """The ``k`` best sites for a ``count``-node subjob."""
-        return [name for name, _ in self.candidates(count, max_time, exclude)[:k]]
+        return [name for name, _ in self.candidates(count, exclude)[:k]]

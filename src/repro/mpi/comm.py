@@ -8,8 +8,9 @@ determine [their] own name (an integer 'rank'...), and establish a
 :class:`MiniComm` derives ranks and the address map entirely from the
 :class:`~repro.core.config.DurocConfig` delivered at barrier release —
 exactly the configuration mechanisms the paper defines — and offers the
-point-to-point and collective operations the examples/benchmarks need.
-All blocking operations are generators (``yield from comm.recv()``).
+collectives the examples and the start-up table use: ``bcast``,
+``gather``, ``reduce`` and ``allreduce``.  Each is a generator
+(``yield from comm.allreduce(1)``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from repro.net.transport import Port
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.metrics import BoundCounter
 
-#: Message kinds.
-PT2PT = "mpi.msg"
+#: The message kind of every collective's messages.
 COLLECTIVE = "mpi.coll"
 
 
@@ -41,56 +41,10 @@ class MiniComm:
         self.rank = config.global_rank()
         self.size = config.total_processes
         self.metrics = port.network.env.tracer.metrics
-        #: Operation ("pt2pt" or a collective phase) -> its
-        #: ``mpi.messages_total`` series, bound at the first such send.
+        #: Collective phase -> its ``mpi.messages_total`` series,
+        #: bound at the first such send.
         self._m_messages: "dict[str, BoundCounter]" = {}
         self._coll_seq = 0
-
-    # -- naming -----------------------------------------------------------
-
-    @property
-    def my_subjob(self) -> int:
-        return self.config.my_subjob
-
-    def address_of(self, rank: int):
-        return self.config.address_of_global(rank)
-
-    def _count_message(self, op: str) -> None:
-        series = self._m_messages.get(op)
-        if series is None:
-            # Code-bounded: "pt2pt" and the phase names the collectives
-            # below pass to _coll_send, all string literals.
-            series = self._m_messages[op] = (
-                self.metrics.bind("counter", "mpi.messages_total", op=op)
-            )
-        series.inc()
-
-    # -- point-to-point -----------------------------------------------------
-
-    def send(self, dest: int, data: Any, tag: int = 0) -> None:
-        """Asynchronous send to global rank ``dest``."""
-        self._check_rank(dest)
-        self._count_message("pt2pt")
-        self.port.send(
-            self.address_of(dest),
-            PT2PT,
-            payload={"src": self.rank, "tag": tag, "data": data},
-        )
-
-    def recv(self, source: Optional[int] = None, tag: Optional[int] = None):
-        """Generator: blocking receive; returns (source, data)."""
-
-        def match(m) -> bool:
-            if m.kind != PT2PT:
-                return False
-            if source is not None and m.payload["src"] != source:
-                return False
-            if tag is not None and m.payload["tag"] != tag:
-                return False
-            return True
-
-        message = yield self.port.recv(filter=match)
-        return message.payload["src"], message.payload["data"]
 
     # -- collectives ----------------------------------------------------------
     #
@@ -98,9 +52,15 @@ class MiniComm:
     # sequence number isolates consecutive operations from one another.
 
     def _coll_send(self, dest: int, seq: int, phase: str, data: Any) -> None:
-        self._count_message(phase)
+        series = self._m_messages.get(phase)
+        if series is None:
+            # Code-bounded: the phase names below are string literals.
+            series = self._m_messages[phase] = (
+                self.metrics.bind("counter", "mpi.messages_total", op=phase)
+            )
+        series.inc()
         self.port.send(
-            self.address_of(dest),
+            self.config.address_of_global(dest),
             COLLECTIVE,
             payload={"src": self.rank, "seq": seq, "phase": phase, "data": data},
         )
@@ -116,18 +76,6 @@ class MiniComm:
 
         message = yield self.port.recv(filter=match)
         return message.payload["src"], message.payload["data"]
-
-    def barrier(self):
-        """Generator: block until every rank has arrived."""
-        seq = self._next_seq()
-        if self.rank == 0:
-            for _ in range(self.size - 1):
-                yield from self._coll_recv(seq, "arrive")
-            for dest in range(1, self.size):
-                self._coll_send(dest, seq, "go", None)
-        else:
-            self._coll_send(0, seq, "arrive", None)
-            yield from self._coll_recv(seq, "go", source=0)
 
     def bcast(self, data: Any = None, root: int = 0):
         """Generator: broadcast ``data`` from ``root``; returns the value."""
@@ -157,28 +105,6 @@ class MiniComm:
         self._coll_send(root, seq, "gather", data)
         return None
 
-    def scatter(self, data: Optional[list] = None, root: int = 0):
-        """Generator: distribute ``data[i]`` to rank i; returns own item."""
-        self._check_rank(root)
-        seq = self._next_seq()
-        if self.rank == root:
-            if data is None or len(data) != self.size:
-                raise MPIError(
-                    f"scatter needs exactly {self.size} items at the root"
-                )
-            for dest in range(self.size):
-                if dest != root:
-                    self._coll_send(dest, seq, "scatter", data[dest])
-            return data[root]
-        _, value = yield from self._coll_recv(seq, "scatter", source=root)
-        return value
-
-    def allgather(self, data: Any):
-        """Generator: gather at 0, then broadcast the list."""
-        gathered = yield from self.gather(data, root=0)
-        result = yield from self.bcast(gathered, root=0)
-        return result
-
     def reduce(self, data: Any, op: Callable = sum, root: int = 0):
         """Generator: fold one value per rank at the root with ``op``.
 
@@ -205,4 +131,4 @@ class MiniComm:
             raise MPIError(f"rank {rank} out of range 0..{self.size - 1}")
 
     def __repr__(self) -> str:
-        return f"<MiniComm rank={self.rank}/{self.size} subjob={self.my_subjob}>"
+        return f"<MiniComm rank={self.rank}/{self.size} subjob={self.config.my_subjob}>"

@@ -16,7 +16,6 @@ failure".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Generator, Optional, Sequence
 
@@ -26,8 +25,6 @@ from repro.core.request import CoAllocationRequest, SubjobSpec, SubjobType
 from repro.gridenv import Grid
 from repro.machine.host import ProcessContext
 from repro.mpi.comm import MiniComm
-
-_mpi_apps = itertools.count(1)
 
 #: User entry point: a generator taking (ctx, comm).
 MpiMain = Callable[[ProcessContext, MiniComm], Generator]
@@ -64,7 +61,7 @@ def mpiexec(
     user's ``main`` never sees DUROC: rank, size, and wiring come from
     the configuration mechanisms via :class:`MiniComm`.
     """
-    executable = f"mpi_app{next(_mpi_apps)}"
+    executable = f"mpi_app{next(grid.mpi_apps)}"
 
     def body(ctx, port, config):
         comm = MiniComm(port, config)

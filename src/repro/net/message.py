@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
@@ -11,8 +10,6 @@ from repro.net.address import Endpoint
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.simcore.tracing import TraceContext
-
-_msg_ids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -46,8 +43,8 @@ class Message:
     payload: Any = None
     reply_to: Endpoint | None = None
     corr_id: int | None = None
-    size_bytes: int = 256
-    msg_id: int = field(default_factory=_msg_ids.__next__)
+    #: Numbered per world by the network that sends it (0 until sent).
+    msg_id: int = 0
     sent_at: float | None = None
     delivered_at: float | None = None
     trace_ctx: "TraceContext | None" = None

@@ -22,11 +22,8 @@ from repro.net.message import Message
 from repro.simcore.events import NORMAL
 from repro.simcore.metrics import NULL_METRICS
 from repro.simcore.resources import Store
-from repro.simcore.rng import jittered
 
 if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
     from repro.simcore.environment import Environment
     from repro.simcore.metrics import MetricsRegistry
 
@@ -43,35 +40,17 @@ DROP_REASONS = ("rule", "unreachable", "unbound")
 
 
 class LatencyModel:
-    """Pairwise one-way latency plus optional serialization delay.
+    """Pairwise one-way latency.
 
     ``base`` applies between distinct hosts unless a per-pair override
-    is installed; loopback uses ``local``.  ``jitter_cv`` adds gamma
-    jitter with the given coefficient of variation.  ``bandwidth``
-    (bytes/s, None = infinite) adds a size-dependent serialization term
-    — negligible for control messages at the defaults, but it lets
-    experiments model bulk transfers.
+    is installed (:class:`repro.faults.SlowLink` installs one for the
+    length of its window); loopback takes :data:`LOCAL_LATENCY`.
     """
 
-    def __init__(
-        self,
-        base: float = DEFAULT_LATENCY,
-        local: float = LOCAL_LATENCY,
-        jitter_cv: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-        bandwidth: Optional[float] = None,
-    ) -> None:
-        # Written as `not x >= 0`: NaN fails every comparison.
-        for name, value in (("base", base), ("local", local), ("jitter_cv", jitter_cv)):
-            if not value >= 0:
-                raise SimulationError(f"{name} must be >= 0, got {value!r}")
-        if bandwidth is not None and not bandwidth > 0:
-            raise SimulationError(f"bandwidth must be positive, got {bandwidth!r}")
+    def __init__(self, base: float = DEFAULT_LATENCY) -> None:
+        if not base >= 0:  # also refuses NaN
+            raise SimulationError(f"base must be >= 0, got {base!r}")
         self.base = float(base)
-        self.local = float(local)
-        self.jitter_cv = float(jitter_cv)
-        self.rng = rng
-        self.bandwidth = bandwidth
         self._overrides: dict[tuple[str, str], float] = {}
 
     def set_latency(self, host_a: str, host_b: str, latency: float) -> None:
@@ -91,20 +70,13 @@ class LatencyModel:
         self._overrides.pop((host_a, host_b), None)
         self._overrides.pop((host_b, host_a), None)
 
-    def latency(self, src: str, dst: str, size_bytes: int = 0) -> float:
-        """One-way delay for a ``size_bytes`` message from src to dst."""
+    def latency(self, src: str, dst: str) -> float:
+        """One-way delay for a message from src to dst."""
         if src == dst:
-            return self.local
-        # Runs once per message: no pair probe without an override and
-        # no draw without an rng.  Every mean was checked >= 0 where it
-        # was set, so skipping ``jittered`` returns the same float.
+            return LOCAL_LATENCY
+        # Runs once per message: no pair probe without an override.
         overrides = self._overrides
-        delay = overrides.get((src, dst), self.base) if overrides else self.base
-        if self.rng is not None:
-            delay = jittered(self.rng, delay, self.jitter_cv)
-        if self.bandwidth is not None and size_bytes > 0:
-            delay += size_bytes / self.bandwidth
-        return delay
+        return overrides.get((src, dst), self.base) if overrides else self.base
 
 
 class KindSeries:
@@ -198,14 +170,19 @@ class Network:
         self._partitions: dict[str, int] = {}
         #: Drop rules: callables deciding whether to drop a message.
         self._drop_rules: list[Callable[[Message], bool]] = []
-        #: Per-world numbering of ephemeral reply ports
-        #: (:func:`repro.net.transport.ephemeral_endpoint`), of GSI
-        #: sessions (:mod:`repro.gsi.auth`) and of GRAM submissions
-        #: (:meth:`repro.gram.client.GramClient.submit`): a run names
-        #: them alike whatever ran earlier in its process.
+        #: Per-world numbering of messages (:meth:`send`), ephemeral
+        #: reply ports (:func:`repro.net.transport.ephemeral_endpoint`),
+        #: GSI sessions (:mod:`repro.gsi.auth`), GRAM submissions
+        #: (:meth:`repro.gram.client.GramClient.submit`), process ids
+        #: (:meth:`repro.machine.host.Machine.spawn`) and co-allocation
+        #: slots (:meth:`repro.core.coallocator.DurocJob.add`): a run
+        #: names them alike whatever ran earlier in its process.
+        self.msg_ids = itertools.count(1)
         self.port_ids = itertools.count(1)
         self.session_ids = itertools.count(1)
         self.submission_ids = itertools.count(1)
+        self.pids = itertools.count(1000)
+        self.slot_ids = itertools.count(1)
         #: Counters for observability.
         self.sent_count = 0
         self.delivered_count = 0
@@ -325,6 +302,8 @@ class Network:
         """
         if message.callbacks is not None:
             raise NetworkError(f"{message!r} is already in flight")
+        # A slot call: unlike ``next()``, no builtin call per message.
+        message.msg_id = self.msg_ids.__next__()
         src_host = message.src.host
         dst_host = message.dst.host
         hosts = self._hosts
@@ -354,7 +333,7 @@ class Network:
             self._drop(message, "rule")
             return
 
-        delay = self.latency_model.latency(src_host, dst_host, message.size_bytes)
+        delay = self.latency_model.latency(src_host, dst_host)
         message.network = self
         message.callbacks = _DELIVER  # never appended to
         env.schedule(message, NORMAL, delay)  # type: ignore[arg-type]  # an event in all but name

@@ -1,15 +1,10 @@
 """Trace and metrics exporters.
 
-Two trace formats:
-
-* **JSONL** — one record per line, self-describing and loss-free; the
-  native interchange format consumed by ``python -m repro.obs`` and by
-  :func:`load_jsonl`.  Records are sorted and serialized with sorted
-  keys, so two identical runs produce byte-identical files.
-* **Chrome trace** — the ``chrome://tracing`` / Perfetto JSON event
-  format, for interactive inspection.  Spans become complete ("X")
-  events, marks become instants ("i"); simulated seconds map to
-  microseconds.
+Traces are written as **JSONL**: one record per line, self-describing
+and loss-free; the interchange format consumed by ``python -m
+repro.obs`` and by :func:`load_jsonl`.  Records are sorted and
+serialized with sorted keys, so two identical runs produce
+byte-identical files.
 
 Metrics snapshots are written as sorted-key JSON, and read back by
 :func:`load_metrics`, which refuses a file of any other shape.
@@ -20,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Union
 
 from repro.simcore.tracing import Mark, Span
 
@@ -159,91 +154,6 @@ def load_jsonl(path: Union[str, Path]) -> TraceDump:
     return dump
 
 
-# -- Chrome trace format -----------------------------------------------------
-
-
-def chrome_trace(trace: TraceSource) -> dict[str, Any]:
-    """The trace as a ``chrome://tracing`` / Perfetto JSON object.
-
-    Each trace tree becomes a process (pid); each span name becomes a
-    thread (tid) so same-named spans share a row.  Times are exported
-    in microseconds, the format's native unit.
-    """
-    trace_ids = sorted(
-        {s.trace_id for s in trace.spans if s.trace_id is not None}
-        | {m.trace_id for m in trace.marks if m.trace_id is not None}
-    )
-    pids = {tid: idx + 1 for idx, tid in enumerate(trace_ids)}
-    names = sorted(
-        {s.name for s in trace.spans} | {m.name for m in trace.marks}
-    )
-    tids = {name: idx + 1 for idx, name in enumerate(names)}
-
-    events: list[dict[str, Any]] = []
-    for tid, pid in sorted(pids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "ph": "M",
-                "pid": pid,
-                "name": "process_name",
-                "args": {"name": tid},
-            }
-        )
-    for name, tid_no in sorted(tids.items(), key=lambda kv: kv[1]):
-        events.append(
-            {
-                "ph": "M",
-                "pid": 0,
-                "tid": tid_no,
-                "name": "thread_name",
-                "args": {"name": name},
-            }
-        )
-    for record in sorted(
-        (span_record(s) for s in trace.spans),
-        key=lambda r: (r["start"], _dumps(r)),
-    ):
-        args = dict(record["attrs"])
-        if record["span_id"] is not None:
-            args["span_id"] = record["span_id"]
-        if record["parent_id"] is not None:
-            args["parent_id"] = record["parent_id"]
-        events.append(
-            {
-                "ph": "X",
-                "name": record["name"],
-                "pid": pids.get(record["trace_id"], 0),
-                "tid": tids[record["name"]],
-                "ts": record["start"] * 1e6,
-                "dur": (record["end"] - record["start"]) * 1e6,
-                "args": args,
-            }
-        )
-    for record in sorted(
-        (mark_record(m) for m in trace.marks),
-        key=lambda r: (r["time"], _dumps(r)),
-    ):
-        events.append(
-            {
-                "ph": "i",
-                "s": "p",
-                "name": record["name"],
-                "pid": pids.get(record["trace_id"], 0),
-                "tid": tids[record["name"]],
-                "ts": record["time"] * 1e6,
-                "args": dict(record["attrs"]),
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(trace: TraceSource, path: Union[str, Path]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(chrome_trace(trace), sort_keys=True) + "\n")
-    return path
-
-
 # -- metrics -----------------------------------------------------------------
 
 
@@ -323,10 +233,3 @@ def load_metrics(path: Union[str, Path]) -> dict[str, Any]:
             raise ValueError(f"{path}: not a metrics snapshot: {name!r} is malformed")
     return snapshot
 
-
-def iter_records(trace: TraceSource) -> Iterable[dict[str, Any]]:
-    """All span and mark records, unsorted — for ad-hoc consumers."""
-    for span in trace.spans:
-        yield span_record(span)
-    for mark in trace.marks:
-        yield mark_record(mark)

@@ -1,4 +1,4 @@
-"""Resource Specification Language: AST, parser, printer, edits."""
+"""Resource Specification Language: AST, parser, printer, substitution."""
 
 from repro.rsl.ast import (
     Conjunction,
@@ -22,11 +22,7 @@ from repro.rsl.attributes import (
 from repro.rsl.parser import parse, parse_multirequest
 from repro.rsl.printer import pretty, unparse
 from repro.rsl.transform import (
-    add_subjob,
-    delete_subjob,
     resolve_substitutions,
-    retarget_subjob,
-    substitute_subjob,
     substitute_variables,
 )
 
@@ -43,16 +39,12 @@ __all__ = [
     "Specification",
     "ValueSequence",
     "Variable",
-    "add_subjob",
     "conj",
-    "delete_subjob",
     "parse",
     "parse_multirequest",
     "pretty",
     "resolve_substitutions",
-    "retarget_subjob",
     "spec_attributes",
-    "substitute_subjob",
     "substitute_variables",
     "unparse",
     "validate_subjob_spec",

@@ -161,22 +161,6 @@ class Conjunction(_Composite):
         rel = self.relations().get(attribute.lower())
         return default if rel is None else rel.value
 
-    def with_value(self, attribute: str, *values: Value) -> "Conjunction":
-        """Copy of this conjunction with ``attribute`` set to ``values``."""
-        replaced = False
-        children: list[Specification] = []
-        for child in self.children:
-            if isinstance(child, Relation) and child.attribute.lower() == attribute.lower():
-                if not replaced:
-                    children.append(Relation(child.attribute, tuple(values)))
-                    replaced = True
-                # Drop duplicate bindings of the same attribute.
-            else:
-                children.append(child)
-        if not replaced:
-            children.append(Relation(attribute, tuple(values)))
-        return Conjunction(tuple(children))
-
 
 @dataclass(frozen=True)
 class Disjunction(_Composite):
@@ -186,9 +170,6 @@ class Disjunction(_Composite):
 @dataclass(frozen=True)
 class MultiRequest(_Composite):
     """``+(...)(...)``: the co-allocation operator — one branch per subjob."""
-
-    def subjob_specs(self) -> tuple[Specification, ...]:
-        return self.children
 
 
 def conj(**attrs: Value | Sequence[Scalar]) -> Conjunction:

@@ -1,11 +1,9 @@
-"""Edit operations on RSL multi-requests.
+"""Variable substitution in RSL specifications.
 
-The interactive transaction strategy's defining feature (paper §3.2) is
-that "the contents of a co-allocation request can be modified — via
-editing operations add, delete, and substitute — until the commit
-operation".  These functions implement those edits as pure
-transformations on :class:`MultiRequest` trees; the DUROC co-allocator
-applies the same operations to its live subjob table.
+The §3.2 edits (add, delete, substitute until commit) are applied to
+the co-allocator's live subjob table
+(:meth:`repro.core.coallocator.DurocJob.add` and its siblings), not to
+RSL trees.
 """
 
 from __future__ import annotations
@@ -21,57 +19,6 @@ from repro.rsl.ast import (
     Variable,
 )
 
-
-def add_subjob(request: MultiRequest, spec: Specification) -> MultiRequest:
-    """Append a subjob specification to the multi-request."""
-    return MultiRequest(request.children + (spec,))
-
-
-def delete_subjob(request: MultiRequest, index: int) -> MultiRequest:
-    """Remove the subjob at ``index``."""
-    _check_index(request, index)
-    children = request.children
-    return MultiRequest(children[:index] + children[index + 1:])
-
-
-def substitute_subjob(
-    request: MultiRequest, index: int, spec: Specification
-) -> MultiRequest:
-    """Replace the subjob at ``index`` with ``spec``."""
-    _check_index(request, index)
-    children = list(request.children)
-    children[index] = spec
-    return MultiRequest(tuple(children))
-
-
-def retarget_subjob(
-    request: MultiRequest, index: int, new_contact: str
-) -> MultiRequest:
-    """Substitute only the resource manager contact of subjob ``index``.
-
-    The common substitution in practice: same job, different machine.
-    """
-    from repro.rsl.attributes import RESOURCE_MANAGER_CONTACT
-
-    _check_index(request, index)
-    spec = request.children[index]
-    if not isinstance(spec, Conjunction):
-        raise RSLValidationError("can only retarget a conjunction subjob spec")
-    return substitute_subjob(
-        request, index, spec.with_value(RESOURCE_MANAGER_CONTACT, new_contact)
-    )
-
-
-def _check_index(request: MultiRequest, index: int) -> None:
-    if not 0 <= index < len(request.children):
-        raise RSLValidationError(
-            f"subjob index {index} out of range 0..{len(request.children) - 1}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Variable substitution: $(NAME) references and rslSubstitution bindings
-# ---------------------------------------------------------------------------
 
 #: The binding attribute, as in Globus RSL.
 RSL_SUBSTITUTION = "rslSubstitution"

@@ -9,24 +9,16 @@ from repro.schedulers.base import (
 )
 from repro.schedulers.fcfs import FcfsScheduler
 from repro.schedulers.fork import ForkScheduler
-from repro.schedulers.prediction import (
-    HistoryPredictor,
-    PlanBasedPredictor,
-    WaitPredictor,
-)
 from repro.schedulers.reservation import Reservation, ReservationScheduler
 
 __all__ = [
     "EasyBackfillScheduler",
     "FcfsScheduler",
     "ForkScheduler",
-    "HistoryPredictor",
     "Lease",
     "LocalScheduler",
     "NodeRequest",
     "PendingAllocation",
-    "PlanBasedPredictor",
     "Reservation",
     "ReservationScheduler",
-    "WaitPredictor",
 ]

@@ -14,8 +14,7 @@ timesharing system with no admission control.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import SchedulerError
@@ -24,8 +23,6 @@ from repro.simcore.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.environment import Environment
-
-_req_ids = itertools.count(1)
 
 
 @dataclass
@@ -46,7 +43,6 @@ class NodeRequest:
     #: the §2.1 "processors and memory" heterogeneous resource set that
     #: NQE/PBS-style managers co-allocate within one machine.
     memory: Optional[float] = None
-    req_id: int = field(default_factory=lambda: next(_req_ids))
     submitted_at: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -136,8 +132,6 @@ class LocalScheduler:
         self.memory = memory
         self.free_memory = memory if memory is not None else float("inf")
         self.leases: list[Lease] = []
-        #: History of (submitted_at, granted_at, count) for prediction.
-        self.history: list[tuple[float, float, int]] = []
         self.metrics = env.tracer.metrics
         self.site = ""
 
@@ -174,7 +168,7 @@ class LocalScheduler:
         :meth:`repro.gram.site.Site.close`)."""
         self.leases.clear()
 
-    def estimate_wait(self, count: int, max_time: Optional[float] = None) -> float:
+    def estimate_wait(self, count: int) -> float:
         """Predicted queue wait in seconds for a hypothetical request."""
         raise NotImplementedError
 
@@ -205,9 +199,6 @@ class LocalScheduler:
         lease = Lease(self, request)
         self.leases.append(lease)
         if request.submitted_at is not None:
-            self.history.append(
-                (request.submitted_at, self.env.now, request.count)
-            )
             self._m_queue_wait.observe(self.env.now - request.submitted_at)
         pending.transition(QueuePhase.GRANTED)
         pending.event.succeed(lease)

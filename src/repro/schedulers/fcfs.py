@@ -70,7 +70,7 @@ class FcfsScheduler(LocalScheduler):
 
     # -- prediction --------------------------------------------------------
 
-    def estimate_wait(self, count: int, max_time: Optional[float] = None) -> float:
+    def estimate_wait(self, count: int) -> float:
         """Plan-based wait estimate for a hypothetical (count,) request.
 
         Replays the current machine state forward using max_time
@@ -79,7 +79,7 @@ class FcfsScheduler(LocalScheduler):
         estimate (or 1 hour if none is known) — predictions are
         heuristic, as §2.2 expects.
         """
-        return _plan_wait(self, list(self._queue), count, max_time)
+        return _plan_wait(self, list(self._queue), count)
 
 
 #: Fallback runtime estimate when a job declared none.
@@ -90,7 +90,6 @@ def _plan_wait(
     scheduler: LocalScheduler,
     queued: list[PendingAllocation],
     count: int,
-    max_time: Optional[float],
 ) -> float:
     """Simulate FCFS forward to the start time of a hypothetical job."""
     now = scheduler.env.now
@@ -133,7 +132,9 @@ def _plan_wait(
         if start(pending.request.count, pending.request.max_time) is None:
             return float("inf")
 
-    started = start(count, max_time)
+    # The hypothetical job's own runtime is pushed only after its start
+    # is taken, so it cannot move the estimate.
+    started = start(count, None)
     if started is None:
         return float("inf")
     return max(0.0, started - now)

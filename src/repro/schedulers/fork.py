@@ -10,8 +10,6 @@ oversubscription rather than enforcing a limit.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.schedulers.base import Lease, LocalScheduler, NodeRequest, PendingAllocation
 from repro.schedulers.states import QueuePhase
 
@@ -28,7 +26,6 @@ class ForkScheduler(LocalScheduler):
         self.free -= request.count
         lease = Lease(self, request)
         self.leases.append(lease)
-        self.history.append((self.env.now, self.env.now, request.count))
         self._m_queue_wait.observe(0.0)
         pending.transition(QueuePhase.GRANTED)
         pending.event.succeed(lease)
@@ -38,7 +35,7 @@ class ForkScheduler(LocalScheduler):
     def queue_length(self) -> int:
         return 0
 
-    def estimate_wait(self, count: int, max_time: Optional[float] = None) -> float:
+    def estimate_wait(self, count: int) -> float:
         return 0.0
 
     def _withdraw(self, pending: PendingAllocation) -> bool:

@@ -23,8 +23,6 @@ from repro.schedulers.base import NodeRequest
 from repro.schedulers.fcfs import DEFAULT_RUNTIME_GUESS, FcfsScheduler
 from repro.schedulers.states import QueuePhase
 
-_resv_ids = itertools.count(1)
-
 
 @dataclass(frozen=True)
 class Reservation:
@@ -51,6 +49,9 @@ class ReservationScheduler(FcfsScheduler):
     def __init__(self, env, nodes: int, memory=None) -> None:
         super().__init__(env, nodes, memory)
         self._reservations: dict[str, Reservation] = {}
+        #: A reservation id is only ever presented to the scheduler that
+        #: granted it, so each scheduler numbers its own.
+        self._resv_ids = itertools.count(1)
 
     # -- reservation API ---------------------------------------------------
 
@@ -74,7 +75,7 @@ class ReservationScheduler(FcfsScheduler):
                 f"window would commit {peak} nodes on a {self.nodes}-node machine"
             )
         resv = Reservation(
-            resv_id=f"resv-{next(_resv_ids)}",
+            resv_id=f"resv-{next(self._resv_ids)}",
             count=count,
             start=start,
             duration=duration,

@@ -22,7 +22,7 @@ from repro.simcore.events import AllOf, Event, Timeout
 from repro.simcore.probe import FanoutProbe, Probe, attach
 from repro.simcore.process import Interrupt, Process
 from repro.simcore.resources import TIMED_OUT, Store
-from repro.simcore.rng import RngRegistry, jittered
+from repro.simcore.rng import RngRegistry
 from repro.simcore.tracing import (
     NULL_TRACER,
     OBS_CONTEXT_PARAM,
@@ -54,5 +54,4 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "attach",
-    "jittered",
 ]

@@ -78,22 +78,3 @@ class RngRegistry:
     def __repr__(self) -> str:
         return f"<RngRegistry seed={self.seed} streams={sorted(self._streams)}>"
 
-
-def jittered(
-    rng: Optional[np.random.Generator],
-    mean: float,
-    cv: float = 0.0,
-) -> float:
-    """A non-negative duration around ``mean``.
-
-    ``cv`` is the coefficient of variation; with ``cv == 0`` or no rng
-    the mean itself is returned (fully deterministic).  A gamma
-    distribution keeps draws positive with the requested mean/CV.
-    """
-    if mean < 0:
-        raise ValueError(f"negative mean duration {mean!r}")
-    if rng is None or cv <= 0.0 or mean == 0.0:
-        return mean
-    shape = 1.0 / (cv * cv)
-    scale = mean / shape
-    return float(rng.gamma(shape, scale))

@@ -138,26 +138,8 @@ def test_suppression_comment(run_checker):
     assert findings == []
 
 
-def test_deprecation_shim_is_skipped(run_checker):
-    """A deprecated re-export shim may import what it forwards."""
-    findings = run_checker(
-        DeterminismChecker(),
-        '''
-        """Deprecated helpers -- use repro.faults instead."""
-
-        import warnings
-        import random  # re-exported for one release
-
-        def old_api():
-            warnings.warn("old_api is deprecated", DeprecationWarning)
-            return random.random()
-        ''',
-    )
-    assert findings == []
-
-
 def test_deprecated_docstring_without_warning_still_checked(run_checker):
-    """Claiming deprecation in prose alone does not buy an exemption."""
+    """A module that calls itself deprecated is checked like any other."""
     findings = run_checker(
         DeterminismChecker(),
         '''
@@ -167,27 +149,3 @@ def test_deprecated_docstring_without_warning_still_checked(run_checker):
         ''',
     )
     assert rules_of(findings) == {"det-stdlib-random"}
-
-
-def test_no_shim_modules_remain_shipped():
-    """The pre-facade fault shims finished their cycle and are gone.
-
-    The ``is_deprecation_shim`` exemption stays for the next
-    deprecation, but nothing in the shipped tree should qualify for it
-    today — a module that does is an overlooked leftover.
-    """
-    import ast
-    from pathlib import Path
-
-    from repro.analysis.determinism import is_deprecation_shim
-    from repro.analysis.framework import Module
-
-    src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    assert not (src / "net" / "faults.py").exists()
-    shims = []
-    for path in sorted(src.rglob("*.py")):
-        source = path.read_text()
-        module = Module(str(path), ast.parse(source), source)
-        if is_deprecation_shim(module):
-            shims.append(str(path))
-    assert shims == []

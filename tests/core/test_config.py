@@ -79,10 +79,6 @@ class TestNaming:
         with pytest.raises(ConfigurationError):
             config.address(5, 0)
 
-    def test_payload_roundtrip(self):
-        config = make_config()
-        assert DurocConfig.from_payload(config.to_payload()) == config
-
 
 @given(
     sizes=st.lists(st.integers(1, 8), min_size=1, max_size=6).map(tuple),

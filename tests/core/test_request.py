@@ -85,24 +85,18 @@ class TestSubjobSpec:
 
 
 class TestCoAllocationRequest:
-    def test_incremental_construction(self):
-        request = CoAllocationRequest()
-        i = request.add(SubjobSpec(contact="RM1", count=1, executable="m"))
-        j = request.add(SubjobSpec(contact="RM2", count=4, executable="w"))
-        assert (i, j) == (0, 1)
-        assert len(request) == 2
-
-    def test_delete_and_substitute(self):
+    def test_substitute(self):
         request = CoAllocationRequest.from_rsl(FIGURE_1)
-        request.delete(1)
-        assert len(request) == 2
-        request.substitute(1, SubjobSpec(contact="RM7", count=2, executable="w"))
+        old = request.substitute(1, SubjobSpec(contact="RM7", count=2, executable="w"))
+        assert old.contact == "RM2"
+        assert len(request) == 3
         assert request[1].contact == "RM7"
 
     def test_bad_index(self):
-        request = CoAllocationRequest()
-        with pytest.raises(RSLValidationError):
-            request.delete(0)
+        request = CoAllocationRequest.from_rsl(FIGURE_1)
+        for index in (-1, 3):
+            with pytest.raises(RSLValidationError):
+                request.substitute(index, request[0])
 
     def test_by_type(self):
         request = CoAllocationRequest.from_rsl(FIGURE_1)

@@ -48,8 +48,8 @@ class TestForecastCaching:
         # Fill the machine; the cached forecast is still zero...
         grid.site("m").scheduler.submit(NodeRequest(count=32, max_time=50))
         assert directory.predicted_wait("m", 32) == 0.0
-        # ...but a fresh query sees the queue.
-        assert directory.predicted_wait("m", 32, fresh=True) > 0.0
+        # ...but the scheduler itself sees the queue.
+        assert grid.site("m").scheduler.estimate_wait(32) > 0.0
 
     def test_cache_expires(self):
         from repro.gridenv import GridBuilder

@@ -1,8 +1,8 @@
 """Job control is a conversation with the gatekeeper.
 
-``gram.cancel`` / ``gram.register_callback`` / ``gram.unregister_callback``
-carry the job id to ``<site>:gatekeeper`` and are answered with the
-job's ``{job_id, state, reason}``, or with ``"unknown job"`` — never
+``gram.cancel`` and ``gram.status`` carry the job id to
+``<site>:gatekeeper``; a cancel is answered with the job's
+``{job_id, state, reason}``, or with ``"unknown job"`` — never
 with silence — when the gatekeeper has not issued that id or the job
 finished longer than ``FINISHED_JOB_RETENTION`` ago.  A live job is
 never forgotten, however many others the site runs.  The front door
@@ -15,7 +15,7 @@ from repro.errors import GramError
 from repro.gram import GramClient, JobState, Site
 from repro.gram.client import JobHandle
 from repro.gram.gatekeeper import FINISHED_JOB_RETENTION, SUBMIT
-from repro.gram.jobmanager import CANCEL, REGISTER, UNREGISTER
+from repro.gram.jobmanager import CANCEL
 from repro.gsi import initiate
 from repro.net import Endpoint, Network, Port
 from repro.net.rpc import RPCError, call
@@ -29,7 +29,6 @@ from .conftest import client_mailboxes, drive, rsl_for, sleeper_program
 def test_control_of_an_evicted_job_is_refused_not_left_hanging(env, net, site, client):
     """A job that finished longer than the retention window ago is
     dropped by the next submit, and every control RPC for it says so."""
-    listener = Endpoint("workstation", "listener")
 
     def scenario(env):
         evicted = yield from client.submit(
@@ -45,8 +44,6 @@ def test_control_of_an_evicted_job_is_refused_not_left_hanging(env, net, site, c
         assert list(site.gatekeeper.job_managers) == [h.job_id for h in kept]
         calls = (
             lambda: client.cancel(evicted),  # timeout=None: would wait for ever
-            lambda: client.register_callback(evicted, listener),
-            lambda: client.unregister_callback(evicted, listener),
             lambda: client.status(evicted),
         )
         for control in calls:
@@ -122,39 +119,19 @@ def test_cancel_of_a_done_job_is_answered_without_a_timeout(env, site, client):
     assert handle.failure_reason is None
 
 
-@pytest.mark.parametrize("kind", [CANCEL, REGISTER, UNREGISTER])
 @pytest.mark.parametrize("payload", [None, {}, {"job_id": ["origin/job1"]}, "origin/job1"])
 def test_a_malformed_control_message_gets_an_error_and_the_listener_survives(
-    env, net, site, client, kind, payload
+    env, net, site, client, payload
 ):
     port = Port(net, Endpoint("workstation", "raw"))
 
     def scenario(env):
         handle = yield from client.submit(site.contact, rsl_for(site.contact))
         with pytest.raises(RPCError, match="unknown job"):
-            yield from call(port, site.gatekeeper.endpoint, kind, payload=payload, timeout=5.0)
+            yield from call(port, site.gatekeeper.endpoint, CANCEL, payload=payload, timeout=5.0)
         return (yield from client.status(handle))
 
     assert drive(env, scenario(env)).terminal is False
-    assert site.gatekeeper.listener.is_alive
-
-
-@pytest.mark.parametrize("kind", [REGISTER, UNREGISTER])
-def test_a_listener_that_is_no_endpoint_is_refused(env, net, site, client, kind):
-    port = Port(net, Endpoint("workstation", "raw"))
-
-    def scenario(env):
-        handle = yield from client.submit(site.contact, rsl_for(site.contact))
-        for endpoint in (None, "workstation:listener"):
-            with pytest.raises(RPCError, match="needs an 'endpoint'"):
-                yield from call(
-                    port, site.gatekeeper.endpoint, kind,
-                    payload={"job_id": handle.job_id, "endpoint": endpoint}, timeout=5.0,
-                )
-        return handle
-
-    handle = drive(env, scenario(env))
-    assert site.gatekeeper.job_managers[handle.job_id].callbacks == []
     assert site.gatekeeper.listener.is_alive
 
 

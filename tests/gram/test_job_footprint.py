@@ -14,7 +14,7 @@ import pytest
 import repro.gram.gatekeeper as gatekeeper_module
 from repro.core.request import CoAllocationRequest
 from repro.errors import GramError
-from repro.gram import CallbackListener, GramClient, JobState, Site
+from repro.gram import GramClient, JobState, Site
 from repro.gridenv import DEFAULT_EXECUTABLE, GridBuilder
 from repro.net import Endpoint, Network, Port
 from repro.simcore import Environment
@@ -252,39 +252,31 @@ def test_a_cancel_landing_as_the_last_process_exits_still_reads_done(
     assert site.scheduler.free == site.nodes
 
 
-# -- (d) callback registration, through the gatekeeper --------------------------
+# -- (d) callbacks, to the one listener the submit named ------------------------
 
 
-def test_register_then_unregister_callbacks_through_the_gatekeeper(
-    env, net, site, client
-):
-    early = CallbackListener(net, "workstation")
-    heard = []
-    early.on(None, lambda job_id, state, reason: heard.append(state))
+def test_a_job_calls_back_the_listener_its_submit_named(env, net, site, client):
     # A bare port, so the callbacks themselves can be read afterwards.
-    late = Port(net, Endpoint("workstation", "late"))
+    listener = Port(net, Endpoint("workstation", "listener"))
 
     def scenario(env):
         handle = yield from client.submit(
-            site.contact, rsl_for(site.contact), callback=early.endpoint
+            site.contact, rsl_for(site.contact), callback=listener.endpoint
         )
-        yield from client.wait_for_state(handle, JobState.ACTIVE)
-        state = yield from client.register_callback(handle, late.endpoint)
-        assert state is JobState.ACTIVE
-        yield from client.register_callback(handle, late.endpoint)  # idempotent
-        state = yield from client.unregister_callback(handle, early.endpoint)
-        assert state is JobState.ACTIVE
         yield from client.wait_for_state(handle, JobState.DONE)
         return handle
 
     handle = drive(env, scenario(env))
     env.run()
-    assert heard == [JobState.PENDING, JobState.ACTIVE]
-    (callback,) = late.mailbox.items
-    assert callback.kind == "gram.callback"
-    assert callback.payload == {
+    callbacks = listener.mailbox.items
+    assert [m.payload["state"] for m in callbacks] == [
+        JobState.PENDING, JobState.ACTIVE, JobState.DONE,
+    ]
+    assert {m.kind for m in callbacks} == {"gram.callback"}
+    assert callbacks[-1].payload == {
         "job_id": handle.job_id, "state": JobState.DONE, "reason": None,
     }
-    # It still comes from the job manager's own address, which nothing binds.
-    assert callback.src == handle.manager and not net.is_bound(handle.manager)
-    assert site.gatekeeper.job_managers[handle.job_id].callbacks == [late.endpoint]
+    # They come from the job manager's own address, which nothing binds.
+    assert {m.src for m in callbacks} == {handle.manager}
+    assert not net.is_bound(handle.manager)
+    assert site.gatekeeper.job_managers[handle.job_id].callback == listener.endpoint

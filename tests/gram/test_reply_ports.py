@@ -1,8 +1,7 @@
 """GramClient closes the ephemeral reply port of every call it makes.
 
-Each ``submit`` / ``status`` / ``cancel`` / ``register_callback`` /
-``unregister_callback`` binds a fresh ``gram.N`` endpoint for its
-reply.  Left bound, a polling client grows ``Network._mailboxes`` by
+Each ``submit`` / ``status`` / ``cancel`` binds a fresh ``gram.N``
+endpoint for its reply.  Left bound, a polling client grows ``Network._mailboxes`` by
 one ``Store`` per RPC for the life of the run.
 """
 
@@ -46,9 +45,7 @@ def test_every_call_closes_its_port(env, net, site, client):
     def scenario(env):
         handle = yield from client.submit(site.contact, rsl_for(site.contact))
         assert client_mailboxes(net) == bound
-        yield from client.register_callback(handle, listener.endpoint)
-        assert client_mailboxes(net) == bound
-        yield from client.unregister_callback(handle, listener.endpoint)
+        yield from client.status(handle)
         assert client_mailboxes(net) == bound
         state = yield from client.cancel(handle)
         assert client_mailboxes(net) == bound

@@ -14,10 +14,10 @@ import sys
 import pytest
 
 from repro.net import Endpoint, LatencyModel, Network, Port, call
+from repro.net.network import LOCAL_LATENCY
 from repro.net.rpc import reply_ok
 from repro.simcore import Environment
 from repro.simcore.probe import Probe
-from repro.simcore.rng import RngRegistry, jittered
 
 CLIENTS = 4
 CALLS = 25
@@ -93,51 +93,26 @@ def test_the_echo_load_makes_a_fixed_number_of_calls():
 
 
 class TestLatencyModel:
-    """``latency`` returns the floats of the general formula: override
-    or base mean, jittered, plus the serialization term."""
+    """``latency`` returns the floats of the general formula: loopback,
+    else the pair's override, else the base."""
 
     @staticmethod
-    def formula(model, src, dst, size_bytes, rng=None):
+    def formula(model, src, dst):
         if src == dst:
-            return model.local
-        mean = model.pair_latency(src, dst)
-        delay = jittered(rng, model.base if mean is None else mean, model.jitter_cv)
-        if model.bandwidth is not None and size_bytes > 0:
-            delay += size_bytes / model.bandwidth
-        return delay
+            return LOCAL_LATENCY
+        override = model.pair_latency(src, dst)
+        return model.base if override is None else override
 
     def test_loopback_base_and_overrides(self):
-        model = LatencyModel(base=0.003, local=2e-5)
-        assert model.latency("a", "a", 1 << 20) == 2e-5
-        assert model.latency("a", "b") == self.formula(model, "a", "b", 0) == 0.003
+        model = LatencyModel(base=0.003)
+        assert model.latency("a", "a") == self.formula(model, "a", "a") == LOCAL_LATENCY
+        assert model.latency("a", "b") == self.formula(model, "a", "b") == 0.003
         model.set_latency("a", "b", 1)
-        assert model.latency("b", "a") == self.formula(model, "b", "a", 0) == 1.0
+        assert model.latency("b", "a") == self.formula(model, "b", "a") == 1.0
         assert type(model.latency("a", "b")) is float
         assert model.latency("a", "c") == 0.003
         model.clear_latency("a", "b")
-        assert model.latency("a", "b") == self.formula(model, "a", "b", 0) == 0.003
-
-    def test_bandwidth(self):
-        model = LatencyModel(base=0.002, bandwidth=1000.0)
-        model.set_latency("a", "c", 0.5)
-        for dst in ("b", "c"):
-            for size in (0, 256, 10_000):
-                assert model.latency("a", dst, size) == self.formula(model, "a", dst, size)
-        assert model.latency("a", "b", 10_000) == 0.002 + 10.0
-
-    def test_seeded_jitter_draws_the_same_floats(self):
-        model = LatencyModel(
-            base=0.002, jitter_cv=0.5, rng=RngRegistry(7).stream("net"), bandwidth=1e6
-        )
-        model.set_latency("a", "c", 0.01)
-        twin = RngRegistry(7).stream("net")
-        for dst in ("b", "c", "b", "c", "a"):
-            assert model.latency("a", dst, 512) == self.formula(model, "a", dst, 512, twin)
-
-    def test_no_jitter_without_an_rng_or_a_cv(self):
-        assert LatencyModel(jitter_cv=0.5).latency("a", "b") == 0.002
-        rng = RngRegistry(7).stream("net")
-        assert LatencyModel(rng=rng).latency("a", "b") == 0.002
+        assert model.latency("a", "b") == self.formula(model, "a", "b") == 0.003
 
 
 def test_a_loss_at_delivery_is_told_with_its_reason():

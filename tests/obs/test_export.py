@@ -1,15 +1,13 @@
-"""Exporter tests: JSONL round-trips, Chrome trace, determinism."""
+"""Exporter tests: JSONL round-trips, metrics, determinism."""
 
 import json
 
 import pytest
 
 from repro.obs.export import (
-    chrome_trace,
     export_jsonl,
     load_jsonl,
     metrics_json,
-    write_chrome_trace,
     write_jsonl,
     write_metrics,
 )
@@ -76,27 +74,6 @@ class TestJsonl:
         path.write_text('{"record": "mystery"}\n')
         with pytest.raises(ValueError):
             load_jsonl(path)
-
-
-class TestChromeTrace:
-    def test_events_reference_declared_processes(self, tracer, tmp_path):
-        build_sample(tracer)
-        doc = chrome_trace(tracer)
-        events = doc["traceEvents"]
-        complete = [e for e in events if e["ph"] == "X"]
-        instants = [e for e in events if e["ph"] == "i"]
-        assert len(complete) == 3
-        assert len(instants) == 2
-        # Microsecond timestamps.
-        root = next(e for e in complete if e["name"] == "root")
-        assert root["ts"] == 0.0
-        assert root["dur"] == 10.0 * 1e6
-        path = write_chrome_trace(tracer, tmp_path / "chrome.json")
-        json.loads(path.read_text())  # valid JSON document
-
-    def test_deterministic(self, tracer):
-        build_sample(tracer)
-        assert chrome_trace(tracer) == chrome_trace(tracer)
 
 
 class TestMetricsExport:

@@ -142,22 +142,6 @@ class TestPrinter:
 
 
 class TestConjunctionHelpers:
-    def test_with_value_replaces(self):
-        spec = parse("&(count=4)(executable=w)")
-        new = spec.with_value("count", 8)
-        assert new.get("count") == 8
-        assert new.get("executable") == "w"
-
-    def test_with_value_adds_missing(self):
-        spec = parse("&(count=4)")
-        new = spec.with_value("queue", "batch")
-        assert new.get("queue") == "batch"
-
-    def test_with_value_drops_duplicates(self):
-        spec = parse("&(count=4)(count=8)")
-        new = spec.with_value("count", 2)
-        assert [c for c in new if isinstance(c, Relation)] == [Relation("count", (2,))]
-
     def test_single_value_accessor_rejects_multivalue(self):
         rel = parse("arguments=a b")
         with pytest.raises(RSLValidationError):

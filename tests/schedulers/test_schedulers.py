@@ -7,9 +7,7 @@ from repro.schedulers import (
     EasyBackfillScheduler,
     FcfsScheduler,
     ForkScheduler,
-    HistoryPredictor,
     NodeRequest,
-    PlanBasedPredictor,
     ReservationScheduler,
 )
 from repro.simcore import Environment
@@ -312,35 +310,3 @@ class TestReservations:
         run_job(env, sched, 4, 50, starts, "be", max_time=50)
         env.run()
         assert starts["be"] == 0.0
-
-
-class TestPredictors:
-    def test_plan_based_delegates(self, env):
-        sched = FcfsScheduler(env, nodes=4)
-        starts = {}
-        run_job(env, sched, 4, 10, starts, "running", max_time=10)
-        env.run(until=2)
-        predictor = PlanBasedPredictor(sched)
-        assert predictor.predict(4) == pytest.approx(8.0)
-
-    def test_history_predictor_uses_similar_jobs(self, env):
-        sched = FcfsScheduler(env, nodes=4)
-        starts = {}
-        # Two 4-node jobs: the second waits 10 s.
-        run_job(env, sched, 4, 10, starts, "a", max_time=10)
-        run_job(env, sched, 4, 10, starts, "b", max_time=10)
-        env.run()
-        predictor = HistoryPredictor(sched)
-        # Similar (4-node) history: waits were 0 and 10 → mean 5.
-        assert predictor.predict(4) == pytest.approx(5.0)
-
-    def test_history_predictor_empty_history(self, env):
-        sched = FcfsScheduler(env, nodes=4)
-        assert HistoryPredictor(sched).predict(2) == 0.0
-
-    def test_history_predictor_validation(self, env):
-        sched = FcfsScheduler(env, nodes=4)
-        with pytest.raises(ValueError):
-            HistoryPredictor(sched, window=0)
-        with pytest.raises(ValueError):
-            HistoryPredictor(sched, similarity_factor=0.5)

@@ -17,7 +17,6 @@ from repro.simcore import (
     TraceContext,
     Tracer,
     attach,
-    jittered,
 )
 from repro.simcore.events import AllOf, Event, Timeout
 from repro.simcore.metrics import (
@@ -217,20 +216,3 @@ class TestRngRegistry:
         rngs2.stream("beta")  # extra stream created first
         second = rngs2.stream("alpha").random(3)
         assert np.allclose(first, second)
-
-
-class TestJittered:
-    def test_zero_cv_is_exact(self):
-        rng = np.random.default_rng(0)
-        assert jittered(rng, 2.0, cv=0.0) == 2.0
-        assert jittered(None, 2.0, cv=0.5) == 2.0
-
-    def test_positive_and_near_mean(self):
-        rng = np.random.default_rng(0)
-        draws = [jittered(rng, 2.0, cv=0.3) for _ in range(500)]
-        assert all(d > 0 for d in draws)
-        assert abs(sum(draws) / len(draws) - 2.0) < 0.1
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            jittered(None, -1.0)

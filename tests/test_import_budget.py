@@ -100,11 +100,12 @@ def test_no_workload_import_loads_multiprocessing():
 def test_an_undrawn_stream_leaves_numpy_unimported():
     script = (
         "import sys\n"
-        "from repro.simcore.rng import RngRegistry, jittered\n"
+        "from repro.resilience import RetryPolicy\n"
+        "from repro.simcore.rng import RngRegistry\n"
         "rngs = RngRegistry(42)\n"
         "stream = rngs.stream('resilience.retry')\n"
         "assert rngs.stream('resilience.retry') is stream\n"
-        "assert jittered(stream, 2.0) == 2.0\n"
+        "assert RetryPolicy(base_delay=2.0, jitter=0.0).delay(1, stream) == 2.0\n"
         "print('numpy' in sys.modules)\n"
     )
     result = run_fresh(script)

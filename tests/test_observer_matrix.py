@@ -4,8 +4,9 @@ Twenty concurrent eight-subjob co-allocations — the load shape of
 ``benchmarks/wall``'s ``coalloc_*`` workloads — under every observer
 combination must produce the same per-request records, the same final
 clock, the same kernel tallies and the same message count.  One more
-agent drives GRAM job control — status, (un)register, cancel, and a
-cancel the gatekeeper must refuse — against the same gatekeepers.
+agent drives GRAM job control — a submit with its own callback
+listener, status, cancel, and a cancel the gatekeeper must refuse —
+against the same gatekeepers.
 
 The tracer is one of those observers: the load run untraced equals it
 run with the builder's default tracer.  Every cheap entry of the
@@ -84,13 +85,16 @@ def _run(observe, trace=True):
         listener = Port(grid.network, Endpoint(CLIENT_HOST, "control"))
         contact = grid.site("RM1").contact
         handle = yield from gram.submit(
-            contact, f"&(resourceManagerContact={contact})(count=2)(executable=idle)"
+            contact, f"&(resourceManagerContact={contact})(count=2)(executable=idle)",
+            callback=listener.endpoint,
         )
         seen = [(yield from gram.wait_for_state(handle, JobState.ACTIVE))]
-        seen.append((yield from gram.register_callback(handle, listener.endpoint)))
         seen.append((yield from gram.cancel(handle)))
-        seen.append((yield listener.recv()).payload["state"])
-        seen.append((yield from gram.unregister_callback(handle, listener.endpoint)))
+        # The listener hears every state the job passed, up to the cancel.
+        heard = []
+        while not heard or not heard[-1].terminal:
+            heard.append((yield listener.recv()).payload["state"])
+        seen.extend(heard)
         stranger = JobHandle("RM1/job0", handle.manager, handle.gatekeeper)
         try:
             yield from gram.cancel(stranger)
@@ -110,7 +114,15 @@ def _run(observe, trace=True):
 @pytest.fixture(scope="module")
 def bare():
     _, outcome = _run(None)
+    # Every request's record, and the controller's after them.
+    assert len(outcome[0]) == REQUESTS + 1
     assert all(record is not None for record in outcome[0])
+    states, _ = outcome[0][-1]
+    assert states == (
+        "JobState.ACTIVE", "JobState.FAILED",  # the poll and the cancel's reply
+        "JobState.PENDING", "JobState.ACTIVE", "JobState.FAILED",  # the callbacks
+        "unknown job",  # the stranger's cancel
+    )
     return outcome
 
 
